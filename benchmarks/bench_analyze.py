@@ -20,7 +20,6 @@ the 14-image corpus; the floor is set at 4.
 """
 
 import json
-import os
 import time
 
 from repro.analyze import analyze_program
@@ -31,7 +30,6 @@ from repro.apps.registry import TABLE_IV_ORDER
 VARIANTS = ("original", "eilid")
 ANALYSES_PER_SEC_FLOOR = 4
 ARTIFACT = "BENCH_analyze.json"
-HISTORY_LIMIT = 20
 
 
 def _corpus():
@@ -44,20 +42,7 @@ def _corpus():
     return builds
 
 
-def _seeded_history(entry):
-    """Fold previous runs' entries into a bounded history list."""
-    history = []
-    if os.path.exists(ARTIFACT):
-        try:
-            with open(ARTIFACT, encoding="utf-8") as handle:
-                history = json.load(handle).get("history", [])
-        except (OSError, ValueError):
-            history = []
-    history.append(entry)
-    return history[-HISTORY_LIMIT:]
-
-
-def test_bench_analyze_corpus(benchmark):
+def test_bench_analyze_corpus(benchmark, seeded_history):
     corpus = _corpus()
 
     def measure():
@@ -97,7 +82,7 @@ def test_bench_analyze_corpus(benchmark):
         "corpus": [f"{app}/{variant}" for app, variant, _ in corpus],
         "reports": {f"{r.name}/{r.variant}": r.to_dict()["counts"]
                     for r in reports},
-        "history": _seeded_history(entry),
+        "history": seeded_history(ARTIFACT, entry),
     }
     with open(ARTIFACT, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)

@@ -67,7 +67,6 @@ WORKERS = 4
 PROCESS_FLOOR_FAULTS_PER_SEC = 15
 SPEEDUP_FLOOR = 1.5
 ARTIFACT = "BENCH_faults.json"
-HISTORY_LIMIT = 20
 
 
 def _usable_cores() -> int:
@@ -91,20 +90,7 @@ def _sweep(backend, plan):
     return report
 
 
-def _seeded_history(entry):
-    """Fold previous runs' entries into a bounded history list."""
-    history = []
-    if os.path.exists(ARTIFACT):
-        try:
-            with open(ARTIFACT, encoding="utf-8") as handle:
-                history = json.load(handle).get("history", [])
-        except (OSError, ValueError):
-            history = []
-    history.append(entry)
-    return history[-HISTORY_LIMIT:]
-
-
-def test_bench_fault_sweep_backends(benchmark):
+def test_bench_fault_sweep_backends(benchmark, seeded_history):
     plan = _plan()
 
     def measure():
@@ -142,7 +128,7 @@ def test_bench_fault_sweep_backends(benchmark):
         "plan": {"name": plan.name, "seed": plan.seed, "faults": len(plan)},
         "thread": thread.to_dict(),
         "process": process.to_dict(),
-        "history": _seeded_history(entry),
+        "history": seeded_history(ARTIFACT, entry),
     }
     with open(ARTIFACT, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)

@@ -22,7 +22,6 @@ previous runs, like the other trajectory artifacts.
 
 import gc
 import json
-import os
 import time
 
 import pytest
@@ -37,7 +36,6 @@ ATTEST_FLOOR_PER_SEC = 500
 WAVES = (0.02, 0.25, 1.0)
 FIRST_EVENT_LATENCY_CEILING_S = 1.0
 ARTIFACT = "BENCH_serve.json"
-HISTORY_LIMIT = 20
 
 # Filled by the gates, written by the last one.
 _RESULTS = {}
@@ -66,19 +64,6 @@ def control_plane(tmp_path_factory):
         store.close()
 
 
-def _seeded_history(entry):
-    """Fold previous runs' entries into a bounded history list."""
-    history = []
-    if os.path.exists(ARTIFACT):
-        try:
-            with open(ARTIFACT, encoding="utf-8") as handle:
-                history = json.load(handle).get("history", [])
-        except (OSError, ValueError):
-            history = []
-    history.append(entry)
-    return history[-HISTORY_LIMIT:]
-
-
 def test_bench_serve_concurrent_attest_throughput(benchmark, control_plane):
     fleet, client = control_plane
     status = client.status()
@@ -103,7 +88,8 @@ def test_bench_serve_concurrent_attest_throughput(benchmark, control_plane):
         f"(floor {ATTEST_FLOOR_PER_SEC}/s)")
 
 
-def test_bench_serve_campaign_stream_is_live(benchmark, control_plane):
+def test_bench_serve_campaign_stream_is_live(benchmark, control_plane,
+                                              seeded_history):
     fleet, client = control_plane
 
     def measure():
@@ -155,7 +141,7 @@ def test_bench_serve_campaign_stream_is_live(benchmark, control_plane):
                   "waves": list(WAVES)},
         "attests_per_sec": _RESULTS.get("attests_per_sec"),
         "rollout": report,
-        "history": _seeded_history(entry),
+        "history": seeded_history(ARTIFACT, entry),
     }
     with open(ARTIFACT, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)

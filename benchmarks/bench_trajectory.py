@@ -38,23 +38,6 @@ TAMPER_FRACTION = 0.05
 # path; the floor only catches a broken batch loop or a store/event
 # layer gone quadratic.
 TRAJECTORY_FLOOR_DPS = 100
-# Successive runs of this file fold their summaries into the
-# artifact's ``history`` list, so the perf trajectory is non-empty
-# from the very first CI run and grows run over run.
-HISTORY_LIMIT = 20
-
-
-def _seeded_history(path, entry):
-    """Previous runs' summaries plus this one, oldest first, bounded."""
-    history = []
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                history = json.load(handle).get("history", [])
-        except (OSError, ValueError):
-            history = []
-    history.append(entry)
-    return history[-HISTORY_LIMIT:]
 
 
 def _history_json(events_path, *flags):
@@ -88,7 +71,7 @@ def _run_trajectory(store_path, events_path):
     return reports
 
 
-def test_bench_fleet_trajectory(benchmark, tmp_path):
+def test_bench_fleet_trajectory(benchmark, tmp_path, seeded_history):
     store_path = str(tmp_path / "registry.db")
     events_path = str(tmp_path / "events.db")
 
@@ -147,7 +130,7 @@ def test_bench_fleet_trajectory(benchmark, tmp_path):
         "trends": trends,
     }
     artifact = os.path.join(os.getcwd(), "BENCH_fleet_trajectory.json")
-    doc["history"] = _seeded_history(artifact, {
+    doc["history"] = seeded_history(artifact, {
         "ts": round(time.time(), 3),
         "devices": FLEET_SIZE,
         "campaigns": CAMPAIGNS,

@@ -9,19 +9,18 @@ monotonic ``last_seen``) -- plus one fleet-level *meta* document (the
 registry's logical clock and the log of applied update packages, so a
 restarted simulation can fast-forward its device replicas).
 
-Three backends, one contract:
+Every store is a keyed, last-write-wins view over the one record log
+(:mod:`repro.recordlog`: file formats, durability points, the
+torn-line rule, and the path dispatch ``open_store(path)`` uses):
 
 * :class:`MemoryStore`  -- dicts; the default, zero I/O.
-* :class:`JsonlStore`   -- an append-only JSON-lines log; every save is
-  one appended line, loads fold the log last-wins, ``close()`` compacts.
-  Crash-friendly: a torn final line is ignored, everything before it
-  survives.
+* :class:`JsonlStore`   -- the same dicts over a JSON-lines log: every
+  save is one appended line, the open folds the log last-wins, and the
+  log compacts to one line per live document.  A line a kill tore is
+  skipped, and ended before the next append, so every document before
+  and after it survives.
 * :class:`SqliteStore`  -- one table per document kind, upserts inside
   a transaction that ``flush()`` commits (campaigns flush per wave).
-
-``open_store(path)`` picks a backend from the path: ``None`` /
-``":memory:"`` -> memory, ``.db`` / ``.sqlite`` / ``.sqlite3`` ->
-SQLite, anything else -> JSON lines.
 
 Record documents are also the process-shard wire format: campaign
 workers receive ``record_to_dict`` snapshots, rebuild their shard's
@@ -30,13 +29,12 @@ the store and the shard protocol deliberately share one codec.
 """
 
 import json
-import os
-import sqlite3
 import threading
 from typing import Dict, Optional
 
 from repro.casu.update import UpdateKey
 from repro.fleet.registry import DeviceRecord, FleetError, Lifecycle
+from repro.recordlog import JsonlLog, RecordLog, SqliteLog, open_view
 from repro.snapshot import WIRE_VERSION
 
 META_CLOCK = "clock"
@@ -113,12 +111,13 @@ def record_from_dict(doc: dict) -> DeviceRecord:
 # ---- the backend contract --------------------------------------------------
 
 
-class RegistryStore:
+class RegistryStore(RecordLog):
     """Persistence contract the registry talks to.
 
     One document per device (last write wins) plus one meta document.
     Implementations must make ``flush()`` a durability point: anything
-    saved before a flush survives a process kill after it.
+    saved before a flush survives a process kill after it.  Stores are
+    context managers (``with open_store(...) as store:``).
     """
 
     backend = "abstract"
@@ -135,20 +134,6 @@ class RegistryStore:
     def save_meta(self, meta: dict):
         raise NotImplementedError
 
-    def flush(self):
-        pass
-
-    def close(self):
-        self.flush()
-
-    # Context-manager sugar so scripts can `with open_store(...) as s:`.
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 class MemoryStore(RegistryStore):
     """Dict-backed store: the process-local default, zero I/O.
@@ -161,37 +146,39 @@ class MemoryStore(RegistryStore):
     backend = "memory"
 
     def __init__(self):
+        self._lock = threading.Lock()
         self._records: Dict[str, dict] = {}
         self._meta: dict = {}
 
     def load_records(self) -> Dict[str, dict]:
-        return {device_id: dict(doc)
-                for device_id, doc in self._records.items()}
+        with self._lock:
+            return {device_id: dict(doc)
+                    for device_id, doc in self._records.items()}
 
     def save_record(self, doc: dict):
-        self._records[doc["device_id"]] = dict(doc)
+        with self._lock:
+            self._records[doc["device_id"]] = dict(doc)
 
     def load_meta(self) -> dict:
-        return json.loads(json.dumps(self._meta)) if self._meta else {}
+        with self._lock:
+            return json.loads(json.dumps(self._meta))
 
     def save_meta(self, meta: dict):
-        self._meta = json.loads(json.dumps(meta))
+        with self._lock:
+            self._meta = json.loads(json.dumps(meta))
 
 
-class JsonlStore(RegistryStore):
-    """Append-only JSON-lines log; loads fold last-wins.
+class JsonlStore(JsonlLog, MemoryStore):
+    """The memory store's dicts over an append-only JSON-lines log.
 
     Every ``save_record`` appends one ``{"kind": "record", ...}`` line;
-    ``save_meta`` appends a ``{"kind": "meta", ...}`` line.  A crash can
-    only tear the final line, which load() skips, so the store is as
-    durable as its last flushed write.  ``compact()`` rewrites the
-    file to one line per live document; it runs on close, at open, and
-    live -- mid-session, whenever redundancy crosses
-    ``COMPACT_FACTOR`` -- so a verifier that re-saves its records every
-    wave for weeks never grows an unbounded log.
+    ``save_meta`` appends a ``{"kind": "meta", ...}`` line; the open
+    folds the log last-wins.  ``compact()`` rewrites the file to one
+    line per live document; it runs on close, at open, and live --
+    mid-session, whenever redundancy crosses ``COMPACT_FACTOR`` -- so a
+    verifier that re-saves its records every wave for weeks never grows
+    an unbounded log.
     """
-
-    backend = "jsonl"
 
     # Compact when the log holds this many times more lines than live
     # documents.  Checked at open (long-lived append-only verifiers --
@@ -202,12 +189,15 @@ class JsonlStore(RegistryStore):
     COMPACT_FACTOR = 4
 
     def __init__(self, path: str):
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
-        self._records, self._meta, self._lines = self._load_file()
-        self._file = open(path, "a", encoding="utf-8")
+        MemoryStore.__init__(self)
+        JsonlLog.__init__(self, path)
+        docs = self._read()
+        for doc in docs:
+            if doc.pop("kind", "record") == "meta":
+                self._meta = doc
+            elif "device_id" in doc:
+                self._records[doc["device_id"]] = doc
+        self._lines = len(docs)
         if self._over_threshold():
             self.compact()
 
@@ -215,76 +205,37 @@ class JsonlStore(RegistryStore):
         live = len(self._records) + (1 if self._meta else 0)
         return self._lines > max(64, self.COMPACT_FACTOR * live)
 
-    def _load_file(self):
-        records: Dict[str, dict] = {}
-        meta: dict = {}
-        lines = 0
-        if not os.path.exists(self.path):
-            return records, meta, lines
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail from a kill mid-append
-                lines += 1
-                kind = doc.pop("kind", "record")
-                if kind == "meta":
-                    meta = doc
-                elif "device_id" in doc:
-                    records[doc["device_id"]] = doc
-        return records, meta, lines
-
-    def _append(self, doc: dict):
-        self._file.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._lines += 1
-
-    def load_records(self) -> Dict[str, dict]:
-        with self._lock:
-            return {device_id: dict(doc)
-                    for device_id, doc in self._records.items()}
-
     def save_record(self, doc: dict):
         with self._lock:
             self._records[doc["device_id"]] = dict(doc)
-            self._append({"kind": "record", **doc})
-            # Push the line to the kernel immediately: a SIGKILL then
-            # loses nothing (only power loss needs the fsync that
+            # The line reaches the kernel before this returns, so a
+            # SIGKILL loses nothing (only power loss needs the fsync
             # flush() adds).  Nonce high-water saves rely on this.
-            self._file.flush()
-            # Live compaction: a long-running verifier re-saves the
-            # same records every sweep/wave; once redundancy crosses
-            # the threshold, rewrite in place instead of waiting for a
-            # close/reopen that may never come.
-            if self._over_threshold():
-                self._compact_locked()
-
-    def load_meta(self) -> dict:
-        with self._lock:
-            return dict(self._meta)
+            self._append({"kind": "record", **doc})
 
     def save_meta(self, meta: dict):
         with self._lock:
             self._meta = json.loads(json.dumps(meta))
             self._append({"kind": "meta", **self._meta})
-            if self._over_threshold():
-                self._compact_locked()
+
+    def _append(self, doc: dict):
+        self._write(doc)
+        self._lines += 1
+        # Live compaction: a long-running verifier re-saves the same
+        # records every sweep/wave; once redundancy crosses the
+        # threshold, rewrite in place instead of waiting for a
+        # close/reopen that may never come.
+        if self._over_threshold():
+            self._compact_locked()
 
     def flush(self):
         with self._lock:
-            if self._file.closed:
-                return
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self._sync()
 
     def compact(self):
         """Rewrite the log to one line per live document.
 
-        Atomically: the compacted log is written to a sibling temp
-        file and os.replace()'d over the live one, so a kill at any
+        Atomically (:func:`repro.recordlog.write_atomic`): a kill at any
         point leaves either the full old log or the full new one --
         never a truncated registry (the records ARE the device keys).
         """
@@ -292,32 +243,19 @@ class JsonlStore(RegistryStore):
             self._compact_locked()
 
     def _compact_locked(self):
-        if self._file.closed:
-            return
-        self._file.close()
-        temp_path = self.path + ".compact"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            if self._meta:
-                handle.write(json.dumps(
-                    {"kind": "meta", **self._meta}, sort_keys=True) + "\n")
-            for doc in self._records.values():
-                handle.write(json.dumps(
-                    {"kind": "record", **doc}, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, self.path)
-        self._lines = len(self._records) + (1 if self._meta else 0)
-        self._file = open(self.path, "a", encoding="utf-8")
+        docs = [{"kind": "meta", **self._meta}] if self._meta else []
+        docs.extend({"kind": "record", **doc}
+                    for doc in self._records.values())
+        self._rewrite(docs)
+        self._lines = len(docs)
 
     def close(self):
-        if self._file.closed:
-            return
-        self.compact()
-        self.flush()
-        self._file.close()
+        with self._lock:
+            self._compact_locked()
+            JsonlLog.close(self)
 
 
-class SqliteStore(RegistryStore):
+class SqliteStore(SqliteLog, RegistryStore):
     """SQLite-backed store: upserts batched until ``flush()`` commits.
 
     Campaigns flush once per wave, so a kill mid-wave rolls back to the
@@ -326,71 +264,38 @@ class SqliteStore(RegistryStore):
     the re-offers idempotent.
     """
 
-    backend = "sqlite"
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS records ("
+        " device_id TEXT PRIMARY KEY, doc TEXT NOT NULL)",
+        "CREATE TABLE IF NOT EXISTS meta ("
+        " id INTEGER PRIMARY KEY CHECK (id = 0), doc TEXT NOT NULL)",
+    )
 
     def __init__(self, path: str):
-        self.path = path
-        if path != ":memory:":
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
-        self._closed = False
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        with self._conn:  # schema setup commits immediately
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS records ("
-                " device_id TEXT PRIMARY KEY, doc TEXT NOT NULL)")
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                " id INTEGER PRIMARY KEY CHECK (id = 0), doc TEXT NOT NULL)")
+        super().__init__(path, self.SCHEMA)
 
     def load_records(self) -> Dict[str, dict]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT device_id, doc FROM records").fetchall()
-        return {device_id: json.loads(doc) for device_id, doc in rows}
+        return {device_id: json.loads(doc) for device_id, doc
+                in self._rows("SELECT device_id, doc FROM records")}
 
     def save_record(self, doc: dict):
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO records (device_id, doc) VALUES (?, ?) "
-                "ON CONFLICT(device_id) DO UPDATE SET doc = excluded.doc",
-                (doc["device_id"], json.dumps(doc, sort_keys=True)))
+        self._upsert("records", "device_id", doc["device_id"], doc)
 
     def load_meta(self) -> dict:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT doc FROM meta WHERE id = 0").fetchone()
-        return json.loads(row[0]) if row else {}
+        rows = self._rows("SELECT doc FROM meta WHERE id = 0")
+        return json.loads(rows[0][0]) if rows else {}
 
     def save_meta(self, meta: dict):
+        self._upsert("meta", "id", 0, meta)
+
+    def _upsert(self, table: str, key_column: str, key, doc: dict):
         with self._lock:
             self._conn.execute(
-                "INSERT INTO meta (id, doc) VALUES (0, ?) "
-                "ON CONFLICT(id) DO UPDATE SET doc = excluded.doc",
-                (json.dumps(meta, sort_keys=True),))
-
-    def flush(self):
-        with self._lock:
-            if not self._closed:
-                self._conn.commit()
-
-    def close(self):
-        with self._lock:
-            if self._closed:
-                return
-            self._conn.commit()
-            self._conn.close()
-            self._closed = True
-
-
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
+                f"INSERT INTO {table} ({key_column}, doc) VALUES (?, ?) "
+                f"ON CONFLICT({key_column}) DO UPDATE SET doc = excluded.doc",
+                (key, json.dumps(doc, sort_keys=True)))
 
 
 def open_store(path: Optional[str]) -> RegistryStore:
     """Pick a backend from *path*: memory, SQLite, or JSON lines."""
-    if path is None or path == ":memory:":
-        return MemoryStore()
-    if path.endswith(SQLITE_SUFFIXES):
-        return SqliteStore(path)
-    return JsonlStore(path)
+    return open_view(path, MemoryStore, JsonlStore, SqliteStore)

@@ -2,14 +2,18 @@
 
 Four pieces, all consumed by the fleet stack and the scenario API:
 
-* :mod:`repro.obs.events`  -- the append-only event log (memory /
-  JSONL / SQLite behind ``open_event_log``) that registry, protocol
-  and campaign layers write their operational facts to, and that
-  ``fleet history`` replays into timelines, rollups and trends.
+* :mod:`repro.obs.events`  -- the append-only event log that
+  registry, protocol and campaign layers write their operational facts
+  to, and that ``fleet history`` replays into timelines, rollups and
+  trends: a seq-ordered view (memory / JSONL / SQLite behind
+  ``open_event_log``) over the same record log as the registry store,
+  :mod:`repro.recordlog`.
 * :mod:`repro.obs.bus`     -- the live half: every log fans its
   emissions out on an in-process :class:`EventBus`, and a second
   process follows the durable file with an ``open_event_tail``
-  cursor (what ``fleet watch --follow`` polls).
+  cursor over that record log (what ``fleet watch --follow`` polls).
+  A line a kill tore is skipped by every reader and ended on the
+  writer's next append, so no later event is lost to it.
 * :mod:`repro.obs.alerts`  -- declarative rules over sliding event
   windows (quarantine-rate, wave-stall, violation-surge,
   replay-burst) firing ``alert`` events back into the same log.

@@ -13,23 +13,20 @@ it watchable while it happens, two ways:
   layers pay nothing for the capability when nobody is watching.
 
 * Tail cursors -- a *second process* cannot share the bus, but it can
-  follow the durable log file: :func:`open_event_tail` returns a
-  cursor whose ``read()`` yields every newly durable event since the
-  last call, in seq order, exactly once.  The JSONL tail holds a read
-  handle and buffers a torn final line until its newline arrives; the
-  SQLite tail opens the database read-only and sees whatever the
-  writer has committed (``flush()`` -- the same durability points the
-  registry uses).  ``fleet watch --follow`` polls one of these.
+  follow the durable log file: :func:`open_event_tail` returns an
+  :class:`EventTail` (the record log's :class:`~repro.recordlog.Cursor`)
+  whose ``read()`` yields every event the writer has put out since the
+  last call (a JSON line once written, a SQLite row once ``flush()``
+  commits it), in seq order, exactly once.  ``fleet watch --follow``
+  polls one of these.
 """
 
-import json
-import os
-import sqlite3
 import threading
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-__all__ = ["EventBus", "EventTail", "JsonlTail", "SqliteTail",
-           "open_event_tail"]
+from repro.recordlog import Cursor as EventTail, backend_for
+
+__all__ = ["EventBus", "EventTail", "open_event_tail"]
 
 
 class _Subscription:
@@ -88,132 +85,11 @@ class EventBus:
                 self.errors += 1
 
 
-class EventTail:
-    """Cursor contract: ``read()`` returns newly durable events once.
-
-    ``last_seq`` is the resume token -- persist it and reopen with
-    ``open_event_tail(path, since_seq=last_seq)`` to continue without
-    duplicates after a restart.
-    """
-
-    def __init__(self, path: str, since_seq: int = 0):
-        self.path = path
-        self.last_seq = since_seq
-
-    def read(self) -> List[dict]:
-        raise NotImplementedError
-
-    def close(self):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class JsonlTail(EventTail):
-    """Follow a JSONL event log by file position.
-
-    The writer appends whole lines and flushes per event, but a read
-    can still race the write syscall: any trailing partial line is
-    buffered here until its newline shows up in a later read, so a
-    torn tail is delivered exactly once -- complete -- or not yet.
-    """
-
-    def __init__(self, path: str, since_seq: int = 0):
-        super().__init__(path, since_seq)
-        self._handle = None
-        self._partial = ""
-
-    def read(self) -> List[dict]:
-        if self._handle is None:
-            try:
-                self._handle = open(self.path, "r", encoding="utf-8")
-            except FileNotFoundError:
-                return []  # writer has not created the log yet
-        chunk = self._handle.read()
-        if not chunk and not self._partial:
-            return []
-        buffered = self._partial + chunk
-        lines = buffered.split("\n")
-        self._partial = lines.pop()  # "" on a newline-terminated read
-        docs = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a torn line the writer abandoned (kill)
-            if not isinstance(doc, dict) or "seq" not in doc:
-                continue
-            if doc["seq"] <= self.last_seq:
-                continue  # already delivered (reopen overlap)
-            self.last_seq = doc["seq"]
-            docs.append(doc)
-        return docs
-
-    def close(self):
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class SqliteTail(EventTail):
-    """Follow a SQLite event log read-only, by indexed seq ranges.
-
-    Opens lazily with ``mode=ro`` so the tail can never take a write
-    lock from the campaign; a locked or not-yet-initialised database
-    reads as "nothing new yet" and the next poll retries.
-    """
-
-    def __init__(self, path: str, since_seq: int = 0):
-        super().__init__(path, since_seq)
-        self._conn = None
-
-    def read(self) -> List[dict]:
-        if self._conn is None:
-            if not os.path.exists(self.path):
-                return []
-            try:
-                self._conn = sqlite3.connect(
-                    f"file:{self.path}?mode=ro", uri=True,
-                    check_same_thread=False)
-            except sqlite3.OperationalError:
-                return []
-        try:
-            rows = self._conn.execute(
-                "SELECT doc FROM events WHERE seq > ? ORDER BY seq",
-                (self.last_seq,)).fetchall()
-        except sqlite3.OperationalError:
-            return []  # writer holds the lock or schema not created yet
-        docs = []
-        for (raw,) in rows:
-            doc = json.loads(raw)
-            if doc["seq"] <= self.last_seq:
-                continue
-            self.last_seq = doc["seq"]
-            docs.append(doc)
-        return docs
-
-    def close(self):
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-
 def open_event_tail(path: Optional[str], since_seq: int = 0) -> EventTail:
-    """A follow cursor for the durable log at *path* (suffix dispatch
-    mirrors :func:`~repro.obs.events.open_event_log`)."""
-    from repro.obs.events import SQLITE_SUFFIXES, ObsError
+    """A follow cursor for the durable event log at *path*."""
+    if backend_for(path) == "memory":
+        from repro.obs.events import ObsError
 
-    if path is None or path == ":memory:":
         raise ObsError("only durable event logs (jsonl/sqlite paths) can "
                        "be tailed from another process")
-    if path.endswith(SQLITE_SUFFIXES):
-        return SqliteTail(path, since_seq=since_seq)
-    return JsonlTail(path, since_seq=since_seq)
+    return EventTail(path, since_seq=since_seq)

@@ -17,17 +17,16 @@ Event documents are flat and JSON-safe::
 wall-clock, ``campaign`` tags events belonging to one rollout
 (campaign ids are minted by :meth:`EventLog.start_campaign`).
 
-Three backends, one contract, mirroring ``fleet/store.py``:
+Every event log is a seq-ordered view over the same record log as the
+registry store (:mod:`repro.recordlog`: file formats, durability
+points, the torn-line rule, and the path dispatch ``open_event_log``
+shares with ``open_store``):
 
 * :class:`MemoryEventLog` -- a list; the default, zero I/O.
-* :class:`JsonlEventLog`  -- one appended JSON line per event; loads
-  tolerate a torn final line.
+* :class:`JsonlEventLog`  -- the same list over a JSON-lines log, one
+  appended line per event.
 * :class:`SqliteEventLog` -- one indexed table, inserts batched until
   ``flush()`` commits.
-
-``open_event_log(path)`` picks the backend exactly like
-``open_store``: ``None``/``":memory:"`` -> memory, ``.db``/
-``.sqlite``/``.sqlite3`` -> SQLite, anything else -> JSON lines.
 
 Durability rides the registry's: :meth:`~repro.fleet.registry.
 FleetRegistry.flush` flushes its event log in the same call, so every
@@ -36,14 +35,13 @@ event-log durability point too.
 """
 
 import json
-import os
-import sqlite3
 import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
 from repro.obs.bus import EventBus
+from repro.recordlog import JsonlLog, RecordLog, SqliteLog, open_view
 
 __all__ = [
     "EVENT_KINDS",
@@ -79,14 +77,14 @@ EVENT_KINDS = (
 )
 
 
-class EventLog:
+class EventLog(RecordLog):
     """Backend contract + the query layer shared by every backend.
 
-    Subclasses implement ``_append`` (store one document), ``_loaded``
-    (the documents found at open, for seq recovery) and optionally
-    override :meth:`events` with an indexed scan.  ``flush()`` must be
-    a durability point: every event emitted before it survives a kill
-    after it.
+    Subclasses implement ``_append`` (store one document) and
+    ``_scan`` (the documents in seq order, optionally only those past
+    a seq), recover ``_seq`` at open, and may override :meth:`events`
+    with an indexed scan.  ``flush()`` must be a durability point:
+    every event emitted before it survives a kill after it.
     """
 
     backend = "abstract"
@@ -136,45 +134,34 @@ class EventLog:
     def _append(self, doc: dict):
         raise NotImplementedError
 
-    # ---- lifecycle -------------------------------------------------------
-
-    def flush(self):
-        pass
-
-    def close(self):
-        self.flush()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
     # ---- scanning --------------------------------------------------------
 
     def events(self, kind: Optional[str] = None, device: Optional[str] = None,
                campaign: Optional[str] = None,
                since: Optional[int] = None) -> List[dict]:
         """Every matching event in seq order (filters are ANDed)."""
-        return [dict(doc) for doc in self._scan()
+        return [dict(doc) for doc in self._scan(since)
                 if (kind is None or doc["kind"] == kind)
                 and (device is None or doc["device"] == device)
-                and (campaign is None or doc["campaign"] == campaign)
-                and (since is None or doc["seq"] > since)]
+                and (campaign is None or doc["campaign"] == campaign)]
 
-    def _scan(self) -> Iterable[dict]:
+    def _scan(self, since: Optional[int] = None) -> Iterable[dict]:
         raise NotImplementedError
 
     def tail(self, since_seq: int = 0) -> List[dict]:
         """Every event with ``seq > since_seq``, in seq order.
 
         The in-process follow cursor: call with the last seq you saw
-        and you get exactly the events you missed.  (A *different*
+        and you get exactly the events you missed, read from the seq
+        position rather than by scanning the log.  (A *different*
         process follows the durable file instead, via
         :func:`repro.obs.bus.open_event_tail`.)
         """
         return self.events(since=since_seq)
+
+    def has_campaign(self, campaign_id: str) -> bool:
+        """Whether any event carries *campaign_id* (stops at the first)."""
+        return any(doc["campaign"] == campaign_id for doc in self._scan())
 
     def __len__(self):
         return len(self.events())
@@ -337,71 +324,47 @@ class MemoryEventLog(EventLog):
     def _append(self, doc: dict):
         self._events.append(doc)
 
-    def _scan(self):
-        return self._events
+    def _scan(self, since: Optional[int] = None):
+        events = self._events
+        if since is None:
+            return events
+        # Emission appends in seq order, so binary-search the first
+        # event past *since* (bisect has no key= before Python 3.10).
+        low, high = 0, len(events)
+        while low < high:
+            middle = (low + high) // 2
+            if events[middle]["seq"] > since:
+                high = middle
+            else:
+                low = middle + 1
+        return events[low:]
 
 
-class JsonlEventLog(EventLog):
-    """One JSON line per event; a torn final line is skipped on load.
+class JsonlEventLog(JsonlLog, MemoryEventLog):
+    """The memory log's list over a JSON-lines log, one line per event.
 
     The log is append-only by nature (events never rewrite), so unlike
     the registry's JsonlStore there is nothing to compact -- growth is
-    the point.  Writes push to the kernel immediately; ``flush()``
-    adds the fsync that makes a durability point.
+    the point.
     """
 
-    backend = "jsonl"
-
     def __init__(self, path: str):
-        super().__init__()
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._events = self._load_file()
+        MemoryEventLog.__init__(self)
+        JsonlLog.__init__(self, path)
+        self._events = [doc for doc in self._read() if "seq" in doc]
         if self._events:
             self._seq = self._events[-1]["seq"]
-        self._file = open(path, "a", encoding="utf-8")
-
-    def _load_file(self) -> List[dict]:
-        events: List[dict] = []
-        if not os.path.exists(self.path):
-            return events
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail from a kill mid-append
-                if isinstance(doc, dict) and "seq" in doc:
-                    events.append(doc)
-        return events
 
     def _append(self, doc: dict):
         self._events.append(doc)
-        self._file.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._file.flush()
-
-    def _scan(self):
-        return self._events
+        self._write(doc)
 
     def flush(self):
         with self._lock:
-            if self._file.closed:
-                return
-            self._file.flush()
-            os.fsync(self._file.fileno())
-
-    def close(self):
-        if self._file.closed:
-            return
-        self.flush()
-        self._file.close()
+            self._sync()
 
 
-class SqliteEventLog(EventLog):
+class SqliteEventLog(SqliteLog, EventLog):
     """SQLite-backed log: inserts batched until ``flush()`` commits.
 
     The scale backend: events stay on disk, not in a Python list, and
@@ -409,30 +372,20 @@ class SqliteEventLog(EventLog):
     matches the registry's (campaigns flush both per wave).
     """
 
-    backend = "sqlite"
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS events ("
+        " seq INTEGER PRIMARY KEY, ts REAL NOT NULL,"
+        " kind TEXT NOT NULL, device TEXT, campaign TEXT,"
+        " doc TEXT NOT NULL)",
+        "CREATE INDEX IF NOT EXISTS events_device ON events (device)",
+        "CREATE INDEX IF NOT EXISTS events_campaign ON events (campaign)",
+    )
 
     def __init__(self, path: str):
-        super().__init__()
-        self.path = path
-        if path != ":memory:":
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-        self._closed = False
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        with self._conn:  # schema setup commits immediately
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS events ("
-                " seq INTEGER PRIMARY KEY, ts REAL NOT NULL,"
-                " kind TEXT NOT NULL, device TEXT, campaign TEXT,"
-                " doc TEXT NOT NULL)")
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS events_device"
-                " ON events (device)")
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS events_campaign"
-                " ON events (campaign)")
-        row = self._conn.execute("SELECT MAX(seq) FROM events").fetchone()
-        self._seq = int(row[0]) if row and row[0] is not None else 0
+        EventLog.__init__(self)
+        SqliteLog.__init__(self, path, self.SCHEMA)
+        last = self._rows("SELECT MAX(seq) FROM events")[0][0]
+        self._seq = int(last) if last is not None else 0
 
     def _append(self, doc: dict):
         self._conn.execute(
@@ -457,37 +410,17 @@ class SqliteEventLog(EventLog):
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY seq"
-        with self._lock:
-            rows = self._conn.execute(query, params).fetchall()
-        return [json.loads(row[0]) for row in rows]
+        return [json.loads(row[0]) for row in self._rows(query, params)]
 
-    def _scan(self):
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT doc FROM events ORDER BY seq").fetchall()
-        return [json.loads(row[0]) for row in rows]
+    def _scan(self, since: Optional[int] = None):
+        return self.events(since=since)
 
-    def flush(self):
-        with self._lock:
-            if not self._closed:
-                self._conn.commit()
-
-    def close(self):
-        with self._lock:
-            if self._closed:
-                return
-            self._conn.commit()
-            self._conn.close()
-            self._closed = True
-
-
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
+    def has_campaign(self, campaign_id: str) -> bool:
+        return bool(self._rows(
+            "SELECT 1 FROM events WHERE campaign = ? LIMIT 1",
+            (campaign_id,)))
 
 
 def open_event_log(path: Optional[str]) -> EventLog:
     """Pick a backend from *path*: memory, SQLite, or JSON lines."""
-    if path is None or path == ":memory:":
-        return MemoryEventLog()
-    if path.endswith(SQLITE_SUFFIXES):
-        return SqliteEventLog(path)
-    return JsonlEventLog(path)
+    return open_view(path, MemoryEventLog, JsonlEventLog, SqliteEventLog)

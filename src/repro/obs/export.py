@@ -25,12 +25,12 @@ scraper never reads a half-written file.
 """
 
 import json
-import os
 import re
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import ObsError
+from repro.recordlog import write_atomic
 
 __all__ = ["to_prometheus", "to_json_doc", "parse_prometheus",
            "write_snapshot", "EXPORT_FORMATS"]
@@ -133,9 +133,4 @@ def write_snapshot(path: str, snapshot: dict, fmt: str = "json",
     else:
         payload = json.dumps(to_json_doc(snapshot, source=source),
                              indent=2, sort_keys=True) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    os.replace(tmp_path, path)
+    write_atomic(path, payload)

@@ -425,10 +425,8 @@ class VerifierDaemon:
 
     async def _h_campaign_events(self, path, query, body):
         campaign_id = path.split("/")[2]
-        entry = self.campaigns.get(campaign_id)
-        has_history = any(
-            True for _ in self.fleet.events.events(campaign=campaign_id))
-        if entry is None and not has_history:
+        if (campaign_id not in self.campaigns
+                and not self.fleet.events.has_campaign(campaign_id)):
             return _error(404, f"unknown campaign {campaign_id!r}")
         since = int(query.get("since") or 0)
         return StreamResponse(self._campaign_stream(campaign_id, since))
