@@ -1,22 +1,25 @@
-"""Sec. VI micro numbers plus interpreter hot-path throughput floors.
+"""Sec. VI micro numbers plus interpreter hot-path throughput gates.
 
 Two families of benchmarks:
 
 * the paper's per-protected-call store/check cycle attribution
   (:mod:`repro.eval.microbench`);
-* interpreter throughput gates for the decoded-instruction-cache PR:
-  instructions/sec on the step hot path, with a machine-independent
-  assertion that the cached interpreter is >= 2x the uncached one on
-  the same program, plus absolute floors with CI-noise margin.
+* interpreter throughput gates on the step hot path: absolute
+  instructions/sec floors with CI-noise margin, plus machine-independent
+  ratios measured on the same machine and program -- the cached
+  interpreter is >= 2x the uncached one, and a monitored ``eilid`` step
+  costs at most a third more than an unmonitored one.
 
-Reference numbers (container this PR was developed in):
-
-* raw ``Cpu.step`` loop: ~94k instr/s uncached (pre-PR baseline),
-  ~380k instr/s cached;
-* monitored device step (``security="casu"``): ~38k -> ~118k instr/s.
+Reference numbers for ``_HOT_LOOP`` (2-vCPU container, CPython 3.11,
+best of 5): device ``none`` ~130k instr/s, ``casu`` ~116k, ``eilid``
+~113k, so ``eilid``/``none`` ~0.86.  Before the one-pass monitor and
+due-driven peripherals it was ~0.57 (73k vs 129k).  The host's speed
+drifts by up to 2x within minutes, so absolute numbers move with it;
+the ratios do not.
 """
 
 import gc
+import statistics
 import time
 
 from repro.device import build_device
@@ -24,12 +27,15 @@ from repro.eval.microbench import measure_micro, render_micro
 from repro.obs.metrics import METRICS
 from repro.toolchain import link, parse_source
 
-# Absolute floors, far below the reference machine so CI noise cannot
-# trip them (reference: ~380k raw / ~118k monitored).
+# Absolute floors below the reference machine so CI noise cannot trip
+# them (reference: ~130k unmonitored / ~116k casu).
 RAW_FLOOR_IPS = 120_000
 MONITORED_FLOOR_IPS = 40_000
-# The tentpole gate: cached vs. uncached on the same machine.
+# Cached vs. uncached interpreter on the same machine.
 CACHE_SPEEDUP_FLOOR = 2.0
+# The per-step tax of the monitored step: eilid instr/s over none
+# instr/s on the same machine (~0.86 on the reference container).
+MONITOR_TAX_RATIO_FLOOR = 0.75
 # The observability gate: metrics instrumentation sits at the
 # run_steps *batch* boundary (one span + two counter bumps per call,
 # never inside the step loop), so enabling it may cost at most 2%
@@ -80,6 +86,38 @@ def _device_ips(program, security, steps, decode_cache=None):
     return steps / elapsed
 
 
+def _paired_median_ratio(numerator, denominator, pairs=7, block=3):
+    """Median over adjacent pairs of ``best numerator() / best
+    denominator()``.
+
+    The host's speed drifts between two long best-of-N series, which
+    can move an A/B ratio by several percent; within one adjacent pair
+    it barely moves.  Each pair interleaves *block* runs of each side
+    and keeps each side's best, which drops the runs a host stall hit;
+    which side runs first alternates from pair to pair, so a steady
+    drift cancels in the median instead of favouring one side.  The
+    collector is off while measuring.
+    """
+    ratios = []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for pair in range(pairs):
+            best_numerator = best_denominator = 0.0
+            for _ in range(block):
+                if pair % 2:
+                    best_denominator = max(best_denominator, denominator())
+                    best_numerator = max(best_numerator, numerator())
+                else:
+                    best_numerator = max(best_numerator, numerator())
+                    best_denominator = max(best_denominator, denominator())
+            ratios.append(best_numerator / best_denominator)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return statistics.median(ratios)
+
+
 def test_bench_micro_paths(benchmark, capsys):
     result = benchmark.pedantic(measure_micro, rounds=1, iterations=1)
     with capsys.disabled():
@@ -126,38 +164,60 @@ def test_bench_decode_cache_speedup(benchmark):
     assert speedup >= CACHE_SPEEDUP_FLOOR
 
 
-def test_bench_instrumentation_overhead(benchmark):
-    """Metrics on vs. off around the batched step loop, interleaved
-    min-of-7 (same de-noising shape as bench_api): the per-batch span
-    + counters must stay under the 2% ceiling, proving the
-    instrumentation never entered the per-step hot path."""
+def test_bench_monitor_tax(benchmark):
+    """The monitored step's per-step tax, machine-independently: with
+    interleaved best-of-5 runs of the hot loop, ``eilid`` keeps at
+    least 0.75x the instructions/sec of ``none`` (the monitor, commit-
+    on-success rollback and due-driven peripherals stay off the common
+    path; ~0.57 before they were)."""
     program = _hot_program()
     steps = 60_000
 
     def measure():
-        enabled_best = disabled_best = 0.0
-        was_enabled = METRICS.enabled
+        best = {"none": 0.0, "eilid": 0.0}
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for _ in range(7):
-                METRICS.enable(False)
-                disabled_best = max(disabled_best,
-                                    _device_ips(program, "none", steps))
-                METRICS.enable(True)
-                enabled_best = max(enabled_best,
-                                   _device_ips(program, "none", steps))
+            for _ in range(5):
+                for security in best:
+                    best[security] = max(best[security],
+                                         _device_ips(program, security, steps))
         finally:
-            METRICS.enable(was_enabled)
             if gc_was_enabled:
                 gc.enable()
-        return enabled_best, disabled_best
+        return best["eilid"], best["none"]
 
-    enabled_ips, disabled_ips = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    overhead = disabled_ips / enabled_ips
-    benchmark.extra_info["enabled_instr_per_sec"] = round(enabled_ips)
-    benchmark.extra_info["disabled_instr_per_sec"] = round(disabled_ips)
+    eilid_ips, none_ips = benchmark.pedantic(measure, rounds=1, iterations=1)
+    ratio = eilid_ips / none_ips
+    benchmark.extra_info["none_instr_per_sec"] = round(none_ips)
+    benchmark.extra_info["eilid_instr_per_sec"] = round(eilid_ips)
+    benchmark.extra_info["eilid_over_none"] = round(ratio, 3)
+    assert ratio >= MONITOR_TAX_RATIO_FLOOR, (
+        f"eilid runs the hot loop at {ratio:.3f}x the unmonitored rate "
+        f"(floor {MONITOR_TAX_RATIO_FLOOR})")
+
+
+def test_bench_instrumentation_overhead(benchmark):
+    """Metrics on vs. off around the batched step loop, as the median
+    of paired best-of-3 runs: the per-batch span + counters must stay
+    under the 2% ceiling, proving the instrumentation never entered the
+    per-step hot path."""
+    program = _hot_program()
+    steps = 20_000
+    was_enabled = METRICS.enabled
+
+    def ips_with_metrics(enabled):
+        METRICS.enable(enabled)
+        return _device_ips(program, "none", steps)
+
+    def measure():
+        try:
+            return _paired_median_ratio(lambda: ips_with_metrics(False),
+                                        lambda: ips_with_metrics(True))
+        finally:
+            METRICS.enable(was_enabled)
+
+    overhead = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["overhead"] = round(overhead, 4)
     assert overhead <= INSTRUMENTATION_OVERHEAD_CEILING, (
         f"metrics-enabled batched stepping is {overhead:.4f}x slower "
@@ -208,10 +268,10 @@ def test_bench_snapshot_overhead(benchmark):
 
 def test_bench_alert_engine_disabled_path_overhead(benchmark):
     """Event emission with a *disabled* alert engine attached vs. no
-    engine at all, interleaved min-of-7.  A disabled engine never
-    subscribes, so the only possible cost is the bus's empty-tuple
-    check -- the ceiling pins alerting-off at <= 2% of the bare
-    emission path (the fleet layers emit per offer/quarantine, so
+    engine at all, as the median of paired best-of-3 runs.  A disabled
+    engine never subscribes, so the only possible cost is the bus's
+    empty-tuple check -- the ceiling pins alerting-off at <= 2% of the
+    bare emission path (the fleet layers emit per offer/quarantine, so
     this sits on the campaign hot path)."""
     from repro.obs import AlertEngine, MemoryEventLog
 
@@ -230,23 +290,10 @@ def test_bench_alert_engine_disabled_path_overhead(benchmark):
         return emissions / elapsed
 
     def measure():
-        bare_best = engine_best = 0.0
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(7):
-                bare_best = max(bare_best, _emissions_per_sec(False))
-                engine_best = max(engine_best, _emissions_per_sec(True))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return bare_best, engine_best
+        return _paired_median_ratio(lambda: _emissions_per_sec(False),
+                                    lambda: _emissions_per_sec(True))
 
-    bare_eps, engine_eps = benchmark.pedantic(measure, rounds=1, iterations=1)
-    overhead = bare_eps / engine_eps
-    benchmark.extra_info["bare_emissions_per_sec"] = round(bare_eps)
-    benchmark.extra_info["disabled_engine_emissions_per_sec"] = \
-        round(engine_eps)
+    overhead = benchmark.pedantic(measure, rounds=1, iterations=1)
     benchmark.extra_info["overhead"] = round(overhead, 4)
     assert overhead <= INSTRUMENTATION_OVERHEAD_CEILING, (
         f"emission with a disabled alert engine is {overhead:.4f}x slower "

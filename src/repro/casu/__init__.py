@@ -6,8 +6,8 @@ memory writes are blocked outside an authenticated update, data memory
 never executes (W xor X), and the trusted ROM is atomic (single entry,
 single exit, no interrupts inside).  Any violation resets the MCU.
 
-This package models the CASU hardware as a set of per-cycle sub-monitor
-FSMs over the CPU's bus signals (:mod:`repro.casu.monitor`), the
+This package models the CASU hardware as per-cycle rules over the
+CPU's bus signals (:mod:`repro.casu.monitor`), the
 authenticated update protocol (:mod:`repro.casu.update`), and a
 structural hardware cost model used for the Fig. 10 reproduction
 (:mod:`repro.casu.hwmodel`).

@@ -30,7 +30,7 @@ FFS_PER_LATCH_BIT = 1
 
 @dataclass(frozen=True)
 class MonitorBlock:
-    """Structural summary of one sub-monitor."""
+    """Structural summary of one monitor block."""
 
     name: str
     range_comparators: int = 0
@@ -56,9 +56,9 @@ class MonitorBlock:
 def eilid_monitor_blocks() -> List[MonitorBlock]:
     """The EILID hardware extension over openMSP430, block by block.
 
-    Mirrors the sub-monitor composition of `repro.casu.monitor` plus the
-    violation latch that drives the reset line.  Element counts follow
-    the signals each sub-monitor actually inspects:
+    Mirrors the rules `repro.casu.monitor` checks in one pass per step
+    plus the violation latch that drives the reset line.  Element
+    counts follow the signals each rule actually inspects:
 
     * W-xor-X: PC against the two executable ranges (PMEM, ROM).
     * PMEM guard: write address against PMEM, PC against ROM, plus the

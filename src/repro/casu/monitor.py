@@ -1,34 +1,45 @@
 """Hardware monitor: per-cycle checks over CPU bus signals.
 
-The monitor is composed of independent sub-monitors, mirroring the
-formally verified sub-property FSMs of the VRASED/CASU lineage:
+EILID's monitor is combinational logic beside the core: every rule
+looks at the same bus signals in the same cycle, and the violation
+wires are ORed into one reset line.  :meth:`HardwareMonitor.observe`
+has the same shape -- one pass over a :class:`repro.cpu.StepRecord`'s
+accesses, each answered from the layout's 64 KB attribute table.  When
+several armed rules fire on one step, the verdict is the first in this
+priority order:
 
-* :class:`WxorXMonitor` -- no instruction fetch outside executable
-  regions (PMEM + secure ROM); blocks code injection.
-* :class:`PmemGuardMonitor` -- no PMEM/IVT write unless an authenticated
-  update session is open and the write is issued from secure ROM.
-* :class:`SecureRamGuardMonitor` -- the shadow-stack bank is accessible
-  only while the PC is inside secure ROM (the EILID hardware extension).
-* :class:`RomAtomicityMonitor` -- secure ROM is entered only at declared
-  entry points, left only from the declared exit ranges, and never
-  interrupted.
-* :class:`ViolationPortMonitor` -- converts trusted-software CFI check
-  failures (a write to the violation port from ROM) into resets, and
-  treats any *untrusted* write to that port as an attack.
-* :class:`IllegalInstructionMonitor` -- undefined opcodes reset.
+1. **W^X** -- no instruction fetch outside executable regions (PMEM +
+   secure ROM); blocks code injection.
+2. **PMEM guard** -- no PMEM/IVT write unless an authenticated update
+   session is open and the write is issued from secure ROM.
+3. **secure-RAM guard** -- the shadow-stack bank is accessible only
+   while the PC is inside secure ROM (the EILID hardware extension).
+4. **ROM atomicity** -- secure ROM is entered only at declared entry
+   points, left only from the declared exit ranges, and never
+   interrupted.
+5. **violation port** -- a write from ROM is a failed EILIDsw CFI check
+   (the value is its reason code); any *untrusted* write to the port
+   is itself an attack.
+6. **illegal opcode** -- undefined opcodes reset.
 
-Each sub-monitor sees every :class:`repro.cpu.StepRecord` and returns a
-:class:`Violation` or ``None``.  The composition stops at the first
-violation (hardware ORs the violation wires into one reset line).
+Within one rule, the first offending access names the address.  The
+verified per-rule FSMs in :mod:`repro.verification.properties` model
+the same rules one at a time.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cpu.core import StepKind
 from repro.memory.bus import AccessKind
+from repro.memory.map import F_EXEC, F_PMEM, F_SDMEM, F_SROM
 from repro.peripherals.ports import VIOLATION_PORT
+
+_FETCH = AccessKind.FETCH
+_WRITE = AccessKind.WRITE
+_INTERRUPT = StepKind.INTERRUPT
+_ILLEGAL = StepKind.ILLEGAL
 
 
 class ViolationReason(enum.Enum):
@@ -81,16 +92,13 @@ class RomConfig:
     entry_points: Tuple[int, ...] = ()
     exit_ranges: Tuple[Tuple[int, int], ...] = ()  # inclusive address ranges
 
-    def is_entry(self, addr):
-        return addr in self.entry_points
-
     def in_exit_range(self, addr):
         return any(start <= addr <= end for start, end in self.exit_ranges)
 
 
 @dataclass
 class MonitorPolicy:
-    """Which sub-monitors are armed.
+    """Which rules are armed.
 
     ``casu()`` is the base active-RoT configuration; ``eilid()`` adds
     the secure shadow-stack bank guard and the CFI violation port.
@@ -112,156 +120,97 @@ class MonitorPolicy:
         return MonitorPolicy(secure_ram_guard=True, violation_port=True)
 
 
-class _SubMonitor:
-    name = "sub-monitor"
-
-    def reset(self):
-        """Return to the power-on state (called after a device reset)."""
-
-    def check(self, step, layout):
-        raise NotImplementedError
-
-
-class WxorXMonitor(_SubMonitor):
-    name = "w-xor-x"
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is AccessKind.FETCH and not layout.is_executable(access.addr):
-                return Violation(ViolationReason.W_XOR_X, step.pc, access.addr)
-        return None
-
-
-class PmemGuardMonitor(_SubMonitor):
-    name = "pmem-guard"
-
-    def __init__(self):
-        self.update_session_open = False
-
-    def reset(self):
-        self.update_session_open = False
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is not AccessKind.WRITE:
-                continue
-            if not layout.in_pmem(access.addr):
-                continue
-            allowed = self.update_session_open and layout.in_secure_rom(step.pc)
-            if not allowed:
-                return Violation(ViolationReason.PMEM_WRITE, step.pc, access.addr)
-        return None
-
-
-class SecureRamGuardMonitor(_SubMonitor):
-    name = "secure-ram-guard"
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is AccessKind.FETCH:
-                continue  # fetches are W-xor-X's problem
-            if layout.in_secure_dmem(access.addr) and not layout.in_secure_rom(step.pc):
-                return Violation(ViolationReason.SECURE_RAM_ACCESS, step.pc, access.addr)
-        return None
-
-
-class RomAtomicityMonitor(_SubMonitor):
-    name = "rom-atomicity"
-
-    def __init__(self, rom_config: RomConfig):
-        self.rom_config = rom_config
-
-    def check(self, step, layout):
-        was_in = layout.in_secure_rom(step.pc)
-        now_in = layout.in_secure_rom(step.next_pc)
-        if step.kind is StepKind.INTERRUPT and was_in:
-            return Violation(ViolationReason.IRQ_IN_ROM, step.pc)
-        if not was_in and now_in and not self.rom_config.is_entry(step.next_pc):
-            return Violation(ViolationReason.ROM_ENTRY, step.pc, step.next_pc)
-        if was_in and not now_in and not self.rom_config.in_exit_range(step.pc):
-            return Violation(ViolationReason.ROM_EXIT, step.pc, step.next_pc)
-        return None
-
-
-class ViolationPortMonitor(_SubMonitor):
-    name = "violation-port"
-
-    def check(self, step, layout):
-        for access in step.accesses:
-            if access.kind is not AccessKind.WRITE or access.addr != VIOLATION_PORT:
-                continue
-            if layout.in_secure_rom(step.pc):
-                reason = SW_REASON_CODES.get(
-                    access.value, ViolationReason.BAD_SELECTOR
-                )
-                return Violation(reason, step.pc, detail="(EILIDsw check failed)")
-            return Violation(ViolationReason.SECURE_PORT, step.pc, access.addr)
-        return None
-
-
-class IllegalInstructionMonitor(_SubMonitor):
-    name = "illegal-insn"
-
-    def check(self, step, layout):
-        if step.kind is StepKind.ILLEGAL:
-            return Violation(
-                ViolationReason.ILLEGAL_INSN,
-                step.pc,
-                detail=f"word=0x{step.illegal_word:04x}",
-            )
-        return None
-
-
 class HardwareMonitor:
-    """Composition of the armed sub-monitors."""
+    """The armed rules of a :class:`MonitorPolicy`, checked in one pass."""
 
     def __init__(self, layout, policy: Optional[MonitorPolicy] = None,
                  rom_config: Optional[RomConfig] = None):
         self.layout = layout
         self.policy = policy or MonitorPolicy.casu()
         self.rom_config = rom_config or RomConfig()
-        self.subs: List[_SubMonitor] = []
-        self._pmem_guard = None
-        if self.policy.w_xor_x:
-            self.subs.append(WxorXMonitor())
-        if self.policy.pmem_guard:
-            self._pmem_guard = PmemGuardMonitor()
-            self.subs.append(self._pmem_guard)
-        if self.policy.secure_ram_guard:
-            self.subs.append(SecureRamGuardMonitor())
-        if self.policy.rom_atomicity:
-            self.subs.append(RomAtomicityMonitor(self.rom_config))
-        if self.policy.violation_port:
-            self.subs.append(ViolationPortMonitor())
-        if self.policy.illegal_insn:
-            self.subs.append(IllegalInstructionMonitor())
+        self.update_session_open = False
+        policy = self.policy
+        # Arming is fixed at construction, like the synthesized rules:
+        # region bits that make a data access illegal from untrusted
+        # code, and which rules are armed at all.
+        self._pmem_bits = F_PMEM if policy.pmem_guard else 0
+        self._sram_bits = F_SDMEM if policy.secure_ram_guard else 0
+        self._port = VIOLATION_PORT if policy.violation_port else -1
+        self._w_xor_x = policy.w_xor_x
+        self._atomic = policy.rom_atomicity
+        self._illegal = policy.illegal_insn
+        self._flags = layout.flags
 
     def observe(self, step) -> Optional[Violation]:
-        """Check one CPU step; first violation wins (hardware OR)."""
-        for sub in self.subs:
-            violation = sub.check(step, self.layout)
-            if violation is not None:
-                return violation
+        """Check one CPU step; the highest-priority violation wins."""
+        flags = self._flags
+        pc = step.pc
+        trusted = flags[pc] & F_SROM
+        if trusted:
+            read_guard = 0
+            write_guard = 0 if self.update_session_open else self._pmem_bits
+        else:
+            read_guard = self._sram_bits
+            write_guard = read_guard | self._pmem_bits
+        port = self._port
+        w_xor_x = self._w_xor_x
+        pmem_hit = sram_hit = port_hit = None
+        for access in step.accesses:
+            kind = access.kind
+            addr = access.addr
+            if kind is _FETCH:
+                if w_xor_x and not flags[addr] & F_EXEC:
+                    return Violation(ViolationReason.W_XOR_X, pc, addr)
+                continue
+            if kind is _WRITE:
+                bits = flags[addr] & write_guard
+                if addr == port and port_hit is None:
+                    port_hit = access
+            else:
+                bits = flags[addr] & read_guard
+            if bits:
+                if bits & F_PMEM and pmem_hit is None:
+                    pmem_hit = addr
+                if bits & F_SDMEM and sram_hit is None:
+                    sram_hit = addr
+        if pmem_hit is not None:
+            return Violation(ViolationReason.PMEM_WRITE, pc, pmem_hit)
+        if sram_hit is not None:
+            return Violation(ViolationReason.SECURE_RAM_ACCESS, pc, sram_hit)
+        if self._atomic:
+            next_pc = step.next_pc
+            if trusted:
+                if step.kind is _INTERRUPT:
+                    return Violation(ViolationReason.IRQ_IN_ROM, pc)
+                if (not flags[next_pc] & F_SROM
+                        and not self.rom_config.in_exit_range(pc)):
+                    return Violation(ViolationReason.ROM_EXIT, pc, next_pc)
+            elif (flags[next_pc] & F_SROM
+                  and next_pc not in self.rom_config.entry_points):
+                return Violation(ViolationReason.ROM_ENTRY, pc, next_pc)
+        if port_hit is not None:
+            if trusted:
+                reason = SW_REASON_CODES.get(port_hit.value,
+                                             ViolationReason.BAD_SELECTOR)
+                return Violation(reason, pc, detail="(EILIDsw check failed)")
+            return Violation(ViolationReason.SECURE_PORT, pc, port_hit.addr)
+        if self._illegal and step.kind is _ILLEGAL:
+            return Violation(ViolationReason.ILLEGAL_INSN, pc,
+                             detail=f"word=0x{step.illegal_word:04x}")
         return None
 
     def reset(self):
-        for sub in self.subs:
-            sub.reset()
+        self.update_session_open = False
 
     # ---- update session control (driven by the update engine) -----------
 
     def open_update_session(self):
-        if self._pmem_guard is None:
+        if not self.policy.pmem_guard:
             raise RuntimeError("monitor has no PMEM guard to unlock")
-        self._pmem_guard.update_session_open = True
+        self.update_session_open = True
 
     def close_update_session(self):
-        if self._pmem_guard is not None:
-            self._pmem_guard.update_session_open = False
-
-    @property
-    def update_session_open(self):
-        return self._pmem_guard is not None and self._pmem_guard.update_session_open
+        self.update_session_open = False
 
     # ---- snapshot/restore (see repro.snapshot) -----------------------
 
@@ -270,6 +219,5 @@ class HardwareMonitor:
         return {"update_session_open": self.update_session_open}
 
     def restore_state(self, state):
-        if self._pmem_guard is not None:
-            self._pmem_guard.update_session_open = bool(
-                state["update_session_open"])
+        self.update_session_open = (self.policy.pmem_guard
+                                    and bool(state["update_session_open"]))

@@ -14,7 +14,12 @@ Decoded-instruction cache
 -------------------------
 
 The hot path keeps a cache ``{pc: (insn, next_pc, cycles, fetch
-accesses, executor)}`` so straight-line re-execution never re-decodes.
+accesses, executor, edge)}`` so straight-line re-execution never
+re-decodes.  ``next_pc`` is the fall-through address, ``executor`` a
+plain function from the module-level opcode table (called as
+``executor(cpu, insn)``, so no entry holds a reference back to its
+CPU), and ``edge`` marks a ``call``/``reti``, a control-flow edge even
+when it lands on the fall-through address.
 The invalidation contract, shared with :class:`repro.memory.bus.Bus`:
 
 * filling an entry registers every word address the instruction's
@@ -104,45 +109,14 @@ class Cpu:
         # PC, pending interrupts are *deferred* (EILID keeps IRQs out of
         # the secure ROM to preserve atomicity).  Installed by the device.
         self.irq_deferred_at = lambda pc: False
-        # Branch-trace tap: an object with .observe(StepRecord), called
-        # for every architectural event (the EILID trace-attestation
-        # recorder).  Installed by the device; None keeps the hot path
-        # free of the extra call.
+        # Branch-trace tap: an object with .observe(StepRecord) (the
+        # EILID trace-attestation recorder), installed by the device.
+        # It sees only the steps that can be control-flow edges --
+        # interrupt entries, call/reti, and any instruction whose PC
+        # differs from its fall-through address; None skips even that.
         self.trace_sink = None
-        # Extension-word fetch cursor; the bound method is hoisted so the
-        # step loop never allocates a closure.
+        # Extension-word fetch cursor for the decoder's callback.
         self._fetch_addr = 0
-        self._fetch_ext_cb = self._fetch_ext
-        # Opcode -> bound executor, resolved once.
-        self._executors = {
-            "mov": self._ex_mov,
-            "add": self._ex_add,
-            "addc": self._ex_addc,
-            "sub": self._ex_sub,
-            "subc": self._ex_subc,
-            "cmp": self._ex_cmp,
-            "dadd": self._ex_dadd,
-            "and": self._ex_and,
-            "bit": self._ex_bit,
-            "xor": self._ex_xor,
-            "bic": self._ex_bic,
-            "bis": self._ex_bis,
-            "rra": self._ex_rra,
-            "rrc": self._ex_rrc,
-            "swpb": self._ex_swpb,
-            "sxt": self._ex_sxt,
-            "push": self._ex_push,
-            "call": self._ex_call,
-            "reti": self._ex_reti,
-            "jnz": self._ex_jnz,
-            "jz": self._ex_jz,
-            "jnc": self._ex_jnc,
-            "jc": self._ex_jc,
-            "jn": self._ex_jn,
-            "jge": self._ex_jge,
-            "jl": self._ex_jl,
-            "jmp": self._ex_jmp,
-        }
         if decode_cache is None:
             decode_cache = DECODE_CACHE_DEFAULT
         self._dcache: Optional[dict] = {} if decode_cache else None
@@ -247,19 +221,19 @@ class Cpu:
         cache = self._dcache
         entry = cache.get(pc_before) if cache is not None else None
         if entry is not None:
-            insn, next_pc, cycles, accesses, executor = entry
+            insn, next_pc, cycles, accesses, executor, edge = entry
             if bus.recording:
                 # Replay the monitor-visible FETCH stream; invalidation
                 # guarantees the cached words still match memory.
                 bus.trace.extend(accesses)
             regs[PC] = next_pc
-            executor(insn)
+            executor(self, insn)
         else:
             first_word = None
             try:
                 first_word = bus.fetch_word(pc_before)
                 self._fetch_addr = pc_before + 2
-                insn = decode(first_word, self._fetch_ext_cb)
+                insn = decode(first_word, self._fetch_ext)
             except DecodingError:
                 # An illegal opcode halts a real MSP430 into reset via
                 # the watchdog; we surface it as an ILLEGAL step and let
@@ -271,7 +245,9 @@ class Cpu:
                 # 0xFFFE): a fault step, not a simulator crash.
                 return self._illegal_step(pc_before, first_word)
             next_pc = self._fetch_addr & 0xFFFE
-            executor = self._executors[insn.opcode.mnemonic]
+            mnemonic = insn.opcode.mnemonic
+            executor = _EXECUTORS[mnemonic]
+            edge = mnemonic in _ALWAYS_EDGES
             cycles = instruction_cycles(insn)
             if cache is not None:
                 size_words = (self._fetch_addr - pc_before) >> 1
@@ -280,10 +256,11 @@ class Cpu:
                     Access(AccessKind.FETCH, a, mem[a] | (mem[a + 1] << 8),
                            2, pc_before)
                     for a in range(pc_before, pc_before + 2 * size_words, 2))
-                cache[pc_before] = (insn, next_pc, cycles, accesses, executor)
+                cache[pc_before] = (insn, next_pc, cycles, accesses, executor,
+                                    edge)
                 bus.note_code_cached(pc_before, size_words)
             regs[PC] = next_pc
-            executor(insn)
+            executor(self, insn)
 
         self.total_cycles += cycles
         self.instruction_count += 1
@@ -295,7 +272,7 @@ class Cpu:
             accesses=bus.drain_trace(),
             insn=insn,
         )
-        if self.trace_sink is not None:
+        if self.trace_sink is not None and (edge or regs[PC] != next_pc):
             self.trace_sink.observe(record)
         return record
 
@@ -646,3 +623,14 @@ class Cpu:
         sr = self.regs[SR]
         if bool(sr & FLAG_N) != bool(sr & FLAG_V):
             self._take_jump(insn)
+
+
+# Opcode -> executor, called as ``executor(cpu, insn)``.  Plain
+# functions rather than bound methods: decode-cache entries hold them,
+# and a bound method would tie every entry (and so the bus that owns
+# the cache index) back to its CPU in a reference cycle.
+_EXECUTORS = {name[len("_ex_"):]: fn for name, fn in vars(Cpu).items()
+              if name.startswith("_ex_")}
+# Instructions that are control-flow edges even when they land on the
+# fall-through address (see repro.cfg.trace.classify_step).
+_ALWAYS_EDGES = frozenset({"call", "reti"})

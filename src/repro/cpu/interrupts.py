@@ -45,7 +45,8 @@ class InterruptController:
 
     @property
     def any_pending(self):
-        return self.pending_index() is not None
+        # One C-level scan; the reset line is never pending.
+        return True in self._pending
 
     # ---- snapshot/restore (see repro.snapshot) ---------------------------
 
@@ -59,3 +60,4 @@ class InterruptController:
                 f"interrupt snapshot has {len(pending)} lines, "
                 f"expected {NUM_VECTORS}")
         self._pending = [bool(line) for line in pending]
+        self._pending[RESET_VECTOR_INDEX] = False

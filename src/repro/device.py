@@ -7,10 +7,11 @@ Three security levels, matching the attack matrix in DESIGN.md:
 * ``"eilid"`` -- CASU plus the EILID extension (secure shadow-stack
   bank, CFI violation port).
 
-A monitor violation rolls back the violating step's memory writes and
-register changes (hardware resets preempt commit), records the event,
-and resets the MCU -- the paper's "detects control-flow violation and
-triggers a reset".
+A monitor violation voids the violating step's memory writes and
+peripheral log entries (hardware resets preempt commit), records the
+event, and resets the MCU -- the paper's "detects control-flow
+violation and triggers a reset".  Steps commit on success: nothing is
+saved before a step; the void works from the step's own records.
 """
 
 import hashlib
@@ -49,11 +50,11 @@ from repro.peripherals import (
     Gpio,
     HarnessPorts,
     Lcd,
+    PeripheralClock,
     Timer,
     Uart,
     Ultrasonic,
 )
-from repro.peripherals.base import Peripheral
 
 SECURITY_LEVELS = ("none", "casu", "eilid")
 
@@ -144,28 +145,10 @@ class Device:
         }
         for peripheral in self.peripherals.values():
             peripheral.attach(self.bus, self.ic)
-        # Hot-loop plumbing, precomputed once: peripherals that override
-        # tick() advance per step; the rest only need ``now`` kept in
-        # sync (base tick just accumulates cycles, and device.cycle and
-        # peripheral.now advance in lockstep by construction).  The flat
-        # list of log-list references replaces per-step snapshot dicts.
-        base_tick = Peripheral.tick
-        self._ticking = tuple(p for p in self.peripherals.values()
-                              if type(p).tick is not base_tick)
-        self._passive = tuple(p for p in self.peripherals.values()
-                              if type(p).tick is base_tick)
-        # Peripherals that override the snapshot/rollback API carry
-        # extra voidable state (e.g. the harness DONE latch) and keep
-        # going through their own methods; everything else rolls back
-        # via plain list truncation.
-        self._custom_rollback = tuple(
-            p for p in self.peripherals.values()
-            if type(p).snapshot_logs is not Peripheral.snapshot_logs
-            or type(p).rollback_logs is not Peripheral.rollback_logs)
-        self._rollback_lists = tuple(
-            log for p in self.peripherals.values()
-            if p not in self._custom_rollback
-            for log in [p.events] + [getattr(p, a) for a in p._log_attrs])
+        # The cycle counter; it ticks peripherals at their deadlines and
+        # before register handlers, not every step.
+        self.clock = PeripheralClock(self.peripherals.values())
+        self.bus.before_io = self.clock.before_io
         self._harness = self.peripherals["harness"]
 
         self.monitor: Optional[HardwareMonitor] = None
@@ -194,7 +177,6 @@ class Device:
             self.trace = BranchTraceRecorder(
                 capacity=trace_capacity or self.DEFAULT_TRACE_CAPACITY)
             self.cpu.trace_sink = self.trace
-        self.cycle = 0
         self.reset_count = 0
 
         for addr, data in program.segments():
@@ -209,6 +191,15 @@ class Device:
     @property
     def harness(self) -> HarnessPorts:
         return self._harness
+
+    @property
+    def cycle(self) -> int:
+        """The device cycle counter, kept by :attr:`clock`."""
+        return self.clock.cycle
+
+    @cycle.setter
+    def cycle(self, value: int):
+        self.clock.cycle = value
 
     def symbol(self, name):
         return self.program.symbols[name]
@@ -289,6 +280,7 @@ class Device:
         lose).  The result restores into any device built from the same
         program/security/peripheral configuration.
         """
+        self.clock.catch_up()
         doc = {
             "codec": WIRE_VERSION,
             "program": self.program.name,
@@ -350,7 +342,8 @@ class Device:
             if self.monitor is not None and doc["monitor"] is not None:
                 self.monitor.restore_state(doc["monitor"])
             self.update_engine.restore_state(doc["update_engine"])
-            self.cycle = doc["cycle"]
+            self.clock.cycle = doc["cycle"]
+            self.clock.catch_up()
             self.reset_count = doc["reset_count"]
             self.events = deque((_event_from_doc(e) for e in doc["events"]),
                                 maxlen=self.max_events)
@@ -366,39 +359,27 @@ class Device:
 
     def step(self):
         """One monitored step. Returns (record, violation_or_None)."""
-        monitor = self.monitor
         cpu = self.cpu
-        if monitor is not None:
-            regs_before = cpu.regs.copy()
-            log_marks = [len(log) for log in self._rollback_lists]
-            custom_marks = [p.snapshot_logs() for p in self._custom_rollback]
         record = cpu.step()
-        cycles = record.cycles
-        self.cycle += cycles
-        for peripheral in self._ticking:
-            peripheral.tick(cycles)
-        now = self.cycle
-        for peripheral in self._passive:
-            peripheral.now = now
-
-        violation = None
-        if monitor is not None:
-            violation = monitor.observe(record)
-        elif record.kind is StepKind.ILLEGAL:
-            # Without a monitor an illegal opcode just spins the PC past
-            # the bad word, like a real core executing garbage.
-            cpu.pc = record.pc + 2
-
+        clock = self.clock
+        clock.cycle += record.cycles
+        if clock.cycle >= clock.due:
+            clock.catch_up()
+        monitor = self.monitor
+        if monitor is None:
+            if record.kind is StepKind.ILLEGAL:
+                # Without a monitor an illegal opcode just spins the PC
+                # past the bad word, like a real core executing garbage.
+                cpu.pc = record.pc + 2
+            return record, None
+        violation = monitor.observe(record)
         if violation is not None:
-            # Hardware semantics: the violating cycle never commits --
-            # memory writes, register changes and peripheral effects of
-            # this step are all voided before the reset.
+            # The violating cycle never commits: undo its memory writes
+            # and drop the peripheral log entries stamped with its start
+            # cycle.  Its register changes die with the reset.
             self.bus.rollback_writes(record.accesses)
-            cpu.regs = regs_before
-            for log, mark in zip(self._rollback_lists, log_marks):
-                del log[mark:]
-            for peripheral, mark in zip(self._custom_rollback, custom_marks):
-                peripheral.rollback_logs(mark)
+            for peripheral in self.peripherals.values():
+                peripheral.void_since(clock.cycle - record.cycles)
             self.violation_count += 1
             reason = violation.reason.value
             self.violation_totals[reason] = self.violation_totals.get(reason, 0) + 1
@@ -455,7 +436,11 @@ class Device:
 
     def _run_loop(self, max_cycles, stop_on_done, stop_on_violation,
                   max_steps, break_at, observer):
-        start_cycle = self.cycle
+        # Plan afresh: peripheral state may have been edited between
+        # runs (the fault injector corrupts a timer count, a UART FIFO).
+        clock = self.clock
+        clock.catch_up()
+        start_cycle = clock.cycle
         start_insns = self.cpu.instruction_count
         budget = float("inf") if max_cycles is None else max_cycles
         limit = float("inf") if max_steps is None else max_steps
@@ -464,7 +449,7 @@ class Device:
         step = self.step
         harness = self._harness
         cpu = self.cpu
-        while self.cycle - start_cycle < budget and steps < limit:
+        while clock.cycle - start_cycle < budget and steps < limit:
             record, violation = step()
             if observer is not None:
                 observer(record, violation)
@@ -477,8 +462,9 @@ class Device:
                 break
             if break_at is not None and cpu.pc in break_at:
                 break
+        clock.catch_up()
         return RunResult(
-            cycles=self.cycle - start_cycle,
+            cycles=clock.cycle - start_cycle,
             instructions=cpu.instruction_count - start_insns,
             steps=steps,
             done=harness.done,

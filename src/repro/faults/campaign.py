@@ -17,7 +17,7 @@ Per profile (none/casu/eilid), a :class:`FaultCampaign`:
 All profiles sweep the **same original-variant image**, so the eilid
 monitor set being a strict superset of casu's makes the detection
 ordering eilid >= casu >= none deterministic, per fault: execution is
-bit-identical until the first violation, and any sub-monitor casu
+bit-identical until the first violation, and any monitor rule casu
 trips is also armed under eilid.
 
 The shard context is pure JSON (firmware spec, snapshot wire dict,

@@ -66,6 +66,9 @@ class Bus:
         self.mem = bytearray(ADDRESS_SPACE)
         self._read_handlers: Dict[int, Callable[[], int]] = {}
         self._write_handlers: Dict[int, Callable[[int], None]] = {}
+        # Runs before any register handler, so lazily advanced
+        # peripherals are exact for it (see PeripheralClock).
+        self.before_io: Callable[[], None] = lambda: None
         self.trace: List[Access] = []
         self.recording = True
         # PC context for access records; the CPU sets this each step.
@@ -206,6 +209,7 @@ class Bus:
         addr &= 0xFFFE  # SLAU049: low address bit ignored on word access
         handler = self._read_handlers.get(addr)
         if handler is not None:
+            self.before_io()
             value = handler() & 0xFFFF
             mem = self.mem  # keep backing store coherent
             mem[addr] = value & 0xFF
@@ -228,6 +232,7 @@ class Bus:
             # address, so this branch is the data-byte access: the one
             # architectural read that triggers the side effect.  The
             # high byte (odd address) reads the latched backing store.
+            self.before_io()
             word = handler() & 0xFFFF
             mem = self.mem
             mem[addr] = value = word & 0xFF
@@ -255,6 +260,7 @@ class Bus:
             self._invalidate_code(addr)
         handler = self._write_handlers.get(addr)
         if handler is not None:
+            self.before_io()
             handler(value)
 
     def write_byte(self, addr, value):
@@ -271,6 +277,7 @@ class Bus:
             self._invalidate_code(base)
         handler = self._write_handlers.get(base)
         if handler is not None:
+            self.before_io()
             handler(mem[base] | (mem[base + 1] << 8))
 
     # ---- internals -----------------------------------------------------------

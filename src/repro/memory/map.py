@@ -54,20 +54,20 @@ NUM_VECTORS = 16
 
 
 # Bits of the per-address attribute table (one byte per address).
-_F_EXEC = 0x01  # PMEM or secure ROM: instruction fetch allowed
-_F_PMEM = 0x02  # PMEM or IVT: immutable outside update sessions
-_F_SROM = 0x04
-_F_SDMEM = 0x08
-_F_DMEM = 0x10
-_F_PERIPH = 0x20
+F_EXEC = 0x01  # PMEM or secure ROM: instruction fetch allowed
+F_PMEM = 0x02  # PMEM or IVT: immutable outside update sessions
+F_SROM = 0x04
+F_SDMEM = 0x08
+F_DMEM = 0x10
+F_PERIPH = 0x20
 
 _KIND_FLAGS = {
-    RegionKind.PERIPHERAL: _F_PERIPH,
-    RegionKind.DMEM: _F_DMEM,
-    RegionKind.SECURE_DMEM: _F_SDMEM,
-    RegionKind.SECURE_ROM: _F_SROM | _F_EXEC,
-    RegionKind.PMEM: _F_PMEM | _F_EXEC,
-    RegionKind.IVT: _F_PMEM,
+    RegionKind.PERIPHERAL: F_PERIPH,
+    RegionKind.DMEM: F_DMEM,
+    RegionKind.SECURE_DMEM: F_SDMEM,
+    RegionKind.SECURE_ROM: F_SROM | F_EXEC,
+    RegionKind.PMEM: F_PMEM | F_EXEC,
+    RegionKind.IVT: F_PMEM,
 }
 
 
@@ -75,10 +75,10 @@ _KIND_FLAGS = {
 class MemoryLayout:
     """The set of regions plus convenience predicates used by monitors.
 
-    The predicates sit on the hardware monitors' per-step hot path, so
-    they are answered from a precomputed 64 KB attribute table (one
-    lookup per query) rather than a region scan.  The region list is
-    fixed at construction time.
+    The predicates answer from a precomputed 64 KB attribute table,
+    ``flags`` (one byte of ``F_*`` bits per address), rather than a
+    region scan; the hardware monitor reads the table directly on its
+    per-step hot path.  The region list is fixed at construction time.
     """
 
     regions: List[Region] = field(default_factory=list)
@@ -93,7 +93,7 @@ class MemoryLayout:
                     flags[addr] |= bits
             else:
                 flags[region.start:region.end + 1] = bytes([bits]) * len(span)
-        self._flags = flags
+        self.flags = flags
 
     @staticmethod
     def default(shadow_stack_bytes=256):
@@ -141,22 +141,22 @@ class MemoryLayout:
 
     def is_executable(self, addr):
         """W+X policy: only PMEM, IVT-adjacent flash and secure ROM execute."""
-        return 0 <= addr <= 0xFFFF and self._flags[addr] & _F_EXEC != 0
+        return 0 <= addr <= 0xFFFF and self.flags[addr] & F_EXEC != 0
 
     def in_pmem(self, addr):
-        return 0 <= addr <= 0xFFFF and self._flags[addr] & _F_PMEM != 0
+        return 0 <= addr <= 0xFFFF and self.flags[addr] & F_PMEM != 0
 
     def in_secure_rom(self, addr):
-        return 0 <= addr <= 0xFFFF and self._flags[addr] & _F_SROM != 0
+        return 0 <= addr <= 0xFFFF and self.flags[addr] & F_SROM != 0
 
     def in_secure_dmem(self, addr):
-        return 0 <= addr <= 0xFFFF and self._flags[addr] & _F_SDMEM != 0
+        return 0 <= addr <= 0xFFFF and self.flags[addr] & F_SDMEM != 0
 
     def in_dmem(self, addr):
-        return 0 <= addr <= 0xFFFF and self._flags[addr] & _F_DMEM != 0
+        return 0 <= addr <= 0xFFFF and self.flags[addr] & F_DMEM != 0
 
     def in_peripheral(self, addr):
-        return 0 <= addr <= 0xFFFF and self._flags[addr] & _F_PERIPH != 0
+        return 0 <= addr <= 0xFFFF and self.flags[addr] & F_PERIPH != 0
 
     # ---- common handles ----------------------------------------------------
 

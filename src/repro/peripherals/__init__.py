@@ -1,10 +1,17 @@
 """Memory-mapped peripherals of the simulated device.
 
 Each peripheral owns a handful of 16-bit registers in the peripheral
-region, reacts to CPU reads/writes through bus handlers, advances with
-CPU cycles via :meth:`tick`, and logs externally-observable events
-(GPIO levels, UART bytes, LCD writes) so tests can assert that an
-instrumented application behaves identically to the original.
+region, reacts to CPU reads/writes through bus handlers, and logs
+externally-observable events (GPIO levels, UART bytes, LCD writes) so
+tests can assert that an instrumented application behaves identically
+to the original.
+
+``tick`` is a catch-up, not a per-step call: the device's
+:class:`~repro.peripherals.base.PeripheralClock` ticks peripherals when
+the earliest deadline arrives (a timer match, a scheduled UART byte)
+and before any register handler runs.  Peripheral state is exact only
+at register accesses, ``Device.snapshot()``, and the start and return
+of ``Device.run()``/``run_steps()``.
 
 Register map (see :mod:`repro.peripherals.ports` for the constants):
 
@@ -43,7 +50,7 @@ from repro.peripherals.ports import (
     DONE_PORT,
     VIOLATION_PORT,
 )
-from repro.peripherals.base import Peripheral
+from repro.peripherals.base import Peripheral, PeripheralClock
 from repro.peripherals.gpio import Gpio
 from repro.peripherals.timer import Timer
 from repro.peripherals.adc import Adc, AdcSchedule
@@ -54,6 +61,7 @@ from repro.peripherals.harness import HarnessPorts
 
 __all__ = [
     "Peripheral",
+    "PeripheralClock",
     "Gpio",
     "Timer",
     "Adc",

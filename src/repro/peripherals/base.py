@@ -1,7 +1,10 @@
-"""Peripheral base class."""
+"""Peripheral base class and the clock that drives peripherals."""
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterable, List
+
+# A deadline later than any cycle a device reaches.
+NEVER = float("inf")
 
 
 @dataclass(frozen=True)
@@ -16,9 +19,10 @@ class IoEvent:
 class Peripheral:
     """Base: register handlers on the bus, advance with CPU cycles.
 
-    ``self.now`` is the device cycle counter, updated by the device
-    before peripheral handlers can run, so event timestamps and
-    schedules are cycle-accurate.
+    ``self.now`` is the device cycle the peripheral has been caught up
+    to by :meth:`tick`; a :class:`PeripheralClock` calls it lazily, so
+    ``now`` is exact only where the package docstring says (register
+    handlers see the accessing step's start cycle).
     """
 
     name = "peripheral"
@@ -36,8 +40,12 @@ class Peripheral:
         raise NotImplementedError
 
     def tick(self, cycles):
-        """Advance simulated time by *cycles* CPU cycles."""
+        """Catch up by *cycles* CPU cycles elapsed since ``now``."""
         self.now += cycles
+
+    def next_due(self):
+        """The cycle a tick next raises an IRQ or delivers input at."""
+        return NEVER
 
     def reset(self):
         """Device reset: clear transient state but keep the event log.
@@ -46,28 +54,25 @@ class Peripheral:
         observation channel, not device state.
         """
 
-    # Additional list-valued log attributes (subclasses extend); all are
-    # rolled back when a monitor violation voids the in-flight step.
+    # Additional list-valued logs of ``(cycle, value)`` entries
+    # (subclasses extend), voided along with the events.
     _log_attrs = ()
 
-    def snapshot_logs(self):
-        """Capture log positions before a CPU step (for violation rollback)."""
-        state = {"events": len(self.events)}
+    def void_since(self, cycle):
+        """Drop the entries of a voided step that started at *cycle*:
+        its handlers stamped them *cycle*, and every earlier step ended
+        by then, so they are the trailing entries stamped >= *cycle*."""
+        events = self.events
+        while events and events[-1].cycle >= cycle:
+            events.pop()
         for attr in self._log_attrs:
-            state[attr] = len(getattr(self, attr))
-        return state
-
-    def rollback_logs(self, state):
-        """Drop log entries appended by a voided (violating) step."""
-        del self.events[state["events"]:]
-        for attr in self._log_attrs:
-            del getattr(self, attr)[state[attr]:]
+            log = getattr(self, attr)
+            while log and log[-1][0] >= cycle:
+                log.pop()
 
     # ---- full-state snapshot/restore (see repro.snapshot) ------------------
     #
-    # Distinct from snapshot_logs/rollback_logs above: those mark log
-    # *positions* for single-step violation rollback; these capture the
-    # peripheral's complete mutable state as JSON types so a restored
+    # The peripheral's complete mutable state as JSON types, so a restored
     # device resumes mid-transaction (latched reads, pending ticks, the
     # DONE latch) without replaying or dropping events.  Construction-time
     # configuration -- stimulus schedules, callables -- is NOT state: the
@@ -105,3 +110,38 @@ class Peripheral:
 
     def event_values(self, port=None):
         return [e.value for e in self.events if port is None or e.port == port]
+
+
+class PeripheralClock:
+    """The device cycle counter, ticking peripherals by deadline.
+
+    The device adds each step's cycles to ``cycle`` and calls
+    :meth:`catch_up` once ``cycle`` reaches ``due``, the earliest
+    :meth:`Peripheral.next_due`, so interrupts are raised on the same
+    step as ticking every step would.  The bus calls :meth:`before_io`
+    ahead of any register handler.  Peripheral time never runs
+    backwards: winding ``cycle`` back leaves ``now`` until it is passed.
+    The clock holds nothing that holds the bus, so the bus keeping
+    :meth:`before_io` adds no reference cycle.
+    """
+
+    __slots__ = ("cycle", "due", "peripherals")
+
+    def __init__(self, peripherals: Iterable[Peripheral]):
+        self.cycle = 0
+        self.due = 0
+        self.peripherals = tuple(peripherals)
+
+    def catch_up(self):
+        """Tick every peripheral up to ``cycle``; plan the next deadline."""
+        now = self.cycle
+        for peripheral in self.peripherals:
+            if peripheral.now < now:
+                peripheral.tick(now - peripheral.now)
+        self.due = min([p.next_due() for p in self.peripherals])
+
+    def before_io(self):
+        """Catch up for a register handler, which may move a deadline (a
+        timer reprogrammed): plan again when the step ends."""
+        self.catch_up()
+        self.due = self.cycle

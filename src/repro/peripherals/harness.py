@@ -38,14 +38,13 @@ class HarnessPorts(Peripheral):
         self.violation_writes.append((self.now, value & 0xFFFF))
         self.emit("harness.violation", value)
 
-    def snapshot_logs(self):
-        state = super().snapshot_logs()
-        state["done"] = (self.done, self.done_value)
-        return state
-
-    def rollback_logs(self, state):
-        super().rollback_logs(state)
-        self.done, self.done_value = state["done"]
+    def void_since(self, cycle):
+        # A voided DONE write must not latch: recompute the latch from
+        # the DONE writes that remain.
+        super().void_since(cycle)
+        done = self.event_values("harness.done")
+        self.done = bool(done)
+        self.done_value = done[-1] if done else None
 
     def reset(self):
         # done latches across reset so the harness can observe that the

@@ -6,7 +6,7 @@ and, if enabled, vector 9 is requested.
 """
 
 from repro.peripherals import ports
-from repro.peripherals.base import Peripheral
+from repro.peripherals.base import NEVER, Peripheral
 
 
 class Timer(Peripheral):
@@ -45,6 +45,12 @@ class Timer(Peripheral):
             self.fire_count += 1
             if self.ctl & ports.TIMER_IRQ_ENABLE:
                 self.raise_irq(ports.TIMER_VECTOR)
+
+    def next_due(self):
+        # The compare match: COUNT reaches CCR after CCR - COUNT cycles.
+        if self.ctl & ports.TIMER_ENABLE and self.ccr > 0:
+            return self.now + self.ccr - self.count
+        return NEVER
 
     def reset(self):
         self.ctl = 0

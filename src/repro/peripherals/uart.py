@@ -9,7 +9,7 @@ from collections import deque
 from typing import Iterable, Tuple
 
 from repro.peripherals import ports
-from repro.peripherals.base import Peripheral
+from repro.peripherals.base import NEVER, Peripheral
 
 
 class Uart(Peripheral):
@@ -51,6 +51,9 @@ class Uart(Peripheral):
             self._rx_fifo.append(byte & 0xFF)
             if self.rx_irq_enabled:
                 self.raise_irq(ports.UART_VECTOR)
+
+    def next_due(self):
+        return self._rx_schedule[0][0] if self._rx_schedule else NEVER
 
     def reset(self):
         self._rx_fifo.clear()

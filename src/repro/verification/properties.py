@@ -1,7 +1,7 @@
 """Abstract monitor models and their verified sub-properties.
 
 Each function returns an :class:`Fsm` abstracting one hardware
-sub-monitor over boolean signals, together with the safety properties
+monitor rule over boolean signals, together with the safety properties
 the CASU/VRASED decomposition attaches to it.  ``MONITOR_PROPERTIES``
 bundles (fsm, property list) pairs for the test suite and the
 ``eilid verify`` CLI command.

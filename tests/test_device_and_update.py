@@ -1,10 +1,17 @@
 """Device composition: reset semantics, rollback, CASU secure update."""
 
+import gc
+import weakref
 
+import pytest
+
+from repro.apps.registry import APPS
 from repro.casu.monitor import ViolationReason
 from repro.casu.update import UpdateKey, UpdatePackage, UpdateStatus
 from repro.device import build_device
 from repro.eilid.iterbuild import IterativeBuild
+from repro.memory.bus import AccessKind
+from repro.peripherals.ports import DONE_PORT, GPIO_OUT, LCD_CMD, UART_TX
 from repro.toolchain.build import SourceModule
 
 
@@ -86,6 +93,68 @@ class TestDeviceBasics:
         assert device.harness.done_value is None
         assert device.harness.event_values("harness.done") == []
         assert device.reset_count == 1
+
+    @staticmethod
+    def run_shellcode(device, port, value):
+        """Plant ``mov #value, &port`` in DMEM and execute it: the step
+        writes the port, then W-xor-X voids it."""
+        shellcode = device.layout.dmem.start + 0x40
+        for index, word in enumerate((0x40B2, value, port)):
+            device.bus.poke_word(shellcode + 2 * index, word)
+        device.cpu.set_reg(0, shellcode)
+        record, violation = device.step()
+        assert any(a.kind is AccessKind.WRITE and a.addr == port
+                   for a in record.accesses)
+        assert violation.reason is ViolationReason.W_XOR_X
+
+    @pytest.mark.parametrize("port,name,logs", [
+        (UART_TX, "uart", ("tx_log",)),
+        (LCD_CMD, "lcd", ("command_log",)),
+        (GPIO_OUT, "gpio", ()),
+    ], ids=["uart", "lcd", "gpio"])
+    def test_voided_port_write_leaves_the_peripheral_logs(self, port, name,
+                                                          logs):
+        # A clean write lands first, so the void must drop exactly the
+        # voided step's entry and keep the earlier one.
+        app = GOOD_APP.replace("mov #42, &0x0200", f"mov #0x11, &0x{port:04x}")
+        device = build_device(raw_program(app), security="casu")
+        assert device.run(max_cycles=10_000).done
+        peripheral = device.peripherals[name]
+        before = {attr: list(getattr(peripheral, attr))
+                  for attr in ("events",) + logs}
+        assert len(before["events"]) == 1
+        self.run_shellcode(device, port, 0xAA)
+        for attr, entries in before.items():
+            assert getattr(peripheral, attr) == entries, attr
+        assert device.reset_count == 1
+
+    def test_voided_done_write_keeps_the_latched_done(self):
+        device = build_device(raw_program(GOOD_APP), security="casu")
+        assert device.run(max_cycles=10_000).done
+        self.run_shellcode(device, DONE_PORT, 0xAA)
+        assert device.harness.done is True
+        assert device.harness.done_value == 1
+        assert device.harness.event_values("harness.done") == [1]
+        assert device.reset_count == 1
+
+    def test_dropped_device_is_freed_without_the_collector(self, app_builds):
+        # No reference cycles: a finished device's CPU, bus (64 KB of
+        # memory plus the decode cache) and peripherals go the moment
+        # the last reference does, not at the next full collection.
+        spec = APPS["light_sensor"]
+        program = app_builds["light_sensor"][1].final.program
+        gc.collect()
+        gc.disable()
+        try:
+            device = build_device(program, security="eilid",
+                                  peripherals=spec.make_peripherals())
+            assert device.run(max_cycles=spec.max_cycles).done
+            refs = [weakref.ref(device.cpu), weakref.ref(device.bus),
+                    weakref.ref(device.peripherals["timer"])]
+            del device
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_reset_restarts_at_reset_vector(self):
         app = GOOD_APP.replace("mov #42, &0x0200", "mov #0xdead, &0xe200")

@@ -126,24 +126,25 @@ class TestMonitorProperties:
         assert fsm.run(attack)[-1] == "VIOL"
 
     def test_fsm_mirrors_concrete_monitor(self):
-        """Abstract FSM and concrete sub-monitor agree on a scenario."""
-        from repro.casu.monitor import PmemGuardMonitor
+        """Abstract FSM and the concrete monitor's PMEM guard agree."""
+        from repro.casu.monitor import HardwareMonitor, MonitorPolicy
         from repro.cpu.core import StepKind, StepRecord
         from repro.memory.bus import Access, AccessKind
         from repro.memory.map import MemoryLayout
 
         layout = MemoryLayout.default()
-        concrete = PmemGuardMonitor()
         abstract = pmem_guard_fsm()
 
         for pc, update_open in [(0xE010, False), (layout.secure_rom.start, False),
                                 (layout.secure_rom.start, True), (0xE010, True)]:
-            concrete.update_session_open = update_open
+            concrete = HardwareMonitor(layout, MonitorPolicy.casu())
+            if update_open:
+                concrete.open_update_session()
             record = StepRecord(
                 kind=StepKind.INSTRUCTION, pc=pc, next_pc=pc + 2, cycles=1,
                 accesses=[Access(AccessKind.WRITE, 0xE100, 1, 2, pc, prev=0)],
             )
-            concrete_violates = concrete.check(record, layout) is not None
+            concrete_violates = concrete.observe(record) is not None
             abstract_next = abstract.step("OK", {
                 "pmem_write": True,
                 "pc_in_rom": layout.in_secure_rom(pc),
