@@ -10,12 +10,15 @@ Two families of benchmarks:
   interpreter is >= 2x the uncached one, and a monitored ``eilid`` step
   costs at most a third more than an unmonitored one.
 
-Reference numbers for ``_HOT_LOOP`` (2-vCPU container, CPython 3.11,
-best of 5): device ``none`` ~130k instr/s, ``casu`` ~116k, ``eilid``
-~113k, so ``eilid``/``none`` ~0.86.  Before the one-pass monitor and
-due-driven peripherals it was ~0.57 (73k vs 129k).  The host's speed
-drifts by up to 2x within minutes, so absolute numbers move with it;
-the ratios do not.
+Reference numbers for ``_HOT_LOOP`` (2-vCPU container, CPython 3.11.7,
+medians of five gate runs while the ledger's host probe read ~1.9x its
+reference speed): with compiled executors, device ``none`` ~711k
+instr/s and ``eilid`` ~617k, so ``eilid``/``none`` ~0.87 (lowest run
+0.857), and the cached interpreter is ~5.5x the uncached one; with the
+generic executors the same runs read ~389k, ~347k, ~0.90 and ~3.5x.
+Before the one-pass monitor and due-driven peripherals ``eilid``/
+``none`` was ~0.57.  The host's speed drifts by up to 2x within
+minutes, so absolute numbers move with it; the ratios do not.
 """
 
 import gc
@@ -28,13 +31,13 @@ from repro.obs.metrics import METRICS
 from repro.toolchain import link, parse_source
 
 # Absolute floors below the reference machine so CI noise cannot trip
-# them (reference: ~130k unmonitored / ~116k casu).
+# them (reference: ~660k unmonitored / ~580k casu at ~1.9x probe speed).
 RAW_FLOOR_IPS = 120_000
 MONITORED_FLOOR_IPS = 40_000
 # Cached vs. uncached interpreter on the same machine.
 CACHE_SPEEDUP_FLOOR = 2.0
 # The per-step tax of the monitored step: eilid instr/s over none
-# instr/s on the same machine (~0.86 on the reference container).
+# instr/s on the same machine (~0.87 on the reference container).
 MONITOR_TAX_RATIO_FLOOR = 0.75
 # The observability gate: metrics instrumentation sits at the
 # run_steps *batch* boundary (one span + two counter bumps per call,

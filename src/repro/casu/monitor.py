@@ -28,6 +28,7 @@ the same rules one at a time.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -120,6 +121,19 @@ class MonitorPolicy:
         return MonitorPolicy(secure_ram_guard=True, violation_port=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _trip_translations(w_xor_x, read_bits, write_bits):
+    """Per access kind (fetch, read, write), a 256-byte translation of
+    ``F_*`` attribute bytes: 1 where an untrusted access to an address
+    with those bits could trip an armed rule."""
+    def table(trips):
+        return bytes(1 if trips(bits) else 0 for bits in range(256))
+
+    return (table(lambda bits: w_xor_x and not bits & F_EXEC),
+            table(lambda bits: bits & read_bits),
+            table(lambda bits: bits & write_bits))
+
+
 class HardwareMonitor:
     """The armed rules of a :class:`MonitorPolicy`, checked in one pass."""
 
@@ -140,11 +154,37 @@ class HardwareMonitor:
         self._atomic = policy.rom_atomicity
         self._illegal = policy.illegal_insn
         self._flags = layout.flags
+        # The clean-step filter's tables: per access kind, 1 at every
+        # address where an untrusted access could trip an armed rule
+        # (the violation port aside), derived once per layout.
+        self._trips = tuple(
+            layout.translate_flags(table) for table in _trip_translations(
+                self._w_xor_x, self._sram_bits,
+                self._sram_bits | self._pmem_bits))
 
     def observe(self, step) -> Optional[Violation]:
         """Check one CPU step; the highest-priority violation wins."""
         flags = self._flags
         pc = step.pc
+        if (not (flags[pc] | flags[step.next_pc]) & F_SROM
+                and step.kind is not _ILLEGAL):
+            # Clean-step filter: an untrusted step that stays out of ROM
+            # can only trip a rule through a flagged address; most
+            # steps touch none and skip the priority walk below.
+            fetch_trips, read_trips, write_trips = self._trips
+            for access in step.accesses:
+                kind = access.kind
+                if kind is _FETCH:
+                    if fetch_trips[access.addr]:
+                        break
+                elif kind is _WRITE:
+                    addr = access.addr
+                    if write_trips[addr] or addr == self._port:
+                        break
+                elif read_trips[access.addr]:
+                    break
+            else:
+                return None
         trusted = flags[pc] & F_SROM
         if trusted:
             read_guard = 0

@@ -15,36 +15,47 @@ Decoded-instruction cache
 
 The hot path keeps a cache ``{pc: (insn, next_pc, cycles, fetch
 accesses, executor, edge)}`` so straight-line re-execution never
-re-decodes.  ``next_pc`` is the fall-through address, ``executor`` a
-plain function from the module-level opcode table (called as
-``executor(cpu, insn)``, so no entry holds a reference back to its
-CPU), and ``edge`` marks a ``call``/``reti``, a control-flow edge even
-when it lands on the fall-through address.
-The invalidation contract, shared with :class:`repro.memory.bus.Bus`:
+re-decodes.  ``next_pc`` is the fall-through address; ``executor`` is
+the instruction compiled once by
+:func:`repro.cpu.compiler.compile_instruction` into a specialized
+function called as ``executor(regs, bus)`` (shared by every CPU in the
+process, and holding no reference to any); ``edge`` marks a
+``call``/``reti``, a control-flow edge even when it lands on the
+fall-through address.  The invalidation contract, shared with
+:class:`repro.memory.bus.Bus`:
 
 * filling an entry registers every word address the instruction's
   encoding occupies with the bus (:meth:`Bus.note_code_cached`);
 * **any** mutation of memory through the bus -- CPU-issued writes,
   back-door ``poke_word``/``load_bytes``, violation-rollback restores --
   kills every entry whose registered words overlap the written word, so
-  self-modifying and attacker-injected code always re-decodes;
-* a cache hit replays the entry's recorded FETCH accesses into the bus
-  trace, so the monitor-visible access stream is bit-identical to an
-  uncached run (the replayed records are value-equal to the ones a real
-  fetch sequence would append, and the invalidation rule guarantees the
-  underlying words have not changed).
+  self-modifying and attacker-injected code always re-decodes (and a
+  changed encoding is a different instruction, so it never meets a
+  stale executor);
+* a cache hit replays the entry's recorded FETCH accesses, the records
+  the filling step's own fetches made, into the step's access list, so
+  the monitor-visible access stream is bit-identical to an uncached run
+  (the invalidation rule guarantees the underlying words have not
+  changed);
+* compiled executors make the generic executors' bus accesses in the
+  same order with the same arguments, so access records, peripheral
+  handlers and invalidation see no difference.
 
 Interrupt acceptance and ILLEGAL/fault steps are never cached.  Passing
 ``decode_cache=False`` (or flipping :data:`DECODE_CACHE_DEFAULT`)
-disables the cache; the differential tests in
-``tests/test_decode_cache.py`` assert both paths produce identical
-StepRecords, cycle totals and monitor verdicts.
+disables the cache and runs the generic ``_ex_*`` executors, the
+reference: the differential tests in ``tests/test_decode_cache.py``
+assert both paths produce identical StepRecords, cycle totals and
+monitor verdicts over whole programs, and
+``tests/test_compiled_executors.py`` compares the two executors one
+instruction at a time over every opcode and addressing mode.
 """
 
 import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cpu.compiler import compile_instruction
 from repro.errors import DecodingError, MemoryAccessError
 from repro.isa import decode, instruction_cycles, INTERRUPT_CYCLES
 from repro.isa.operands import AddrMode
@@ -59,7 +70,7 @@ from repro.isa.registers import (
     SP,
     SR,
 )
-from repro.memory.bus import Access, AccessKind, Bus
+from repro.memory.bus import Bus
 from repro.memory.map import RESET_VECTOR
 
 # Process-wide default for new CPUs; tests flip this to run whole
@@ -71,6 +82,9 @@ class StepKind(enum.Enum):
     INSTRUCTION = "instruction"
     INTERRUPT = "interrupt"
     ILLEGAL = "illegal"
+
+
+_INSTRUCTION = StepKind.INSTRUCTION
 
 
 @dataclass
@@ -210,8 +224,6 @@ class Cpu:
         pc_before = regs[PC]
         bus = self.bus
         bus.current_pc = pc_before
-        if bus.trace:
-            bus.trace = []
 
         ic = self.ic
         if (ic is not None and regs[SR] & FLAG_GIE and ic.any_pending
@@ -221,14 +233,14 @@ class Cpu:
         cache = self._dcache
         entry = cache.get(pc_before) if cache is not None else None
         if entry is not None:
-            insn, next_pc, cycles, accesses, executor, edge = entry
-            if bus.recording:
-                # Replay the monitor-visible FETCH stream; invalidation
-                # guarantees the cached words still match memory.
-                bus.trace.extend(accesses)
+            insn, next_pc, cycles, fetches, executor, edge = entry
+            # Replay the monitor-visible FETCH stream; invalidation
+            # guarantees the cached words still match memory.
+            bus.trace = trace = list(fetches)
             regs[PC] = next_pc
-            executor(self, insn)
+            executor(regs, bus)
         else:
+            bus.trace = trace = []
             first_word = None
             try:
                 first_word = bus.fetch_word(pc_before)
@@ -246,66 +258,49 @@ class Cpu:
                 return self._illegal_step(pc_before, first_word)
             next_pc = self._fetch_addr & 0xFFFE
             mnemonic = insn.opcode.mnemonic
-            executor = _EXECUTORS[mnemonic]
             edge = mnemonic in _ALWAYS_EDGES
             cycles = instruction_cycles(insn)
-            if cache is not None:
-                size_words = (self._fetch_addr - pc_before) >> 1
-                mem = bus.mem
-                accesses = tuple(
-                    Access(AccessKind.FETCH, a, mem[a] | (mem[a + 1] << 8),
-                           2, pc_before)
-                    for a in range(pc_before, pc_before + 2 * size_words, 2))
-                cache[pc_before] = (insn, next_pc, cycles, accesses, executor,
-                                    edge)
-                bus.note_code_cached(pc_before, size_words)
             regs[PC] = next_pc
-            executor(self, insn)
+            if cache is None:
+                _EXECUTORS[mnemonic](self, insn)
+            else:
+                executor = compile_instruction(insn)
+                cache[pc_before] = (insn, next_pc, cycles, tuple(trace),
+                                    executor, edge)
+                bus.note_code_cached(pc_before, len(trace))
+                executor(regs, bus)
+        bus.trace = []
 
         self.total_cycles += cycles
         self.instruction_count += 1
-        record = StepRecord(
-            kind=StepKind.INSTRUCTION,
-            pc=pc_before,
-            next_pc=regs[PC],
-            cycles=cycles,
-            accesses=bus.drain_trace(),
-            insn=insn,
-        )
+        record = StepRecord(_INSTRUCTION, pc_before, regs[PC], cycles, trace,
+                            insn)
         if self.trace_sink is not None and (edge or regs[PC] != next_pc):
             self.trace_sink.observe(record)
         return record
 
     def _illegal_step(self, pc_before, first_word):
-        record = StepRecord(
-            kind=StepKind.ILLEGAL,
-            pc=pc_before,
-            next_pc=pc_before,
-            cycles=1,
-            accesses=self.bus.drain_trace(),
-            illegal_word=0 if first_word is None else first_word,
-        )
-        self.total_cycles += record.cycles
-        return record
+        bus = self.bus
+        trace, bus.trace = bus.trace, []
+        self.total_cycles += 1
+        return StepRecord(StepKind.ILLEGAL, pc_before, pc_before, 1, trace,
+                          illegal_word=0 if first_word is None else first_word)
 
     def _service_interrupt(self, pc_before):
+        bus = self.bus
+        bus.trace = trace = []
         vector = self.ic.accept()
         self._push(pc_before)
         self._push(self.regs[SR])
         # SLAU049: SR is cleared on interrupt entry (SCG0 preserved on
         # some parts; we clear fully -- the apps never use SCG0).
         self.regs[SR] = 0
-        handler = self.bus.read_word(self.bus.layout.vector_address(vector))
+        handler = bus.read_word(bus.layout.vector_address(vector))
         self.pc = handler
+        bus.trace = []
         self.total_cycles += INTERRUPT_CYCLES
-        record = StepRecord(
-            kind=StepKind.INTERRUPT,
-            pc=pc_before,
-            next_pc=self.pc,
-            cycles=INTERRUPT_CYCLES,
-            accesses=self.bus.drain_trace(),
-            vector=vector,
-        )
+        record = StepRecord(StepKind.INTERRUPT, pc_before, self.pc,
+                            INTERRUPT_CYCLES, trace, vector=vector)
         if self.trace_sink is not None:
             self.trace_sink.observe(record)
         return record
@@ -625,10 +620,9 @@ class Cpu:
             self._take_jump(insn)
 
 
-# Opcode -> executor, called as ``executor(cpu, insn)``.  Plain
-# functions rather than bound methods: decode-cache entries hold them,
-# and a bound method would tie every entry (and so the bus that owns
-# the cache index) back to its CPU in a reference cycle.
+# Opcode -> generic executor, called as ``executor(cpu, insn)``: the
+# uncached path, and the reference the compiled executors are tested
+# against.
 _EXECUTORS = {name[len("_ex_"):]: fn for name, fn in vars(Cpu).items()
               if name.startswith("_ex_")}
 # Instructions that are control-flow edges even when they land on the

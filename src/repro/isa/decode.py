@@ -15,6 +15,7 @@ from repro.isa.opcodes import (
     FORMAT2_BYTE_CAPABLE,
 )
 from repro.isa.operands import (
+    AddrMode,
     complete_source,
     decode_dest,
     decode_source,
@@ -82,6 +83,12 @@ def _decode_single(word, fetch_next):
     as_bits = (word >> 4) & 0x3
     reg = word & 0xF
     dst, needs_ext = decode_source(reg, as_bits)
+    immediate = needs_ext and as_bits == 0b11  # @pc+
+    constant = dst is not None and dst.mode is AddrMode.CONSTANT
+    if opcode.writes_dest and (immediate or constant):
+        # rrc/rra/swpb/sxt write their operand back: a constant
+        # generator or an immediate has nowhere to write.
+        raise DecodingError(f"{opcode.mnemonic} cannot write back to a constant")
     if needs_ext:
         dst = complete_source(reg, as_bits, fetch_next())
     return Instruction(opcode, dst=dst, byte_mode=byte_mode)

@@ -7,6 +7,9 @@ from repro.isa.opcodes import (
     JUMP_OFFSET_MIN,
     JUMP_OFFSET_MAX,
 )
+from repro.isa.operands import AddrMode
+
+_CONSTANT_MODES = (AddrMode.IMMEDIATE, AddrMode.CONSTANT)
 
 
 def encode(insn):
@@ -47,6 +50,8 @@ def _encode_single(insn):
         return [0x1300]
     if insn.byte_mode and name not in FORMAT2_BYTE_CAPABLE:
         raise EncodingError(f"{name} has no byte variant")
+    if insn.opcode.writes_dest and insn.dst.mode in _CONSTANT_MODES:
+        raise EncodingError(f"{name} cannot write back to a constant")
     try:
         dst_reg, as_bits, ext = insn.dst.source_encoding()
     except Exception as exc:

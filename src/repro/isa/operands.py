@@ -69,12 +69,16 @@ class Operand:
 
     ``value`` is the extension-word payload (index, address or
     immediate), already reduced modulo 2**16 for concrete operands.  For
-    CONSTANT mode it is the generated constant.
+    CONSTANT mode it is the generated constant.  ``long_form`` marks an
+    IMMEDIATE that a constant generator could produce but whose machine
+    code spends an extension word on it anyway (non-canonical code the
+    decoder meets in arbitrary bytes); the assembler never sets it.
     """
 
     mode: AddrMode
     reg: Optional[int] = None
     value: Optional[int] = None
+    long_form: bool = False
 
     # ---- constructors ----------------------------------------------------
 
@@ -103,8 +107,10 @@ class Operand:
         return Operand(AddrMode.AUTOINC, reg=reg)
 
     @staticmethod
-    def immediate(value):
-        return Operand(AddrMode.IMMEDIATE, reg=PC, value=value & 0xFFFF)
+    def immediate(value, long_form=False):
+        value &= 0xFFFF
+        return Operand(AddrMode.IMMEDIATE, reg=PC, value=value,
+                       long_form=long_form and value in CG_CONSTANTS)
 
     @staticmethod
     def constant(value, reg, as_bits):
@@ -118,7 +124,8 @@ class Operand:
 
     @property
     def extension_words(self):
-        if self.mode is AddrMode.IMMEDIATE and self.value in CG_CONSTANTS:
+        if (self.mode is AddrMode.IMMEDIATE and self.value in CG_CONSTANTS
+                and not self.long_form):
             return 0  # the constant generators encode these for free
         return 1 if self.mode.has_extension_word else 0
 
@@ -138,7 +145,7 @@ class Operand:
         if mode is AddrMode.AUTOINC:
             return self.reg, 0b11, None
         if mode is AddrMode.IMMEDIATE:
-            if self.value in CG_CONSTANTS:
+            if self.value in CG_CONSTANTS and not self.long_form:
                 reg, as_bits = CG_CONSTANTS[self.value]
                 return reg, as_bits, None
             return PC, 0b11, self.value
@@ -222,7 +229,7 @@ def complete_source(reg, as_bits, ext_word):
             return Operand.symbolic(ext_word)
         return Operand.indexed(ext_word, reg)
     if as_bits == 0b11 and reg == PC:
-        return Operand.immediate(ext_word)
+        return Operand.immediate(ext_word, long_form=True)
     raise IsaError(f"(reg={reg}, As={as_bits}) does not take an extension word")
 
 

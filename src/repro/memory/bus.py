@@ -28,8 +28,7 @@ full contract.
 """
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import MemoryAccessError
 from repro.memory.map import MemoryLayout
@@ -43,8 +42,7 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     """One bus transaction, as seen by the hardware monitors."""
 
     kind: AccessKind
@@ -70,7 +68,6 @@ class Bus:
         # peripherals are exact for it (see PeripheralClock).
         self.before_io: Callable[[], None] = lambda: None
         self.trace: List[Access] = []
-        self.recording = True
         # PC context for access records; the CPU sets this each step.
         self.current_pc = 0
         # Decoded-instruction cache coupling (see repro.cpu.core):
@@ -199,8 +196,7 @@ class Bus:
         addr &= 0xFFFE
         mem = self.mem
         value = mem[addr] | (mem[addr + 1] << 8)
-        if self.recording:
-            self.trace.append(Access(AccessKind.FETCH, addr, value, 2, self.current_pc))
+        self.trace.append(Access(AccessKind.FETCH, addr, value, 2, self.current_pc))
         return value
 
     def read_word(self, addr):
@@ -219,8 +215,7 @@ class Bus:
         else:
             mem = self.mem
             value = mem[addr] | (mem[addr + 1] << 8)
-        if self.recording:
-            self.trace.append(Access(AccessKind.READ, addr, value, 2, self.current_pc))
+        self.trace.append(Access(AccessKind.READ, addr, value, 2, self.current_pc))
         return value
 
     def read_byte(self, addr):
@@ -241,8 +236,7 @@ class Bus:
                 self._invalidate_code(addr)
         else:
             value = self.mem[addr]
-        if self.recording:
-            self.trace.append(Access(AccessKind.READ, addr, value, 1, self.current_pc))
+        self.trace.append(Access(AccessKind.READ, addr, value, 1, self.current_pc))
         return value
 
     def write_word(self, addr, value):
@@ -251,9 +245,8 @@ class Bus:
         addr &= 0xFFFE  # SLAU049: low address bit ignored on word access
         value &= 0xFFFF
         mem = self.mem
-        if self.recording:
-            self.trace.append(Access(AccessKind.WRITE, addr, value, 2,
-                                     self.current_pc, mem[addr] | (mem[addr + 1] << 8)))
+        self.trace.append(Access(AccessKind.WRITE, addr, value, 2,
+                                 self.current_pc, mem[addr] | (mem[addr + 1] << 8)))
         mem[addr] = value & 0xFF
         mem[addr + 1] = value >> 8
         if addr in self._dcache_index:
@@ -268,9 +261,8 @@ class Bus:
             raise MemoryAccessError(f"access at 0x{addr:04x} outside address space")
         value &= 0xFF
         mem = self.mem
-        if self.recording:
-            self.trace.append(Access(AccessKind.WRITE, addr, value, 1,
-                                     self.current_pc, mem[addr]))
+        self.trace.append(Access(AccessKind.WRITE, addr, value, 1,
+                                 self.current_pc, mem[addr]))
         mem[addr] = value
         base = addr & 0xFFFE
         if base in self._dcache_index:

@@ -94,6 +94,16 @@ class MemoryLayout:
             else:
                 flags[region.start:region.end + 1] = bytes([bits]) * len(span)
         self.flags = flags
+        self._translated = {}
+
+    def translate_flags(self, table: bytes) -> bytes:
+        """``flags`` mapped byte by byte through the 256-byte *table*
+        (``bytes.translate``), built once per layout and table: devices
+        of one program share their layout, so a fleet pays once."""
+        derived = self._translated.get(table)
+        if derived is None:
+            derived = self._translated[table] = bytes(self.flags.translate(table))
+        return derived
 
     @staticmethod
     def default(shadow_stack_bytes=256):

@@ -1,14 +1,26 @@
 """CPU instruction semantics: flags, addressing, stack, interrupts."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cpu import Cpu, InterruptController
-from repro.isa.registers import FLAG_C, FLAG_N, FLAG_V, FLAG_Z, SP
+from repro.casu.monitor import ViolationReason
+from repro.cpu import Cpu, InterruptController, StepKind, StepRecord
+from repro.device import build_device
+from repro.isa.opcodes import FORMAT2_BYTE_CAPABLE, FORMAT2_OPCODES
+from repro.isa.registers import CG2, FLAG_C, FLAG_N, FLAG_V, FLAG_Z, PC, SP, SR
 from repro.memory import Bus
 from repro.toolchain import link, parse_source
 
 WORD = st.integers(min_value=0, max_value=0xFFFF)
+
+_SPIN = """
+    .text
+__start:
+    jmp __start
+    .vector 15, __start
+"""
 
 
 def make_cpu(asm, data=(), start_regs=None):
@@ -385,6 +397,66 @@ class TestAlignmentAndFaults:
         cpu.set_reg(0, 0xFFFE)
         records = [cpu.step() for _ in range(3)]
         assert all(r.kind.value == "illegal" for r in records)
+
+
+def _write_back_constant_words():
+    """rrc/rra/swpb/sxt (and rrc.b/rra.b) naming a constant generator
+    (R3 with any As, R2 with As=10/11) or an immediate (@pc+)."""
+    words = []
+    for name, opcode in FORMAT2_OPCODES.items():
+        if not opcode.writes_dest:
+            continue
+        for byte in ((0, 1) if name in FORMAT2_BYTE_CAPABLE else (0,)):
+            base = 0x1000 | opcode.code << 7 | byte << 6
+            words += [base | as_bits << 4 | CG2 for as_bits in range(4)]
+            words += [base | as_bits << 4 | SR for as_bits in (2, 3)]
+            words.append(base | 3 << 4 | PC)
+    return words
+
+
+WRITE_BACK_CONSTANT_WORDS = _write_back_constant_words()
+
+
+@pytest.mark.parametrize("security", ["none", "casu", "eilid"])
+def test_write_back_to_a_constant_is_an_illegal_step(security):
+    # Regression: these 42 first words decoded, then raised out of
+    # Cpu.step (`rrc #1` from the executor, `rrc #5` from the cycle
+    # table), so an imem-flip fault landing on one aborted the sweep.
+    assert len(WRITE_BACK_CONSTANT_WORDS) == 42
+    program = link([parse_source(_SPIN, "spin.s")], name="spin")
+    device = build_device(program, security=security)
+    site = device.cpu.pc
+    for word in WRITE_BACK_CONSTANT_WORDS:
+        device.bus.poke_word(site, word)
+        device.bus.poke_word(site + 2, 0x0005)
+        device.cpu.pc = site
+        record, violation = device.step()
+        assert record.kind is StepKind.ILLEGAL
+        assert record.illegal_word == word
+        if security == "none":
+            assert device.cpu.pc == site + 2
+        else:
+            assert violation.reason is ViolationReason.ILLEGAL_INSN
+
+
+def test_every_first_word_steps_to_a_record():
+    """Cpu.step only ever returns a StepRecord, whatever the code: each
+    of the 65,536 first words (with extension words after it) executes
+    or is an ILLEGAL step, through the decode cache and compiler."""
+    program = link([parse_source(_SPIN, "spin.s")], name="spin")
+    device = build_device(program)
+    cpu, bus = device.cpu, device.bus
+    site = 0xE100
+    kinds = Counter()
+    for word in range(0x10000):
+        bus.poke_word(site, word)
+        bus.poke_word(site + 2, 0x0200)
+        bus.poke_word(site + 4, 0x0202)
+        cpu.regs = [site, 0x0A00, 0, 0] + [0x0200] * 12
+        record = cpu.step()
+        assert type(record) is StepRecord, hex(word)
+        kinds[record.kind] += 1
+    assert kinds[StepKind.ILLEGAL] + kinds[StepKind.INSTRUCTION] == 0x10000
 
 
 # ---- differential property tests against a Python reference -----------------

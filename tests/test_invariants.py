@@ -2,8 +2,9 @@
 
 The checker is CI's guard for contracts a general linter can't see:
 closed event kinds, enveloped CLI JSON, deterministic fault/analysis
-paths.  These tests pin both directions -- the real repo is clean, and
-seeded violations in a synthetic tree are caught.
+paths, dynamic code confined to the instruction compiler.  These tests
+pin both directions -- the real repo is clean, and seeded violations in
+a synthetic tree are caught.
 """
 
 import importlib.util
@@ -166,4 +167,37 @@ def test_seeded_random_in_analyze_passes(tmp_path):
     })
     # random.Random(seed) is fine; .random() on the *instance* is fine
     # too -- only the module-level functions are unseeded.
+    assert checker.run_checks(root) == []
+
+
+# ---- rule 4: exec/eval/compile only in the instruction compiler -------------
+
+
+@pytest.mark.parametrize("call", [
+    "exec(text)", "eval(text)", "compile(text, 'x', 'exec')",
+    "builtins.exec(text)",
+])
+def test_dynamic_code_outside_the_compiler_is_caught(tmp_path, call):
+    root = _tree(tmp_path, **{
+        "src/repro/fleet/thing.py":
+            f"import builtins\n\ndef f(text):\n    return {call}\n",
+    })
+    problems = checker.run_checks(root)
+    assert len(problems) == 1
+    assert "src/repro/fleet/thing.py:4" in problems[0]
+    assert "outside the instruction compiler" in problems[0]
+
+
+def test_dynamic_code_in_the_compiler_and_namesakes_pass(tmp_path):
+    root = _tree(tmp_path, **{
+        "src/repro/cpu/compiler.py":
+            "def build(source, namespace):\n"
+            "    exec(compile(source, '<x>', 'exec'), namespace)\n",
+        "src/repro/minicc/codegen.py":
+            "import re\n\n"
+            "PATTERN = re.compile('x')\n\n"
+            "class Gen:\n"
+            "    def go(self, expr):\n"
+            "        return self._eval(expr)\n",
+    })
     assert checker.run_checks(root) == []

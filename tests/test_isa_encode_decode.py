@@ -272,6 +272,11 @@ class TestExhaustiveRoundTripSweep:
                 continue  # constant-generator forms legitimately decode as CONSTANT
             for byte in byte_modes:
                 insn = Instruction(opcode, dst=dst, byte_mode=byte)
+                if opcode.writes_dest and dst.mode is AddrMode.IMMEDIATE:
+                    # rrc/rra/swpb/sxt write back: no immediate form.
+                    with pytest.raises(EncodingError):
+                        encode(insn)
+                    continue
                 back = roundtrip(insn)
                 assert back.mnemonic == name
                 assert back.byte_mode == byte
@@ -308,3 +313,17 @@ class TestExhaustiveRoundTripSweep:
         # hole plus reserved format-II encodings.
         assert outcomes["ok"] > 0xB000
         assert outcomes["rejected"] > 0x1000
+
+    @pytest.mark.parametrize("filler", [0x0000, 0x0004, 0x1234])
+    def test_decoded_size_is_the_words_consumed(self, filler):
+        """``size_words`` of every decoded instruction equals the words
+        the decoder consumed -- also when an immediate's extension word
+        holds a value a constant generator could make (0x4035 0x0004 is
+        ``mov #4, r5`` in two words).  The call-stack oracle and trace
+        classification take return and fall-through addresses from it."""
+        for word in range(0x10000):
+            try:
+                insn, consumed = decode_words([word, filler, filler])
+            except DecodingError:
+                continue
+            assert insn.size_words == consumed, hex(word)

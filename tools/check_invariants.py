@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces three codebase contracts no general-purpose linter knows
+Enforces four codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -17,6 +17,11 @@ about:
    enumeration and the static analyzer must not consult wall-clock time
    or unseeded randomness; their outputs are pinned by seeds and
    inputs alone.
+4. **generated code has one home** -- the builtins ``exec``, ``eval``
+   and ``compile`` run only in the instruction compiler
+   (src/repro/cpu/compiler.py), which builds executor source from
+   decoded instructions alone; anywhere else they would be a way to
+   run text from outside the program.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -35,6 +40,10 @@ DETERMINISTIC_PATHS = (
     "src/repro/faults/sites.py",
     "src/repro/analyze",
 )
+
+# The one module that may call the dynamic-code builtins.
+CODEGEN_PATHS = ("src/repro/cpu/compiler.py",)
+_DYNAMIC_CODE = {"exec", "eval", "compile"}
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -199,12 +208,45 @@ def check_deterministic_paths(root: Path) -> list:
     return problems
 
 
+def _dynamic_code_builtin(func):
+    """``exec``/``eval``/``compile`` called as a builtin, or None.
+
+    ``exec(...)`` and ``builtins.exec(...)`` count; methods that share
+    a name (``re.compile``, ``self._eval``) do not."""
+    if isinstance(func, ast.Name) and func.id in _DYNAMIC_CODE:
+        return func.id
+    if (isinstance(func, ast.Attribute) and func.attr in _DYNAMIC_CODE
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "builtins"):
+        return func.attr
+    return None
+
+
+def check_dynamic_code(root: Path) -> list:
+    """Rule 4: builtin exec/eval/compile only in the instruction compiler."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in CODEGEN_PATHS:
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _dynamic_code_builtin(node.func)
+            if name is not None:
+                problems.append(
+                    f"{rel}:{node.lineno}: builtin {name}() outside the "
+                    f"instruction compiler")
+    return problems
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
     problems += check_event_kinds(root, kinds)
     problems += check_cli_envelopes(root)
     problems += check_deterministic_paths(root)
+    problems += check_dynamic_code(root)
     return problems
 
 
