@@ -6,15 +6,19 @@ One 10,000-device fleet persisted over two registry shards, served by
 the real HTTP path, not the in-process seam:
 
 * ``POST /attest`` over a 2,500-device sample must clear 500
-  concurrent attests/s -- the async pump fanning HMAC exchanges across
-  its executor, one durability flush per request;
+  attests/s -- the async pump running the request's HMAC exchanges in
+  one executor call, one durability flush per request;
 * ``GET /campaigns/<id>/events`` must deliver its first event within
   1s of emission and surface a wave commit while the campaign is still
   running (the stream is live status, not a post-hoc transcript).
 
-Reference numbers (1-core dev container): sync attest sweeps run
-~8-10k devices/s, so the 500/s floor only trips if the control plane
-itself (HTTP + asyncio + shard routing) eats an order of magnitude.
+Reference numbers (2-vCPU container, CPython 3.11): the 2,500-device
+``POST /attest`` runs ~8,200 attests/s (~3,200/s when every device
+took its own executor hop and the request its own connection), about
+the ~8-10k devices/s of a synchronous sweep, so the 500/s floor only
+trips if the control plane itself (HTTP + asyncio + shard routing)
+eats an order of magnitude.  The first streamed campaign event lands
+within ~3-90 ms of its emission.
 
 Emits ``BENCH_serve.json`` with a seeded ``history`` list folding in
 previous runs, like the other trajectory artifacts.

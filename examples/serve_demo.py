@@ -90,6 +90,7 @@ def main():
     for line in client.metrics().splitlines():
         if line.startswith("eilid_serve_requests") and "{" not in line:
             print(f"   {line}")
+    client.close()
 
     print("5. SIGTERM -> drain, flush every shard, exit 0:")
     daemon.send_signal(signal.SIGTERM)

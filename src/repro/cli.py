@@ -648,6 +648,8 @@ def _fleet_status_url(args):
     except ServeError as error:
         if error.status != 409:  # 409: a campaign holds the fleet
             raise _UsageError(f"daemon attest failed: {error}") from None
+    finally:
+        client.close()
     if args.json:
         doc = dict(attest) if attest is not None else {}
         doc["daemon"] = status

@@ -1,8 +1,12 @@
 """FleetClient: the stdlib counterpart of the serve daemon's API.
 
-One class, ``http.client`` underneath, one connection per request
-(the daemon speaks ``Connection: close``).  JSON endpoints return the
-decoded envelope; streaming endpoints return generators yielding one
+One class, ``http.client`` underneath.  JSON endpoints share one
+persistent, lock-guarded connection and return the decoded envelope;
+a request that fails on a *reused* connection before any response
+byte (the daemon closed it while idle) is retried once on a fresh
+one -- the daemon never closes a connection between reading a request
+head and answering it, so that retry cannot run a request twice.  Streaming endpoints open their own
+close-delimited connection each and return generators yielding one
 event document per JSONL line, read incrementally so callers see
 wave commits while the campaign is still rolling.  Tests, the
 benchmarks, the demo and the ``--url`` CLI paths all drive the daemon
@@ -12,8 +16,9 @@ through this -- nobody else hand-writes HTTP.
 import http.client
 import json
 import socket
+import threading
 import time
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 from urllib.parse import urlencode, urlsplit
 
 
@@ -36,6 +41,9 @@ class FleetClient:
         self.host = parts.hostname or "127.0.0.1"
         self.port = parts.port or 80
         self.timeout = timeout
+        # http.client reopens the socket itself after a close.
+        self._connection = self._connect()
+        self._lock = threading.Lock()
 
     # ---- plumbing --------------------------------------------------------
 
@@ -44,21 +52,52 @@ class FleetClient:
             self.host, self.port,
             timeout=self.timeout if timeout is None else timeout)
 
+    def close(self):
+        """Close the persistent connection (the next call reopens it)."""
+        with self._lock:
+            self._connection.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def _exchange(self, method: str, path: str,
+                  body: Optional[dict] = None) -> Tuple[int, bytes]:
+        """One request on the persistent connection: (status, body)."""
+        payload = None if body is None else json.dumps(body)
+        with self._lock:
+            connection = self._connection
+            try:
+                for retry in (False, True):
+                    reused = connection.sock is not None
+                    try:
+                        connection.request(
+                            method, path, body=payload,
+                            headers={"Content-Type": "application/json"})
+                        response = connection.getresponse()
+                        break
+                    except (ConnectionResetError, BrokenPipeError):
+                        # No response byte came back (RemoteDisconnected
+                        # is a ConnectionResetError): a reused connection
+                        # the daemon closed while idle.  Resend once.
+                        connection.close()
+                        if not reused or retry:
+                            raise
+                return response.status, response.read()
+            except BaseException:
+                connection.close()  # its state is unknown now
+                raise
+
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> dict:
-        connection = self._connect()
-        try:
-            payload = None if body is None else json.dumps(body)
-            connection.request(method, path, body=payload,
-                               headers={"Content-Type": "application/json"})
-            response = connection.getresponse()
-            doc = json.loads(response.read().decode() or "{}")
-            if response.status >= 400:
-                raise ServeError(response.status,
-                                 doc.get("error", "request failed"))
-            return doc
-        finally:
-            connection.close()
+        status, payload = self._exchange(method, path, body)
+        doc = json.loads(payload.decode() or "{}")
+        if status >= 400:
+            raise ServeError(status, doc.get("error", "request failed"))
+        return doc
 
     def _stream(self, path: str,
                 timeout: Optional[float] = None) -> Iterator[dict]:
@@ -134,16 +173,10 @@ class FleetClient:
         return self._stream(f"/events?{query}", timeout=timeout)
 
     def metrics(self) -> str:
-        connection = self._connect()
-        try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            text = response.read().decode()
-            if response.status >= 400:
-                raise ServeError(response.status, "metrics unavailable")
-            return text
-        finally:
-            connection.close()
+        status, payload = self._exchange("GET", "/metrics")
+        if status >= 400:
+            raise ServeError(status, "metrics unavailable")
+        return payload.decode()
 
     def wait_campaign(self, campaign_id: str,
                       timeout: float = 300.0) -> dict:

@@ -6,8 +6,15 @@ as HTTP requests, fan out through :class:`~repro.serve.pump
 whatever store the fleet was opened on -- usually a
 :class:`~repro.serve.shard.ShardedStore` spanning several durable
 backends.  Everything is stdlib: ``asyncio.start_server`` carries the
-sockets, the HTTP parsing is the ~40 lines a JSON-only,
-``Connection: close`` API actually needs.
+sockets, the HTTP parsing is the few dozen lines a JSON-only
+HTTP/1.1 API actually needs.  Connections persist: one connection
+serves request after request (each head read with one
+``readuntil``) until the client asks to close or speaks HTTP/1.0, a
+stream ends it (streams are close-delimited), a 400 leaves its
+framing untrusted, or it sits idle past ``REQUEST_TIMEOUT_S``.  The
+daemon never closes a connection between reading a request head and
+answering it, so a client may safely resend, once, a request that
+failed on a reused connection before any response byte.
 
 Endpoints (every JSON body is the same ``schema``/``version``
 envelope the CLI emits; streams are JSONL, one event document per
@@ -26,15 +33,16 @@ line, exactly the ``fleet watch --json`` shape):
 
 Request observability rides the existing metrics registry: a
 ``serve.request`` span plus per-endpoint counters and latency
-histograms, recorded once per *request* (never per device), so the
+histograms, recorded once per *request* (never per device), and a
+``serve.connections`` counter beside ``serve.requests``, so the
 disabled path stays at one attribute check -- bench_micro gates it
 like every other obs layer.
 
 Shutdown is graceful by contract: SIGTERM/SIGINT stop accepting,
 signal the running campaign (it stops at its next wave boundary --
 flushed waves stay durable, ``rollout --resume`` finishes the rest),
-drain in-flight exchanges, flush every shard store and the event log,
-and exit 0.
+close idle connections, drain in-flight exchanges, flush every shard
+store and the event log, and exit 0.
 """
 
 import asyncio
@@ -56,9 +64,13 @@ from repro.serve.pump import AsyncFleetPump, PumpBusy
 # 50ms keeps first-event latency far inside the 1s gate while a quiet
 # stream costs ~20 empty tail reads a second.
 STREAM_POLL_S = 0.05
-# Reading a request (line + headers + body) may not stall the loop.
+# Reading a request (head + body) may not stall the loop, and a
+# kept-alive connection idle this long is closed.
 REQUEST_TIMEOUT_S = 30.0
 MAX_BODY_BYTES = 8 << 20
+# How long a connection ending after its answer waits for the client
+# to close (see VerifierDaemon._linger).
+LINGER_S = 1.0
 
 
 class JsonResponse:
@@ -93,6 +105,34 @@ def _error(status: int, message: str) -> JsonResponse:
                                          status=status))
 
 
+class BadFraming(Exception):
+    """A request whose framing cannot be trusted: answer 400, close."""
+
+
+# The JSON types a request field may take.  A bool is never a number.
+_NUMBER = (int, float)
+# /rollout knobs a body may set, passed through to CampaignConfig.
+_ROLLOUT_KNOBS = {"failure_threshold": _NUMBER, "max_attempts": (int,),
+                  "workers": (int,), "batch_size": (int,),
+                  "backend": (str,), "verify_after_wave": (bool,)}
+
+
+def _is(value, kinds) -> bool:
+    return isinstance(value, kinds) and (
+        bool in kinds or not isinstance(value, bool))
+
+
+def _field(body: dict, key: str, kinds, items=None):
+    """``body[key]`` (None when absent or null) if it has one of the
+    JSON types *kinds* -- a list whose every item has *items*, when
+    given.  Anything else is a ValueError, which dispatch answers 400."""
+    value = body.get(key)
+    if value is None or (_is(value, kinds) and (
+            items is None or all(_is(item, items) for item in value))):
+        return value
+    raise ValueError(f"{key!r} has the wrong type")
+
+
 class VerifierDaemon:
     """Serve one :class:`~repro.fleet.simulation.FleetSimulation`."""
 
@@ -110,6 +150,9 @@ class VerifierDaemon:
         self._shutdown_requested: Optional[asyncio.Event] = None
         self._shutting_down = False
         self._clients: set = set()
+        # reader -> transport of each connection waiting for its next
+        # request head.
+        self._idle: Dict[asyncio.StreamReader, asyncio.Transport] = {}
 
     @property
     def url(self) -> str:
@@ -152,6 +195,12 @@ class VerifierDaemon:
         self._shutting_down = True
         if self._server is not None:
             self._server.close()
+            # A connection waiting for its next request head has
+            # nothing to answer: end the wait now, not after the grace.
+            # A head already buffered is still read and answered.
+            for reader, transport in list(self._idle.items()):
+                transport.pause_reading()
+                reader.feed_eof()
             await self._server.wait_closed()
         # Campaign first (wave boundary), then in-flight exchanges,
         # then the durable flush across every shard + the event log.
@@ -169,61 +218,108 @@ class VerifierDaemon:
     async def _handle_client(self, reader, writer):
         task = asyncio.current_task()
         self._clients.add(task)
+        METRICS.inc("serve.connections")
         try:
-            await self._handle_one(reader, writer)
-        except (ConnectionError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError):
-            pass  # client went away or stalled; nothing to answer
+            while await self._serve_one(reader, writer):
+                pass
+        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+            pass  # client went away, stalled or idled out
         finally:
             self._clients.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except OSError:
                 pass
 
-    async def _handle_one(self, reader, writer):
-        request_line = await asyncio.wait_for(reader.readline(),
-                                              REQUEST_TIMEOUT_S)
-        if not request_line:
-            return
+    async def _serve_one(self, reader, writer) -> bool:
+        """Read, dispatch and answer one request; returns whether the
+        connection stays open for the next one."""
         try:
-            method, target, _ = request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            await self._write_response(writer, _error(400, "malformed "
-                                                           "request line"))
-            return
-        headers = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(),
-                                          REQUEST_TIMEOUT_S)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = None
-        length = int(headers.get("content-length") or 0)
-        if length:
-            if length > MAX_BODY_BYTES:
-                await self._write_response(writer, _error(400, "body too "
-                                                               "large"))
-                return
-            raw = await asyncio.wait_for(reader.readexactly(length),
-                                         REQUEST_TIMEOUT_S)
-            try:
-                body = json.loads(raw)
-            except ValueError:
-                await self._write_response(
-                    writer, _error(400, "request body is not JSON"))
-                return
-        parts = urlsplit(target)
-        query = {key: values[-1]
-                 for key, values in parse_qs(parts.query).items()}
-        response = await self.dispatch(method.upper(), parts.path, query,
-                                       body)
-        await self._write_response(writer, response)
+            request = await asyncio.wait_for(
+                self._read_request(reader, writer), REQUEST_TIMEOUT_S)
+        except BadFraming as error:
+            response, keep_alive = _error(400, str(error)), False
+        else:
+            if request is None:
+                return False  # the client closed between requests
+            method, target, keep_alive, raw = request
+            response = await self._respond(method, target, raw)
+        keep_alive = keep_alive and not self._shutting_down and \
+            not isinstance(response, StreamResponse)
+        await self._write_response(writer, response, keep_alive)
+        if not keep_alive:
+            await self._linger(reader, writer)
+        return keep_alive
 
-    async def _write_response(self, writer, response):
+    async def _respond(self, method: str, target: str, raw: bytes):
+        try:
+            parts = urlsplit(target)
+            query = {key: values[-1]
+                     for key, values in parse_qs(parts.query).items()}
+        except ValueError:
+            return _error(400, "malformed request target")
+        try:
+            body = json.loads(raw) if raw else None
+        except (ValueError, RecursionError):
+            return _error(400, "request body is not JSON")
+        return await self.dispatch(method.upper(), parts.path, query, body)
+
+    async def _read_request(self, reader, writer):
+        """One request as ``(method, target, keep_alive, body bytes)``,
+        or None when the client closed before sending one (or the
+        daemon is shutting down).  The connection is idle -- ended at
+        once by shutdown -- until its head is read."""
+        self._idle[reader] = writer.transport
+        try:
+            if self._shutting_down:
+                return None
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError:
+            raise BadFraming("request head too large") from None
+        finally:
+            del self._idle[reader]
+        lines = head[:-4].decode("latin-1").split("\r\n")
+        try:
+            method, target, version = lines[0].split(" ", 2)
+        except ValueError:
+            raise BadFraming("malformed request line") from None
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise BadFraming("only Content-Length bodies are supported")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise BadFraming(f"bad Content-Length {length[:32]!r}")
+        length = int(length)
+        if length > MAX_BODY_BYTES:
+            raise BadFraming("body too large")
+        body = await reader.readexactly(length) if length else b""
+        keep_alive = version == "HTTP/1.1" and \
+            "close" not in headers.get("connection", "").lower()
+        return method, target, keep_alive, body
+
+    @staticmethod
+    async def _linger(reader, writer):
+        """End an answered connection: half-close, then discard what
+        the client still sends until it closes (at most ``LINGER_S``).
+        Closing on unread input would reset the connection, which can
+        destroy the answer before the client reads it."""
+        async def _discard():
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            writer.write_eof()
+            await asyncio.wait_for(_discard(), LINGER_S)
+        except (OSError, asyncio.TimeoutError):
+            pass
+
+    async def _write_response(self, writer, response, keep_alive: bool):
         if isinstance(response, StreamResponse):
             writer.write(self._head(200, "application/x-ndjson"))
             await writer.drain()
@@ -239,16 +335,18 @@ class VerifierDaemon:
             payload = (json.dumps(response.doc, sort_keys=True) + "\n"
                        ).encode()
             content_type = "application/json"
-        writer.write(self._head(response.status, content_type, len(payload))
-                     + payload)
+        writer.write(self._head(response.status, content_type, len(payload),
+                                keep_alive) + payload)
         await writer.drain()
 
     @staticmethod
     def _head(status: int, content_type: str,
-              length: Optional[int] = None) -> bytes:
+              length: Optional[int] = None, keep_alive: bool = False
+              ) -> bytes:
         lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                 f"Content-Type: {content_type}",
-                 "Connection: close"]
+                 f"Content-Type: {content_type}"]
+        if not keep_alive:
+            lines.append("Connection: close")
         if length is not None:
             lines.append(f"Content-Length: {length}")
         return ("\r\n".join(lines) + "\r\n\r\n").encode()
@@ -268,11 +366,13 @@ class VerifierDaemon:
             return _error(*endpoint)  # (status, message) on no route
         started = time.perf_counter()
         try:
+            if body is not None and not isinstance(body, dict):
+                raise ValueError("request body must be a JSON object")
             with METRICS.span("serve.request"):
-                return await handler(path, query, body)
+                return await handler(path, query, body or {})
         except PumpBusy as error:
             return _error(409, str(error))
-        except (FleetError, ValueError) as error:
+        except (FleetError, ValueError, OverflowError) as error:
             return _error(400, str(error))
         except KeyError as error:
             return _error(404, f"unknown device {error.args[0]!r}"
@@ -332,9 +432,10 @@ class VerifierDaemon:
         ))
 
     async def _h_enroll(self, path, query, body):
-        body = body or {}
-        count = int(body.get("count") or 0)
-        device_ids = body.get("device_ids")
+        count = _field(body, "count", (int,)) or 0
+        device_ids = _field(body, "device_ids", (list,), (str,))
+        if count < 0:
+            raise ValueError("count must be >= 0")
         if not count and not device_ids:
             return _error(400, "enroll wants {'count': N} or "
                                "{'device_ids': [...]}")
@@ -346,39 +447,39 @@ class VerifierDaemon:
             device_ids=[r["device"] for r in results]))
 
     async def _h_attest(self, path, query, body):
-        body = body or {}
-        results = await self.pump.attest(body.get("device_ids"))
+        results = await self.pump.attest(
+            _field(body, "device_ids", (list,), (str,)))
         failed = [r for r in results if not r["ok"]]
         return JsonResponse(200, envelope(
             "serve.attest", ok=not failed, attested=len(results),
             failed=failed, results=results))
 
     async def _h_rollout(self, path, query, body):
-        body = body or {}
-        if "version" not in body:
+        version = _field(body, "version", (int,))
+        if version is None:
             return _error(400, "rollout wants {'version': N, ...}")
-        version = int(body["version"])
         options = {}
-        if body.get("waves"):
-            options["wave_fractions"] = tuple(
-                float(f) for f in body["waves"])
-        for knob in ("failure_threshold", "max_attempts", "workers",
-                     "batch_size", "backend", "verify_after_wave"):
-            if knob in body:
-                options[knob] = body[knob]
+        waves = _field(body, "waves", (list,), _NUMBER)
+        if waves:
+            options["wave_fractions"] = tuple(float(f) for f in waves)
+        for knob, kinds in _ROLLOUT_KNOBS.items():
+            value = _field(body, knob, kinds)
+            if value is not None:
+                options[knob] = value
         config = CampaignConfig(**options)
-        campaign_id, future = await self.pump.start_rollout(
+        start, future = await self.pump.start_rollout(
             version, config=config, resume=bool(body.get("resume")),
-            device_ids=body.get("device_ids"))
-        if campaign_id is None:
+            device_ids=_field(body, "device_ids", (list,), (str,)))
+        if start is None:
             # Never minted an id: the campaign was empty (or failed
             # before its first event).  The future is already done.
             report = await future
             return JsonResponse(200, envelope(
                 "serve.rollout", campaign=None,
                 report=self._report_doc(report)))
-        entry = self.campaigns[campaign_id] = {"running": True,
-                                               "report": None}
+        campaign_id = start["campaign"]
+        entry = self.campaigns[campaign_id] = {
+            "running": True, "report": None, "start_seq": start["seq"]}
 
         def _finish(done):
             entry["running"] = False
@@ -433,8 +534,12 @@ class VerifierDaemon:
 
     async def _campaign_stream(self, campaign_id: str, since: int):
         """Live per-wave progress: the event log's tail cursor,
-        filtered to one campaign, polled until its campaign-end."""
-        cursor = since
+        filtered to one campaign, polled until its campaign-end.  The
+        cursor starts at the campaign's own start event when this
+        daemon started it: nothing before it can belong to it."""
+        entry = self.campaigns.get(campaign_id)
+        cursor = since if entry is None else max(since,
+                                                 entry["start_seq"] - 1)
         while True:
             docs = self.fleet.events.tail(since_seq=cursor)
             if docs:

@@ -1,4 +1,4 @@
-"""Async session layer: interleave HMAC exchanges on one event loop.
+"""Async session layer: run HMAC exchanges off the event loop.
 
 The protocol layer (:mod:`repro.fleet.protocol`) is synchronous and
 per-device stateful -- a ``VerifierSession`` draws nonces from its
@@ -7,23 +7,23 @@ once, but exchanges for *different* devices are independent (the
 thread-backend campaign already exploits this).  The pump lifts that
 contract onto asyncio:
 
-* every device gets an ``asyncio.Lock``, so per-device ordering is
-  preserved no matter how many HTTP requests target it;
-* the blocking exchange itself runs on a small thread pool via
-  ``run_in_executor`` (HMAC/SHA release the GIL inside hashlib), so
-  thousands of device conversations interleave on one loop;
-* registry/store flushes batch at durability points: one ``flush()``
-  per attest *request* (after its whole gather), never per device --
-  the same rule ``attest_all`` and the campaign's per-wave flush
-  follow.
+* each attest *request* is one executor call: it attests its devices
+  in request order, saves each record, then flushes once -- the same
+  batch rule ``attest_all`` and the campaign's per-wave flush follow,
+  at one loop/executor hop per request however many devices it names;
+* every device gets a ``threading.Lock``, held only around that
+  device's exchange, so overlapping requests still serialise per
+  device, and no request ever holds two device locks (no lock-order
+  deadlock between ``[a, b]`` and ``[b, a]``).
 
 Rollouts keep their wave semantics by running the existing
 ``RolloutCampaign`` on an executor thread, exclusively: while a
 campaign is in flight new attest/enroll calls are refused (409 at the
 HTTP layer) rather than silently interleaved with campaign offers,
-and the campaign id is captured from the event bus the moment
-``campaign-start`` is published, so the HTTP response can return it
-while the waves are still rolling.
+and the campaign's ``campaign-start`` document is captured from the
+event bus the moment it is published, so the HTTP response can return
+its id (and streams can start at its seq) while the waves are still
+rolling.
 """
 
 import asyncio
@@ -49,7 +49,7 @@ class AsyncFleetPump:
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers or min(8, (os.cpu_count() or 1) + 2),
             thread_name_prefix="serve-pump")
-        self._device_locks: Dict[str, asyncio.Lock] = {}
+        self._device_locks: Dict[str, threading.Lock] = {}
         self._enroll_lock = asyncio.Lock()
         self._inflight = 0
         self._idle = asyncio.Event()
@@ -88,53 +88,45 @@ class AsyncFleetPump:
                 f"campaign {self._campaign_id or '?'} is in flight; the "
                 f"fleet is exclusive to it until campaign-end")
 
-    def _lock_for(self, device_id: str) -> asyncio.Lock:
-        lock = self._device_locks.get(device_id)
-        if lock is None:
-            lock = self._device_locks[device_id] = asyncio.Lock()
-        return lock
-
     async def _run_blocking(self, func, *args):
         return await asyncio.get_running_loop().run_in_executor(
             self.executor, func, *args)
 
     # ---- fleet operations ------------------------------------------------
 
-    async def attest_one(self, device_id: str):
-        """One heartbeat, ordered per device, protocol work off-loop."""
-        self._check_free()
-        self._enter()
-        try:
-            async with self._lock_for(device_id):
-                return await self._run_blocking(self._attest_sync, device_id)
-        finally:
-            self._exit()
-
-    def _attest_sync(self, device_id: str):
-        result = self.fleet.session(device_id).attest()
-        record = self.fleet.registry.get(device_id)
-        self.fleet.registry.save(record)
-        return result, record
-
     async def attest(self, device_ids: Optional[Sequence[str]] = None
                      ) -> List[dict]:
-        """Concurrent sweep; ONE flush after the gather (durability
-        point), mirroring the sync ``attest_all`` batch rule."""
+        """One heartbeat per device, in request order, in ONE executor
+        call that ends with ONE flush (durability point), mirroring the
+        sync ``attest_all`` batch rule."""
         self._check_free()
         ids = (list(device_ids) if device_ids is not None
                else self.fleet.registry.ids())
         unknown = [i for i in ids if i not in self.fleet.agents]
         if unknown:
             raise KeyError(f"no simulated device for {unknown[0]!r}")
-        outcomes = await asyncio.gather(
-            *(self.attest_one(device_id) for device_id in ids))
-        await self._run_blocking(self.fleet.registry.flush)
-        return [
-            {"device": device_id, "ok": result.ok, "detail": result.detail,
-             "attempts": result.attempts, "state": record.state.value,
-             "nonce_high_water": record.nonce_high_water}
-            for device_id, (result, record) in zip(ids, outcomes)
-        ]
+        self._enter()
+        try:
+            return await self._run_blocking(self._attest_sync, ids)
+        finally:
+            self._exit()
+
+    def _attest_sync(self, ids: List[str]) -> List[dict]:
+        registry, locks = self.fleet.registry, self._device_locks
+        docs = []
+        for device_id in ids:
+            # setdefault is atomic: overlapping requests get one lock.
+            with locks.setdefault(device_id, threading.Lock()):
+                result = self.fleet.session(device_id).attest()
+                record = registry.get(device_id)
+                registry.save(record)
+                docs.append({
+                    "device": device_id, "ok": result.ok,
+                    "detail": result.detail, "attempts": result.attempts,
+                    "state": record.state.value,
+                    "nonce_high_water": record.nonce_high_water})
+        registry.flush()
+        return docs
 
     async def enroll(self, count: int = 0,
                      device_ids: Optional[Sequence[str]] = None
@@ -169,11 +161,13 @@ class AsyncFleetPump:
                             resume: bool = False,
                             device_ids: Optional[Sequence[str]] = None):
         """Launch a campaign on an executor thread; return
-        ``(campaign_id, future)`` as soon as the id is minted.
+        ``(start_doc, future)`` as soon as its id is minted.
 
-        The id is published on the event bus (``campaign-start``)
-        before the first wave runs; an empty campaign never mints one,
-        so the wait also resolves when the campaign future completes.
+        The ``campaign-start`` document (its ``campaign`` id and
+        ``seq``) is published on the event bus before the first wave
+        runs; an empty campaign never mints one -- *start_doc* is then
+        None -- so the wait also resolves when the campaign future
+        completes.
         """
         self._check_free()
         # Exchanges already in flight finish first: a campaign must see
@@ -185,8 +179,7 @@ class AsyncFleetPump:
         def _capture(doc):
             if not started.done():
                 loop.call_soon_threadsafe(
-                    lambda: started.done() or started.set_result(
-                        doc["campaign"]))
+                    lambda: started.done() or started.set_result(doc))
 
         subscription = self.fleet.events.bus.subscribe(
             _capture, kinds=("campaign-start",))
@@ -202,11 +195,11 @@ class AsyncFleetPump:
         future.add_done_callback(_unsubscribe)
         await asyncio.wait({started, future},
                            return_when=asyncio.FIRST_COMPLETED)
-        if started.done():
-            self._campaign_id = started.result()
-        else:
+        if not started.done():
             started.cancel()
-        return self._campaign_id, future
+            return None, future
+        self._campaign_id = started.result()["campaign"]
+        return started.result(), future
 
     # ---- shutdown --------------------------------------------------------
 

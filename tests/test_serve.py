@@ -10,20 +10,25 @@ captured report replayed into the stream mid-sweep.
 """
 
 import asyncio
+import gc
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fleet.campaign import CampaignConfig, CampaignStatus
 from repro.fleet.protocol import VERIFIER_ID, MsgKind, SignedReport
 from repro.fleet.registry import Lifecycle
 from repro.fleet.simulation import FleetSimulation
 from repro.fleet.store import JsonlStore, SqliteStore
+from repro.obs.metrics import METRICS
 from repro.serve import (
     AsyncFleetPump,
     DaemonThread,
@@ -34,6 +39,7 @@ from repro.serve import (
     ShardRouter,
     open_sharded_store,
 )
+from repro.serve import daemon as daemon_module
 from repro.serve.client import collect
 
 
@@ -272,8 +278,9 @@ class TestAsyncSyncParity:
         assert concurrent[victim][2] == Lifecycle.QUARANTINED.value
 
     def test_per_device_ordering_is_preserved(self):
-        """Many concurrent attests against ONE device serialise: every
-        exchange consumes a fresh nonce, none collide."""
+        """Many concurrent attest requests against ONE device
+        serialise: every exchange consumes a fresh nonce, none
+        collide."""
         fleet = FleetSimulation(size=3)
         device_id = fleet.registry.ids()[0]
 
@@ -281,16 +288,69 @@ class TestAsyncSyncParity:
             pump = AsyncFleetPump(fleet)
             try:
                 return await asyncio.gather(
-                    *(pump.attest_one(device_id) for _ in range(8)))
+                    *(pump.attest([device_id]) for _ in range(8)))
             finally:
                 pump.close()
 
         outcomes = asyncio.run(_run())
-        assert all(result.ok for result, _record in outcomes)
+        assert all(doc["ok"] for (doc,) in outcomes)
         record = fleet.registry.get(device_id)
         # enroll + 8 attests, each exactly one nonce
         assert record.nonce_high_water == 9
         assert record.attest_count == 8
+
+    def test_crossed_requests_do_not_deadlock(self):
+        """[a, b] and [b, a] at once, on more pump threads than cores
+        and a short switch interval: each request holds one device lock
+        at a time, so neither waits on the other forever, and each
+        device's nonce advances exactly once per request."""
+        fleet = FleetSimulation(size=3)
+        first, second = fleet.registry.ids()[:2]
+
+        async def _run():
+            pump = AsyncFleetPump(fleet, max_workers=8)
+            try:
+                return await asyncio.wait_for(asyncio.gather(
+                    *(pump.attest(ids) for ids in
+                      [[first, second], [second, first]] * 8)), 60)
+            finally:
+                pump.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = asyncio.run(_run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(doc["ok"] for docs in outcomes for doc in docs)
+        for device_id in (first, second):
+            record = fleet.registry.get(device_id)
+            assert record.attest_count == 16
+            assert record.nonce_high_water == 17
+
+    def test_sweep_overlapping_single_attests(self):
+        fleet = FleetSimulation(size=12)
+        ids = fleet.registry.ids()
+        singles = ids[::3]
+
+        async def _run():
+            pump = AsyncFleetPump(fleet, max_workers=4)
+            try:
+                return await asyncio.wait_for(asyncio.gather(
+                    pump.attest(), *(pump.attest([device_id])
+                                     for device_id in singles)), 60)
+            finally:
+                pump.close()
+
+        sweep, *single_docs = asyncio.run(_run())
+        assert [doc["device"] for doc in sweep] == ids
+        assert all(doc["ok"] for doc in sweep)
+        assert all(docs[0]["ok"] for docs in single_docs)
+        for device_id in ids:
+            record = fleet.registry.get(device_id)
+            expected = 2 if device_id in singles else 1
+            assert record.attest_count == expected
+            assert record.nonce_high_water == 1 + expected
 
     def test_rollout_holds_the_fleet_exclusively(self):
         fleet = FleetSimulation(size=4)
@@ -317,8 +377,8 @@ class TestAsyncSyncParity:
 @pytest.fixture()
 def daemon_fleet():
     fleet = FleetSimulation(size=16)
-    with DaemonThread(fleet) as thread:
-        yield fleet, FleetClient(thread.url)
+    with DaemonThread(fleet) as thread, FleetClient(thread.url) as client:
+        yield fleet, client
 
 
 class TestDaemonApi:
@@ -454,6 +514,293 @@ class TestDaemonApi:
         with pytest.raises(ServeError) as excinfo:
             client.rollout(1, waves=[0.5])  # must end at 1.0
         assert excinfo.value.status == 400
+
+
+def _raw_exchange(port: int, payload: bytes, timeout: float = 10.0
+                  ) -> bytes:
+    """Send *payload*, half-close, and read until the daemon closes.
+    A reset (ConnectionResetError) is never a clean close: it fails."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _parse_responses(data: bytes):
+    """Split a connection's bytes into well-formed responses:
+    ``[(status, headers, body)]``; an AssertionError if any is not."""
+    responses = []
+    while data:
+        head, separator, rest = data.partition(b"\r\n\r\n")
+        assert separator, f"truncated response head {data[:80]!r}"
+        lines = head.decode("latin-1").split("\r\n")
+        version, status, _reason = lines[0].split(" ", 2)
+        assert version == "HTTP/1.1"
+        headers = {name.strip().lower(): value.strip() for name, _, value
+                   in (line.partition(":") for line in lines[1:])}
+        if "content-length" in headers:
+            length = int(headers["content-length"])
+            body, data = rest[:length], rest[length:]
+            assert len(body) == length, "truncated response body"
+            if headers["content-type"] == "application/json":
+                json.loads(body)  # raises unless well formed
+        else:  # a close-delimited JSONL stream
+            assert headers["connection"] == "close"
+            body, data = rest, b""
+            for line in body.splitlines():
+                json.loads(line)
+        responses.append((int(status), headers, body))
+    return responses
+
+
+def _http(path: str, body: bytes = b"", method: str = "POST",
+          headers: str = "") -> bytes:
+    length = f"Content-Length: {len(body)}\r\n" if body else ""
+    return (f"{method} {path} HTTP/1.1\r\nHost: x\r\n{headers}{length}"
+            f"\r\n").encode() + body
+
+
+class TestMalformedRequests:
+    """Each of these once closed the socket with no status line (or,
+    for the string ids, enrolled ``a``, ``b``, ``c``).  Every one is a
+    400 now, the connection closes only when its framing is bad, and
+    the daemon keeps serving."""
+
+    def _answer(self, daemon_fleet, payload: bytes):
+        _fleet, client = daemon_fleet
+        (status, headers, body), = _parse_responses(
+            _raw_exchange(client.port, payload))
+        assert json.loads(body)["schema"] == "eilid.serve.error"
+        assert client.status()["ready"] is True
+        return status, headers.get("connection")
+
+    def test_non_numeric_content_length(self, daemon_fleet):
+        payload = _http("/attest", headers="Content-Length: abc\r\n")
+        assert self._answer(daemon_fleet, payload) == (400, "close")
+
+    def test_negative_content_length(self, daemon_fleet):
+        payload = _http("/attest", headers="Content-Length: -5\r\n")
+        assert self._answer(daemon_fleet, payload) == (400, "close")
+
+    def test_header_over_the_reader_limit(self, daemon_fleet):
+        payload = _http("/status", method="GET",
+                        headers=f"X-Big: {'a' * 70_000}\r\n")
+        assert self._answer(daemon_fleet, payload) == (400, "close")
+
+    def test_oversized_body_still_gets_its_400(self, daemon_fleet):
+        """The body is refused unread; closing on that unread input
+        must not reset the connection before the 400 is read."""
+        payload = _http("/attest", b"x" * (daemon_module.MAX_BODY_BYTES + 1))
+        assert self._answer(daemon_fleet, payload) == (400, "close")
+
+    def test_body_that_is_not_an_object(self, daemon_fleet):
+        payload = _http("/attest", b"[1,2]")
+        assert self._answer(daemon_fleet, payload) == (400, None)
+
+    def test_device_ids_not_a_list(self, daemon_fleet):
+        payload = _http("/attest", b'{"device_ids": 5}')
+        assert self._answer(daemon_fleet, payload) == (400, None)
+
+    def test_waves_not_a_list(self, daemon_fleet):
+        payload = _http("/rollout", b'{"version": 2, "waves": 5}')
+        assert self._answer(daemon_fleet, payload) == (400, None)
+
+    def test_string_device_ids_enroll_nothing(self, daemon_fleet):
+        fleet, _client = daemon_fleet
+        payload = _http("/enroll", b'{"device_ids": "abc"}')
+        assert self._answer(daemon_fleet, payload) == (400, None)
+        assert len(fleet.registry) == 16
+
+    def test_string_device_ids_on_attest(self, daemon_fleet):
+        payload = _http("/attest", b'{"device_ids": "abc"}')
+        assert self._answer(daemon_fleet, payload) == (400, None)
+
+
+class TestPersistentConnections:
+    def test_json_calls_share_one_connection(self, daemon_fleet):
+        fleet, client = daemon_fleet
+        connections = METRICS.counter("serve.connections")
+        requests = METRICS.counter("serve.requests")
+        client.status()
+        client.attest(fleet.registry.ids()[:2])
+        client.attest()
+        client.metrics()
+        client.status()
+        assert METRICS.counter("serve.requests") - requests == 5
+        assert METRICS.counter("serve.connections") - connections == 1
+
+    def test_stop_with_an_idle_client_is_prompt(self):
+        thread = DaemonThread(FleetSimulation(size=4))
+        with FleetClient(thread.url) as client:
+            client.status()  # leaves the kept-alive connection idle
+            started = time.perf_counter()
+            thread.stop()
+            assert time.perf_counter() - started < 1.0
+
+    def test_idle_closed_connection_is_retried_once(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "REQUEST_TIMEOUT_S", 0.2)
+        with DaemonThread(FleetSimulation(size=4)) as thread, \
+                FleetClient(thread.url) as client:
+            connections = METRICS.counter("serve.connections")
+            assert client.status()["ready"] is True
+            time.sleep(0.6)  # the daemon closes the idle connection
+            assert client.status()["ready"] is True
+            assert METRICS.counter("serve.connections") - connections == 2
+
+    def test_only_a_reused_connection_is_retried(self):
+        """A server that answers one request, then reads each request
+        and hangs up unanswered: the reused connection's failure is
+        resent once on a fresh connection, which fails and is not
+        resent again; a fresh connection's failure is not resent."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        stop = threading.Event()
+        accepted = []
+        answer = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                  b"Content-Length: 2\r\n\r\n{}")
+
+        def _serve():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                with conn:
+                    conn.settimeout(5)
+                    accepted.append(conn)
+                    conn.recv(1 << 16)
+                    if len(accepted) == 1:
+                        conn.sendall(answer)
+                        conn.recv(1 << 16)
+
+        server = threading.Thread(target=_serve, daemon=True)
+        server.start()
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            with FleetClient(url, timeout=10) as client:
+                assert client.status() == {}
+                with pytest.raises(ConnectionError):
+                    client.status()
+                assert len(accepted) == 2
+            with FleetClient(url, timeout=10) as client, \
+                    pytest.raises(ConnectionError):
+                client.status()
+            assert len(accepted) == 3
+        finally:
+            stop.set()
+            server.join(5)
+            listener.close()
+
+
+class TestCampaignStreamCursor:
+    def test_stream_starts_at_the_campaign_start(self):
+        fleet = FleetSimulation(size=8)
+        for _ in range(5):
+            fleet.attest_all()  # earlier events the stream must skip
+        with DaemonThread(fleet) as thread, \
+                FleetClient(thread.url) as client:
+            asked = []
+            tail = fleet.events.tail
+            fleet.events.tail = lambda since_seq=0: (
+                asked.append(since_seq) or tail(since_seq=since_seq))
+            campaign_id = client.rollout(1, waves=[0.5, 1.0])["campaign"]
+            streamed = collect(client.campaign_events(campaign_id))
+            client.wait_campaign(campaign_id)
+        start_seq = int(campaign_id[1:])
+        assert start_seq > 40
+        assert streamed == fleet.events.events(campaign=campaign_id)
+        assert streamed[0]["seq"] == start_seq
+        assert asked and min(asked) == start_seq - 1
+
+
+# ---- the socket boundary, fuzzed ---------------------------------------------
+
+
+_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                 max_size=12)
+_LINE = st.text(st.characters(min_codepoint=32, max_codepoint=255),
+                max_size=40)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["dev-00000", "dev-00003", "nope"]) | _LINE,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TOKEN, inner, max_size=3),
+    max_leaves=8)
+# Bodies that name the fields the handlers read, with any JSON values.
+_BODY = st.fixed_dictionaries({"device_ids": _JSON}, optional={
+    key: _JSON for key in ("count", "version", "waves")}) | _JSON
+
+
+@st.composite
+def _requests(draw):
+    """Arbitrary request lines, headers, Content-Length values and
+    bodies -- never a POST to /enroll or /rollout, never a follow.
+    Each part is well formed but one time in eight, so many requests
+    reach a handler with a hostile body."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=300))
+
+    def part(usual, arbitrary):
+        corrupt = draw(st.sampled_from([False] * 7 + [True]))
+        return draw(arbitrary if corrupt else usual)
+
+    method = part(st.sampled_from(["POST", "GET", "PUT"]), _TOKEN)
+    path = part(st.sampled_from(
+        ["/attest", "/status", "/events", "/metrics", "/campaigns/c1",
+         "/campaigns/c1/events", "/enroll", "/rollout", "/nope"]), _TOKEN)
+    if method == "POST" and path in ("/enroll", "/rollout"):
+        path = "/attest"
+    target = path + part(st.just(""), st.sampled_from(
+        ["?since=0", "?since=abc", "?since=-3", "?x=%zz&y", "?" + "a" * 9]))
+    version = part(st.just("HTTP/1.1"),
+                   st.sampled_from(["HTTP/1.0", "HTTP/9", ""]))
+    body = part(_BODY.map(lambda doc: json.dumps(doc).encode()),
+                st.binary(max_size=80))
+    headers = part(st.just([]), st.lists(st.tuples(
+        st.sampled_from(["Connection", "Content-Type", "Host",
+                         "Transfer-Encoding"]) | _TOKEN, _LINE),
+        max_size=3))
+    length = part(st.just("exact"), st.sampled_from(
+        ["none", "short", "long", "-5", "abc", "+1", " 1"]) | _LINE)
+    if length != "none":
+        value = {"exact": len(body), "short": max(0, len(body) - 3),
+                 "long": len(body) + 3}.get(length, length)
+        headers.append(("Content-Length", str(value)))
+    head = f"{method} {target} {version}\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in headers)
+    return head.encode("latin-1") + b"\r\n" + body
+
+
+def test_socket_boundary_fuzz():
+    """Whatever bytes arrive, every connection gets well-formed
+    responses (200/400/404/405/409) or a clean close, nothing reaches
+    the loop's exception handler, and the daemon keeps serving."""
+    errors = []
+    with DaemonThread(FleetSimulation(size=4)) as thread, \
+            FleetClient(thread.url) as client:
+        thread.daemon._loop.set_exception_handler(
+            lambda _loop, context: errors.append(context))
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(payload=_requests())
+        def check(payload):
+            if b"follow" in payload:
+                return  # a followed stream never ends
+            for status, _headers, _body in _parse_responses(
+                    _raw_exchange(client.port, payload)):
+                assert status in (200, 400, 404, 405, 409), payload
+
+        check()
+        gc.collect()
+        assert client.status()["ready"] is True
+    assert errors == []
 
 
 class TestDaemonShutdown:
