@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from repro.errors import ReproError
+
 SCHEMA = "eilid.scenario"
 SPEC_VERSION = 1
 
@@ -42,8 +44,12 @@ PERIPHERAL_CONFIG_KEYS = {
 PERIPHERAL_NAMES = tuple(PERIPHERAL_CONFIG_KEYS)
 
 
-class SpecError(ValueError):
-    """A scenario field failed validation; ``.field`` names it."""
+class SpecError(ReproError, ValueError):
+    """A scenario field failed validation; ``.field`` names it.
+
+    A :class:`ReproError`, like every typed error at an input boundary,
+    and still a ``ValueError`` for callers that catch that.
+    """
 
     def __init__(self, field_name: str, message: str):
         self.field = field_name
@@ -51,6 +57,8 @@ class SpecError(ValueError):
 
 
 def _check_keys(data: dict, allowed, field_name: str):
+    _require(isinstance(data, dict), field_name,
+             f"must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise SpecError(

@@ -32,6 +32,7 @@ CLI: ``eilid cfg build|verify-trace|diff`` (see :mod:`repro.cli`).
 
 from repro.cfg.policy import (
     CfiPolicy,
+    PolicyError,
     Transfer,
     compile_policy,
     diff_against_listing,
@@ -67,6 +68,7 @@ __all__ = [
     "CfiPolicy",
     "DecodedInsn",
     "FunctionCfg",
+    "PolicyError",
     "RecoveredCfg",
     "ReplayResult",
     "TraceReplayer",

@@ -27,13 +27,19 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cfg.recover import RecoveredCfg, TransferKind, recover_cfg
+from repro.cfg.recover import CfgError, RecoveredCfg, TransferKind, recover_cfg
 from repro.toolchain.listing import parse_listing
 
 POLICY_FORMAT = "eilid-cfi-policy/1"
 
 # Transfer kinds as stored in the artifact (enum values).
 _KIND_VALUES = {kind.value: kind for kind in TransferKind}
+
+
+class PolicyError(CfgError, ValueError):
+    """A policy document that does not parse: bad JSON, the wrong
+    format, or a malformed field.  Still a ``ValueError`` for callers
+    that catch that."""
 
 
 @dataclass(frozen=True)
@@ -96,32 +102,44 @@ class CfiPolicy:
 
     @staticmethod
     def from_dict(data: dict) -> "CfiPolicy":
+        if not isinstance(data, dict):
+            raise PolicyError(f"a policy document must be a JSON object, "
+                              f"got {type(data).__name__}")
         if data.get("format") != POLICY_FORMAT:
-            raise ValueError(f"unsupported policy format {data.get('format')!r}")
-        transfers = {}
-        for key, (kind, target, return_site) in data["transfers"].items():
-            if kind not in _KIND_VALUES:
-                raise ValueError(f"unknown transfer kind {kind!r}")
-            transfers[int(key, 16)] = Transfer(kind, target, return_site)
-        return CfiPolicy(
-            name=data["name"],
-            entry=data["entry"],
-            transfers=transfers,
-            return_sites=frozenset(data["return_sites"]),
-            indirect_targets=frozenset(data["indirect_targets"]),
-            indirect_from_table=data["indirect_from_table"],
-            function_entries=tuple(
-                (addr, name) for addr, name in data["function_entries"]
-            ),
-            isr_handlers={int(v): h for v, h in data["isr_handlers"].items()},
-            reti_sites=frozenset(data["reti_sites"]),
-            code_ranges=tuple(tuple(span) for span in data["code_ranges"]),
-            halt_address=data["halt_address"],
-        )
+            raise PolicyError(f"unsupported policy format {data.get('format')!r}")
+        try:
+            transfers = {}
+            for key, (kind, target, return_site) in data["transfers"].items():
+                if kind not in _KIND_VALUES:
+                    raise PolicyError(f"unknown transfer kind {kind!r}")
+                transfers[int(key, 16)] = Transfer(kind, target, return_site)
+            return CfiPolicy(
+                name=data["name"],
+                entry=data["entry"],
+                transfers=transfers,
+                return_sites=frozenset(data["return_sites"]),
+                indirect_targets=frozenset(data["indirect_targets"]),
+                indirect_from_table=data["indirect_from_table"],
+                function_entries=tuple(
+                    (addr, name) for addr, name in data["function_entries"]
+                ),
+                isr_handlers={int(v): h for v, h in data["isr_handlers"].items()},
+                reti_sites=frozenset(data["reti_sites"]),
+                code_ranges=tuple(tuple(span) for span in data["code_ranges"]),
+                halt_address=data["halt_address"],
+            )
+        except PolicyError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise PolicyError(f"malformed policy document: {error!r}") from None
 
     @staticmethod
     def from_json(text: str) -> "CfiPolicy":
-        return CfiPolicy.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as error:
+            raise PolicyError(f"policy is not valid JSON: {error}") from None
+        return CfiPolicy.from_dict(data)
 
 
 def compile_policy(cfg: RecoveredCfg, symbols: Optional[dict] = None) -> CfiPolicy:

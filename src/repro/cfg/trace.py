@@ -164,8 +164,9 @@ def capture_trace(device, steps, max_cycles=None,
 class BranchTraceRecorder:
     """Bounded ring of taken control-flow edges with a rolling digest.
 
-    Installed as ``Cpu.trace_sink``; :meth:`observe` is on the per-step
-    hot path, so the no-edge case returns after one size computation.
+    Installed as ``Cpu.trace_sink``; the CPU calls :meth:`observe` only
+    for steps that can be edges, and each edge costs three calls:
+    :meth:`observe`, :func:`classify_step` and :meth:`record_edge`.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -185,13 +186,19 @@ class BranchTraceRecorder:
             self.record_edge(*edge)
 
     def record_edge(self, src: int, dst: int, kind: str):
-        if len(self._edges) == self.capacity:
+        edges = self._edges
+        if len(edges) == self.capacity:
             # The leftmost entry is about to be evicted; its chain value
             # becomes the new prefix so snapshots stay verifiable.
-            self._prefix = self._edges[0][3]
+            self._prefix = edges[0][3]
             self.dropped += 1
-        self._digest = chain_edge(self._digest, src, dst, kind)
-        self._edges.append((src, dst, kind, self._digest))
+        # chain_edge, folded inline (one call per edge, not four); one
+        # mask per product equals _fold's, as the fold works mod 2**64.
+        digest = ((self._digest ^ src) * _FNV_PRIME) & _MASK64
+        digest = ((digest ^ dst) * _FNV_PRIME) & _MASK64
+        digest = ((digest ^ EDGE_KIND_CODES[kind]) * _FNV_PRIME) & _MASK64
+        self._digest = digest
+        edges.append((src, dst, kind, digest))
         self.total += 1
 
     def inject_edge(self, src: int, dst: int, kind: str):

@@ -43,6 +43,7 @@ from repro.cpu import Cpu, InterruptController
 from repro.cpu.core import StepKind
 from repro.eilid.trusted_sw import AttestationReport, TrustedSoftware
 from repro.errors import UpdateError
+from repro.isa.registers import PC
 from repro.memory.bus import Bus
 from repro.obs.metrics import METRICS
 from repro.peripherals import (
@@ -57,6 +58,10 @@ from repro.peripherals import (
 )
 
 SECURITY_LEVELS = ("none", "casu", "eilid")
+
+_ILLEGAL = StepKind.ILLEGAL
+# The loop bound standing for "no bound" (max_cycles/max_steps None).
+_UNBOUNDED = 1 << 62
 
 
 @dataclass
@@ -350,42 +355,40 @@ class Device:
             self.events_dropped = doc["events_dropped"]
             self.violation_count = doc["violation_count"]
             self.violation_totals = dict(doc["violation_totals"])
-        except (KeyError, ValueError, TypeError) as error:
+        except (KeyError, IndexError, ValueError, TypeError,
+                AttributeError) as error:
+            # What walking a malformed doc raises: a missing key, a
+            # short list, a bad value, or a section of the wrong type.
             raise SnapshotError(f"malformed device snapshot: {error!r}")
         self.bus.current_pc = self.cpu.pc
-        self.bus.trace.clear()
+        self.bus.trace = []
 
     # ---- stepping ----------------------------------------------------------------
 
     def step(self):
-        """One monitored step. Returns (record, violation_or_None)."""
-        cpu = self.cpu
-        record = cpu.step()
-        clock = self.clock
-        clock.cycle += record.cycles
-        if clock.cycle >= clock.due:
-            clock.catch_up()
-        monitor = self.monitor
-        if monitor is None:
-            if record.kind is StepKind.ILLEGAL:
-                # Without a monitor an illegal opcode just spins the PC
-                # past the bad word, like a real core executing garbage.
-                cpu.pc = record.pc + 2
-            return record, None
-        violation = monitor.observe(record)
-        if violation is not None:
-            # The violating cycle never commits: undo its memory writes
-            # and drop the peripheral log entries stamped with its start
-            # cycle.  Its register changes die with the reset.
-            self.bus.rollback_writes(record.accesses)
-            for peripheral in self.peripherals.values():
-                peripheral.void_since(clock.cycle - record.cycles)
-            self.violation_count += 1
-            reason = violation.reason.value
-            self.violation_totals[reason] = self.violation_totals.get(reason, 0) + 1
-            self._log_event(DeviceEvent("violation", self.cycle, violation))
-            self.hard_reset()
-        return record, violation
+        """One monitored step: the body of :meth:`_run_loop`, run once.
+        Returns ``(record, violation_or_None)``."""
+        seen = []
+        self._run_loop(None, False, False, 1, None,
+                       lambda record, violation: seen.append((record, violation)))
+        return seen[0]
+
+    def _void_step(self, record, violation: Violation):
+        """The violation path: the violating cycle never commits.
+
+        Undo its memory writes and drop the peripheral log entries
+        stamped with its start cycle (its register changes die with the
+        reset), count and log the violation, and reset the MCU.
+        """
+        self.bus.rollback_writes(record.accesses)
+        start_cycle = self.clock.cycle - record.cycles
+        for peripheral in self.peripherals.values():
+            peripheral.void_since(start_cycle)
+        self.violation_count += 1
+        reason = violation.reason.value
+        self.violation_totals[reason] = self.violation_totals.get(reason, 0) + 1
+        self._log_event(DeviceEvent("violation", self.cycle, violation))
+        self.hard_reset()
 
     def hard_reset(self):
         self.reset_count += 1
@@ -406,8 +409,9 @@ class Device:
         ``(StepRecord, violation_or_None)`` -- the hook the trace
         oracles in :mod:`repro.verification` attach to.
         """
-        return self._run_loop(max_cycles, stop_on_done, stop_on_violation,
-                              max_steps, break_at, observer)
+        return self._caught_up_run(max_cycles, stop_on_done,
+                                   stop_on_violation, max_steps, break_at,
+                                   observer)
 
     def run_steps(self, n, max_cycles=None, stop_on_done=True,
                   stop_on_violation=True):
@@ -415,9 +419,9 @@ class Device:
 
         The fleet waves (:mod:`repro.fleet.simulation`) and trace
         capture (:mod:`repro.cfg.trace`) drive millions of device steps;
-        this entry point amortizes the per-step Python overhead (no
-        observer or breakpoint hooks, attribute lookups hoisted) while
-        keeping the exact monitored-step semantics of :meth:`step`.
+        this entry point skips the public :meth:`run` (no observer or
+        breakpoint hooks) while keeping the exact monitored-step
+        semantics of :meth:`step`.
 
         Instrumentation lives at this batch boundary -- one enabled
         check per call, never inside the step loop -- so the disabled
@@ -425,44 +429,78 @@ class Device:
         throughput floors hold either way.
         """
         if not METRICS.enabled:
-            return self._run_loop(max_cycles, stop_on_done,
-                                  stop_on_violation, n, None, None)
+            return self._caught_up_run(max_cycles, stop_on_done,
+                                       stop_on_violation, n, None, None)
         with METRICS.span("interpreter.batch"):
-            result = self._run_loop(max_cycles, stop_on_done,
-                                    stop_on_violation, n, None, None)
+            result = self._caught_up_run(max_cycles, stop_on_done,
+                                         stop_on_violation, n, None, None)
         METRICS.inc("interpreter.batches")
         METRICS.inc("interpreter.steps", result.steps)
         return result
 
+    def _caught_up_run(self, *loop_args) -> RunResult:
+        """:meth:`_run_loop` with the peripherals caught up on both
+        sides: plan afresh first, since peripheral state may have been
+        edited between runs (the fault injector corrupts a timer count,
+        a UART FIFO), and leave them exact for whoever inspects them."""
+        self.clock.catch_up()
+        result = self._run_loop(*loop_args)
+        self.clock.catch_up()
+        return result
+
     def _run_loop(self, max_cycles, stop_on_done, stop_on_violation,
-                  max_steps, break_at, observer):
-        # Plan afresh: peripheral state may have been edited between
-        # runs (the fault injector corrupts a timer count, a UART FIFO).
+                  max_steps, break_at, observer) -> RunResult:
+        """Every monitored step runs here, whichever API drives it.
+
+        *max_cycles* and *max_steps* bound the run (``None`` for no
+        bound).  Per step: one ``Cpu.step``, the clock advance (ticking
+        peripherals only at their deadline), one monitor ``observe`` --
+        or, without a monitor, the illegal-opcode PC spin -- and on a
+        violation :meth:`_void_step`.  Peripherals are not caught up
+        at the ends; :meth:`_caught_up_run` does that for runs.
+        """
         clock = self.clock
-        clock.catch_up()
-        start_cycle = clock.cycle
-        start_insns = self.cpu.instruction_count
-        budget = float("inf") if max_cycles is None else max_cycles
-        limit = float("inf") if max_steps is None else max_steps
+        cpu = self.cpu
+        harness = self._harness
+        # Bound per run, never at construction, so a wrapper installed
+        # on the class after this device was built sees every call.
+        cpu_step = cpu.step
+        observe = None if self.monitor is None else self.monitor.observe
+        start_cycle = cycle = clock.cycle
+        start_insns = cpu.instruction_count
+        # Int bounds: no int-to-float comparison per step.
+        cycle_end = start_cycle + (_UNBOUNDED if max_cycles is None
+                                   else max_cycles)
+        step_end = _UNBOUNDED if max_steps is None else max_steps
         steps = 0
         violations: List[Violation] = []
-        step = self.step
-        harness = self._harness
-        cpu = self.cpu
-        while clock.cycle - start_cycle < budget and steps < limit:
-            record, violation = step()
+        while cycle < cycle_end and steps < step_end:
+            record = cpu_step()
+            clock.cycle = cycle = clock.cycle + record.cycles
+            if cycle >= clock.due:
+                clock.catch_up()
+            steps += 1
+            if observe is None:
+                violation = None
+                if record.kind is _ILLEGAL:
+                    # Without a monitor an illegal opcode just spins the
+                    # PC past the bad word, like a real core executing
+                    # garbage.
+                    cpu.pc = record.pc + 2
+            else:
+                violation = observe(record)
+                if violation is not None:
+                    self._void_step(record, violation)
             if observer is not None:
                 observer(record, violation)
-            steps += 1
             if violation is not None:
                 violations.append(violation)
                 if stop_on_violation:
                     break
             if stop_on_done and harness.done:
                 break
-            if break_at is not None and cpu.pc in break_at:
+            if break_at is not None and cpu.regs[PC] in break_at:
                 break
-        clock.catch_up()
         return RunResult(
             cycles=clock.cycle - start_cycle,
             instructions=cpu.instruction_count - start_insns,
@@ -480,7 +518,10 @@ class Device:
 
         Pushes ``__halt`` as the return address, jumps to *symbol*, and
         steps until the routine returns (or a violation resets).
-        Returns the violation list collected on the way.
+        Returns the violation list collected on the way.  The steps run
+        in :meth:`_run_loop`, not :meth:`run`: a routine call is neither
+        a run nor a breakpoint stop, and it leaves the peripherals as
+        lazily ticked as single steps do.
         """
         sentinel = self.symbol("__halt")
         self.cpu.set_reg(1, self.layout.stack_top)
@@ -488,15 +529,8 @@ class Device:
             self.cpu.set_reg(reg, value)
         self.cpu._push(sentinel)
         self.cpu.pc = self.symbol(symbol)
-        violations = []
-        for _ in range(max_steps):
-            _record, violation = self.step()
-            if violation is not None:
-                violations.append(violation)
-                break
-            if self.cpu.pc == sentinel:
-                break
-        return violations
+        return self._run_loop(None, False, True, max_steps, {sentinel},
+                              None).violations
 
     # ---- CASU secure update ------------------------------------------------------------
 

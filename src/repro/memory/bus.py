@@ -56,6 +56,15 @@ class Access(NamedTuple):
         return f"{self.kind.value.upper():5s} 0x{self.addr:04x} = 0x{self.value:04x} (pc=0x{self.pc:04x})"
 
 
+# The accessors build their records with ``tuple.__new__``: every
+# field in order, ``prev`` included, and no Python-level ``__new__``
+# frame per access.
+_new_access = tuple.__new__
+_FETCH = AccessKind.FETCH
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+
+
 class Bus:
     """Flat memory plus peripheral dispatch and access recording."""
 
@@ -196,7 +205,8 @@ class Bus:
         addr &= 0xFFFE
         mem = self.mem
         value = mem[addr] | (mem[addr + 1] << 8)
-        self.trace.append(Access(AccessKind.FETCH, addr, value, 2, self.current_pc))
+        self.trace.append(_new_access(
+            Access, (_FETCH, addr, value, 2, self.current_pc, None)))
         return value
 
     def read_word(self, addr):
@@ -215,7 +225,8 @@ class Bus:
         else:
             mem = self.mem
             value = mem[addr] | (mem[addr + 1] << 8)
-        self.trace.append(Access(AccessKind.READ, addr, value, 2, self.current_pc))
+        self.trace.append(_new_access(
+            Access, (_READ, addr, value, 2, self.current_pc, None)))
         return value
 
     def read_byte(self, addr):
@@ -236,7 +247,8 @@ class Bus:
                 self._invalidate_code(addr)
         else:
             value = self.mem[addr]
-        self.trace.append(Access(AccessKind.READ, addr, value, 1, self.current_pc))
+        self.trace.append(_new_access(
+            Access, (_READ, addr, value, 1, self.current_pc, None)))
         return value
 
     def write_word(self, addr, value):
@@ -245,8 +257,9 @@ class Bus:
         addr &= 0xFFFE  # SLAU049: low address bit ignored on word access
         value &= 0xFFFF
         mem = self.mem
-        self.trace.append(Access(AccessKind.WRITE, addr, value, 2,
-                                 self.current_pc, mem[addr] | (mem[addr + 1] << 8)))
+        self.trace.append(_new_access(Access, (
+            _WRITE, addr, value, 2, self.current_pc,
+            mem[addr] | (mem[addr + 1] << 8))))
         mem[addr] = value & 0xFF
         mem[addr + 1] = value >> 8
         if addr in self._dcache_index:
@@ -261,8 +274,8 @@ class Bus:
             raise MemoryAccessError(f"access at 0x{addr:04x} outside address space")
         value &= 0xFF
         mem = self.mem
-        self.trace.append(Access(AccessKind.WRITE, addr, value, 1,
-                                 self.current_pc, mem[addr]))
+        self.trace.append(_new_access(Access, (
+            _WRITE, addr, value, 1, self.current_pc, mem[addr])))
         mem[addr] = value
         base = addr & 0xFFFE
         if base in self._dcache_index:
@@ -282,7 +295,7 @@ class Bus:
         """Undo the WRITE accesses of one step (hardware reset semantics:
         a violating instruction never commits)."""
         for access in reversed(accesses):
-            if access.kind is not AccessKind.WRITE or access.prev is None:
+            if access.kind is not _WRITE or access.prev is None:
                 continue
             if access.size == 2:
                 self.poke_word(access.addr, access.prev)
@@ -291,8 +304,3 @@ class Bus:
                 base = access.addr & 0xFFFE
                 if base in self._dcache_index:
                     self._invalidate_code(base)
-
-    def drain_trace(self):
-        """Return and clear the accesses recorded since the last drain."""
-        trace, self.trace = self.trace, []
-        return trace

@@ -22,6 +22,7 @@ from repro.api import (
     build_peripherals,
     run_scenario,
 )
+from repro.errors import ReproError
 
 MINI_C = """
 void main() {
@@ -209,6 +210,26 @@ class TestSpecRejection:
     def test_bad_json_text(self):
         self.assert_field("scenario",
                           lambda: ScenarioSpec.from_json("{nope"))
+
+    def test_spec_error_is_a_repro_error_and_a_value_error(self):
+        # ``except ReproError`` catches every typed boundary error.
+        with pytest.raises(ReproError):
+            app_spec(security="fortress").validate()
+        assert issubclass(SpecError, ValueError)
+
+    @pytest.mark.parametrize("section,value", [
+        ("firmware", []),  # was AttributeError
+        ("limits", 5),  # was TypeError
+        ("fleet", 5.0),  # was TypeError
+    ])
+    def test_non_object_sections(self, section, value):
+        self.assert_field(section,
+                          lambda: ScenarioSpec.from_dict({section: value}))
+
+    def test_non_object_rollout_section(self):
+        self.assert_field(
+            "fleet.rollout",
+            lambda: ScenarioSpec.from_dict({"fleet": {"rollout": []}}))
 
 
 class TestBuildDeviceShim:

@@ -18,6 +18,7 @@ from repro.apps.registry import APPS, TABLE_IV_ORDER
 from repro.cfg import (
     BranchTraceRecorder,
     CfiPolicy,
+    PolicyError,
     TraceReplayer,
     TransferKind,
     diff_against_listing,
@@ -27,6 +28,7 @@ from repro.cfg import (
     replay_trace,
 )
 from repro.device import build_device
+from repro.errors import ReproError
 from repro.fleet import CampaignConfig, FleetSimulation, Lifecycle
 
 
@@ -142,6 +144,18 @@ class TestPolicyArtifact:
     def test_format_guard(self):
         with pytest.raises(ValueError):
             CfiPolicy.from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize("text", [
+        "{",  # was JSONDecodeError
+        "[]",  # was AttributeError
+        "5",  # was AttributeError
+        '{"x": 1}',  # was a bare ValueError
+        '{"format": "eilid-cfi-policy/1"}',  # was KeyError
+    ])
+    def test_malformed_policy_json_raises_policy_error(self, text):
+        with pytest.raises(PolicyError) as excinfo:
+            CfiPolicy.from_json(text)
+        assert isinstance(excinfo.value, ReproError)
 
 
 # ---- trace recording --------------------------------------------------------

@@ -353,7 +353,7 @@ class TestAlignmentAndFaults:
         assert bus.peek_word(0x0202) == 0xCAFE
         assert bus.peek_byte(0x0204) == 0  # the next word is untouched
         # The monitors see the aligned (architectural) address.
-        write = [a for a in bus.drain_trace() if a.kind.value == "write"][-1]
+        write = [a for a in bus.trace if a.kind.value == "write"][-1]
         assert write.addr == 0x0202
 
     def test_word_access_at_top_of_memory_is_aligned_not_fault(self):
