@@ -49,7 +49,7 @@ def main():
     writer = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "fleet", "rollout",
          "--devices", str(FLEET), "--tamper-fraction", str(TAMPER),
-         "--failure-threshold", "0.5", "--alerts", "--batch-size", "16",
+         "--failure-threshold", "0.5", "--alerts",
          "--store", store, "--events", events, "--json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     print(f"   pid {writer.pid}, events -> {events}")

@@ -112,9 +112,6 @@ class AnalysisReport:
         """Clean enough to enroll: no critical findings."""
         return not self.criticals
 
-    def by_rule(self, rule: str) -> List[Finding]:
-        return [f for f in self.findings if f.rule == rule]
-
     # ---- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:

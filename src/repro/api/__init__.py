@@ -24,9 +24,9 @@ Stages can also be driven individually (``Session(spec).build()`` /
 typed dataclass carrying ``to_dict()``, and fleet-scale stages stream
 per-device records via ``attest_stream()`` / ``verify_stream()``.
 
-The older construction helpers (``repro.device.build_device``, direct
-``Device(...)``, ``repro.apps.run_app``) remain as thin shims for
-existing code and tests; new workloads should be specs, not code.
+Below the specs, :func:`repro.device.build_device` is the device
+constructor every path here ends in; code that already holds a linked
+program builds its devices with it directly.
 """
 
 from repro.api.firmware import (

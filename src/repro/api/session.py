@@ -302,7 +302,6 @@ class Session:
             failure_threshold=plan.failure_threshold,
             max_attempts=self.spec.fleet.max_attempts,
             workers=plan.workers,
-            batch_size=plan.batch_size,
             verify_after_wave=plan.verify_after_wave,
             backend=plan.backend,
             metrics_dump=plan.metrics_dump,

@@ -204,11 +204,12 @@ class LimitsSpec:
 class RolloutSpec:
     """One staged firmware campaign, including adversarial knobs.
 
-    ``backend`` picks the campaign executor: ``"thread"`` shares the
-    live simulated devices, ``"process"`` shards waves across worker
-    processes rebuilt from the firmware spec + fleet seed.  ``resume``
-    skips devices whose (durable) registry record already shows the
-    target version -- the continuation path after a killed campaign.
+    ``backend`` picks the campaign executor: ``"serial"`` offers to the
+    live simulated devices in turn, ``"process"`` shards waves across
+    ``workers`` processes rebuilt from the firmware spec + fleet seed
+    (0 = up to eight, one per CPU).  ``resume`` skips devices whose
+    (durable) registry record already shows the target version -- the
+    continuation path after a killed campaign.
     """
 
     version: int = 1
@@ -217,9 +218,8 @@ class RolloutSpec:
     tamper_fraction: float = 0.0
     rollback_fraction: float = 0.0
     workers: int = 0
-    batch_size: int = 32
     verify_after_wave: bool = False
-    backend: str = "thread"
+    backend: str = "serial"
     resume: bool = False
     # After every wave's durability flush, write the process metrics
     # snapshot to this path (``.prom`` suffix -> Prometheus text,
@@ -248,7 +248,6 @@ class RolloutSpec:
             _require(0.0 <= getattr(self, name) <= 1.0,
                      f"{prefix}.{name}", "must be in [0, 1]")
         _require(self.workers >= 0, f"{prefix}.workers", "must be >= 0")
-        _require(self.batch_size >= 1, f"{prefix}.batch_size", "must be >= 1")
         if self.metrics_dump is not None:
             _require(isinstance(self.metrics_dump, str) and self.metrics_dump,
                      f"{prefix}.metrics_dump",
@@ -263,7 +262,6 @@ class RolloutSpec:
             "tamper_fraction": self.tamper_fraction,
             "rollback_fraction": self.rollback_fraction,
             "workers": self.workers,
-            "batch_size": self.batch_size,
             "verify_after_wave": self.verify_after_wave,
             "backend": self.backend,
             "resume": self.resume,
@@ -274,8 +272,8 @@ class RolloutSpec:
     def from_dict(data: dict, prefix="fleet.rollout") -> "RolloutSpec":
         _check_keys(data, ("version", "wave_fractions", "failure_threshold",
                            "tamper_fraction", "rollback_fraction", "workers",
-                           "batch_size", "verify_after_wave", "backend",
-                           "resume", "metrics_dump"), prefix)
+                           "verify_after_wave", "backend", "resume",
+                           "metrics_dump"), prefix)
         return RolloutSpec(
             version=data.get("version", 1),
             wave_fractions=tuple(data.get("wave_fractions", (0.05, 0.25, 1.0))),
@@ -283,9 +281,8 @@ class RolloutSpec:
             tamper_fraction=data.get("tamper_fraction", 0.0),
             rollback_fraction=data.get("rollback_fraction", 0.0),
             workers=data.get("workers", 0),
-            batch_size=data.get("batch_size", 32),
             verify_after_wave=data.get("verify_after_wave", False),
-            backend=data.get("backend", "thread"),
+            backend=data.get("backend", "serial"),
             resume=data.get("resume", False),
             metrics_dump=data.get("metrics_dump"),
         )
@@ -299,10 +296,11 @@ class FaultSpec:
     """One seeded fault-injection sweep (see :mod:`repro.faults`).
 
     ``count=None`` sweeps every enumerated site; ``kinds``/``profiles``
-    default to the full set.  ``backend="process"`` runs the sweep on a
-    process pool by shipping device snapshots to the workers;
-    ``warmup_steps`` advances the honest device before the snapshot is
-    taken, so faults land mid-workload instead of at reset.
+    default to the full set.  The default ``backend="serial"`` grades
+    the faults in this process; ``backend="process"`` runs the sweep on
+    a pool of ``workers`` processes by shipping device snapshots to
+    them.  ``warmup_steps`` advances the honest device before the
+    snapshot is taken, so faults land mid-workload instead of at reset.
     """
 
     seed: int = 0
@@ -310,7 +308,7 @@ class FaultSpec:
     kinds: Tuple[str, ...] = ("imem-flip", "insn-skip", "reg-corrupt",
                               "periph-corrupt")
     profiles: Tuple[str, ...] = ("none", "casu", "eilid")
-    backend: str = "thread"
+    backend: str = "serial"
     workers: int = 4
     warmup_steps: int = 0
     max_cycles: int = 2_000_000
@@ -369,7 +367,7 @@ class FaultSpec:
             count=data.get("count"),
             kinds=tuple(data.get("kinds", FaultSpec.kinds)),
             profiles=tuple(data.get("profiles", FaultSpec.profiles)),
-            backend=data.get("backend", "thread"),
+            backend=data.get("backend", "serial"),
             workers=data.get("workers", 4),
             warmup_steps=data.get("warmup_steps", 0),
             max_cycles=data.get("max_cycles", 2_000_000),

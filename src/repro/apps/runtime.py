@@ -3,14 +3,10 @@
 ``run_app`` is the measurement unit behind Table IV's "running time"
 column: the device executes the app's scripted scenario until the DONE
 write, and the elapsed cycle count at 100 MHz gives microseconds.
-
-.. deprecated::
-    ``build_app``/``run_app`` remain as thin shims for the evaluation
-    harness (which times builds with its own throwaway builders).  New
-    workloads should go through :mod:`repro.api` --
-    ``ScenarioSpec(firmware=FirmwareSpec(kind="app", ...))`` runs the
-    same pipeline and shares the process-wide build cache; ``run_app``
-    without an explicit *builder* routes through it.
+``build_app`` builds with a caller-owned builder, which the evaluation
+harness uses to time cold builds; without one, ``run_app`` takes a
+registered app's image from the process-wide
+:func:`repro.api.firmware.build_firmware` cache.
 """
 
 from dataclasses import dataclass
@@ -63,42 +59,23 @@ def run_app(spec, variant="original", builder: Optional[IterativeBuild] = None,
             security: Optional[str] = None, max_cycles: Optional[int] = None) -> AppRun:
     """Build and execute one application to its DONE hand-off.
 
-    Without an explicit *builder* this routes through the public
-    scenario API (shared, cached firmware builds); passing a builder
-    keeps the caller in control of build state (the evaluation harness
-    times cold builds that way).
+    Without an explicit *builder*, a registered app's image comes from
+    the shared firmware build cache; passing a builder keeps the caller
+    in control of build state (the evaluation harness times cold builds
+    that way).  Either way the image runs on one :func:`build_device`.
     """
     from repro.apps.registry import APPS
 
     if security is None:
         security = "eilid" if variant == "eilid" else "none"
     if builder is None and APPS.get(spec.name) is spec:
-        from repro.api import (
-            FirmwareSpec,
-            LimitsSpec,
-            ScenarioSpec,
-            Session,
-        )
+        from repro.api import FirmwareSpec, build_firmware
 
-        session = Session(ScenarioSpec(
-            name=spec.name,
-            firmware=FirmwareSpec(kind="app", app=spec.name, variant=variant),
-            security=security,
-            limits=LimitsSpec(max_cycles=max_cycles or spec.max_cycles),
-        ))
-        outcome = session.run()
-        return AppRun(
-            app_name=spec.name,
-            variant=variant,
-            device=session.device,
-            cycles=outcome.cycles,
-            done=outcome.done,
-            done_value=outcome.done_value,
-            # the raw RunResult's complete list, not the bounded ring
-            violations=session.run_result.violations,
-        )
-    build = build_app(spec, variant, builder)
-    device = build_device(build.program, security=security,
+        program = build_firmware(FirmwareSpec(
+            kind="app", app=spec.name, variant=variant)).program
+    else:
+        program = build_app(spec, variant, builder).program
+    device = build_device(program, security=security,
                           peripherals=spec.make_peripherals())
     result = device.run(max_cycles=max_cycles or spec.max_cycles)
     return AppRun(

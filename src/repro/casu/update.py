@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import UpdateError
+from repro.snapshot import state_int, state_list
 
 STAGING_HEADER_WORDS = 3  # dst, length(words), reserved
 
@@ -121,6 +122,6 @@ class UpdateEngine:
         }
 
     def restore_state(self, state):
-        self.current_version = state["current_version"]
+        self.current_version = state_int(state, "current_version")
         self.history = [(version, UpdateStatus(value))
-                        for version, value in state["history"]]
+                        for version, value in state_list(state, "history")]

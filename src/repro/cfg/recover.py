@@ -105,10 +105,6 @@ class FunctionCfg:
     def block_count(self):
         return len(self.blocks)
 
-    @property
-    def edge_count(self):
-        return sum(len(b.successors) for b in self.blocks.values())
-
 
 @dataclass(frozen=True)
 class CallSite:

@@ -32,6 +32,7 @@ from typing import Optional, Tuple
 from repro.cpu.core import StepKind
 from repro.isa.operands import AddrMode
 from repro.isa.registers import PC, SP
+from repro.snapshot import state_int, state_list
 
 # Edge kinds, with the codes folded into the digest chain.
 EDGE_CALL = "call"
@@ -247,12 +248,12 @@ class BranchTraceRecorder:
                 f"recorder capacity {self.capacity}")
         self._edges = deque(
             ((src, dst, kind, chain)
-             for src, dst, kind, chain in state["edges"]),
+             for src, dst, kind, chain in state_list(state, "edges")),
             maxlen=self.capacity)
-        self._digest = state["digest"]
-        self._prefix = state["prefix"]
-        self.total = state["total"]
-        self.dropped = state["dropped"]
+        self._digest = state_int(state, "digest")
+        self._prefix = state_int(state, "prefix")
+        self.total = state_int(state, "total")
+        self.dropped = state_int(state, "dropped")
 
     def clear(self):
         """Forget everything (fresh provisioning, not used on reset --

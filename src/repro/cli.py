@@ -772,7 +772,6 @@ def _cmd_fleet_rollout(args):
         tamper_fraction=args.tamper_fraction,
         rollback_fraction=args.rollback_fraction,
         workers=args.workers,
-        batch_size=args.batch_size,
         backend=args.backend,
         resume=args.resume,
         metrics_dump=args.metrics_dump,
@@ -1172,9 +1171,12 @@ def main(argv=None):
                                 help="faults to sample from the site pool")
     p_faults_sweep.add_argument("--profiles", default="none,casu,eilid",
                                 help="comma-separated defense profiles")
-    p_faults_sweep.add_argument("--backend", choices=("thread", "process"),
-                                default="thread")
-    p_faults_sweep.add_argument("--workers", type=int, default=4)
+    p_faults_sweep.add_argument("--backend", choices=("serial", "process"),
+                                default="serial",
+                                help="serial grades in this process, "
+                                     "process on a worker pool")
+    p_faults_sweep.add_argument("--workers", type=int, default=4,
+                                help="process pool size")
     p_faults_sweep.add_argument("--warmup-steps", type=int, default=0,
                                 help="honest steps before the snapshot "
                                      "faults are injected into")
@@ -1273,13 +1275,12 @@ def main(argv=None):
     p_rollout.add_argument("--rollback-fraction", type=float, default=0.0,
                            help="share of devices offered a stale version")
     p_rollout.add_argument("--workers", type=int, default=0,
-                           help="worker pool size (0 = auto)")
-    p_rollout.add_argument("--batch-size", type=int, default=32)
-    p_rollout.add_argument("--backend", choices=("thread", "process"),
-                           default="thread",
-                           help="campaign executor: thread shares the live "
-                                "devices, process shards waves across "
-                                "worker processes (GIL-free)")
+                           help="process pool size (0 = auto)")
+    p_rollout.add_argument("--backend", choices=("serial", "process"),
+                           default="serial",
+                           help="campaign executor: serial offers to the "
+                                "live devices in turn, process shards waves "
+                                "across worker processes (GIL-free)")
     p_rollout.add_argument("--resume", action="store_true",
                            help="skip devices whose stored record already "
                                 "shows the target version (needs --store)")

@@ -31,6 +31,9 @@ from repro.snapshot import (
     DeviceSnapshot,
     SnapshotError,
     memory_delta,
+    state_counts,
+    state_int,
+    state_list,
 )
 from repro.casu.update import (
     STAGING_HEADER_WORDS,
@@ -347,14 +350,15 @@ class Device:
             if self.monitor is not None and doc["monitor"] is not None:
                 self.monitor.restore_state(doc["monitor"])
             self.update_engine.restore_state(doc["update_engine"])
-            self.clock.cycle = doc["cycle"]
+            self.clock.cycle = state_int(doc, "cycle")
             self.clock.catch_up()
-            self.reset_count = doc["reset_count"]
-            self.events = deque((_event_from_doc(e) for e in doc["events"]),
-                                maxlen=self.max_events)
-            self.events_dropped = doc["events_dropped"]
-            self.violation_count = doc["violation_count"]
-            self.violation_totals = dict(doc["violation_totals"])
+            self.reset_count = state_int(doc, "reset_count")
+            self.events = deque(
+                (_event_from_doc(e) for e in state_list(doc, "events")),
+                maxlen=self.max_events)
+            self.events_dropped = state_int(doc, "events_dropped")
+            self.violation_count = state_int(doc, "violation_count")
+            self.violation_totals = state_counts(doc, "violation_totals")
         except (KeyError, IndexError, ValueError, TypeError,
                 AttributeError) as error:
             # What walking a malformed doc raises: a missing key, a
@@ -574,17 +578,14 @@ DEVICE_KNOBS = ("max_events", "trace_capacity", "decode_cache")
 
 def build_device(program, security="none", peripherals=None, update_key=None,
                  **limits) -> Device:
-    """Factory mirroring the three rows of the DESIGN.md attack matrix.
+    """Build one device around a linked *program*: the constructor.
 
-    *limits* forwards the evidence bounds (``max_events``,
-    ``trace_capacity``) and the ``decode_cache`` interpreter knob to the
-    device.
-
-    .. deprecated::
-        Kept as a thin shim for existing code and tests.  New
-        workloads should describe the device declaratively and go
-        through :mod:`repro.api` (``ScenarioSpec`` -> ``Session``),
-        which routes here.
+    *security* picks a row of the DESIGN.md attack matrix (``none``,
+    ``casu``, ``eilid``).  *limits* forwards the evidence bounds
+    (``max_events``, ``trace_capacity``) and the ``decode_cache``
+    interpreter knob to the device, and rejects any other name.  The
+    scenario API (:mod:`repro.api`), the fleet and the fault campaigns
+    all build their devices here.
     """
     unknown = sorted(set(limits) - set(DEVICE_KNOBS))
     if unknown:

@@ -60,16 +60,6 @@ class InstrumentationReport:
     inserted_bytes: int = 0
     warnings: List[str] = field(default_factory=list)
 
-    @property
-    def total_sites(self):
-        return (
-            self.direct_calls
-            + self.indirect_calls
-            + self.returns
-            + self.isr_prologues
-            + self.isr_epilogues
-        )
-
 
 def _is_plain_symbol(expr):
     return expr is not None and expr.replace("_", "a").replace(".", "a").isalnum() and not expr[

@@ -52,10 +52,6 @@ class SecureMemoryPlan:
             shadow_capacity_words=shadow_capacity,
         )
 
-    @property
-    def total_bytes(self):
-        return (self.shadow_base + 2 * self.shadow_capacity_words) - self.table_count_addr
-
 
 @dataclass
 class EilidPolicy:
@@ -83,11 +79,6 @@ class EilidPolicy:
     def backward_only():
         """P1+P2 only -- used by ablation benchmarks."""
         return EilidPolicy(protect_indirect_calls=False)
-
-    @staticmethod
-    def forward_only():
-        """P3 only -- used by ablation benchmarks."""
-        return EilidPolicy(protect_returns=False, protect_interrupts=False)
 
     def table_iii_rows(self) -> List[Dict[str, str]]:
         return [

@@ -27,10 +27,6 @@ class ShadowStackModel:
         """Current value of the (modelled) r5 index register."""
         return len(self.stack)
 
-    def slot_address(self, index):
-        """Fig. 9b: entry *index* lives at shadow_base + 2*index."""
-        return self.plan.shadow_base + 2 * index
-
     # ---- operations; return a ViolationReason or None -----------------------
 
     def init(self):

@@ -10,8 +10,9 @@ detected, escaped (masked), crash, or silent corruption.
 The sweep rides the portable device-snapshot codec
 (:mod:`repro.snapshot`): the honest device is snapshotted once per
 profile, and each fault restores that snapshot into a fresh device --
-in a process-pool worker when ``backend="process"`` -- mutates it, and
-runs it out.  Same seed => identical tallies on both backends.
+in this process on the default ``serial`` backend, in a process-pool
+worker when ``backend="process"`` -- mutates it, and runs it out.
+Same seed => identical tallies on both backends.
 """
 
 from repro.faults.campaign import (

@@ -1,4 +1,4 @@
-"""Fault-sweep execution across defense profiles and pool backends.
+"""Fault-sweep execution across defense profiles and backends.
 
 Per profile (none/casu/eilid), a :class:`FaultCampaign`:
 
@@ -7,8 +7,9 @@ Per profile (none/casu/eilid), a :class:`FaultCampaign`:
 2. replays the snapshot into a *fresh* device and runs it to DONE --
    the golden run, which both sizes the per-fault cycle budget and
    proves the restore path before any fault rides it;
-3. shards the plan's faults across a thread or process pool; each
-   worker restores the snapshot per fault, injects, runs, grades
+3. grades the plan's faults in batches -- in this process on the
+   ``serial`` backend, on a process pool on ``process``; each batch
+   restores the snapshot per fault, injects, runs, grades
    (:mod:`repro.faults.inject`);
 4. tallies detection/escape/crash/silent-corruption into a
    :class:`FaultReport` whose :meth:`~FaultReport.render` is the
@@ -23,11 +24,13 @@ trips is also armed under eilid.
 The shard context is pure JSON (firmware spec, snapshot wire dict,
 golden outputs, budget) and stamps the shared codec version, so a
 mismatched parent/worker build fails loudly -- same contract as the
-fleet's record codec.
+fleet's record codec.  Both backends grade from that same context,
+which is what keeps their tallies identical.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence
@@ -38,7 +41,7 @@ from repro.faults.plan import FaultPlan
 from repro.snapshot import WIRE_VERSION, check_wire_version
 
 FAULT_PROFILES = ("none", "casu", "eilid")
-FAULT_BACKENDS = ("thread", "process")
+FAULT_BACKENDS = ("serial", "process")
 
 
 @dataclass
@@ -130,7 +133,7 @@ class FaultCampaign:
 
     def __init__(self, firmware, plan: FaultPlan,
                  profiles: Sequence[str] = FAULT_PROFILES,
-                 backend: str = "thread", workers: Optional[int] = None,
+                 backend: str = "serial", workers: Optional[int] = None,
                  max_cycles: int = 2_000_000, warmup_steps: int = 0,
                  events=None, policy=None):
         unknown = sorted(set(profiles) - set(FAULT_PROFILES))
@@ -201,9 +204,10 @@ class FaultCampaign:
                 profiles=list(self.profiles), backend=self.backend,
                 seed=self.plan.seed)
         started = time.perf_counter()
-        pool_cls = (ProcessPoolExecutor if self.backend == "process"
-                    else ThreadPoolExecutor)
-        with pool_cls(max_workers=self.workers) as pool:
+        pool = (ProcessPoolExecutor(max_workers=self.workers)
+                if self.backend == "process" else nullcontext())
+        with pool:
+            grade = map if self.backend == "serial" else pool.map
             for profile in self.profiles:
                 snapshot_doc, golden_doc, budget = self._golden(profile)
                 context = {
@@ -224,15 +228,16 @@ class FaultCampaign:
                             profile=profile, fault=fault["id"],
                             fault_kind=fault["kind"], pc=fault["pc"])
                 # ~2 batches per worker: balanced without paying
-                # per-fault submission overhead.
+                # per-fault submission overhead.  Serial grades the
+                # same batches in order.
                 chunk = max(1, -(-len(faults) // (2 * self.workers)))
                 batches = [faults[i:i + chunk]
                            for i in range(0, len(faults), chunk)]
                 tally = ProfileTally(profile=profile,
                                      golden_cycles=(budget - 20_000) // 2)
                 outcomes: List[dict] = []
-                for shard in pool.map(_run_fault_shard, repeat(context),
-                                      batches):
+                for shard in grade(_run_fault_shard, repeat(context),
+                                   batches):
                     check_wire_version(shard, "fault shard result")
                     outcomes.extend(shard["outcomes"])
                 outcomes.sort(key=lambda doc: doc["id"])
@@ -259,17 +264,17 @@ class FaultCampaign:
         return report
 
 
-# ---- pool worker -----------------------------------------------------------
+# ---- batch worker ----------------------------------------------------------
 
 
 def _run_fault_shard(context: dict, fault_docs: List[dict]) -> dict:
-    """Grade one batch of faults in a worker (process or thread).
+    """Grade one batch of faults, in this process or a pool worker.
 
     Pure function of its JSON arguments: builds the firmware once per
     process (``build_firmware`` is lru-cached), restores the shipped
     snapshot per fault, injects, runs, grades.  Order inside the batch
     is irrelevant -- the parent re-sorts outcomes by fault id -- which
-    is what makes thread and process tallies identical by construction.
+    is what makes serial and process tallies identical by construction.
     """
     from repro.api.firmware import build_firmware
     from repro.api.spec import FirmwareSpec

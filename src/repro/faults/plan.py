@@ -2,7 +2,7 @@
 
 The plan is expanded **once, in the parent**, before any work is
 dispatched: every concrete fault (site + parameters) is fixed up
-front, so the thread and process backends run the exact same sweep and
+front, so the serial and process backends run the exact same sweep and
 produce identical tallies for the same seed -- the property the
 acceptance test pins.
 

@@ -14,7 +14,7 @@ simulated devices.
 * :mod:`repro.fleet.transport`  -- simulated lossy/reordering links.
 * :mod:`repro.fleet.protocol`   -- authenticated verifier<->device messages.
 * :mod:`repro.fleet.campaign`   -- staged-rollout engine (waves, halt,
-  thread/process backends, resume).
+  serial/process backends, resume).
 * :mod:`repro.fleet.telemetry`  -- fleet-level counters and histograms.
 * :mod:`repro.fleet.simulation` -- N devices + agents + links in one object.
 """

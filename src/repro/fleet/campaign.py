@@ -2,23 +2,24 @@
 
 A campaign pushes one target firmware version across the manageable
 part of the fleet in expanding waves (canary -> broader -> everyone).
-Within a wave, devices are partitioned into batches and the batches
-are executed on a worker pool; each worker drives its devices' update
-conversations (offer -> device-side MAC/version check -> ack) end to
-end, including the simulated ROM copy on the device CPU, so "devices
-per second" here is the real cost of the whole authenticated path.
+Each device's update conversation (offer -> device-side MAC/version
+check -> ack) runs end to end, including the simulated ROM copy on
+the device CPU, so "devices per second" here is the real cost of the
+whole authenticated path.
 
 Two execution backends (``CampaignConfig.backend``):
 
-* ``"thread"``  -- the original in-process pool; workers share the
-  live Device objects.  GIL-bound: the simulated CPU work serialises.
-* ``"process"`` -- batches ship to a ``ProcessPoolExecutor``.  Each
-  worker process rebuilds its shard's devices from the fleet's
-  ``FirmwareSpec`` + seed and the registry-record snapshots it is
-  handed (the store codec doubles as the wire format), runs the full
-  authenticated conversation locally, and returns mutated record
-  documents; the parent merges them back into the registry/store.
-  This sidesteps the GIL and is the scale path for multi-10k fleets.
+* ``"serial"``  -- the default: the wave offers to its live Device
+  objects one after another on the calling thread, where a profile
+  (or the layer ledger) can attribute the time layer by layer.
+* ``"process"`` -- the wave is cut into about two batches per worker
+  that ship to a ``ProcessPoolExecutor``.  Each worker process
+  rebuilds its shard's devices from the fleet's ``FirmwareSpec`` +
+  seed and the registry-record snapshots it is handed (the store
+  codec doubles as the wire format), runs the full authenticated
+  conversation locally, and returns mutated record documents; the
+  parent merges them back into the registry/store.  This sidesteps
+  the GIL and is the scale path for multi-10k fleets.
 
 Campaigns are resumable: every wave's outcomes are persisted through
 the registry's store (when one is attached) and flushed as a
@@ -40,7 +41,8 @@ import enum
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -49,7 +51,7 @@ from repro.eval.report import render_table
 from repro.fleet.registry import DeviceRecord, FleetRegistry, Lifecycle
 from repro.obs.metrics import METRICS
 
-CAMPAIGN_BACKENDS = ("thread", "process")
+CAMPAIGN_BACKENDS = ("serial", "process")
 
 
 @dataclass
@@ -62,23 +64,16 @@ class CampaignConfig:
     # Halt when a wave's failed fraction exceeds this.
     failure_threshold: float = 0.10
     max_attempts: int = 4  # per-message transport retries
-    workers: int = 0  # 0 -> min(8, cpu count)
-    batch_size: int = 32  # devices per worker task
+    workers: int = 0  # process pool size; 0 -> min(8, cpu count)
     # Post-wave verification: attest every device the wave updated
     # before moving on.  With a trace-verifying session this is where
     # forged or non-replaying branch traces quarantine a device; the
     # failures count toward the wave's halt threshold.
     verify_after_wave: bool = False
-    # Execution backend: "thread" shares the live devices under the
-    # GIL, "process" shards the wave across worker processes that
+    # Execution backend: "serial" offers to the live devices in this
+    # thread, "process" shards the wave across worker processes that
     # rebuild their devices from record snapshots (see module doc).
-    backend: str = "thread"
-    # Process-backend state shipping: None (auto) ships full device
-    # snapshots only for replicas the simulation knows are mutated
-    # (fault hooks), True for every device (state-faithful but pays
-    # snapshot+restore per device per wave), False never (pure
-    # record rebuild, pre-snapshot behaviour).
-    ship_device_state: Optional[bool] = None
+    backend: str = "serial"
     # Periodic observability dump: after every wave's durability
     # flush, write the process metrics snapshot to this path (atomic
     # replace; a ``.prom`` suffix picks the Prometheus text format,
@@ -97,8 +92,6 @@ class CampaignConfig:
             raise ValueError("failure_threshold must be in [0, 1]")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = auto)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.backend not in CAMPAIGN_BACKENDS:
             raise ValueError(
                 f"backend must be one of {', '.join(CAMPAIGN_BACKENDS)}")
@@ -164,7 +157,7 @@ class CampaignReport:
     # Devices already at the target version when run(resume=True)
     # started; they are never re-offered.
     resumed: int = 0
-    backend: str = "thread"
+    backend: str = "serial"
 
     @property
     def halted(self):
@@ -216,10 +209,9 @@ class RolloutCampaign:
     taken just before submission; the function returns a shard
     document ``{"outcomes": [...], "metrics": snapshot}`` -- mutated
     record/outcome documents the campaign merges back into the live
-    registry (and its store) on the main thread, plus the worker's
+    registry (and its store) on the calling thread, plus the worker's
     per-batch ``MetricsRegistry.snapshot()``, folded into the parent
-    registry with its spans re-rooted under the wave's span (a bare
-    outcome list is accepted from older shard tasks).
+    registry with its spans re-rooted under the wave's span.
     """
 
     def __init__(self, registry: FleetRegistry,
@@ -313,10 +305,9 @@ class RolloutCampaign:
         results: List[WaveResult] = []
         applied = failed = offered = 0
         status, halt_reason = CampaignStatus.COMPLETE, ""
-        pool_cls = (ProcessPoolExecutor if backend == "process"
-                    else ThreadPoolExecutor)
-        with METRICS.span("campaign.run"), \
-                pool_cls(max_workers=self.config.effective_workers) as pool:
+        pool = (ProcessPoolExecutor(max_workers=self.config.effective_workers)
+                if backend == "process" else nullcontext())
+        with METRICS.span("campaign.run"), pool:
             for index, wave in enumerate(waves, start=1):
                 if self.stop is not None and self.stop.is_set():
                     status = CampaignStatus.STOPPED
@@ -358,11 +349,10 @@ class RolloutCampaign:
         return report
 
     def _run_wave(self, index: int, wave: List[str], pool) -> WaveResult:
-        # The wave span parents every offer/attest span below it --
-        # including spans recorded inside worker processes, which merge
-        # back re-rooted onto this id (see METRICS.merge in the process
-        # branch).  Pool threads do not inherit the main thread's span
-        # stack, so the id travels explicitly.
+        # The wave span parents every offer/attest span below it:
+        # serial offers through this thread's span stack, spans
+        # recorded inside worker processes by merging back re-rooted
+        # onto this id (see METRICS.merge in the process branch).
         with METRICS.span("campaign.wave") as wave_span:
             return self._run_wave_inner(index, wave, pool, wave_span.id)
 
@@ -377,43 +367,29 @@ class RolloutCampaign:
             record = self.registry.get(device_id)
             prior[device_id] = record.state
             record.state = Lifecycle.UPDATING
-        batch_size = self.config.batch_size
-        if self.config.backend == "process":
-            # Shard-task submission costs real serialisation; keep the
-            # batches big enough that each worker sees ~2 per wave
-            # (enough for load balance, few enough to amortise).
-            per_worker = -(-len(wave) // (2 * self.config.effective_workers))
-            batch_size = max(batch_size, per_worker)
-        batches = [wave[i:i + batch_size] for i in range(0, len(wave), batch_size)]
-        outcomes: List[DeviceOutcome] = []
         if self.config.backend == "process":
             from itertools import repeat
 
             from repro.fleet.store import record_to_dict
 
+            # Shard-task submission costs real serialisation; ~2
+            # batches per worker balance the load and amortise it.
+            size = -(-len(wave) // (2 * self.config.effective_workers))
             func, context = self.shard_task
             payloads = [[self._shard_doc(record_to_dict, device_id)
-                         for device_id in batch] for batch in batches]
+                         for device_id in wave[i:i + size]]
+                        for i in range(0, len(wave), size)]
+            outcomes: List[DeviceOutcome] = []
             for shard_doc in pool.map(func, repeat(context), payloads):
-                if isinstance(shard_doc, list):
-                    # Pre-metrics shard tasks return a bare outcome
-                    # list; accept it (no worker metrics to merge).
-                    shard_outcomes = shard_doc
-                else:
-                    # The wire format's other half: the worker's
-                    # per-batch MetricsRegistry snapshot folds into
-                    # the parent registry, its spans re-rooted under
-                    # this wave so thread and process backends report
-                    # identical totals and one causal tree.
-                    METRICS.merge(shard_doc.get("metrics"),
-                                  reroot_to=wave_span)
-                    shard_outcomes = shard_doc["outcomes"]
+                # The wire format's other half: the worker's per-batch
+                # MetricsRegistry snapshot folds into the parent
+                # registry, its spans re-rooted under this wave so both
+                # backends report identical totals and one causal tree.
+                METRICS.merge(shard_doc["metrics"], reroot_to=wave_span)
                 outcomes.extend(self._merge_shard_outcome(doc)
-                                for doc in shard_outcomes)
+                                for doc in shard_doc["outcomes"])
         else:
-            for batch_outcomes in pool.map(
-                    lambda batch: self._run_batch(batch, wave_span), batches):
-                outcomes.extend(batch_outcomes)
+            outcomes = [self._offer(device_id) for device_id in wave]
         result = WaveResult(index=index, size=len(wave), applied=0, failed=0)
         for outcome in outcomes:
             self._apply_outcome(outcome, prior.get(outcome.device_id))
@@ -468,15 +444,15 @@ class RolloutCampaign:
         The worker mutated its own copy of the record (version bump,
         nonce high-water advance, quarantine on forged evidence); the
         parent replays those deltas onto the live record here, on the
-        main thread, before the usual outcome accounting runs.
+        calling thread, before the usual outcome accounting runs.
         """
         record = self.registry.get(doc["device_id"])
         record.nonce_high_water = max(record.nonce_high_water,
                                       doc["nonce_high_water"])
         # The worker's session is the integrity authority: a verdict
         # it reached (forged ack, replay) travels as record state and
-        # survives the merge exactly like a thread-backend session
-        # writing the shared record directly.
+        # survives the merge exactly like a serial-backend session
+        # writing the live record directly.
         if doc["state"] == Lifecycle.QUARANTINED.value:
             # Worker sessions have no event log; the parent logs the
             # verdict on merge (only the transition, once).
@@ -491,7 +467,7 @@ class RolloutCampaign:
         if status is UpdateStatus.APPLIED:
             record.firmware_version = doc["current_version"]
             record.applied_versions = list(doc["applied_versions"])
-            # Same re-baseline rule as the thread path: the image
+            # Same re-baseline rule as the serial path: the image
             # changed, the pinned hash is stale.
             record.firmware_hash = None
         return DeviceOutcome(doc["device_id"], status, doc["attempts"],
@@ -500,7 +476,7 @@ class RolloutCampaign:
     def _verify_wave(self, result: WaveResult, outcomes: List[DeviceOutcome]):
         """Attest each applied device; demote verification failures.
 
-        The attest runs on the main thread over the already-created
+        The attest runs on the calling thread over the already-created
         sessions; a failed verification (bad MAC, hash mismatch,
         forged or non-replaying branch trace) flips the device from
         the wave's applied column into its failed column -- counted
@@ -522,26 +498,20 @@ class RolloutCampaign:
             result.failed += 1
             result.statuses[f"verify:{attest.detail}"] += 1
 
-    def _run_batch(self, batch: List[str],
-                   wave_span: Optional[str] = None) -> List[DeviceOutcome]:
-        """Worker task: one batch of devices, conversations end to end."""
-        outcomes = []
-        for device_id in batch:
-            record = self.registry.get(device_id)
-            session = self.session_factory(device_id)
-            session.campaign = self._campaign_id
-            package = self.package_factory(record)
-            # Explicit parent: this runs on a pool thread whose span
-            # stack is empty; the wave id restores the causal link.
-            with METRICS.span("campaign.offer", parent=wave_span):
-                offer = session.offer_update(package)
-            outcomes.append(DeviceOutcome(device_id, offer.status,
-                                          offer.attempts, detail=offer.detail))
-        return outcomes
+    def _offer(self, device_id: str) -> DeviceOutcome:
+        """One device's update conversation, end to end (serial)."""
+        record = self.registry.get(device_id)
+        session = self.session_factory(device_id)
+        session.campaign = self._campaign_id
+        package = self.package_factory(record)
+        with METRICS.span("campaign.offer"):
+            offer = session.offer_update(package)
+        return DeviceOutcome(device_id, offer.status, offer.attempts,
+                             detail=offer.detail)
 
     def _apply_outcome(self, outcome: DeviceOutcome,
                        prior: Optional[Lifecycle] = None):
-        """Fold one device's result back into the registry (main thread)."""
+        """Fold one device's result back into the registry."""
         record = self.registry.get(outcome.device_id)
         events = self.registry.events
         if events is not None:

@@ -385,13 +385,9 @@ class FleetSimulation:
             # firmware corruption, forged trace rings and all --
             # instead of rebuilding an honest device (which quietly
             # *undid* fault hooks on the process backend).  Honest
-            # replicas keep the cheap record-only rebuild;
-            # ``ship_device_state`` forces all (True) or none (False).
-            snapshot_factory=(
-                (lambda device_id: self._replica_snapshot(
-                    device_id, force=config.ship_device_state is True))
-                if (config.backend == "process"
-                    and config.ship_device_state is not False) else None),
+            # replicas keep the cheap record-only rebuild.
+            snapshot_factory=(self._replica_snapshot
+                              if config.backend == "process" else None),
             # Per wave, not post-run: verify_after_wave must attest
             # the synced replicas, and a halt must leave the applied
             # waves' replicas consistent.
@@ -402,18 +398,15 @@ class FleetSimulation:
         )
         return campaign.run(device_ids=device_ids, resume=resume)
 
-    def _replica_snapshot(self, device_id: str,
-                          force: bool = False) -> Optional[dict]:
+    def _replica_snapshot(self, device_id: str) -> Optional[dict]:
         """The live replica's snapshot wire dict, or None for the
         honest record-only rebuild.
 
-        A snapshot ships when the replica is known-mutated (see
-        :meth:`mark_mutated`) or *force* is set; unknown replicas
-        (a record without a live device) always fall back."""
+        A snapshot ships only when the replica is known-mutated (see
+        :meth:`mark_mutated`); unknown replicas (a record without a
+        live device) always fall back."""
         device = self.devices.get(device_id)
-        if device is None:
-            return None
-        if not force and device_id not in self._mutated:
+        if device is None or device_id not in self._mutated:
             return None
         return device.snapshot().to_dict()
 
@@ -533,7 +526,7 @@ def _run_shard(context: dict, record_docs: List[dict]) -> dict:
                                              version)
                 if record.device_id in tampered:
                     package = package.tampered()
-            # Same span name as the thread backend's offers, so the
+            # Same span name as the serial backend's offers, so the
             # merged histogram totals are backend-independent.
             with METRICS.span("campaign.offer"):
                 offer = session.offer_update(package)

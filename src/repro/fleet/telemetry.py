@@ -36,7 +36,8 @@ def parse_violation_totals(items) -> Tuple[Dict[str, int], int]:
 
 
 class FleetTelemetry:
-    """Thread-safe aggregation (campaign workers feed it in parallel).
+    """Thread-safe aggregation: the serve daemon's pump threads feed it
+    concurrently.
 
     Besides its own counters, every fold mirrors into the process
     metrics registry (:data:`repro.obs.metrics.METRICS`) and -- when an

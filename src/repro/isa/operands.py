@@ -119,10 +119,6 @@ class Operand:
     # ---- properties ------------------------------------------------------
 
     @property
-    def is_pc_register(self):
-        return self.mode is AddrMode.REGISTER and self.reg == PC
-
-    @property
     def extension_words(self):
         if (self.mode is AddrMode.IMMEDIATE and self.value in CG_CONSTANTS
                 and not self.long_form):

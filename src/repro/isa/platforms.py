@@ -62,12 +62,3 @@ PIC16 = PlatformIsa(
 )
 
 PLATFORMS = (MSP430, ATMEGA32, PIC16)
-
-
-def platform_by_name(name):
-    """Look up a platform descriptor by (case-insensitive) name."""
-    low = name.lower()
-    for platform in PLATFORMS:
-        if low in platform.name.lower():
-            return platform
-    raise KeyError(f"unknown platform: {name}")

@@ -63,21 +63,3 @@ FLAG_OSCOFF = 0x0020
 FLAG_SCG0 = 0x0040
 FLAG_SCG1 = 0x0080
 FLAG_V = 0x0100
-
-STATUS_FLAG_NAMES = {
-    FLAG_C: "C",
-    FLAG_Z: "Z",
-    FLAG_N: "N",
-    FLAG_GIE: "GIE",
-    FLAG_CPUOFF: "CPUOFF",
-    FLAG_OSCOFF: "OSCOFF",
-    FLAG_SCG0: "SCG0",
-    FLAG_SCG1: "SCG1",
-    FLAG_V: "V",
-}
-
-
-def describe_sr(value):
-    """Human-readable list of flags set in an SR *value* (for traces)."""
-    names = [name for bit, name in sorted(STATUS_FLAG_NAMES.items()) if value & bit]
-    return "|".join(names) if names else "-"

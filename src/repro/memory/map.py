@@ -10,7 +10,7 @@ All bounds are configurable -- the paper notes the shadow-stack size is
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.errors import LinkError
 
@@ -134,12 +134,6 @@ class MemoryLayout:
         )
 
     # ---- lookup ----------------------------------------------------------
-
-    def region_at(self, addr) -> Optional[Region]:
-        for region in self.regions:
-            if addr in region:
-                return region
-        return None
 
     def region_named(self, name) -> Region:
         for region in self.regions:

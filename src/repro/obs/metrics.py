@@ -15,14 +15,13 @@ property the ``bench_micro`` overhead gate pins.
 Spans are causal: each carries an id, a parent id and a trace id (the
 root span of its tree), so campaign -> wave -> device-offer timings
 form a tree rather than a flat bag of histograms.  Parentage comes
-from a per-thread span stack by default; code that crosses a thread
-pool passes ``parent=`` explicitly (pool threads have empty stacks).
-Finished spans land in a bounded ring -- overflow increments the
-``obs.spans_dropped`` counter instead of growing without bound -- and
-:meth:`MetricsRegistry.merge` stitches a worker process's snapshot
-into the parent registry, remapping span ids and re-rooting the
-worker's root spans under a parent-side span (the shard wire format's
-other half).
+from a per-thread span stack: a span opened inside another on the
+same thread is its child.  Finished spans land in a bounded ring --
+overflow increments the ``obs.spans_dropped`` counter instead of
+growing without bound -- and :meth:`MetricsRegistry.merge` stitches a
+worker process's snapshot into the parent registry, remapping span
+ids and re-rooting the worker's root spans under a parent-side span
+(the shard wire format's other half).
 
 Histograms are the lightweight kind a verifier needs for trend lines:
 count / total / min / max (mean derives), not bucketed quantiles --
@@ -114,16 +113,13 @@ class _Span:
     __slots__ = ("_registry", "_name", "_started", "_ts",
                  "id", "parent", "trace")
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 parent: Optional[str] = None):
+    def __init__(self, registry: "MetricsRegistry", name: str):
         self._registry = registry
         self._name = name
         self._started = 0.0
         self._ts = 0.0
         self.id = None
-        # Explicit parent (a span id, or another span object) wins over
-        # the thread-local stack -- the pool-thread escape hatch.
-        self.parent = getattr(parent, "id", parent)
+        self.parent = None
         self.trace = None
 
     def __enter__(self):
@@ -155,9 +151,9 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
         self._spans: deque = deque(maxlen=span_capacity)
         self._span_seq = 0
-        # Trace id per live/recent span id, so an explicit string
-        # parent still lands its children in the right trace.  Bounded:
-        # pruned to the newest half when it outgrows the span ring.
+        # Trace id per live/recent span id, so spans merged in under
+        # ``reroot_to`` join that span's trace.  Bounded: pruned to the
+        # newest half when it outgrows the span ring.
         self._trace_index: Dict[str, str] = {}
         self._tls = threading.local()
 
@@ -184,17 +180,15 @@ class MetricsRegistry:
                 histogram = self._histograms[name] = Histogram()
             histogram.observe(value)
 
-    def span(self, name: str, parent: Optional[str] = None):
+    def span(self, name: str):
         """A context manager timing its block into ``<name>.ms``.
 
         The finished span also lands in the span ring with causal ids:
-        parentage defaults to the enclosing ``span()`` on the same
-        thread; pass ``parent=`` (a span id or span object) when the
-        block runs on a pool thread that did not inherit the stack.
+        its parent is the enclosing ``span()`` on the same thread.
         """
         if not self.enabled:
             return _NULL_SPAN
-        return _Span(self, name, parent=parent)
+        return _Span(self, name)
 
     # ---- span plumbing ---------------------------------------------------
 
@@ -206,7 +200,7 @@ class MetricsRegistry:
 
     def _open_span(self, span: _Span):
         stack = self._span_stack()
-        if span.parent is None and stack:
+        if stack:
             parent = stack[-1]
             span.parent = parent.id
             span.trace = parent.trace
@@ -214,10 +208,7 @@ class MetricsRegistry:
             self._span_seq += 1
             span.id = f"s{self._span_seq}"
             if span.trace is None:
-                if span.parent is not None:
-                    span.trace = self._trace_index.get(span.parent)
-                if span.trace is None:
-                    span.trace = span.id  # a root starts its own trace
+                span.trace = span.id  # a root starts its own trace
             self._index_trace(span.id, span.trace)
         stack.append(span)
 

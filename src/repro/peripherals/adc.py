@@ -10,6 +10,7 @@ from typing import Callable, Dict, Optional
 
 from repro.peripherals import ports
 from repro.peripherals.base import Peripheral
+from repro.snapshot import state_counts, state_int
 
 
 class AdcSchedule:
@@ -94,8 +95,9 @@ class Adc(Peripheral):
         }
 
     def _restore_extra(self, state):
-        self.ctl = state["ctl"]
-        self.data = state["data"]
-        self.sample_count = state["sample_count"]
-        self.channel_counts = {int(ch): n
-                               for ch, n in state["channel_counts"].items()}
+        self.ctl = state_int(state, "ctl")
+        self.data = state_int(state, "data")
+        self.sample_count = state_int(state, "sample_count")
+        self.channel_counts = {
+            int(ch): n
+            for ch, n in state_counts(state, "channel_counts").items()}

@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 from typing import Iterable, List
 
+from repro.snapshot import state_int, state_list
+
 # A deadline later than any cycle a device reaches.
 NEVER = float("inf")
 
@@ -87,9 +89,9 @@ class Peripheral:
         return state
 
     def restore_state(self, state):
-        self.now = state["now"]
+        self.now = state_int(state, "now")
         self.events[:] = [IoEvent(cycle, port, value)
-                          for cycle, port, value in state["events"]]
+                          for cycle, port, value in state_list(state, "events")]
         self._restore_extra(state)
 
     def _snapshot_extra(self):

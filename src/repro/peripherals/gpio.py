@@ -4,6 +4,7 @@ from typing import Callable, Optional
 
 from repro.peripherals import ports
 from repro.peripherals.base import Peripheral
+from repro.snapshot import state_int
 
 
 class Gpio(Peripheral):
@@ -41,5 +42,5 @@ class Gpio(Peripheral):
         return {"out": self.out, "direction": self.direction}
 
     def _restore_extra(self, state):
-        self.out = state["out"]
-        self.direction = state["direction"]
+        self.out = state_int(state, "out")
+        self.direction = state_int(state, "direction")

@@ -9,6 +9,7 @@ instrumentation overhead is the lowest in Table IV.
 
 from repro.peripherals import ports
 from repro.peripherals.base import Peripheral
+from repro.snapshot import state_int, state_list
 
 BUSY_CYCLES_COMMAND = 120
 BUSY_CYCLES_DATA = 40
@@ -53,9 +54,11 @@ class Lcd(Peripheral):
         }
 
     def _restore_extra(self, state):
-        self.busy_until = state["busy_until"]
-        self.command_log[:] = [tuple(pair) for pair in state["command_log"]]
-        self.data_log[:] = [tuple(pair) for pair in state["data_log"]]
+        self.busy_until = state_int(state, "busy_until")
+        self.command_log[:] = [tuple(pair)
+                               for pair in state_list(state, "command_log")]
+        self.data_log[:] = [tuple(pair)
+                            for pair in state_list(state, "data_log")]
 
     @property
     def display_bytes(self):

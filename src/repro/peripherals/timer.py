@@ -7,6 +7,7 @@ and, if enabled, vector 9 is requested.
 
 from repro.peripherals import ports
 from repro.peripherals.base import NEVER, Peripheral
+from repro.snapshot import state_int
 
 
 class Timer(Peripheral):
@@ -62,7 +63,7 @@ class Timer(Peripheral):
                 "fire_count": self.fire_count}
 
     def _restore_extra(self, state):
-        self.ctl = state["ctl"]
-        self.count = state["count"]
-        self.ccr = state["ccr"]
-        self.fire_count = state["fire_count"]
+        self.ctl = state_int(state, "ctl")
+        self.count = state_int(state, "count")
+        self.ccr = state_int(state, "ccr")
+        self.fire_count = state_int(state, "fire_count")

@@ -10,6 +10,7 @@ from typing import Iterable, Tuple
 
 from repro.peripherals import ports
 from repro.peripherals.base import NEVER, Peripheral
+from repro.snapshot import state_list
 
 
 class Uart(Peripheral):
@@ -67,10 +68,11 @@ class Uart(Peripheral):
         }
 
     def _restore_extra(self, state):
-        self._rx_schedule = deque(tuple(pair) for pair in state["rx_schedule"])
-        self._rx_fifo = deque(state["rx_fifo"])
+        self._rx_schedule = deque(
+            tuple(pair) for pair in state_list(state, "rx_schedule"))
+        self._rx_fifo = deque(state_list(state, "rx_fifo"))
         self.rx_irq_enabled = bool(state["rx_irq_enabled"])
-        self.tx_log[:] = [tuple(pair) for pair in state["tx_log"]]
+        self.tx_log[:] = [tuple(pair) for pair in state_list(state, "tx_log")]
 
     @property
     def tx_bytes(self):

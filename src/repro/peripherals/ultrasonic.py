@@ -10,6 +10,7 @@ from typing import Callable, Optional
 
 from repro.peripherals import ports
 from repro.peripherals.base import Peripheral
+from repro.snapshot import state_int
 
 TRANSIT_DELAY_CYCLES = 220
 
@@ -55,6 +56,6 @@ class Ultrasonic(Peripheral):
                 "trigger_count": self.trigger_count}
 
     def _restore_extra(self, state):
-        self.echo_start = state["echo_start"]
-        self.echo_end = state["echo_end"]
-        self.trigger_count = state["trigger_count"]
+        self.echo_start = state_int(state, "echo_start", optional=True)
+        self.echo_end = state_int(state, "echo_end", optional=True)
+        self.trigger_count = state_int(state, "trigger_count")

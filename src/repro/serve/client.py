@@ -15,7 +15,6 @@ through this -- nobody else hand-writes HTTP.
 
 import http.client
 import json
-import socket
 import threading
 import time
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -124,19 +123,6 @@ class FleetClient:
 
     def status(self) -> dict:
         return self._request("GET", "/status")
-
-    def wait_ready(self, timeout: float = 120.0) -> dict:
-        """Poll /status until the daemon answers (startup of a big
-        fleet -- device builds -- happens before the socket binds, but
-        a subprocess daemon's bind itself takes a moment)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                return self.status()
-            except (ConnectionError, socket.error, ServeError):
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.05)
 
     def enroll(self, count: int = 0,
                device_ids: Optional[Sequence[str]] = None) -> dict:

@@ -113,8 +113,8 @@ class BadFraming(Exception):
 _NUMBER = (int, float)
 # /rollout knobs a body may set, passed through to CampaignConfig.
 _ROLLOUT_KNOBS = {"failure_threshold": _NUMBER, "max_attempts": (int,),
-                  "workers": (int,), "batch_size": (int,),
-                  "backend": (str,), "verify_after_wave": (bool,)}
+                  "workers": (int,), "backend": (str,),
+                  "verify_after_wave": (bool,)}
 
 
 def _is(value, kinds) -> bool:

@@ -3,9 +3,8 @@
 The protocol layer (:mod:`repro.fleet.protocol`) is synchronous and
 per-device stateful -- a ``VerifierSession`` draws nonces from its
 record and must never run two exchanges for the *same* device at
-once, but exchanges for *different* devices are independent (the
-thread-backend campaign already exploits this).  The pump lifts that
-contract onto asyncio:
+once, but exchanges for *different* devices are independent.  The
+pump lifts that contract onto asyncio:
 
 * each attest *request* is one executor call: it attests its devices
   in request order, saves each record, then flushes once -- the same
@@ -17,7 +16,8 @@ contract onto asyncio:
   deadlock between ``[a, b]`` and ``[b, a]``).
 
 Rollouts keep their wave semantics by running the existing
-``RolloutCampaign`` on an executor thread, exclusively: while a
+``RolloutCampaign`` on one executor thread (a serial campaign makes
+every offer there, off the event loop), exclusively: while a
 campaign is in flight new attest/enroll calls are refused (409 at the
 HTTP layer) rather than silently interleaved with campaign offers,
 and the campaign's ``campaign-start`` document is captured from the
@@ -77,10 +77,6 @@ class AsyncFleetPump:
     def campaign_running(self) -> bool:
         future = self._campaign_future
         return future is not None and not future.done()
-
-    @property
-    def campaign_future(self) -> Optional[asyncio.Future]:
-        return self._campaign_future
 
     def _check_free(self):
         if self.campaign_running:

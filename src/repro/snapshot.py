@@ -65,6 +65,35 @@ def check_wire_version(doc: Dict[str, Any], what: str = "snapshot") -> None:
             f"got {got!r} (parent and worker builds out of sync?)")
 
 
+def state_int(state: Dict[str, Any], key: str, optional: bool = False):
+    """``state[key]`` if it is an integer (JSON true/false are not), or
+    None when *optional*.  Anything else raises ValueError, so a wrongly
+    typed leaf fails at restore instead of inside a later run."""
+    value = state[key]
+    if type(value) is int or (optional and value is None):
+        return value
+    raise ValueError(f"snapshot field {key!r} must be an integer, "
+                     f"got {value!r}")
+
+
+def state_list(state: Dict[str, Any], key: str) -> list:
+    """``state[key]`` if it is a list (a log, queue or schedule)."""
+    value = state[key]
+    if type(value) is not list:
+        raise ValueError(f"snapshot field {key!r} must be a list, "
+                         f"got {value!r}")
+    return value
+
+
+def state_counts(state: Dict[str, Any], key: str) -> Dict[str, int]:
+    """``state[key]`` if it is an object of integer counts."""
+    counts = state[key]
+    if type(counts) is not dict:
+        raise ValueError(f"snapshot field {key!r} must be an object, "
+                         f"got {counts!r}")
+    return {name: state_int(counts, name) for name in counts}
+
+
 def memory_delta(mem, baseline) -> list:
     """Pages of *mem* that differ from *baseline*, as ``[addr, hex]``.
 

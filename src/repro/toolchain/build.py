@@ -58,11 +58,6 @@ class BuildPipeline:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def clear_cache(self):
-        self._parse_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-
     def _parse(self, module):
         key = (module.name, hashlib.sha256(module.text.encode()).hexdigest())
         unit = self._parse_cache.get(key)

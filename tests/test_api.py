@@ -188,6 +188,14 @@ class TestSpecRejection:
         self.assert_field("fleet.rollout.wave_fractions", lambda: fleet_spec(
             rollout=RolloutSpec(wave_fractions=(0.0, 1.0))).validate())
 
+    def test_thread_backend_is_rejected(self):
+        # The thread backend is gone, with no alias: a document that
+        # still names it is told what the accepted values are.
+        spec = RolloutSpec.from_dict({"backend": "thread"})
+        self.assert_field("fleet.rollout.backend", spec.validate)
+        with pytest.raises(SpecError, match="one of serial, process"):
+            spec.validate()
+
     def test_fleet_loss_out_of_range(self):
         self.assert_field("fleet.loss",
                           lambda: fleet_spec(loss=5.0).validate())

@@ -2,7 +2,7 @@
 
 Covers the acceptance contract end to end: site enumeration from a
 Table IV application's recovered CFG yields a deep pool (>= 200
-sites), seeded plan expansion is deterministic, thread and process
+sites), seeded plan expansion is deterministic, serial and process
 backends produce identical tallies for the same seed, and the
 detection ordering eilid >= casu >= none holds because the monitor
 sets nest.  Also pins the wire-format versioning shared with the
@@ -114,25 +114,25 @@ def sweep_reports(light_sensor_sites):
     spec, sites = light_sensor_sites
     plan = expand_plan(sites, seed=SEED, count=12, name=APP)
     reports = {}
-    for backend in ("thread", "process"):
+    for backend in ("serial", "process"):
         campaign = FaultCampaign(spec, plan, backend=backend, workers=2)
         reports[backend] = campaign.run()
     return reports
 
 
 def test_backends_tally_identically(sweep_reports):
-    """Acceptance: process and thread sweeps of the same seed agree
+    """Acceptance: process and serial sweeps of the same seed agree
     outcome-for-outcome, not just in aggregate."""
-    thread, process = sweep_reports["thread"], sweep_reports["process"]
-    assert [t.to_dict() for t in thread.tallies] == \
+    serial, process = sweep_reports["serial"], sweep_reports["process"]
+    assert [t.to_dict() for t in serial.tallies] == \
            [t.to_dict() for t in process.tallies]
-    assert thread.outcomes == process.outcomes
+    assert serial.outcomes == process.outcomes
 
 
 def test_detection_ordering_nests_with_monitor_sets(sweep_reports):
     """Acceptance: eilid >= casu >= none detections (same image, and
     eilid's monitor set is a strict superset of casu's)."""
-    report = sweep_reports["thread"]
+    report = sweep_reports["serial"]
     none, casu, eilid = (report.tally(p) for p in ("none", "casu", "eilid"))
     assert none.detected == 0
     assert eilid.detected >= casu.detected >= none.detected
@@ -140,7 +140,7 @@ def test_detection_ordering_nests_with_monitor_sets(sweep_reports):
 
 
 def test_every_fault_graded_once(sweep_reports):
-    report = sweep_reports["thread"]
+    report = sweep_reports["serial"]
     for profile in FAULT_PROFILES:
         outcomes = report.outcomes[profile]
         assert len(outcomes) == report.faults == 12
@@ -151,11 +151,11 @@ def test_every_fault_graded_once(sweep_reports):
 
 
 def test_report_renders_paper_style_table(sweep_reports):
-    text = sweep_reports["thread"].render()
+    text = sweep_reports["serial"].render()
     assert "Fault sweep: light_sensor" in text
     for profile in FAULT_PROFILES:
         assert profile in text
-    doc = json.loads(json.dumps(sweep_reports["thread"].to_dict()))
+    doc = json.loads(json.dumps(sweep_reports["serial"].to_dict()))
     assert doc["faults"] == 12 and len(doc["profiles"]) == 3
 
 
@@ -232,6 +232,13 @@ class TestFaultSpec:
     def test_unknown_key_rejected(self):
         with pytest.raises(SpecError):
             FaultSpec.from_dict({"seeds": 1})
+
+    def test_thread_backend_is_rejected(self):
+        # The thread backend is gone, with no alias.
+        spec = FaultSpec.from_dict({"backend": "thread"})
+        with pytest.raises(SpecError,
+                           match=r"faults\.backend.*one of serial, process"):
+            spec.validate()
 
 
 def test_session_fault_sweep(light_sensor_sites):

@@ -395,8 +395,6 @@ class TestRollout:
         with pytest.raises(ValueError):
             CampaignConfig(wave_fractions=(0.5,))
         with pytest.raises(ValueError):
-            CampaignConfig(batch_size=0)
-        with pytest.raises(ValueError):
             CampaignConfig(workers=-1)
         with pytest.raises(ValueError):
             CampaignConfig(failure_threshold=-0.1)
@@ -497,8 +495,6 @@ class TestCliExitCodes:
         assert cli_main(["fleet", "status", "--devices", "5",
                          "--loss", "-0.5"]) == 1
         assert cli_main(["fleet", "rollout", "--devices", "5",
-                         "--batch-size", "0"]) == 1
-        assert cli_main(["fleet", "rollout", "--devices", "5",
                          "--failure-threshold", "-0.1"]) == 1
         assert cli_main(["fleet", "enroll", "--devices", "0",
                          "--loss", "5.0"]) == 1
@@ -518,7 +514,7 @@ class TestShippedDeviceState:
 
     A device whose version counter ran ahead out of band answers the
     campaign's offer with its real (higher) version, which the
-    verifier records.  The thread backend (live devices) is ground
+    verifier records.  The serial backend (live devices) is ground
     truth; the process backend only matches it if the parent ships
     the mutated replica's snapshot instead of the honest record
     rebuild -- a rebuilt worker device sits at the record's version
@@ -536,32 +532,14 @@ class TestShippedDeviceState:
 
     def test_process_matches_thread_for_mutated_replicas(self):
         results = {}
-        for backend in ("thread", "process"):
+        for backend in ("serial", "process"):
             fleet, victim, report = self._run(backend=backend, workers=2)
             results[backend] = (
                 report.applied, report.failed,
                 fleet.registry.get(victim).state,
                 fleet.registry.get(victim).firmware_version)
-        assert results["process"] == results["thread"]
+        assert results["process"] == results["serial"]
         # The verifier learned the device's true version -- the
         # replica did not silently take the downgrade.
         _, _, _, version = results["process"]
         assert version == 5
-
-    def test_legacy_rebuild_misses_the_mutation(self):
-        # ship_device_state=False documents the pre-snapshot gap this
-        # closes: the worker rebuilds an honest device at the record's
-        # version, which accepts the downgrade the real device refuses.
-        fleet, victim, report = self._run(backend="process", workers=2,
-                                          ship_device_state=False)
-        assert report.applied == 4 and report.failed == 0
-        assert fleet.registry.get(victim).firmware_version == 1
-
-    def test_forced_shipping_keeps_honest_rollouts_identical(self):
-        fleet = FleetSimulation(size=4)
-        report = fleet.rollout(version=1, config=CampaignConfig(
-            backend="process", workers=2, ship_device_state=True))
-        assert report.status is CampaignStatus.COMPLETE
-        assert report.applied == 4
-        assert all(record.firmware_version == 1
-                   for record in fleet.registry)

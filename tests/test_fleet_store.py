@@ -8,7 +8,7 @@ The properties this file guards:
   re-enrolling them;
 * a campaign killed mid-way resumes from the store without
   re-offering applied devices;
-* the process backend produces the same fleet end-state as the thread
+* the process backend produces the same fleet end-state as the serial
   backend -- applied versions, adversarial rejections, quarantines --
   and a seeded loss x reorder grid shows updates stay idempotent and
   no healthy device is ever quarantined on either backend.
@@ -36,7 +36,7 @@ from repro.fleet import (
 from repro.fleet.registry import NONCE_RESTART_SLACK, DeviceRecord
 from repro.casu.update import UpdateKey
 
-BACKENDS = ("thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def make_store(kind, tmp_path, name="fleet"):
@@ -489,7 +489,7 @@ class TestProcessBackend:
                 dict(fleet.registry.state_histogram()),
                 dict(fleet.registry.version_histogram()),
             )
-        assert outcomes["thread"] == outcomes["process"]
+        assert outcomes["serial"] == outcomes["process"]
 
     def test_process_quarantines_propagate_to_parent(self):
         # A worker-side ROM rejection (tampered package -> BAD_MAC ack)

@@ -2,7 +2,8 @@
 
 The checker is CI's guard for contracts a general linter can't see:
 closed event kinds, enveloped CLI JSON, deterministic fault/analysis
-paths, dynamic code confined to the instruction compiler.  These tests
+paths, dynamic code confined to the instruction compiler, threads
+confined to the serve package.  These tests
 pin both directions -- the real repo is clean, and seeded violations in
 a synthetic tree are caught.
 """
@@ -199,5 +200,43 @@ def test_dynamic_code_in_the_compiler_and_namesakes_pass(tmp_path):
             "class Gen:\n"
             "    def go(self, expr):\n"
             "        return self._eval(expr)\n",
+    })
+    assert checker.run_checks(root) == []
+
+
+# ---- rule 5: threads and thread pools only under serve/ ---------------------
+
+
+THREAD_SNIPPETS = [
+    "from concurrent.futures import ThreadPoolExecutor\n",
+    "import concurrent.futures\n\n"
+    "POOL = concurrent.futures.ThreadPoolExecutor\n",
+    "import threading\n\n"
+    "def f():\n    return threading.Thread(target=print)\n",
+    "from threading import Thread\n",
+]
+
+
+@pytest.mark.parametrize("snippet", THREAD_SNIPPETS)
+def test_thread_outside_serve_is_caught(tmp_path, snippet):
+    root = _tree(tmp_path, **{"src/repro/fleet/campaign.py": snippet})
+    problems = checker.run_checks(root)
+    assert len(problems) == 1
+    assert "src/repro/fleet/campaign.py" in problems[0]
+    assert "threads have one home" in problems[0]
+
+
+@pytest.mark.parametrize("snippet", THREAD_SNIPPETS)
+def test_thread_inside_serve_passes(tmp_path, snippet):
+    root = _tree(tmp_path, **{"src/repro/serve/pump.py": snippet})
+    assert checker.run_checks(root) == []
+
+
+def test_locks_and_process_pools_pass_anywhere(tmp_path):
+    root = _tree(tmp_path, **{
+        "src/repro/faults/campaign.py":
+            "import threading\n"
+            "from concurrent.futures import ProcessPoolExecutor\n\n"
+            "LOCK = threading.Lock()\n",
     })
     assert checker.run_checks(root) == []

@@ -49,7 +49,7 @@ def emit_fixture(log):
     """A tiny two-campaign history every query test folds."""
     log.emit("enroll", device="d1", platform="TI MSP430")
     log.emit("enroll", device="d2", platform="TI MSP430")
-    first = log.start_campaign(target_version=1, backend="thread")
+    first = log.start_campaign(target_version=1, backend="serial")
     log.emit("offer", device="d1", campaign=first, status="applied")
     log.emit("offer", device="d2", campaign=first, status="rejected-bad-mac")
     log.emit("quarantine", device="d2", campaign=first,
@@ -57,7 +57,7 @@ def emit_fixture(log):
     log.emit("wave-commit", campaign=first, index=0, size=2)
     log.emit("campaign-end", campaign=first, status="complete", applied=1,
              failed=1, devices_per_sec=100.0, elapsed_s=0.02)
-    second = log.start_campaign(target_version=2, backend="thread")
+    second = log.start_campaign(target_version=2, backend="serial")
     log.emit("offer", device="d1", campaign=second, status="applied")
     log.emit("attest", device="d1", campaign=second, ok=True, detail="")
     log.emit("attest", device="d2", ok=False, detail="quarantined")

@@ -463,22 +463,6 @@ class TestSpanTrees:
         assert spans["campaign.run"]["parent"] is None
         assert len({s["trace"] for s in spans.values()}) == 1
 
-    def test_explicit_parent_escapes_thread_locality(self):
-        """Pool threads pass the wave span explicitly -- their stacks
-        are empty, the lineage must still connect."""
-        registry = MetricsRegistry()
-        with registry.span("campaign.wave") as wave:
-            def pool_work():
-                with registry.span("campaign.offer", parent=wave.id):
-                    pass
-            worker = threading.Thread(target=pool_work)
-            worker.start()
-            worker.join()
-        offer = registry.spans(name="campaign.offer")[0]
-        wave_doc = registry.spans(name="campaign.wave")[0]
-        assert offer["parent"] == wave_doc["id"]
-        assert offer["trace"] == wave_doc["trace"]
-
     def test_span_tree_forest_shape(self):
         registry = MetricsRegistry()
         with registry.span("a"):
@@ -541,7 +525,7 @@ class TestSpanTrees:
         assert snap["min"] == 1.0 and snap["max"] == 9.0
 
 
-# ---- thread vs process backend parity (satellite a) -------------------------
+# ---- serial vs process backend parity ---------------------------------------
 
 
 class TestBackendMetricsParity:
@@ -551,23 +535,23 @@ class TestBackendMetricsParity:
         METRICS.reset()
         fleet = FleetSimulation(size=24, seed=7)
         config = CampaignConfig(failure_threshold=0.9, backend=backend,
-                                batch_size=4, workers=2)
+                                workers=2)
         report = fleet.rollout(version=1, payload=bytes(16), config=config,
                                tamper_fraction=0.25)
         return report, METRICS.snapshot()
 
     def test_process_shard_metrics_merge_matches_thread_totals(self):
-        thread_report, thread_snap = self.run_campaign("thread")
+        serial_report, serial_snap = self.run_campaign("serial")
         process_report, process_snap = self.run_campaign("process")
         # same campaign outcome...
-        assert (thread_report.applied, thread_report.failed) == \
+        assert (serial_report.applied, serial_report.failed) == \
             (process_report.applied, process_report.failed)
         # ...and the same number of offer spans landed in the parent
         # registry: the worker snapshots merged rather than vanishing
         # inside the pool processes.
-        thread_offers = thread_snap["histograms"]["campaign.offer.ms"]
+        serial_offers = serial_snap["histograms"]["campaign.offer.ms"]
         process_offers = process_snap["histograms"]["campaign.offer.ms"]
-        assert thread_offers["count"] == process_offers["count"] == 24
+        assert serial_offers["count"] == process_offers["count"] == 24
         METRICS.reset()
 
     def test_process_span_lineage_reroots_onto_waves(self):
@@ -847,7 +831,7 @@ class TestLiveWatchAcceptance:
         writer = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "fleet", "rollout",
              "--devices", "150", "--backend", "process", "--workers", "2",
-             "--batch-size", "16", "--tamper-fraction", "0.1",
+             "--tamper-fraction", "0.1",
              "--failure-threshold", "0.95", "--alerts",
              "--store", store, "--events", events, "--json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -515,6 +515,12 @@ class TestDaemonApi:
             client.rollout(1, waves=[0.5])  # must end at 1.0
         assert excinfo.value.status == 400
 
+    def test_thread_backend_is_400(self, daemon_fleet):
+        _fleet, client = daemon_fleet
+        with pytest.raises(ServeError, match="serial, process") as excinfo:
+            client.rollout(1, backend="thread")
+        assert excinfo.value.status == 400
+
 
 def _raw_exchange(port: int, payload: bytes, timeout: float = 10.0
                   ) -> bytes:
@@ -854,8 +860,12 @@ class TestServeCli:
         campaign offline via rollout(resume=True) on the same shards."""
         proc, ready = _spawn_daemon(tmp_path, devices=400)
         client = FleetClient(ready["url"])
+        # 25 eight-device waves, then the other half of the fleet: the
+        # signal sent at the first wave-commit has two dozen wave
+        # boundaries to land on before the last wave starts.
+        waves = [round(0.02 * step, 2) for step in range(1, 26)] + [1.0]
         try:
-            doc = client.rollout(2, waves=[0.02, 0.1, 0.3, 1.0])
+            doc = client.rollout(2, waves=waves)
             campaign_id = doc["campaign"]
             # A second rollout while one is in flight conflicts.
             with pytest.raises(ServeError) as excinfo:

@@ -5,7 +5,8 @@ The regression tests pin single-field corruptions of a live
 light_sensor EILID snapshot that used to escape as other exceptions, or
 were accepted and crashed the next run inside the simulator.  The
 property feeds seeded single-field mutations of the same document to
-``restore``.
+``restore``, and puts every document it accepts through a run, a W^X
+violation, a snapshot and an attestation report.
 """
 
 import copy
@@ -17,6 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import FirmwareSpec, build_firmware
 from repro.apps.registry import APPS
 from repro.device import build_device
+from repro.isa.registers import PC
+from repro.memory.map import DMEM_START
 from repro.snapshot import SnapshotError
 
 APP = APPS["light_sensor"]
@@ -59,6 +62,21 @@ def restored(program, doc):
     (("interrupts", "pending"), {}),  # was MemoryAccessError
     (("interrupts", "pending"), "x"),  # was MemoryAccessError
     (("cpu", "regs"), {}),  # was IndexError
+    # Accepted, after which a later run, snapshot or report raised
+    # TypeError.  (events_dropped and trace.dropped only once their
+    # rings evict.)
+    (("reset_count",), None),
+    (("violation_count",), None),
+    (("events_dropped",), None),
+    (("trace", "total"), None),
+    (("trace", "digest"), 1.5),
+    (("trace", "dropped"), None),
+    (("peripherals", "adc", "sample_count"), None),
+    (("peripherals", "adc", "channel_counts", "0"), 1.5),
+    (("peripherals", "uart", "tx_log"), "x"),
+    (("peripherals", "lcd", "command_log"), "x"),
+    (("peripherals", "lcd", "data_log"), "x"),
+    (("peripherals", "harness", "violation_writes"), "x"),
 ])
 def test_malformed_field_raises_snapshot_error(program, snapshot_doc, path,
                                                value):
@@ -98,6 +116,13 @@ def test_mutated_snapshot_raises_only_snapshot_error(program, snapshot_doc,
     path = data.draw(st.sampled_from(paths), label="field")
     value = data.draw(st.sampled_from(BAD_VALUES), label="value")
     try:
-        restored(program, mutated(snapshot_doc, path, value))
+        device = restored(program, mutated(snapshot_doc, path, value))
     except SnapshotError:
-        pass
+        return
+    # An accepted document must be usable: run on, execute from DMEM
+    # (a W^X violation), then snapshot and attest the result.
+    device.run(max_cycles=20_000)
+    device.cpu.regs[PC] = DMEM_START + 0x100
+    device.run(max_cycles=200, stop_on_done=False)
+    device.snapshot().to_json()
+    device.attestation_report()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces four codebase contracts no general-purpose linter knows
+Enforces five codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -22,6 +22,12 @@ about:
    (src/repro/cpu/compiler.py), which builds executor source from
    decoded instructions alone; anywhere else they would be a way to
    run text from outside the program.
+5. **threads have one home** -- ``ThreadPoolExecutor`` and
+   ``threading.Thread`` appear only under src/repro/serve/, where the
+   verifier daemon runs its event loop and pump executor.  Fault
+   sweeps and rollouts run serially in-process or on a process pool:
+   a thread pool on their CPU-bound paths ran slower under the GIL
+   than a plain loop and hid the work from profilers.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -44,6 +50,9 @@ DETERMINISTIC_PATHS = (
 # The one module that may call the dynamic-code builtins.
 CODEGEN_PATHS = ("src/repro/cpu/compiler.py",)
 _DYNAMIC_CODE = {"exec", "eval", "compile"}
+
+# The one package that may create threads and thread pools.
+THREAD_HOME = "src/repro/serve/"
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -240,6 +249,43 @@ def check_dynamic_code(root: Path) -> list:
     return problems
 
 
+def _thread_maker(node):
+    """The thread or thread-pool class *node* imports or reaches, or None.
+
+    Catches ``from threading import Thread``, ``threading.Thread`` and
+    ``ThreadPoolExecutor`` imported from, or reached through, any
+    module; a bare name use needs one of those imports first."""
+    if isinstance(node, ast.ImportFrom):
+        names = {alias.name for alias in node.names}
+        if "ThreadPoolExecutor" in names:
+            return "ThreadPoolExecutor"
+        if node.module == "threading" and "Thread" in names:
+            return "threading.Thread"
+    elif isinstance(node, ast.Attribute):
+        if node.attr == "ThreadPoolExecutor":
+            return "ThreadPoolExecutor"
+        if (node.attr == "Thread" and isinstance(node.value, ast.Name)
+                and node.value.id == "threading"):
+            return "threading.Thread"
+    return None
+
+
+def check_thread_home(root: Path) -> list:
+    """Rule 5: threads and thread pools only in the serve package."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith(THREAD_HOME):
+            continue
+        for node in ast.walk(_parse(path)):
+            name = _thread_maker(node)
+            if name is not None:
+                problems.append(
+                    f"{rel}:{node.lineno}: {name} outside {THREAD_HOME} "
+                    f"(threads have one home)")
+    return problems
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
@@ -247,6 +293,7 @@ def run_checks(root: Path) -> list:
     problems += check_cli_envelopes(root)
     problems += check_deterministic_paths(root)
     problems += check_dynamic_code(root)
+    problems += check_thread_home(root)
     return problems
 
 
