@@ -3,7 +3,9 @@
 Every stage of the scenario pipeline returns one of these dataclasses,
 and every one of them serialises via ``to_dict()`` into a JSON document
 carrying ``schema`` and ``version`` keys -- the uniform envelope the
-CLI's ``--json`` mode and any downstream tooling rely on.
+CLI's ``--json`` mode and any downstream tooling rely on.  Each
+``to_dict()`` is its field list (the same ``fields_to_dict`` the specs
+use) plus its schema name, its computed keys and its roundings.
 
 Fleet-scale stages additionally stream: per-device records are yielded
 lazily by ``Session.attest_stream()`` / ``Session.verify_stream()``
@@ -13,6 +15,8 @@ plus a bounded sample of offender ids.
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from repro.api.spec import fields_to_dict
 
 RESULT_VERSION = 1
 
@@ -48,20 +52,8 @@ class BuildArtifacts:
     build_ms: float
 
     def to_dict(self) -> dict:
-        return envelope(
-            "build",
-            scenario=self.scenario,
-            workload=self.workload,
-            firmware_kind=self.firmware_kind,
-            variant=self.variant,
-            program_name=self.program_name,
-            app_code_bytes=self.app_code_bytes,
-            build_count=self.build_count,
-            instrumented_calls=self.instrumented_calls,
-            instrumented_returns=self.instrumented_returns,
-            inserted_bytes=self.inserted_bytes,
-            build_ms=round(self.build_ms, 3),
-        )
+        return envelope("build", **fields_to_dict(
+            self, build_ms=round(self.build_ms, 3)))
 
 
 # ---- run --------------------------------------------------------------------
@@ -77,12 +69,7 @@ class AttackDetails:
     detected: bool  # the monitor reset the device before the goal
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "outcome": self.outcome,
-            "detail": self.detail,
-            "detected": self.detected,
-        }
+        return fields_to_dict(self)
 
 
 @dataclass(frozen=True)
@@ -110,21 +97,8 @@ class RolloutDetails:
     alerts: Optional[Tuple[dict, ...]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "target_version": self.target_version,
-            "applied": self.applied,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "halted": self.halted,
-            "halt_reason": self.halt_reason,
-            "waves": list(self.waves),
-            "devices_per_sec": round(self.devices_per_sec, 1),
-            "backend": self.backend,
-            "resumed": self.resumed,
-            "metrics": self.metrics,
-            "alerts": None if self.alerts is None else list(self.alerts),
-        }
+        return fields_to_dict(
+            self, devices_per_sec=round(self.devices_per_sec, 1))
 
 
 @dataclass(frozen=True)
@@ -137,12 +111,7 @@ class FleetRunDetails:
     rollout: Optional[RolloutDetails] = None
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "enrolled": self.enrolled,
-            "run_cycles": self.run_cycles,
-            "rollout": None if self.rollout is None else self.rollout.to_dict(),
-        }
+        return fields_to_dict(self)
 
 
 @dataclass(frozen=True)
@@ -179,23 +148,8 @@ class RunOutcome:
         return self.done and not self.violations
 
     def to_dict(self) -> dict:
-        return envelope(
-            "run",
-            scenario=self.scenario,
-            workload=self.workload,
-            security=self.security,
-            ok=self.ok,
-            cycles=self.cycles,
-            instructions=self.instructions,
-            steps=self.steps,
-            done=self.done,
-            done_value=self.done_value,
-            run_time_us=self.run_time_us,
-            violations=list(self.violations),
-            reset_count=self.reset_count,
-            attack=None if self.attack is None else self.attack.to_dict(),
-            fleet=None if self.fleet is None else self.fleet.to_dict(),
-        )
+        return envelope("run", **fields_to_dict(
+            self, ok=self.ok, run_time_us=self.run_time_us))
 
 
 # ---- attest -----------------------------------------------------------------
@@ -213,15 +167,7 @@ class DeviceAttestation:
     firmware_version: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return envelope(
-            "attest.device",
-            device_id=self.device_id,
-            ok=self.ok,
-            detail=self.detail,
-            attempts=self.attempts,
-            firmware_hash=self.firmware_hash,
-            firmware_version=self.firmware_version,
-        )
+        return envelope("attest.device", **fields_to_dict(self))
 
 
 @dataclass(frozen=True)
@@ -237,32 +183,12 @@ class AttestOutcome:
     quarantined: Tuple[str, ...] = ()  # bounded sample of offender ids
 
     def to_dict(self) -> dict:
-        return envelope(
-            "attest",
-            scenario=self.scenario,
-            workload=self.workload,
-            ok=self.ok,
-            devices_total=self.devices_total,
-            devices_ok=self.devices_ok,
-            report=self.report,
-            quarantined=list(self.quarantined),
-        )
+        return envelope("attest", **fields_to_dict(self))
 
 
 def report_to_dict(report) -> dict:
     """Serialise an AttestationReport (repro.eilid.trusted_sw)."""
-    return {
-        "firmware_hash": report.firmware_hash,
-        "firmware_version": report.firmware_version,
-        "reset_count": report.reset_count,
-        "violation_reasons": list(report.violation_reasons),
-        "cycle": report.cycle,
-        "violation_count": report.violation_count,
-        "violation_totals": list(report.violation_totals),
-        "trace_digest": report.trace_digest,
-        "trace_edges": report.trace_edges,
-        "trace_dropped": report.trace_dropped,
-    }
+    return fields_to_dict(report)
 
 
 # ---- verify -----------------------------------------------------------------
@@ -279,14 +205,7 @@ class DeviceVerification:
     dropped: int = 0  # edges the device's bounded trace ring evicted
 
     def to_dict(self) -> dict:
-        return envelope(
-            "verify.device",
-            device_id=self.device_id,
-            ok=self.ok,
-            reason=self.reason,
-            edges_checked=self.edges_checked,
-            dropped=self.dropped,
-        )
+        return envelope("verify.device", **fields_to_dict(self))
 
 
 @dataclass(frozen=True)
@@ -305,19 +224,7 @@ class VerifyOutcome:
     rejected: Tuple[str, ...] = ()  # bounded sample of offender ids
 
     def to_dict(self) -> dict:
-        return envelope(
-            "verify",
-            scenario=self.scenario,
-            workload=self.workload,
-            ok=self.ok,
-            policy_digest=self.policy_digest,
-            edges_checked=self.edges_checked,
-            dropped=self.dropped,
-            reason=self.reason,
-            devices_total=self.devices_total,
-            devices_ok=self.devices_ok,
-            rejected=list(self.rejected),
-        )
+        return envelope("verify", **fields_to_dict(self))
 
 
 # ---- static analysis --------------------------------------------------------
@@ -345,19 +252,7 @@ class AnalyzeOutcome:
     correlation: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return envelope(
-            "analyze",
-            scenario=self.scenario,
-            workload=self.workload,
-            name=self.name,
-            variant=self.variant,
-            ok=self.ok,
-            rules=list(self.rules),
-            counts=dict(self.counts),
-            findings=[dict(finding) for finding in self.findings],
-            stats=dict(self.stats),
-            correlation=self.correlation,
-        )
+        return envelope("analyze", **fields_to_dict(self))
 
 
 # ---- the one-shot pipeline result -------------------------------------------
@@ -378,12 +273,4 @@ class ScenarioResult:
         return self.run.ok and self.attest.ok and self.verify.ok
 
     def to_dict(self) -> dict:
-        return envelope(
-            "scenario-result",
-            ok=self.ok,
-            spec=self.spec,
-            build=self.build.to_dict(),
-            run=self.run.to_dict(),
-            attest=self.attest.to_dict(),
-            verify=self.verify.to_dict(),
-        )
+        return envelope("scenario-result", **fields_to_dict(self, ok=self.ok))

@@ -295,21 +295,10 @@ class Session:
         if self.workload != "fleet":
             raise SpecError("fleet.rollout", "not a fleet scenario")
         plan.validate()
-        from repro.fleet import CampaignConfig
-
-        config = CampaignConfig(
-            wave_fractions=plan.wave_fractions,
-            failure_threshold=plan.failure_threshold,
-            max_attempts=self.spec.fleet.max_attempts,
-            workers=plan.workers,
-            verify_after_wave=plan.verify_after_wave,
-            backend=plan.backend,
-            metrics_dump=plan.metrics_dump,
-        )
         with METRICS.span("session.rollout"):
             report = self.fleet.rollout(
                 version=plan.version,
-                config=config,
+                config=plan.campaign_config(self.spec.fleet.max_attempts),
                 tamper_fraction=plan.tamper_fraction,
                 rollback_fraction=plan.rollback_fraction,
                 resume=plan.resume,

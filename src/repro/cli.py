@@ -3,7 +3,16 @@
 Every subcommand is a thin adapter over the public scenario API
 (:mod:`repro.api`): flags are folded into a declarative
 :class:`~repro.api.ScenarioSpec`, a :class:`~repro.api.Session` runs
-the pipeline, and the typed outcome decides the exit code.
+the pipeline, and the typed outcome decides the exit code.  A flag
+that sets a spec field is named after that field (its ``dest``: e.g.
+``--devices`` sets ``FleetSpec.size``, ``--waves``
+``RolloutSpec.wave_fractions``) and declares no default of its own: a
+flag left unset keeps the field's default, and the spec's own
+``validate()`` judges every value.  The few CLI-only defaults are
+``faults sweep``/``analyze --count 48`` (``FaultSpec.count=None``
+would sweep every site), ``--security casu`` on the fleet verbs, each
+verb's ``--variant``, ``cfg verify-trace --security none``, and
+``fleet rollout``'s ``run_cycles=0``.
 
 Commands:
 
@@ -74,14 +83,39 @@ def _print_json(doc: dict):
     print(json.dumps(doc, sort_keys=False))
 
 
-def _session(spec):
-    """Build a Session, translating spec validation into usage errors."""
-    from repro.api import Session, SpecError
+def _spec(cls, args, **fixed):
+    """Build spec *cls* from the flags named after its fields, validated.
 
+    A flag left unset (None) keeps the field default; *fixed* sets the
+    fields the verb decides itself."""
+    from dataclasses import fields
+
+    values = {field.name: getattr(args, field.name) for field in fields(cls)
+              if getattr(args, field.name, None) is not None}
+    values.update(fixed)
+    return cls(**values).validate()
+
+
+def _csv(item=str):
+    """An argparse type: a comma-separated list of *item* values."""
+    def parse(text):
+        return tuple(item(part.strip()) for part in text.split(",")
+                     if part.strip())
+
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
+def _alert_override(text):
+    """An argparse type: ``NAME=THRESHOLD`` as a (name, number) pair."""
+    name, separator, value = text.partition("=")
     try:
-        return Session(spec)
-    except SpecError as error:
-        raise _UsageError(str(error)) from None
+        if separator:
+            return name, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"wants NAME=THRESHOLD with a numeric threshold, got {text!r}")
 
 
 # ---- paper evaluation ------------------------------------------------------
@@ -183,11 +217,11 @@ def _cmd_micro(args):
 
 
 def _cmd_run_app(args):
-    from repro.api import FirmwareSpec, ScenarioSpec
+    from repro.api import FirmwareSpec, ScenarioSpec, Session
     from repro.apps import get_app
 
     security = "eilid" if args.variant == "eilid" else "none"
-    session = _session(ScenarioSpec(
+    session = Session(ScenarioSpec(
         name=args.name,
         firmware=FirmwareSpec(kind="app", app=args.name, variant=args.variant),
         security=security,
@@ -206,10 +240,9 @@ def _cmd_run_app(args):
 
 
 def _cmd_attack(args):
-    from repro.api import ScenarioSpec
+    from repro.api import ScenarioSpec, Session
 
-    session = _session(ScenarioSpec(
-        name=args.name, attack=args.name, security=args.security))
+    session = Session(_spec(ScenarioSpec, args, attack=args.name))
     outcome = session.run()
     if args.json:
         _print_json(outcome.to_dict())
@@ -247,14 +280,11 @@ def _cmd_verify(args):
 
 def _cfg_build_app(args):
     """Shared front half of the cfg commands: build + recover + compile."""
-    from repro.api import FirmwareSpec, SpecError, build_firmware
+    from repro.api import FirmwareSpec, build_firmware
     from repro.cfg import compile_policy, recover_cfg
 
-    try:
-        build = build_firmware(FirmwareSpec(
-            kind="app", app=args.name, variant=args.variant).validate())
-    except SpecError as error:
-        raise _UsageError(str(error)) from None
+    build = build_firmware(FirmwareSpec(
+        kind="app", app=args.name, variant=args.variant).validate())
     cfg = recover_cfg(build.program)
     policy = compile_policy(cfg, symbols=build.program.symbols)
     return build, cfg, policy
@@ -325,18 +355,17 @@ def _cmd_cfg_diff(args):
 
 
 def _cmd_cfg_verify_trace(args):
-    from repro.api import FirmwareSpec, ScenarioSpec
+    from repro.api import FirmwareSpec, ScenarioSpec, Session
 
     if args.attack:
-        session = _session(ScenarioSpec(
-            name=args.attack, attack=args.attack, security=args.security))
+        session = Session(_spec(ScenarioSpec, args, name=args.attack))
         outcome = session.run()
         banner = str(session.attack_result)
     else:
         from repro.apps import get_app
 
         variant = args.variant
-        session = _session(ScenarioSpec(
+        session = Session(ScenarioSpec(
             name=args.name,
             firmware=FirmwareSpec(kind="app", app=args.name, variant=variant),
             security="eilid" if variant == "eilid" else "none",
@@ -362,31 +391,16 @@ def _cmd_cfg_verify_trace(args):
 # ---- faults ----------------------------------------------------------------
 
 
-def _faults_kinds(args):
-    from repro.faults import FAULT_KINDS
-
-    if not args.kinds:
-        return FAULT_KINDS
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    unknown = sorted(set(kinds) - set(FAULT_KINDS))
-    if unknown:
-        raise _UsageError(f"unknown fault kind(s) {', '.join(unknown)}; "
-                          f"one of {', '.join(FAULT_KINDS)}")
-    return kinds
-
-
 def _cmd_faults_enumerate(args):
-    from repro.api import FirmwareSpec, SpecError, build_firmware, envelope
+    from repro.api import FaultSpec, FirmwareSpec, build_firmware, envelope
     from repro.cfg import recover_cfg
     from repro.faults import enumerate_sites
 
-    try:
-        build = build_firmware(FirmwareSpec(
-            kind="app", app=args.name, variant=args.variant).validate())
-    except SpecError as error:
-        raise _UsageError(str(error)) from None
+    kinds = _spec(FaultSpec, args).kinds
+    build = build_firmware(FirmwareSpec(
+        kind="app", app=args.name, variant=args.variant).validate())
     cfg = recover_cfg(build.program, name=args.name)
-    sites = enumerate_sites(cfg, kinds=_faults_kinds(args))
+    sites = enumerate_sites(cfg, kinds=kinds)
     counts = {}
     for site in sites:
         counts[site.kind] = counts.get(site.kind, 0) + 1
@@ -407,23 +421,10 @@ def _cmd_faults_enumerate(args):
 
 
 def _cmd_faults_sweep(args):
-    from repro.api import (
-        FaultSpec,
-        FirmwareSpec,
-        ScenarioSpec,
-        SpecError,
-        envelope,
-    )
+    from repro.api import FaultSpec, FirmwareSpec, ScenarioSpec, Session, envelope
 
-    profiles = tuple(p.strip() for p in args.profiles.split(",") if p.strip())
-    try:
-        plan = FaultSpec(
-            seed=args.seed, count=args.count, kinds=_faults_kinds(args),
-            profiles=profiles, backend=args.backend, workers=args.workers,
-            warmup_steps=args.warmup_steps).validate()
-    except SpecError as error:
-        raise _UsageError(str(error)) from None
-    session = _session(ScenarioSpec(
+    plan = _spec(FaultSpec, args)
+    session = Session(ScenarioSpec(
         name=args.name,
         firmware=FirmwareSpec(kind="app", app=args.name,
                               variant=args.variant)))
@@ -451,45 +452,22 @@ def _cmd_analyze(args):
     from repro.api import (
         AnalyzeSpec,
         FaultSpec,
+        FirmwareSpec,
         ScenarioSpec,
-        SpecError,
-        envelope,
+        Session,
     )
 
-    try:
-        if args.rules:
-            rules = tuple(r.strip() for r in args.rules.split(",")
-                          if r.strip())
-            spec = AnalyzeSpec(rules=rules, stack_margin=args.stack_margin,
-                               irq_nesting=args.irq_nesting)
-        else:
-            spec = AnalyzeSpec(stack_margin=args.stack_margin,
-                               irq_nesting=args.irq_nesting)
-        spec.validate()
-    except SpecError as error:
-        raise _UsageError(str(error)) from None
-
+    spec = _spec(AnalyzeSpec, args)
+    plan = _spec(FaultSpec, args) if args.sweep else None
     if args.attack:
         scenario = ScenarioSpec(name=args.attack, attack=args.attack)
     else:
-        from repro.api import FirmwareSpec
-
         scenario = ScenarioSpec(
             name=args.name,
             firmware=FirmwareSpec(kind="app", app=args.name,
                                   variant=args.variant))
-    session = _session(scenario)
-
-    fault_report = None
-    if args.sweep:
-        profiles = tuple(p.strip() for p in args.profiles.split(",")
-                         if p.strip())
-        try:
-            plan = FaultSpec(seed=args.seed, count=args.count,
-                             profiles=profiles).validate()
-        except SpecError as error:
-            raise _UsageError(str(error)) from None
-        fault_report = session.fault_sweep(plan)
+    session = Session(scenario)
+    fault_report = None if plan is None else session.fault_sweep(plan)
 
     events = None
     if args.events:
@@ -529,56 +507,33 @@ def _cmd_analyze(args):
 
 
 def _alerts_config(args):
-    """Fold ``--alerts`` / ``--alert NAME=VALUE`` into the FleetSpec
+    """``--alerts`` / ``--alert NAME=THRESHOLD`` in the FleetSpec.alerts
     shape: None (engine off), True (default panel) or a {rule:
-    threshold} dict."""
-    overrides = {}
-    for entry in getattr(args, "alert", None) or ():
-        name, separator, value = entry.partition("=")
-        if not separator:
-            raise _UsageError(f"--alert wants NAME=THRESHOLD, got {entry!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise _UsageError(
-                f"--alert {name}: threshold {value!r} is not a number"
-            ) from None
-    if overrides:
-        from repro.obs.alerts import RULE_REGISTRY
-
-        for name in overrides:
-            if name not in RULE_REGISTRY:
-                raise _UsageError(
-                    f"unknown alert rule {name!r}; one of "
-                    f"{', '.join(RULE_REGISTRY)}")
-        return overrides
-    return True if getattr(args, "alerts", False) else None
+    threshold} dict (the spec's validation names unknown rules)."""
+    if args.alert:
+        return dict(args.alert)
+    return getattr(args, "alerts", None)
 
 
-def _fleet_session(args, rollout=None, run_cycles=2_000):
+def _fleet_scenario(args, **fleet):
+    """The fleet verbs' scenario, from the fleet flags and *fleet*."""
     from repro.api import FleetSpec, ScenarioSpec
 
-    return _session(ScenarioSpec(
-        name="fleet",
-        security=args.security,
-        fleet=FleetSpec(
-            size=args.devices,
-            loss=args.loss,
-            reorder=args.reorder,
-            seed=args.seed,
-            run_cycles=run_cycles,
-            store=args.store,
-            events=args.events,
-            alerts=_alerts_config(args),
-            rollout=rollout,
-        ),
-    ))
+    return _spec(ScenarioSpec, args, name="fleet", fleet=_spec(
+        FleetSpec, args, alerts=_alerts_config(args), **fleet))
+
+
+def _fleet_session(args, **fleet):
+    from repro.api import Session
+
+    return Session(_fleet_scenario(args, **fleet))
 
 
 def _cmd_fleet_enroll(args):
     from repro.api import envelope
 
     session = _fleet_session(args)
+    spec = session.spec
     fleet = session.fleet
     failed = [record.device_id for record in fleet.registry
               if not record.enrolled_ok]
@@ -590,13 +545,13 @@ def _cmd_fleet_enroll(args):
             ok=not failed,
             devices=len(fleet.registry),
             enrolled=len(fleet.registry) - len(failed),
-            security=args.security,
-            loss=args.loss,
+            security=spec.security,
+            loss=spec.fleet.loss,
             states=states,
         ))
     else:
         print(f"enrolled {len(fleet.registry) - len(failed)}/{len(fleet.registry)} "
-              f"devices (security={args.security}, loss={args.loss})")
+              f"devices (security={spec.security}, loss={spec.fleet.loss})")
         for state, count in states.items():
             print(f"  {state}: {count}")
     return EXIT_SECURITY if failed else EXIT_OK
@@ -759,23 +714,9 @@ def _cmd_fleet_history(args):
 
 
 def _cmd_fleet_rollout(args):
-    from repro.api import RolloutSpec, SpecError
+    from repro.api import RolloutSpec
 
-    try:
-        waves = tuple(float(f) for f in args.waves.split(","))
-    except ValueError as error:
-        raise _UsageError(f"bad rollout options: {error}") from None
-    rollout = RolloutSpec(
-        version=args.version,
-        wave_fractions=waves,
-        failure_threshold=args.failure_threshold,
-        tamper_fraction=args.tamper_fraction,
-        rollback_fraction=args.rollback_fraction,
-        workers=args.workers,
-        backend=args.backend,
-        resume=args.resume,
-        metrics_dump=args.metrics_dump,
-    )
+    rollout = _spec(RolloutSpec, args)
     if args.resume and not args.store:
         raise _UsageError("--resume needs --store (the durable registry "
                           "the campaign resumes from)")
@@ -905,7 +846,7 @@ def _cmd_fleet_watch(args):
 def _cmd_fleet_alerts(args):
     import os
 
-    from repro.api import envelope
+    from repro.api import FleetSpec, envelope
     from repro.eval.report import render_table
     from repro.obs import open_event_log
     from repro.obs.alerts import AlertEngine, build_rules
@@ -926,9 +867,8 @@ def _cmd_fleet_alerts(args):
             # Re-evaluate the rule panel over the stored history --
             # the path for logs recorded without a live engine (or
             # with different thresholds).  Nothing is written back.
-            config = _alerts_config(args)
-            engine = AlertEngine(build_rules(
-                config if isinstance(config, dict) else None))
+            config = FleetSpec(alerts=_alerts_config(args)).validate().alerts
+            engine = AlertEngine(build_rules(config))
             replayed = engine.replay(log)
     finally:
         log.close()
@@ -1004,6 +944,7 @@ def _cmd_serve_run(args):
     from repro.fleet.simulation import FleetSimulation
     from repro.serve import VerifierDaemon, open_sharded_store
 
+    spec = _fleet_scenario(args)
     store = open_sharded_store(args.store_shard)
     # Building a large fleet allocates one simulated device per record
     # with zero garbage; collector passes over the growing heap only
@@ -1013,18 +954,16 @@ def _cmd_serve_run(args):
     gc.disable()
     try:
         fleet = FleetSimulation(
-            size=args.devices, security=args.security, loss=args.loss,
-            reorder=args.reorder, seed=args.seed, store=store,
-            events=args.events, alerts=_alerts_config(args))
-    except ValueError as error:  # negative --devices, loss outside [0,1]
-        store.close()
-        raise _UsageError(str(error)) from None
+            size=spec.fleet.size, security=spec.security,
+            loss=spec.fleet.loss, reorder=spec.fleet.reorder,
+            seed=spec.fleet.seed, store=store, events=spec.fleet.events,
+            alerts=spec.fleet.alerts)
     finally:
         gc.freeze()
         if gc_was_enabled:
             gc.enable()
     daemon = VerifierDaemon(fleet, host=args.host, port=args.port,
-                            max_workers=args.workers)
+                            max_workers=args.workers or 0)
 
     def ready(d):
         # The readiness line is a contract: subprocess drivers (the
@@ -1071,6 +1010,9 @@ class _Parser(argparse.ArgumentParser):
 
 def main(argv=None):
     import repro
+    from repro.api.spec import SECURITY_PROFILES, VARIANTS, SpecError
+    from repro.faults.campaign import FAULT_BACKENDS
+    from repro.fleet.campaign import CAMPAIGN_BACKENDS
 
     parser = _Parser(prog="eilid", description=__doc__)
     parser.add_argument("--version", action="version",
@@ -1098,13 +1040,13 @@ def main(argv=None):
 
     p_run = sub.add_parser("run-app", help="run one Table IV application")
     p_run.add_argument("name")
-    p_run.add_argument("--variant", choices=("original", "eilid"), default="eilid")
+    p_run.add_argument("--variant", choices=VARIANTS, default="eilid")
     add_json(p_run)
     p_run.set_defaults(func=_cmd_run_app)
 
     p_attack = sub.add_parser("attack", help="run one attack scenario")
     p_attack.add_argument("name")
-    p_attack.add_argument("--security", choices=("none", "casu", "eilid"), default="eilid")
+    p_attack.add_argument("--security", choices=SECURITY_PROFILES)
     add_json(p_attack)
     p_attack.set_defaults(func=_cmd_attack)
 
@@ -1118,8 +1060,7 @@ def main(argv=None):
     def cfg_common(p):
         p.add_argument("name", nargs="?", default="fire_sensor",
                        help="Table IV application name")
-        p.add_argument("--variant", choices=("original", "eilid"),
-                       default="eilid")
+        p.add_argument("--variant", choices=VARIANTS, default="eilid")
         add_json(p)
 
     p_cfg_build = cfg_sub.add_parser(
@@ -1137,9 +1078,10 @@ def main(argv=None):
     cfg_common(p_cfg_verify)
     p_cfg_verify.add_argument("--attack", default=None,
                               help="replay an attack scenario's trace instead")
-    p_cfg_verify.add_argument("--security", choices=("none", "casu", "eilid"),
+    p_cfg_verify.add_argument("--security", choices=SECURITY_PROFILES,
                               default="none",
-                              help="device security level for --attack runs")
+                              help="device security level for --attack runs "
+                                   "(default none: the undefended trace)")
     p_cfg_verify.set_defaults(func=_cmd_cfg_verify_trace)
 
     p_faults = sub.add_parser(
@@ -1149,14 +1091,22 @@ def main(argv=None):
     def faults_common(p):
         p.add_argument("name", nargs="?", default="light_sensor",
                        help="Table IV application name")
-        p.add_argument("--variant", choices=("original", "eilid"),
-                       default="original",
+        p.add_argument("--variant", choices=VARIANTS, default="original",
                        help="firmware variant to sweep (default original: "
                             "every profile runs the same image, so the "
                             "eilid >= casu >= none ordering is exact)")
-        p.add_argument("--kinds", default=None, metavar="K1,K2",
+        p.add_argument("--kinds", type=_csv(), metavar="K1,K2",
                        help="comma-separated fault kinds (default: all)")
         add_json(p)
+
+    def sweep_flags(p, scope=""):
+        p.add_argument("--seed", type=int, help=f"sweep seed{scope}")
+        p.add_argument("--count", type=int, default=48,
+                       help=f"faults to sample from the site pool{scope} "
+                            f"(default 48)")
+        p.add_argument("--profiles", type=_csv(), metavar="P1,P2",
+                       help=f"comma-separated defense profiles{scope} "
+                            f"(default: all)")
 
     p_faults_enum = faults_sub.add_parser(
         "enumerate", help="list fault sites recovered from the CFG")
@@ -1166,18 +1116,13 @@ def main(argv=None):
     p_faults_sweep = faults_sub.add_parser(
         "sweep", help="run a seeded sweep and grade each defense profile")
     faults_common(p_faults_sweep)
-    p_faults_sweep.add_argument("--seed", type=int, default=0)
-    p_faults_sweep.add_argument("--count", type=int, default=48,
-                                help="faults to sample from the site pool")
-    p_faults_sweep.add_argument("--profiles", default="none,casu,eilid",
-                                help="comma-separated defense profiles")
-    p_faults_sweep.add_argument("--backend", choices=("serial", "process"),
-                                default="serial",
+    sweep_flags(p_faults_sweep)
+    p_faults_sweep.add_argument("--backend", choices=FAULT_BACKENDS,
                                 help="serial grades in this process, "
                                      "process on a worker pool")
-    p_faults_sweep.add_argument("--workers", type=int, default=4,
+    p_faults_sweep.add_argument("--workers", type=int,
                                 help="process pool size")
-    p_faults_sweep.add_argument("--warmup-steps", type=int, default=0,
+    p_faults_sweep.add_argument("--warmup-steps", type=int,
                                 help="honest steps before the snapshot "
                                      "faults are injected into")
     p_faults_sweep.add_argument("--events", default=None, metavar="PATH",
@@ -1190,29 +1135,22 @@ def main(argv=None):
         "analyze", help="static CFI/stack/memory lint over the recovered CFG")
     p_analyze.add_argument("name", nargs="?", default="light_sensor",
                            help="Table IV application name")
-    p_analyze.add_argument("--variant", choices=("original", "eilid"),
-                           default="original")
+    p_analyze.add_argument("--variant", choices=VARIANTS, default="original")
     p_analyze.add_argument("--attack", default=None, metavar="NAME",
                            help="analyze an attack scenario's firmware image "
                                 "instead of an application")
-    p_analyze.add_argument("--rules", default=None, metavar="R1,R2",
-                           help="comma-separated rule groups "
-                                "(default: stack,regions,coverage)")
-    p_analyze.add_argument("--stack-margin", type=int, default=64,
+    p_analyze.add_argument("--rules", type=_csv(), metavar="R1,R2",
+                           help="comma-separated rule groups (default: all)")
+    p_analyze.add_argument("--stack-margin", type=int,
                            help="minimum stack headroom (bytes) before the "
                                 "stack rule warns")
-    p_analyze.add_argument("--irq-nesting", type=int, default=1,
+    p_analyze.add_argument("--irq-nesting", type=int,
                            help="worst-case nested interrupts the stack "
                                 "bound assumes")
     p_analyze.add_argument("--sweep", action="store_true",
                            help="run a fault sweep first and correlate "
                                 "escape clusters with the findings")
-    p_analyze.add_argument("--seed", type=int, default=0,
-                           help="sweep seed (with --sweep)")
-    p_analyze.add_argument("--count", type=int, default=48,
-                           help="sweep fault count (with --sweep)")
-    p_analyze.add_argument("--profiles", default="none,casu,eilid",
-                           help="sweep defense profiles (with --sweep)")
+    sweep_flags(p_analyze, scope=" (with --sweep)")
     p_analyze.add_argument("--events", default=None, metavar="PATH",
                            help="log analysis-finding events to this "
                                 "event DB")
@@ -1222,32 +1160,38 @@ def main(argv=None):
     p_fleet = sub.add_parser("fleet", help="simulate a managed device fleet")
     fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
 
-    def fleet_common(p):
-        p.add_argument("--devices", type=int, default=100,
-                       help="fleet size to simulate")
-        p.add_argument("--security", choices=("none", "casu", "eilid"),
+    def fleet_flags(p):
+        """The flags that shape a fleet, shared with ``serve run``."""
+        p.add_argument("--devices", dest="size", type=int,
+                       help="fleet size (records a durable store already "
+                            "holds are restored, not re-enrolled)")
+        p.add_argument("--security", choices=SECURITY_PROFILES,
                        default="casu")
-        p.add_argument("--loss", type=float, default=0.0,
+        p.add_argument("--loss", type=float,
                        help="per-message drop probability")
-        p.add_argument("--reorder", type=float, default=0.0,
+        p.add_argument("--reorder", type=float,
                        help="per-message reorder probability")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--store", default=None, metavar="PATH",
-                       help="durable registry store; .db/.sqlite -> SQLite, "
-                            "anything else -> JSON lines (records persist "
-                            "across invocations)")
+        p.add_argument("--seed", type=int)
         p.add_argument("--events", default=None, metavar="PATH",
                        help="durable event DB (same suffix dispatch as "
                             "--store); every enroll/attest/offer/quarantine "
                             "is logged for fleet history to replay")
-        p.add_argument("--alerts", action="store_true",
+        p.add_argument("--alerts", action="store_const", const=True,
                        help="attach the default alert-rule panel; fired "
                             "alerts land in the event DB as 'alert' events")
-        p.add_argument("--alert", action="append", metavar="NAME=THRESHOLD",
+        p.add_argument("--alert", action="append", type=_alert_override,
+                       metavar="NAME=THRESHOLD",
                        help="attach one alert rule with a custom threshold "
                             "(repeatable; implies --alerts for the named "
                             "rules only)")
         add_json(p)
+
+    def fleet_common(p):
+        fleet_flags(p)
+        p.add_argument("--store", default=None, metavar="PATH",
+                       help="durable registry store; .db/.sqlite -> SQLite, "
+                            "anything else -> JSON lines (records persist "
+                            "across invocations)")
 
     p_enroll = fleet_sub.add_parser("enroll", help="provision + enroll devices")
     fleet_common(p_enroll)
@@ -1264,20 +1208,20 @@ def main(argv=None):
 
     p_rollout = fleet_sub.add_parser("rollout", help="staged firmware rollout")
     fleet_common(p_rollout)
-    p_rollout.add_argument("--version", type=int, default=1,
+    p_rollout.add_argument("--version", type=int,
                            help="target firmware version")
-    p_rollout.add_argument("--waves", default="0.05,0.25,1.0",
+    p_rollout.add_argument("--waves", dest="wave_fractions", type=_csv(float),
+                           metavar="F1,F2",
                            help="cumulative wave coverage fractions")
-    p_rollout.add_argument("--failure-threshold", type=float, default=0.10,
+    p_rollout.add_argument("--failure-threshold", type=float,
                            help="per-wave failed fraction that halts")
-    p_rollout.add_argument("--tamper-fraction", type=float, default=0.0,
+    p_rollout.add_argument("--tamper-fraction", type=float,
                            help="share of devices whose package a MITM flips")
-    p_rollout.add_argument("--rollback-fraction", type=float, default=0.0,
+    p_rollout.add_argument("--rollback-fraction", type=float,
                            help="share of devices offered a stale version")
-    p_rollout.add_argument("--workers", type=int, default=0,
+    p_rollout.add_argument("--workers", type=int,
                            help="process pool size (0 = auto)")
-    p_rollout.add_argument("--backend", choices=("serial", "process"),
-                           default="serial",
+    p_rollout.add_argument("--backend", choices=CAMPAIGN_BACKENDS,
                            help="campaign executor: serial offers to the "
                                 "live devices in turn, process shards waves "
                                 "across worker processes (GIL-free)")
@@ -1337,7 +1281,8 @@ def main(argv=None):
     p_alerts.add_argument("--replay", action="store_true",
                           help="re-run the rule panel over the stored "
                                "events instead of listing recorded alerts")
-    p_alerts.add_argument("--alert", action="append", metavar="NAME=THRESHOLD",
+    p_alerts.add_argument("--alert", action="append", type=_alert_override,
+                          metavar="NAME=THRESHOLD",
                           help="with --replay: evaluate only the named "
                                "rules, at these thresholds (repeatable)")
     add_json(p_alerts)
@@ -1362,44 +1307,25 @@ def main(argv=None):
 
     p_serve_run = serve_sub.add_parser(
         "run", help="serve enroll/attest/rollout + streaming status")
-    p_serve_run.add_argument("--devices", type=int, default=100,
-                             help="fleet size to build (existing shard "
-                                  "records are restored, not re-enrolled)")
-    p_serve_run.add_argument("--security", choices=("none", "casu", "eilid"),
-                             default="casu")
-    p_serve_run.add_argument("--loss", type=float, default=0.0,
-                             help="per-message drop probability")
-    p_serve_run.add_argument("--reorder", type=float, default=0.0,
-                             help="per-message reorder probability")
-    p_serve_run.add_argument("--seed", type=int, default=0)
+    fleet_flags(p_serve_run)
     p_serve_run.add_argument("--store-shard", action="append", default=None,
                              metavar="PATH", dest="store_shard",
                              help="one durable registry shard (repeatable; "
                                   "same suffix dispatch as --store; two or "
                                   "more shards route device ids through a "
                                   "consistent-hash ring)")
-    p_serve_run.add_argument("--events", default=None, metavar="PATH",
-                             help="durable event DB backing the streaming "
-                                  "endpoints and fleet history")
     p_serve_run.add_argument("--host", default="127.0.0.1")
     p_serve_run.add_argument("--port", type=int, default=0,
                              help="listen port (0 picks an ephemeral one, "
                                   "announced on the readiness line)")
-    p_serve_run.add_argument("--workers", type=int, default=0,
+    p_serve_run.add_argument("--workers", type=int,
                              help="protocol executor threads (0 = auto)")
-    p_serve_run.add_argument("--alerts", action="store_true",
-                             help="attach the default alert-rule panel")
-    p_serve_run.add_argument("--alert", action="append",
-                             metavar="NAME=THRESHOLD",
-                             help="attach one alert rule with a custom "
-                                  "threshold (repeatable)")
-    add_json(p_serve_run)
     p_serve_run.set_defaults(func=_cmd_serve_run)
 
     try:
         args = parser.parse_args(argv)
         return args.func(args) or 0
-    except _UsageError as error:
+    except (_UsageError, SpecError) as error:
         print(f"eilid: error: {error}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -46,17 +46,40 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.api.spec import check_field_types, require
 from repro.casu.update import UpdatePackage, UpdateStatus
 from repro.eval.report import render_table
 from repro.fleet.registry import DeviceRecord, FleetRegistry, Lifecycle
 from repro.obs.metrics import METRICS
 
 CAMPAIGN_BACKENDS = ("serial", "process")
+# UpdatePackage signs the target version as a 32-bit field.
+MAX_TARGET_VERSION = 0xFFFF_FFFF
+
+
+def check_target_version(version):
+    """The campaign target rule: an integer in [1, 2**32).
+
+    Raises :class:`~repro.api.spec.SpecError` naming ``version``,
+    before anything records a package or mints a campaign for it.
+    """
+    require(isinstance(version, int) and not isinstance(version, bool)
+            and 1 <= version <= MAX_TARGET_VERSION, "version",
+            f"must be an integer in [1, {MAX_TARGET_VERSION}], "
+            f"got {version!r}")
 
 
 @dataclass
 class CampaignConfig:
-    """Knobs for one rollout."""
+    """Knobs for one rollout, and the one home of the rollout rules.
+
+    Every path to a campaign builds one: ``RolloutSpec.campaign_config``
+    (documents, ``Session.rollout``), the daemon's ``POST /rollout`` and
+    direct callers alike.  Values are type-checked against the fields'
+    annotations, and a broken rule raises
+    :class:`~repro.api.spec.SpecError` (a ``ValueError``) naming the
+    field.
+    """
 
     # Cumulative fleet coverage after each wave: 5% canary, then 25%,
     # then everyone.  Must be increasing and end at 1.0.
@@ -82,19 +105,23 @@ class CampaignConfig:
     metrics_dump: Optional[str] = None
 
     def __post_init__(self):
-        fractions = tuple(self.wave_fractions)
-        if not fractions or sorted(fractions) != list(fractions):
-            raise ValueError("wave_fractions must be increasing")
-        if fractions[-1] != 1.0:
-            raise ValueError("the final wave must cover the whole fleet (1.0)")
-        self.wave_fractions = fractions
-        if not 0.0 <= self.failure_threshold <= 1.0:
-            raise ValueError("failure_threshold must be in [0, 1]")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = auto)")
-        if self.backend not in CAMPAIGN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {', '.join(CAMPAIGN_BACKENDS)}")
+        check_field_types(self)
+        fractions = self.wave_fractions = tuple(self.wave_fractions)
+        require(fractions and sorted(fractions) == list(fractions),
+                "wave_fractions", "must be increasing")
+        require(all(0.0 < fraction <= 1.0 for fraction in fractions),
+                "wave_fractions", "every wave fraction must be in (0, 1]")
+        require(fractions[-1] == 1.0, "wave_fractions",
+                "the final wave must cover the whole fleet (1.0)")
+        require(0.0 <= self.failure_threshold <= 1.0, "failure_threshold",
+                "must be in [0, 1]")
+        require(self.max_attempts >= 1, "max_attempts", "must be >= 1")
+        require(self.workers >= 0, "workers", "must be >= 0 (0 = auto)")
+        require(self.backend in CAMPAIGN_BACKENDS, "backend",
+                f"unknown backend {self.backend!r}; "
+                f"one of {', '.join(CAMPAIGN_BACKENDS)}")
+        require(self.metrics_dump != "", "metrics_dump",
+                "must be a non-empty path string")
 
     @property
     def effective_workers(self) -> int:

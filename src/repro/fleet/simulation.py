@@ -41,7 +41,12 @@ from repro.api.firmware import build_firmware
 from repro.api.spec import FirmwareSpec
 from repro.casu.update import UpdatePackage
 from repro.device import Device, build_device
-from repro.fleet.campaign import CampaignConfig, CampaignReport, RolloutCampaign
+from repro.fleet.campaign import (
+    CampaignConfig,
+    CampaignReport,
+    RolloutCampaign,
+    check_target_version,
+)
 from repro.fleet.protocol import AttestResult, DeviceAgent, VerifierSession
 from repro.fleet.registry import DeviceRecord, FleetError, FleetRegistry
 from repro.fleet.store import (
@@ -328,6 +333,7 @@ class FleetSimulation:
         checks at wave boundaries -- the serve daemon's graceful
         shutdown path; a stopped campaign resumes with ``resume=True``.
         """
+        check_target_version(version)
         config = config or CampaignConfig()
         payload = payload if payload is not None else default_payload(version)
         tamper_ids = self.adversarial_ids(tamper_fraction, phase=0.25)

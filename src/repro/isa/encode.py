@@ -1,6 +1,6 @@
 """Instruction encoder: :class:`Instruction` -> list of 16-bit words."""
 
-from repro.errors import EncodingError
+from repro.errors import EncodingError, IsaError
 from repro.isa.opcodes import (
     Format,
     FORMAT2_BYTE_CAPABLE,
@@ -26,7 +26,7 @@ def _encode_double(insn):
     try:
         src_reg, as_bits, src_ext = insn.src.source_encoding()
         dst_reg, ad_bit, dst_ext = insn.dst.dest_encoding()
-    except Exception as exc:  # IsaError from operand helpers
+    except IsaError as exc:
         raise EncodingError(f"cannot encode {insn.mnemonic}: {exc}") from exc
     word = (
         (insn.opcode.code << 12)
@@ -54,7 +54,7 @@ def _encode_single(insn):
         raise EncodingError(f"{name} cannot write back to a constant")
     try:
         dst_reg, as_bits, ext = insn.dst.source_encoding()
-    except Exception as exc:
+    except IsaError as exc:
         raise EncodingError(f"cannot encode {name}: {exc}") from exc
     word = (
         0x1000

@@ -54,6 +54,7 @@ from typing import AsyncIterator, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.results import envelope
+from repro.api.spec import SpecError
 from repro.fleet.campaign import CampaignConfig
 from repro.fleet.registry import FleetError
 from repro.obs.export import to_prometheus
@@ -109,12 +110,11 @@ class BadFraming(Exception):
     """A request whose framing cannot be trusted: answer 400, close."""
 
 
-# The JSON types a request field may take.  A bool is never a number.
-_NUMBER = (int, float)
-# /rollout knobs a body may set, passed through to CampaignConfig.
-_ROLLOUT_KNOBS = {"failure_threshold": _NUMBER, "max_attempts": (int,),
-                  "workers": (int,), "backend": (str,),
-                  "verify_after_wave": (bool,)}
+# /rollout body keys handed to CampaignConfig, which checks them (the
+# body calls its wave_fractions "waves").  metrics_dump is never one: a
+# request must not name files on the server.
+_ROLLOUT_KNOBS = ("failure_threshold", "max_attempts", "workers", "backend",
+                  "verify_after_wave")
 
 
 def _is(value, kinds) -> bool:
@@ -455,20 +455,21 @@ class VerifierDaemon:
             failed=failed, results=results))
 
     async def _h_rollout(self, path, query, body):
-        version = _field(body, "version", (int,))
+        version = body.get("version")
         if version is None:
             return _error(400, "rollout wants {'version': N, ...}")
-        options = {}
-        waves = _field(body, "waves", (list,), _NUMBER)
-        if waves:
-            options["wave_fractions"] = tuple(float(f) for f in waves)
-        for knob, kinds in _ROLLOUT_KNOBS.items():
-            value = _field(body, knob, kinds)
-            if value is not None:
-                options[knob] = value
-        config = CampaignConfig(**options)
+        options = {knob: body[knob] for knob in _ROLLOUT_KNOBS
+                   if body.get(knob) is not None}
+        if body.get("waves") is not None:
+            options["wave_fractions"] = body["waves"]
+        try:
+            config = CampaignConfig(**options)
+        except SpecError as error:
+            field = "waves" if error.field == "wave_fractions" else error.field
+            raise SpecError(field, error.detail) from None
         start, future = await self.pump.start_rollout(
-            version, config=config, resume=bool(body.get("resume")),
+            version, config=config,
+            resume=bool(_field(body, "resume", (bool,))),
             device_ids=_field(body, "device_ids", (list,), (str,)))
         if start is None:
             # Never minted an id: the campaign was empty (or failed

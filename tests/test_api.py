@@ -7,11 +7,15 @@ attest -> verify) for app / mini-C / attack / fleet scenarios, stream
 semantics at fleet scale, and the build_device knob validation shim.
 """
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
+    AnalyzeSpec,
+    FaultSpec,
     FirmwareSpec,
     FleetSpec,
     LimitsSpec,
@@ -238,6 +242,101 @@ class TestSpecRejection:
         self.assert_field(
             "fleet.rollout",
             lambda: ScenarioSpec.from_dict({"fleet": {"rollout": []}}))
+
+
+# ---- typed errors at the spec boundary --------------------------------------
+
+
+def _json_values():
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6)
+
+
+def _leaves(doc, path=()):
+    """Paths to every leaf: scalars, empty containers, list items."""
+    if isinstance(doc, (dict, list)) and doc:
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+_APP_DOC = app_spec().with_(peripherals={
+    "adc": {"hold": 7, "channels": {"0": [100, 900]}},
+    "uart": {"rx": [[10, 65]], "rx_irq": True}}).to_dict()
+_FLEET_DOC = fleet_spec(
+    alerts={"quarantine-rate": {"window": 30.0, "severity": "critical"},
+            "replay-burst": 3},
+    rollout=RolloutSpec(version=2, tamper_fraction=0.1)).to_dict()
+_BOUNDARIES = [(ScenarioSpec, _APP_DOC), (ScenarioSpec, _FLEET_DOC),
+               (FaultSpec, FaultSpec().to_dict()),
+               (AnalyzeSpec, AnalyzeSpec().to_dict())]
+
+
+class TestSpecTypes:
+    """``validate()`` checks every value against its field's type before
+    the range rules run, so a wrong type is a field-naming SpecError --
+    never the TypeError a comparison would raise."""
+
+    @pytest.mark.parametrize("doc,field,value", [
+        (_APP_DOC, "limits.max_cycles", "x"),
+        (_APP_DOC, "limits.max_steps", []),
+        (_APP_DOC, "attack", []),
+        (_APP_DOC, "firmware.link_rom", 1),
+        (_APP_DOC, "firmware", None),
+        (_FLEET_DOC, "fleet.size", "x"),
+        (_FLEET_DOC, "fleet.loss", True),
+        (_FLEET_DOC, "fleet.rollout.wave_fractions", [{}, 1.0]),
+        (_FLEET_DOC, "fleet.rollout.version", 1.5),
+        (_FLEET_DOC, "fleet.rollout.resume", "yes"),
+    ])
+    def test_wrong_type_names_the_field(self, doc, field, value):
+        doc = _replaced(doc, tuple(field.split(".")), value)
+        with pytest.raises(SpecError) as excinfo:
+            ScenarioSpec.from_dict(doc).validate()
+        assert excinfo.value.field == field
+
+    def test_an_int_is_a_float_and_a_bool_is_no_number(self):
+        RolloutSpec(wave_fractions=(1,), failure_threshold=0).validate()
+        with pytest.raises(SpecError, match="failure_threshold"):
+            RolloutSpec(failure_threshold=False).validate()
+
+    def test_integer_strings_are_not_integers(self):
+        with pytest.raises(SpecError, match="faults.seed"):
+            FaultSpec(seed="5").validate()
+
+    def test_peripherals_null_means_none(self):
+        doc = app_spec().to_dict()
+        doc["peripherals"] = None
+        assert ScenarioSpec.from_dict(doc).validate().peripherals == {}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_bad_leaf_raises_only_spec_error(data):
+    """Whatever JSON replaces one leaf of a valid document, parsing and
+    validating it returns or raises SpecError -- nothing else."""
+    cls, doc = data.draw(st.sampled_from(_BOUNDARIES))
+    path = data.draw(st.sampled_from(sorted(_leaves(doc), key=str)))
+    value = data.draw(_json_values())
+    try:
+        cls.from_dict(_replaced(doc, path, value)).validate()
+    except SpecError:
+        pass
 
 
 class TestBuildDeviceShim:

@@ -11,10 +11,12 @@ The scale-sensitive negative paths the subsystem exists for:
   reordering channel.
 """
 
+import copy
 from collections import Counter
 
 import pytest
 
+from repro.api import SpecError
 from repro.casu.update import UpdatePackage, UpdateStatus
 from repro.cli import main as cli_main
 from repro.fleet import (
@@ -400,6 +402,20 @@ class TestRollout:
             CampaignConfig(failure_threshold=-0.1)
         with pytest.raises(ValueError):
             CampaignConfig(backend="fiber")
+
+    @pytest.mark.parametrize("version", [0, -5, 2 ** 32, True])
+    def test_bad_target_version_changes_nothing(self, version):
+        # Rejected before the package is recorded or a campaign id is
+        # minted: no meta entry, no UPDATING mark, no campaign events.
+        fleet = FleetSimulation(size=10)
+        meta = copy.deepcopy(fleet.registry.meta)
+        states = [record.state for record in fleet.registry]
+        events = fleet.events.events()
+        with pytest.raises(SpecError, match="version"):
+            fleet.rollout(version)
+        assert fleet.registry.meta == meta
+        assert [record.state for record in fleet.registry] == states
+        assert fleet.events.events() == events
 
     def test_simulation_validates_eagerly(self):
         with pytest.raises(ValueError):

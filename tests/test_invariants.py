@@ -3,7 +3,8 @@
 The checker is CI's guard for contracts a general linter can't see:
 closed event kinds, enveloped CLI JSON, deterministic fault/analysis
 paths, dynamic code confined to the instruction compiler, threads
-confined to the serve package.  These tests
+confined to the serve package, broad excepts confined to sanctioned
+sites.  These tests
 pin both directions -- the real repo is clean, and seeded violations in
 a synthetic tree are caught.
 """
@@ -238,5 +239,48 @@ def test_locks_and_process_pools_pass_anywhere(tmp_path):
             "import threading\n"
             "from concurrent.futures import ProcessPoolExecutor\n\n"
             "LOCK = threading.Lock()\n",
+    })
+    assert checker.run_checks(root) == []
+
+
+# ---- rule 6: broad excepts only at the sanctioned sites ---------------------
+
+
+@pytest.mark.parametrize("clause", [
+    "except:", "except Exception:", "except BaseException as error:",
+    "except (ValueError, Exception):", "except builtins.Exception:",
+])
+def test_broad_except_outside_the_list_is_caught(tmp_path, clause):
+    root = _tree(tmp_path, **{
+        "src/repro/fleet/thing.py":
+            "import builtins\n\n"
+            "class Thing:\n"
+            "    def go(self, f):\n"
+            "        try:\n"
+            "            f()\n"
+            f"        {clause}\n"
+            "            pass\n",
+    })
+    problems = checker.run_checks(root)
+    assert len(problems) == 1
+    assert "src/repro/fleet/thing.py:7" in problems[0]
+    assert "broad except in Thing.go" in problems[0]
+
+
+def test_sanctioned_site_and_narrow_excepts_pass(tmp_path):
+    root = _tree(tmp_path, **{
+        "src/repro/obs/bus.py":
+            "class EventBus:\n"
+            "    def publish(self, callback):\n"
+            "        try:\n"
+            "            callback()\n"
+            "        except Exception:\n"
+            "            pass\n",
+        "src/repro/fleet/thing.py":
+            "def go(f):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except (ValueError, KeyError):\n"
+            "        pass\n",
     })
     assert checker.run_checks(root) == []

@@ -27,7 +27,7 @@ from repro.fleet.campaign import CampaignConfig, CampaignStatus
 from repro.fleet.protocol import VERIFIER_ID, MsgKind, SignedReport
 from repro.fleet.registry import Lifecycle
 from repro.fleet.simulation import FleetSimulation
-from repro.fleet.store import JsonlStore, SqliteStore
+from repro.fleet.store import META_PACKAGES, JsonlStore, SqliteStore
 from repro.obs.metrics import METRICS
 from repro.serve import (
     AsyncFleetPump,
@@ -520,6 +520,45 @@ class TestDaemonApi:
         with pytest.raises(ServeError, match="serial, process") as excinfo:
             client.rollout(1, backend="thread")
         assert excinfo.value.status == 400
+
+
+class TestRolloutBodyRules:
+    """``POST /rollout`` knobs pass CampaignConfig's rules and the
+    target-version rule: a bad value answers 400 naming its field, and
+    no campaign is minted, no package recorded, no device touched."""
+
+    @pytest.fixture()
+    def daemon(self):
+        daemon = daemon_module.VerifierDaemon(FleetSimulation(size=20))
+        yield daemon
+        daemon.pump.close()
+
+    @pytest.mark.parametrize("body,field", [
+        ({"waves": [-2.0, 1.0]}, "waves"),
+        ({"waves": [0.0, 1.0]}, "waves"),
+        ({"waves": [0.0, 0.0, 1.0]}, "waves"),
+        ({"waves": "abc"}, "waves"),
+        ({"max_attempts": 0}, "max_attempts"),
+        ({"max_attempts": -1}, "max_attempts"),
+        ({"workers": 1.5}, "workers"),
+        ({"workers": -1}, "workers"),
+        ({"failure_threshold": True}, "failure_threshold"),
+        ({"backend": "thread"}, "backend"),
+        ({"resume": "yes"}, "resume"),
+        ({"version": 0}, "version"),
+        ({"version": -5}, "version"),
+    ])
+    def test_bad_knob_is_400_and_starts_nothing(self, daemon, body, field):
+        fleet = daemon.fleet
+        states = fleet.registry.state_histogram()
+        response = asyncio.run(daemon.dispatch(
+            "POST", "/rollout", body=dict({"version": 1}, **body)))
+        assert response.status == 400
+        assert field in response.doc["error"]
+        assert daemon.campaigns == {}
+        assert fleet.events.events(kind="campaign-start") == []
+        assert META_PACKAGES not in fleet.registry.meta
+        assert fleet.registry.state_histogram() == states
 
 
 def _raw_exchange(port: int, payload: bytes, timeout: float = 10.0

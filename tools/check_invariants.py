@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces five codebase contracts no general-purpose linter knows
+Enforces six codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -28,6 +28,12 @@ about:
    sweeps and rollouts run serially in-process or on a process pool:
    a thread pool on their CPU-bound paths ran slower under the GIL
    than a plain loop and hid the work from profilers.
+6. **broad excepts stay where they are sanctioned** -- ``except
+   Exception``, ``except BaseException``, a bare ``except:`` and any
+   tuple holding one of them appear only at the (file, function) sites
+   in ``BROAD_EXCEPT_SITES``, each with the reason it must catch
+   everything.  Anywhere else a broad handler would turn a typed
+   boundary error (or a bug) into silence.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -53,6 +59,21 @@ _DYNAMIC_CODE = {"exec", "eval", "compile"}
 
 # The one package that may create threads and thread pools.
 THREAD_HOME = "src/repro/serve/"
+
+# The sanctioned broad-except sites: (file, enclosing function) -> why.
+BROAD_EXCEPT_SITES = {
+    ("src/repro/__init__.py", "_read_version"):
+        "a missing or broken install must not break `import repro`",
+    ("src/repro/serve/client.py", "FleetClient._exchange"):
+        "closes the connection, whose state is unknown, and re-raises",
+    ("src/repro/serve/daemon.py", "DaemonThread._main"):
+        "the daemon thread's error is surfaced to its owner",
+    ("src/repro/serve/pump.py", "AsyncFleetPump.drain"):
+        "shutdown must finish; the campaign's error stays on its future",
+    ("src/repro/obs/bus.py", "EventBus.publish"):
+        "isolates subscribers from each other; counted in errors",
+}
+_BROAD = {"Exception", "BaseException"}
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -286,6 +307,42 @@ def check_thread_home(root: Path) -> list:
     return problems
 
 
+def _is_broad(handler: ast.ExceptHandler) -> bool:
+    kinds = handler.type
+    if kinds is None:
+        return True  # bare except:
+    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any((isinstance(name, ast.Name) and name.id in _BROAD)
+               or (isinstance(name, ast.Attribute) and name.attr in _BROAD)
+               for name in names)
+
+
+def _handlers(node, scope=()):
+    """``(qualified function name, handler)`` for each except clause."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.ExceptHandler):
+            yield ".".join(scope), child
+        yield from _handlers(child, inner)
+
+
+def check_broad_excepts(root: Path) -> list:
+    """Rule 6: broad excepts only at the sanctioned sites."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for function, handler in _handlers(_parse(path)):
+            if _is_broad(handler) and (rel, function) not in BROAD_EXCEPT_SITES:
+                problems.append(
+                    f"{rel}:{handler.lineno}: broad except in "
+                    f"{function or '<module>'} is not a sanctioned site "
+                    f"(catch the errors the handler can act on)")
+    return problems
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
@@ -294,6 +351,7 @@ def run_checks(root: Path) -> list:
     problems += check_deterministic_paths(root)
     problems += check_dynamic_code(root)
     problems += check_thread_home(root)
+    problems += check_broad_excepts(root)
     return problems
 
 
