@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import UpdateError
-from repro.snapshot import state_int, state_list
+from repro.snapshot import state_int, state_rows
 
 STAGING_HEADER_WORDS = 3  # dst, length(words), reserved
 
@@ -123,5 +123,6 @@ class UpdateEngine:
 
     def restore_state(self, state):
         self.current_version = state_int(state, "current_version")
-        self.history = [(version, UpdateStatus(value))
-                        for version, value in state_list(state, "history")]
+        statuses = [status.value for status in UpdateStatus]
+        self.history = [(version, UpdateStatus(value)) for version, value
+                        in state_rows(state, "history", int, statuses)]

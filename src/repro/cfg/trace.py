@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 from repro.cpu.core import StepKind
 from repro.isa.operands import AddrMode
 from repro.isa.registers import PC, SP
-from repro.snapshot import state_int, state_list
+from repro.snapshot import state_int, state_rows
 
 # Edge kinds, with the codes folded into the digest chain.
 EDGE_CALL = "call"
@@ -247,8 +247,7 @@ class BranchTraceRecorder:
                 f"trace snapshot capacity {state['capacity']} does not match "
                 f"recorder capacity {self.capacity}")
         self._edges = deque(
-            ((src, dst, kind, chain)
-             for src, dst, kind, chain in state_list(state, "edges")),
+            state_rows(state, "edges", int, int, EDGE_KIND_CODES, int),
             maxlen=self.capacity)
         self._digest = state_int(state, "digest")
         self._prefix = state_int(state, "prefix")

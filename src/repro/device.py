@@ -32,8 +32,10 @@ from repro.snapshot import (
     SnapshotError,
     memory_delta,
     state_counts,
+    state_dict,
     state_int,
     state_list,
+    state_str,
 )
 from repro.casu.update import (
     STAGING_HEADER_WORDS,
@@ -88,13 +90,15 @@ def _event_to_doc(event: DeviceEvent) -> dict:
 
 
 def _event_from_doc(doc: dict) -> DeviceEvent:
+    kind = state_str(doc, "kind", ("violation", "reset"))
     violation = None
-    raw = doc.get("violation")
-    if raw is not None:
-        violation = Violation(reason=ViolationReason(raw["reason"]),
-                              pc=raw["pc"], addr=raw["addr"],
-                              detail=raw["detail"])
-    return DeviceEvent(kind=doc["kind"], cycle=doc["cycle"],
+    if kind == "violation":
+        raw = state_dict(doc, "violation")
+        violation = Violation(reason=ViolationReason(state_str(raw, "reason")),
+                              pc=state_int(raw, "pc"),
+                              addr=state_int(raw, "addr", optional=True),
+                              detail=state_str(raw, "detail"))
+    return DeviceEvent(kind=kind, cycle=state_int(doc, "cycle"),
                        violation=violation)
 
 
@@ -136,7 +140,8 @@ class Device:
         self.program = program
         self.security = security
         self.layout = program.layout
-        self.bus = Bus(self.layout)
+        # One copy of the program's loaded image (see LinkedProgram.image).
+        self.bus = Bus(self.layout, program.image)
         self.ic = InterruptController()
         self.cpu = Cpu(self.bus, self.ic, decode_cache=decode_cache)
 
@@ -187,11 +192,11 @@ class Device:
             self.cpu.trace_sink = self.trace
         self.reset_count = 0
 
-        for addr, data in program.segments():
-            self.bus.load_bytes(addr, data)
         # Reference image for snapshot memory deltas: the loaded
-        # firmware before any execution (reset reads, never writes).
-        self._baseline = bytes(self.bus.mem)
+        # firmware before any execution.  The program's own immutable
+        # image, shared by every device built from it; snapshots and
+        # restores only read it.
+        self._baseline = program.image
         self.cpu.reset()
 
     # ---- accessors -----------------------------------------------------------
@@ -354,7 +359,7 @@ class Device:
             self.clock.catch_up()
             self.reset_count = state_int(doc, "reset_count")
             self.events = deque(
-                (_event_from_doc(e) for e in state_list(doc, "events")),
+                map(_event_from_doc, state_list(doc, "events", dict)),
                 maxlen=self.max_events)
             self.events_dropped = state_int(doc, "events_dropped")
             self.violation_count = state_int(doc, "violation_count")

@@ -26,6 +26,7 @@ Lifecycle:
 """
 
 import enum
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -143,10 +144,14 @@ class FleetRegistry:
         # anything emitted before a registry flush survives a kill.
         self.events = events
         self.meta: Dict[str, object] = {}
+        # The meta document as last saved (sorted JSON), so a flush
+        # re-saves it only when it changed.
+        self._saved_meta: Optional[str] = None
         if store is not None:
             from repro.fleet.store import record_from_dict
 
             self.meta = store.load_meta()
+            self._saved_meta = json.dumps(self.meta, sort_keys=True)
             self.clock = int(self.meta.get("clock", 0))
             for device_id, doc in sorted(store.load_records().items()):
                 record = record_from_dict(doc)
@@ -189,12 +194,19 @@ class FleetRegistry:
     def flush(self):
         """Persist meta + commit: everything saved so far is durable.
 
-        The event log shares the durability point: events emitted up
-        to here survive exactly when the records they describe do.
+        The meta document is saved only when it differs from the copy
+        last saved (enrollment ticks the clock, a rollout logs its
+        package; attests change neither), and the store's ``flush()``
+        syncs only what was written since its last one.  The event log
+        shares the durability point: events emitted up to here survive
+        exactly when the records they describe do.
         """
         if self._store is not None:
             self.meta["clock"] = self.clock
-            self._store.save_meta(self.meta)
+            meta = json.dumps(self.meta, sort_keys=True)
+            if meta != self._saved_meta:
+                self._store.save_meta(self.meta)
+                self._saved_meta = meta
             self._store.flush()
         if self.events is not None:
             self.events.flush()

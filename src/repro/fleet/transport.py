@@ -64,7 +64,10 @@ class SimChannel:
         _check_probability("reorder", reorder)
         self.loss = loss
         self.reorder = reorder
-        self._rng = random.Random(seed)
+        # Seeded on first draw (see _random): a lossless channel never
+        # draws, so it never holds an RNG.
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self._queue: List[Envelope] = []
         self._seq = 0
         self.stats = ChannelStats()
@@ -74,16 +77,24 @@ class SimChannel:
         self._seq += 1
         envelope = Envelope(self._seq, src, dst, kind, body)
         self.stats.sent += 1
-        if self.loss and self._rng.random() < self.loss:
+        if self.loss and self._random().random() < self.loss:
             self.stats.dropped += 1
             return None
-        if self._queue and self.reorder and self._rng.random() < self.reorder:
+        if self._queue and self.reorder and self._random().random() < self.reorder:
             slot = self._rng.randrange(len(self._queue))
             self._queue.insert(slot, envelope)
             self.stats.reordered += 1
         else:
             self._queue.append(envelope)
         return envelope
+
+    def _random(self) -> random.Random:
+        """The channel's RNG, made from its seed the first time a draw
+        needs it -- also when ``loss`` or ``reorder`` is raised after
+        construction -- so it draws what one made eagerly would."""
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng
 
     def drain(self) -> List[Envelope]:
         """Deliver everything currently in flight."""

@@ -68,9 +68,12 @@ _WRITE = AccessKind.WRITE
 class Bus:
     """Flat memory plus peripheral dispatch and access recording."""
 
-    def __init__(self, layout: Optional[MemoryLayout] = None):
+    def __init__(self, layout: Optional[MemoryLayout] = None,
+                 image: Optional[bytes] = None):
         self.layout = layout or MemoryLayout.default()
-        self.mem = bytearray(ADDRESS_SPACE)
+        # Zeroed RAM, or one copy of a loaded 64 KB *image* (the decode
+        # cache is empty, so there is nothing to invalidate).
+        self.mem = bytearray(ADDRESS_SPACE if image is None else image)
         self._read_handlers: Dict[int, Callable[[], int]] = {}
         self._write_handlers: Dict[int, Callable[[int], None]] = {}
         # Runs before any register handler, so lazily advanced
@@ -137,7 +140,7 @@ class Bus:
     # ---- raw (monitor-invisible) access for loaders and test harnesses ----
 
     def load_bytes(self, addr, data):
-        """Back-door write used by the image loader / attack harness.
+        """Back-door write used by loaders and the attack harness.
 
         This models an external agent (programmer, DMA-capable attacker)
         rather than a CPU bus transaction, so it is not traced.  Security

@@ -223,16 +223,26 @@ class EventLog(RecordLog):
             entry["campaigns"] = len(entry.pop("_campaigns"))
         return rollup
 
-    def campaign_rollup(self) -> List[dict]:
+    def campaign_rollup(self, campaign: Optional[str] = None) -> List[dict]:
         """One summary per campaign, in start order.
 
         Folds the campaign's start/end bracket, its offer outcomes by
         status label, its wave commits, and every quarantine tagged
         with its id (incl. the per-reason breakdown the security triage
-        wants).
+        wants).  With *campaign*, folds that campaign alone: its id is
+        ``c<start seq>``, so only events from its start on are scanned,
+        and the list holds its one entry, or none for an unknown or
+        malformed id.
         """
+        if campaign is None:
+            docs = self._scan()
+        else:
+            start = _campaign_start_seq(campaign)
+            if start is None:
+                return []
+            docs = self.events(campaign=campaign, since=start - 1)
         campaigns: Dict[str, dict] = {}
-        for doc in self._scan():
+        for doc in docs:
             campaign_id = doc["campaign"]
             if campaign_id is None:
                 continue
@@ -310,6 +320,14 @@ class EventLog(RecordLog):
             "quarantined": [entry["quarantined"] for entry in rollups],
             "alerts": [entry["alerts"] for entry in rollups],
         }
+
+
+def _campaign_start_seq(campaign_id: str) -> Optional[int]:
+    """The seq of a ``c<seq>`` campaign id's start event, else None."""
+    digits = campaign_id[1:]
+    if campaign_id[:1] != "c" or not (digits.isascii() and digits.isdigit()):
+        return None
+    return int(digits)
 
 
 class MemoryEventLog(EventLog):

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from repro.snapshot import state_int, state_list
+from repro.snapshot import state_int, state_rows
 
 # A deadline later than any cycle a device reaches.
 NEVER = float("inf")
@@ -90,8 +90,8 @@ class Peripheral:
 
     def restore_state(self, state):
         self.now = state_int(state, "now")
-        self.events[:] = [IoEvent(cycle, port, value)
-                          for cycle, port, value in state_list(state, "events")]
+        self.events[:] = [IoEvent(*row)
+                          for row in state_rows(state, "events", int, str, int)]
         self._restore_extra(state)
 
     def _snapshot_extra(self):

@@ -13,7 +13,7 @@ monitor, not by this peripheral.
 
 from repro.peripherals import ports
 from repro.peripherals.base import Peripheral
-from repro.snapshot import state_int, state_list
+from repro.snapshot import state_int, state_rows
 
 
 class HarnessPorts(Peripheral):
@@ -62,5 +62,5 @@ class HarnessPorts(Peripheral):
     def _restore_extra(self, state):
         self.done = bool(state["done"])
         self.done_value = state_int(state, "done_value", optional=True)
-        self.violation_writes[:] = [
-            tuple(pair) for pair in state_list(state, "violation_writes")]
+        self.violation_writes[:] = state_rows(state, "violation_writes",
+                                              int, int)

@@ -9,7 +9,7 @@ instrumentation overhead is the lowest in Table IV.
 
 from repro.peripherals import ports
 from repro.peripherals.base import Peripheral
-from repro.snapshot import state_int, state_list
+from repro.snapshot import state_int, state_rows
 
 BUSY_CYCLES_COMMAND = 120
 BUSY_CYCLES_DATA = 40
@@ -55,10 +55,8 @@ class Lcd(Peripheral):
 
     def _restore_extra(self, state):
         self.busy_until = state_int(state, "busy_until")
-        self.command_log[:] = [tuple(pair)
-                               for pair in state_list(state, "command_log")]
-        self.data_log[:] = [tuple(pair)
-                            for pair in state_list(state, "data_log")]
+        self.command_log[:] = state_rows(state, "command_log", int, int)
+        self.data_log[:] = state_rows(state, "data_log", int, int)
 
     @property
     def display_bytes(self):

@@ -10,7 +10,7 @@ from typing import Iterable, Tuple
 
 from repro.peripherals import ports
 from repro.peripherals.base import NEVER, Peripheral
-from repro.snapshot import state_list
+from repro.snapshot import state_list, state_rows
 
 
 class Uart(Peripheral):
@@ -68,11 +68,10 @@ class Uart(Peripheral):
         }
 
     def _restore_extra(self, state):
-        self._rx_schedule = deque(
-            tuple(pair) for pair in state_list(state, "rx_schedule"))
-        self._rx_fifo = deque(state_list(state, "rx_fifo"))
+        self._rx_schedule = deque(state_rows(state, "rx_schedule", int, int))
+        self._rx_fifo = deque(state_list(state, "rx_fifo", int))
         self.rx_irq_enabled = bool(state["rx_irq_enabled"])
-        self.tx_log[:] = [tuple(pair) for pair in state_list(state, "tx_log")]
+        self.tx_log[:] = state_rows(state, "tx_log", int, int)
 
     @property
     def tx_bytes(self):

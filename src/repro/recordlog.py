@@ -11,7 +11,8 @@ another process (:func:`repro.obs.bus.open_event_tail`).
 ``.sqlite3`` -> :class:`SqliteLog` (writes batch in a transaction until
 ``flush()`` commits), anything else -> :class:`JsonlLog` (one JSON
 object per line, each pushed to the kernel at once so a SIGKILL loses
-nothing; ``flush()`` adds the fsync against power loss).
+nothing; ``flush()`` fsyncs what was appended since the last sync,
+against power loss, and skips the fsync when nothing was).
 
 **The torn-line rule.**  A kill mid-append can tear a JSON-lines file's
 last line.  Every reader skips any line that is not a complete JSON
@@ -108,6 +109,7 @@ class JsonlLog(RecordLog):
         _make_parent(path)
         self._file = open(path, "a", encoding="utf-8")
         self._torn = _ends_mid_line(path)  # end it before the next append
+        self._unsynced = False  # a line was appended since the last sync
 
     def _read(self) -> List[dict]:
         with open(self.path, "rb") as handle:
@@ -119,11 +121,14 @@ class JsonlLog(RecordLog):
             self._torn = False
         self._file.write(json.dumps(doc, sort_keys=True) + "\n")
         self._file.flush()
+        self._unsynced = True
 
     def _sync(self):
-        if not self._file.closed:
+        """Fsync the lines appended since the last sync, if any."""
+        if self._unsynced and not self._file.closed:
             self._file.flush()
             os.fsync(self._file.fileno())
+            self._unsynced = False
 
     def _rewrite(self, docs: Iterable[dict]):
         if self._file.closed:
@@ -133,6 +138,7 @@ class JsonlLog(RecordLog):
             json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
         self._file = open(self.path, "a", encoding="utf-8")
         self._torn = False
+        self._unsynced = False  # write_atomic fsynced the new file
 
     def close(self):
         self._sync()

@@ -515,8 +515,8 @@ class VerifierDaemon:
     async def _h_campaign(self, path, query, body):
         campaign_id = path.rsplit("/", 1)[1]
         entry = self.campaigns.get(campaign_id)
-        rollup = next((item for item in self.fleet.events.campaign_rollup()
-                       if item["campaign"] == campaign_id), None)
+        rollup = next(iter(self.fleet.events.campaign_rollup(campaign_id)),
+                      None)
         if entry is None and rollup is None:
             return _error(404, f"unknown campaign {campaign_id!r}")
         return JsonResponse(200, envelope(

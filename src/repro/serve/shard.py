@@ -82,8 +82,9 @@ class ShardedStore(RegistryStore):
     Record documents route by device id through the ring; the meta
     document lives on shard 0.  ``flush()`` flushes every shard --
     the campaign engine's per-wave durability point must cover the
-    whole wave no matter how its devices were distributed -- and
-    ``close()`` closes every shard (compacting JSONL backends).
+    whole wave no matter how its devices were distributed; a JSONL
+    shard nothing was written to since its last flush skips the fsync
+    -- and ``close()`` closes every shard (compacting JSONL backends).
     """
 
     backend = "sharded"

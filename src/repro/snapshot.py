@@ -2,13 +2,18 @@
 
 A :class:`DeviceSnapshot` captures *everything mutable* about a running
 :class:`repro.device.Device` -- CPU registers, the memory image as a
-delta against the loaded firmware, interrupt lines, every peripheral's
-latches and schedules, the branch-trace ring, the monitor's update
-session, the update engine's monotonic version, and the device event
-log -- in a plain dict of JSON types.  Restoring a snapshot into a
-freshly built device of the same program/security produces a device
-that executes **bit-identically** to the original (the lockstep
-differential tests in ``tests/test_snapshot.py`` are the contract).
+delta against the loaded firmware (the program's one image, which
+every device of the program shares and only reads), interrupt lines,
+every peripheral's latches and schedules, the branch-trace ring, the
+monitor's update session, the update engine's monotonic version, and
+the device event log -- in a plain dict of JSON types.  Restoring a
+snapshot into a freshly built device of the same program/security
+produces a device that executes **bit-identically** to the original
+(the lockstep differential tests in ``tests/test_snapshot.py`` are the
+contract).  Restore type-checks what it adopts, down to the items of
+its logs, queues and the trace ring (the ``state_*`` helpers below),
+so a malformed document raises :class:`SnapshotError` at the boundary
+rather than a ``TypeError`` inside a later run.
 
 Two consumers:
 
@@ -32,7 +37,7 @@ self-modifying code, just wholesale (see :mod:`repro.cpu.core`).
 """
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 
@@ -76,32 +81,93 @@ def state_int(state: Dict[str, Any], key: str, optional: bool = False):
                      f"got {value!r}")
 
 
-def state_list(state: Dict[str, Any], key: str) -> list:
-    """``state[key]`` if it is a list (a log, queue or schedule)."""
+def state_str(state: Dict[str, Any], key: str, allowed=None) -> str:
+    """``state[key]`` if it is a string (one of *allowed*, if given)."""
+    kind = str if allowed is None else allowed
     value = state[key]
-    if type(value) is not list:
-        raise ValueError(f"snapshot field {key!r} must be a list, "
+    if _conforms((value,), kind):
+        return value
+    raise ValueError(f"snapshot field {key!r} must be {_kind_name(kind)}, "
+                     f"got {value!r}")
+
+
+def state_dict(state: Dict[str, Any], key: str) -> dict:
+    """``state[key]`` if it is an object."""
+    value = state[key]
+    if type(value) is not dict:
+        raise ValueError(f"snapshot field {key!r} must be an object, "
                          f"got {value!r}")
     return value
 
 
+def state_list(state: Dict[str, Any], key: str, item=None) -> list:
+    """``state[key]`` if it is a list (a log, queue or schedule), and
+    with *item*, one whose every item is an *item* (see
+    :func:`_conforms`)."""
+    value = state[key]
+    if type(value) is not list:
+        raise ValueError(f"snapshot field {key!r} must be a list, "
+                         f"got {value!r}")
+    if item is not None and not _conforms(value, item):
+        bad = next(entry for entry in value if not _conforms((entry,), item))
+        raise ValueError(f"snapshot field {key!r} must hold "
+                         f"{_kind_name(item)} items, got {bad!r}")
+    return value
+
+
+def state_rows(state: Dict[str, Any], key: str, *kinds) -> List[tuple]:
+    """``state[key]`` as tuples: a list whose every item is a list of
+    ``len(kinds)`` fields, field i a ``kinds[i]`` (see
+    :func:`_conforms`).  Checked a column at a time, so a full trace
+    ring costs a few set builds rather than a call per field."""
+    rows = state_list(state, key)
+    if not rows:
+        return []
+    width = len(kinds)
+    if not (_conforms(rows, list) and set(map(len, rows)) == {width}
+            and all(_conforms(column, kind)
+                    for column, kind in zip(zip(*rows), kinds))):
+        bad = next(row for row in rows if not (
+            type(row) is list and len(row) == width
+            and all(_conforms((field,), kind)
+                    for field, kind in zip(row, kinds))))
+        raise ValueError(
+            f"snapshot field {key!r} must hold "
+            f"[{', '.join(map(_kind_name, kinds))}] items, got {bad!r}")
+    return list(map(tuple, rows))
+
+
 def state_counts(state: Dict[str, Any], key: str) -> Dict[str, int]:
     """``state[key]`` if it is an object of integer counts."""
-    counts = state[key]
-    if type(counts) is not dict:
-        raise ValueError(f"snapshot field {key!r} must be an object, "
-                         f"got {counts!r}")
+    counts = state_dict(state, key)
     return {name: state_int(counts, name) for name in counts}
+
+
+def _conforms(values, kind) -> bool:
+    """Whether every value is a *kind*: a type, matched exactly (JSON
+    true/false are not integers), or a collection of the allowed
+    strings or integers."""
+    types = set(map(type, values))
+    if isinstance(kind, type):
+        return types <= {kind}
+    return types <= {str, int} and set(values).issubset(kind)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, type):
+        return {dict: "object"}.get(kind, kind.__name__)
+    return "one of " + ", ".join(map(repr, sorted(kind)))
 
 
 def memory_delta(mem, baseline) -> list:
     """Pages of *mem* that differ from *baseline*, as ``[addr, hex]``.
 
     The common case -- snapshotting right after build, or a firmware
-    that never self-modifies -- compares whole pages at C speed and
-    emits nothing for untouched ones.
+    that never self-modifies -- compares the whole image at C speed,
+    without copying it, and emits nothing for untouched pages.
+    *baseline* is only read: devices share their program's image.
     """
-    if bytes(mem) == baseline:
+    if mem == baseline:
         return []
     delta = []
     view = memoryview(mem)

@@ -15,12 +15,14 @@ link errors.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from repro.errors import LinkError, RangeError, SymbolError
 from repro.isa import encode
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import lookup, Format, JUMP_OFFSET_MAX, JUMP_OFFSET_MIN
+from repro.memory.bus import Bus
 from repro.memory.map import MemoryLayout, NUM_VECTORS
 from repro.toolchain.expr import eval_expr
 from repro.toolchain.statements import DataStatement, InsnStatement, LabelStatement
@@ -73,6 +75,21 @@ class LinkedProgram:
             ivt[2 * index + 1] = (handler >> 8) & 0xFF
         chunks.append((self.layout.ivt.start, bytes(ivt)))
         return chunks
+
+    @cached_property
+    def image(self) -> bytes:
+        """The loaded 64 KB address space, computed once per program.
+
+        :meth:`segments` loaded in order into a fresh bus, so a later
+        segment overwrites an earlier one and one past the address space
+        raises :class:`MemoryAccessError`.  Every device built from the
+        program copies it into its own RAM and keeps it as its snapshot
+        baseline; it is ``bytes``, so no device can write through it.
+        """
+        bus = Bus(self.layout)
+        for addr, data in self.segments():
+            bus.load_bytes(addr, data)
+        return bytes(bus.mem)
 
     def section_extent(self, name):
         for extent in self.sections:

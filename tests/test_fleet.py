@@ -12,6 +12,8 @@ The scale-sensitive negative paths the subsystem exists for:
 """
 
 import copy
+import random
+import zlib
 from collections import Counter
 
 import pytest
@@ -30,6 +32,7 @@ from repro.fleet import (
 )
 from repro.fleet.registry import FleetError, FleetRegistry
 from repro.fleet.simulation import UPDATE_TARGET, default_payload
+from repro.fleet.transport import Transport
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,23 @@ class TestRegistry:
 # ---- transport -------------------------------------------------------------
 
 
+def _eager_reference(rng, knobs):
+    """What a channel whose RNG was seeded at construction does with one
+    send per ``(loss, reorder)`` in *knobs*: each send's drop fate, and
+    the delivery order of the sends that survived."""
+    fates, queue = [], []
+    for index, (loss, reorder) in enumerate(knobs):
+        dropped = bool(loss) and rng.random() < loss
+        fates.append(dropped)
+        if dropped:
+            continue
+        if queue and reorder and rng.random() < reorder:
+            queue.insert(rng.randrange(len(queue)), index)
+        else:
+            queue.append(index)
+    return fates, queue
+
+
 class TestTransport:
     def test_lossless_channel_is_fifo(self):
         channel = SimChannel()
@@ -109,6 +129,41 @@ class TestTransport:
             SimChannel(loss=1.01)
         with pytest.raises(ValueError):
             SimChannel(reorder=-0.1)
+
+    def test_lossless_channel_holds_no_rng(self):
+        link = Transport(seed=7).link("dev-0")
+        for index in range(10):
+            link.down.send("v", "d", "k", index)
+            link.up.send("d", "v", "k", index)
+        assert link.down._rng is None and link.up._rng is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 0xBEEF])
+    def test_lazy_rng_draws_what_an_eager_one_did(self, seed):
+        # A lossy, reordering channel drops and reorders exactly as the
+        # eagerly seeded reference does.
+        channel = SimChannel(loss=0.3, reorder=0.5, seed=seed)
+        fates = [channel.send("v", "d", "k", index) is None
+                 for index in range(200)]
+        expected_fates, expected_order = _eager_reference(
+            random.Random(seed), [(0.3, 0.5)] * 200)
+        assert fates == expected_fates
+        assert [env.body for env in channel.drain()] == expected_order
+
+    def test_loss_raised_after_creation_draws_from_the_seed(self):
+        # A partition injected into a live link (as the serve tests do):
+        # its first draw starts from the seeded state.
+        seed = 5
+        link = Transport(seed=seed).link("dev-3")
+        knobs = [(0.0, 0.0)] * 5 + [(0.6, 0.4)] * 100
+        fates = []
+        for index, (loss, reorder) in enumerate(knobs):
+            link.down.loss, link.down.reorder = loss, reorder
+            fates.append(link.down.send("v", "d", "k", index) is None)
+        salt = zlib.crc32(b"dev-3")
+        expected_fates, expected_order = _eager_reference(
+            random.Random(seed ^ salt), knobs)
+        assert fates == expected_fates
+        assert [env.body for env in link.down.drain()] == expected_order
 
     def test_fully_partitioned_fleet_degrades_cleanly(self):
         # Every exchange times out, nothing is quarantined, and no

@@ -224,6 +224,26 @@ class TestRegistryPersistence:
         assert b.key.secret == record.key.secret
         assert reloaded.get("a").state is Lifecycle.QUARANTINED
 
+    @pytest.mark.parametrize("kind", ("jsonl", "sqlite"))
+    def test_meta_survives_a_reopen_after_attests(self, kind, tmp_path):
+        # Attests leave the meta document as it was, so their flushes
+        # save no meta; a reopened registry still restores the clock,
+        # the package log and the firmware pin.
+        store = make_store(kind, tmp_path)
+        fleet = FleetSimulation(size=5, seed=3, store=store)
+        assert fleet.rollout(version=1).applied == 5
+        meta = dict(fleet.registry.meta)
+        assert {"clock", "packages", "firmware"} <= set(meta)
+        for _ in range(3):
+            assert all(result.ok for result in fleet.attest_all().values())
+        assert fleet.registry.meta == meta
+        store.close()
+
+        reopened = FleetRegistry(store=open_store(store.path))
+        assert reopened.meta == meta
+        assert reopened.clock == meta["clock"]
+        reopened.store.close()
+
     def test_registry_without_store_stays_plain(self):
         registry = FleetRegistry()
         record = registry.enroll("a")

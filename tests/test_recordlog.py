@@ -288,6 +288,45 @@ def test_has_campaign(tmp_path, kind):
     log.close()
 
 
+@pytest.mark.parametrize("kind", ("memory", "jsonl", "sqlite"))
+def test_single_campaign_rollup_is_its_full_rollup_entry(tmp_path, kind):
+    # Two interleaved campaigns, the second resumed across a reopen of
+    # the log, and a third still in flight; untagged events between.
+    log = make_log(kind, tmp_path)
+    log.emit("enroll", device="d1")
+    first = log.start_campaign(target_version=1, backend="serial")
+    second = log.start_campaign(target_version=2, backend="process")
+    for wave in range(3):
+        device = f"d{wave}"
+        log.emit("offer", device=device, campaign=first, status="applied")
+        log.emit("offer", device=device, campaign=second,
+                 status="rejected-bad-mac")
+        log.emit("quarantine", device=device, campaign=second,
+                 reason="bad-mac")
+        log.emit("wave-commit", campaign=first, index=wave)
+        log.emit("attest", device="d9", ok=True)
+    log.emit("alert", campaign=second, rule="replay-burst")
+    log.emit("campaign-end", campaign=first, status="complete", applied=3)
+    if kind != "memory":
+        log.close()
+        log = make_log(kind, tmp_path)
+    log.emit("offer", device="d5", campaign=second, status="applied")
+    log.emit("campaign-end", campaign=second, status="complete",
+             applied=1, resumed=3)
+    in_flight = log.start_campaign(target_version=3)
+    log.emit("offer", device="d1", campaign=in_flight, status="applied")
+
+    full = log.campaign_rollup()
+    assert [entry["campaign"] for entry in full] == \
+        [first, second, in_flight]
+    for entry in full:
+        assert log.campaign_rollup(entry["campaign"]) == [entry]
+    for unknown in ("c1", "c999", "c", "x2", "c-2", "c2.0", "C2", "",
+                    "c\u0662"):
+        assert log.campaign_rollup(unknown) == []
+    log.close()
+
+
 # ---- dispatch, rewrite, formats -------------------------------------------------
 
 
@@ -297,6 +336,36 @@ def test_backend_for_dispatches_on_the_path():
         assert backend_for(path) == "sqlite"
     for path in ("a.jsonl", "a.log", "a.db.jsonl", "a"):
         assert backend_for(path) == "jsonl"
+
+
+def test_jsonl_flush_fsyncs_only_what_was_appended(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: (synced.append(fd), real_fsync(fd)))
+    store = JsonlStore(str(tmp_path / "fleet.jsonl"))
+    log = JsonlEventLog(str(tmp_path / "events.jsonl"))
+    store.flush()
+    log.flush()
+    assert synced == []  # nothing appended yet
+    store.save_record(record("a"))
+    log.emit("enroll", device="a")
+    store.flush()
+    log.flush()
+    assert len(synced) == 2
+    store.flush()
+    log.flush()
+    assert len(synced) == 2  # nothing appended since
+    store.save_record(record("a", attest_count=1))
+    store.compact()  # the atomic rewrite fsyncs what it writes
+    assert len(synced) == 3
+    store.flush()
+    assert len(synced) == 3
+    store.close()
+    log.close()
+    assert len(synced) == 4  # close compacts the store again
+    with JsonlStore(str(tmp_path / "fleet.jsonl")) as reopened:
+        assert reopened.load_records()["a"] == record("a", attest_count=1)
 
 
 def test_write_atomic_replaces_the_file_and_leaves_no_temp(tmp_path):

@@ -461,6 +461,13 @@ class TestDaemonApi:
             collect(client.campaign_events("c999"))
         assert excinfo.value.status == 404
 
+    def test_malformed_campaign_id_is_404(self, daemon_fleet):
+        _fleet, client = daemon_fleet
+        for campaign_id in ("bogus", "c", "c-1", "cx1"):
+            with pytest.raises(ServeError) as excinfo:
+                client.campaign(campaign_id)
+            assert excinfo.value.status == 404
+
     def test_events_backlog_and_since_cursor(self, daemon_fleet):
         _fleet, client = daemon_fleet
         client.attest()
@@ -846,6 +853,49 @@ def test_socket_boundary_fuzz():
         gc.collect()
         assert client.status()["ready"] is True
     assert errors == []
+
+
+class TestDurabilityPoint:
+    def test_single_attest_syncs_only_the_logs_it_wrote(self, tmp_path,
+                                                          monkeypatch):
+        """One single-device attest request is one durability point:
+        it fsyncs the device's shard and the event log, not the other
+        shard, and appends no meta line (an attest changes no meta)."""
+        paths = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+        events = str(tmp_path / "events.jsonl")
+        store = open_sharded_store(paths)
+        fleet = FleetSimulation(size=8, store=store, events=events)
+        fleet.registry.flush()
+        inodes = {os.stat(path).st_ino: path for path in (*paths, events)}
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(inodes.get(os.fstat(fd).st_ino, fd))
+            real_fsync(fd)
+
+        async def attest(device_id):
+            pump = AsyncFleetPump(fleet)
+            try:
+                return await pump.attest([device_id])
+            finally:
+                pump.close()
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        for device_id in fleet.registry.ids()[:4]:
+            sizes = [os.path.getsize(path) for path in paths]
+            synced.clear()
+            (doc,) = asyncio.run(attest(device_id))
+            assert doc["ok"]
+            shard = paths[store.router.shard_for(device_id)]
+            assert sorted(synced) == sorted([shard, events])
+            for path, size in zip(paths, sizes):
+                with open(path, encoding="utf-8") as handle:
+                    handle.seek(size)
+                    added = [json.loads(line) for line in handle]
+                assert all(line["kind"] == "record" for line in added)
+                assert bool(added) == (path == shard)
+        store.close()
 
 
 class TestDaemonShutdown:

@@ -11,10 +11,12 @@ invalidation contract against self-modifying code and the wire-form
 rejection rules (codec / program / security mismatches).
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.api import FirmwareSpec, build_firmware
 from repro.apps.registry import APPS, TABLE_IV_ORDER
 from repro.attacks import (
     code_injection,
@@ -23,7 +25,10 @@ from repro.attacks import (
     return_address_smash,
 )
 from repro.attacks.victims import build_victim
+from repro.casu.monitor import ViolationReason
+from repro.casu.update import UpdatePackage
 from repro.device import build_device
+from repro.fleet.simulation import UPDATE_TARGET, default_payload
 from repro.snapshot import DeviceSnapshot, SnapshotError
 from repro.toolchain import link, parse_source
 
@@ -176,6 +181,81 @@ def test_restore_after_smc_write_drops_stale_decodes():
     assert record_a == record_b
     assert record_b.insn.render() == "mov #0x2222, r11"
     assert device_b.cpu.get_reg(11) == 0x2222
+
+
+# ---- the shared program image ------------------------------------------------
+
+
+# A node that reports, signals DONE, then stores into its own code.
+_IMAGE_APP = """
+    .text
+    .global main
+main:
+    mov #42, &0x0200
+    mov #1, &0x0070
+patch:
+    mov #0x1111, r11
+    mov #0x2222, &patch+2
+idle:
+    jmp idle
+"""
+
+
+@pytest.mark.parametrize("security", ["none", "casu"])
+def test_devices_share_one_image_and_never_write_through_it(security):
+    """Every device of a program holds the program's one image as its
+    snapshot baseline; nothing a device does to its own memory reaches
+    the image, another device, or that device's snapshot."""
+    program = build_firmware(FirmwareSpec(
+        kind="asm", source=_IMAGE_APP, name="image-node",
+        link_rom=True)).program
+    image = program.image
+    digest = hashlib.sha256(image).hexdigest()
+    device_a = build_device(program, security=security)
+    device_b = build_device(program, security=security)
+    assert device_a._baseline is device_b._baseline is image
+    memory_b = bytes(device_b.bus.mem)
+    snapshot_b = device_b.snapshot().to_json()
+
+    # The store into its own code: it commits without a monitor
+    # (self-modifying code) and CASU's PMEM guard voids it.
+    patch = program.symbols["patch"]
+    result = device_a.run(max_steps=200, stop_on_done=False)
+    if security == "none":
+        assert not result.violations
+        assert device_a.bus.peek_word(patch + 2) == 0x2222
+    else:
+        assert [v.reason for v in result.violations] == \
+            [ViolationReason.PMEM_WRITE]
+        assert device_a.bus.peek_word(patch + 2) == 0x1111
+    # An update: the ROM routine's copy loop writes PMEM.
+    assert device_a.apply_update(UpdatePackage.make(
+        device_a.update_engine.key, UPDATE_TARGET, default_payload(1),
+        1)).ok
+    # An imem-flip poke through the back door: main's #42 becomes #43.
+    main = program.symbols["main"]
+    device_a.bus.poke_word(main + 2, device_a.bus.peek_word(main + 2) ^ 1)
+    device_a.hard_reset()
+    assert device_a.bus.mem != image
+
+    assert bytes(device_b.bus.mem) == memory_b
+    assert device_b.snapshot().to_json() == snapshot_b
+    assert program.image is image
+    assert hashlib.sha256(image).hexdigest() == digest
+
+    # A's snapshot, restored into a fresh device, runs in lockstep.
+    fresh = build_device(program, security=security)
+    fresh.restore(DeviceSnapshot.from_json(device_a.snapshot().to_json()))
+    for step in range(20_000):
+        record_a, violation_a = device_a.step()
+        record_f, violation_f = fresh.step()
+        assert record_a == record_f, f"step {step} diverged"
+        assert violation_a == violation_f, f"step {step} verdict diverged"
+    assert fresh.cpu.regs == device_a.cpu.regs
+    assert fresh.bus.mem == device_a.bus.mem
+    assert fresh.cycle == device_a.cycle
+    assert fresh.trace_snapshot().digest == device_a.trace_snapshot().digest
+    assert fresh.reset_count == device_a.reset_count
 
 
 # ---- wire-form rejection rules -----------------------------------------------

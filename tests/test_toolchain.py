@@ -3,8 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import AsmSyntaxError, LinkError, RangeError, SymbolError
+from repro.device import build_device
+from repro.errors import (
+    AsmSyntaxError,
+    LinkError,
+    MemoryAccessError,
+    RangeError,
+    SymbolError,
+)
 from repro.toolchain import link, parse_source, render_listing, parse_listing
+from repro.toolchain.linker import Record
 from repro.toolchain.expr import eval_expr, is_pure_literal, referenced_symbols
 from repro.toolchain.operand_spec import parse_operand, SpecKind
 from repro.toolchain.parser import split_operands, strip_comment
@@ -206,6 +214,22 @@ class TestLinker:
         src = MINIMAL.replace("halt:", "__default_handler:\n    reti\nhalt:")
         program = link([parse_source(src, "t.s")])
         assert program.vectors[0] == program.symbols["__default_handler"]
+
+    def test_image_is_loaded_once_per_program(self, app_builds):
+        for original, eilid in app_builds.values():
+            for program in (original.program, eilid.final.program):
+                image = program.image
+                assert type(image) is bytes and len(image) == 0x10000
+                assert program.image is image
+                for addr, data in program.segments():
+                    assert image[addr:addr + len(data)] == data
+
+    def test_image_past_the_address_space_fails_at_build(self):
+        program = link([parse_source(MINIMAL, "t.s")])
+        program.records.append(
+            Record(0xFFFF, 2, b"\x01\x02", None, ".data", "t.s"))
+        with pytest.raises(MemoryAccessError):
+            build_device(program)
 
 
 class TestListing:
