@@ -298,7 +298,7 @@ class Session:
         with METRICS.span("session.rollout"):
             report = self.fleet.rollout(
                 version=plan.version,
-                config=plan.campaign_config(self.spec.fleet.max_attempts),
+                config=plan.campaign_config(),
                 tamper_fraction=plan.tamper_fraction,
                 rollback_fraction=plan.rollback_fraction,
                 resume=plan.resume,

@@ -340,18 +340,16 @@ class RolloutSpec(_Spec):
     # anything else -> the JSON envelope; atomic replace either way).
     metrics_dump: Optional[str] = None
 
-    def campaign_config(self, max_attempts: Optional[int] = None):
+    def campaign_config(self):
         """The :class:`~repro.fleet.campaign.CampaignConfig` this plan
         runs with; building it applies the shared rollout rules."""
         from repro.fleet.campaign import CampaignConfig
 
         own = {spec_field.name for spec_field in fields(self)}
-        knobs = {spec_field.name: getattr(self, spec_field.name)
-                 for spec_field in fields(CampaignConfig)
-                 if spec_field.name in own}
-        if max_attempts is not None:
-            knobs["max_attempts"] = max_attempts
-        return CampaignConfig(**knobs)
+        return CampaignConfig(**{
+            spec_field.name: getattr(self, spec_field.name)
+            for spec_field in fields(CampaignConfig)
+            if spec_field.name in own})
 
     def _check(self, prefix):
         from repro.fleet.campaign import check_target_version

@@ -1319,7 +1319,9 @@ def main(argv=None):
                              help="listen port (0 picks an ephemeral one, "
                                   "announced on the readiness line)")
     p_serve_run.add_argument("--workers", type=int,
-                             help="protocol executor threads (0 = auto)")
+                             help="executor threads for enrollments and "
+                                  "campaigns; attests run on the event "
+                                  "loop (0 = auto)")
     p_serve_run.set_defaults(func=_cmd_serve_run)
 
     try:

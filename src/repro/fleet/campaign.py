@@ -86,7 +86,6 @@ class CampaignConfig:
     wave_fractions: Tuple[float, ...] = (0.05, 0.25, 1.0)
     # Halt when a wave's failed fraction exceeds this.
     failure_threshold: float = 0.10
-    max_attempts: int = 4  # per-message transport retries
     workers: int = 0  # process pool size; 0 -> min(8, cpu count)
     # Post-wave verification: attest every device the wave updated
     # before moving on.  With a trace-verifying session this is where
@@ -115,7 +114,6 @@ class CampaignConfig:
                 "the final wave must cover the whole fleet (1.0)")
         require(0.0 <= self.failure_threshold <= 1.0, "failure_threshold",
                 "must be in [0, 1]")
-        require(self.max_attempts >= 1, "max_attempts", "must be >= 1")
         require(self.workers >= 0, "workers", "must be >= 0 (0 = auto)")
         require(self.backend in CAMPAIGN_BACKENDS, "backend",
                 f"unknown backend {self.backend!r}; "

@@ -174,10 +174,11 @@ class JsonlStore(JsonlLog, MemoryStore):
     Every ``save_record`` appends one ``{"kind": "record", ...}`` line;
     ``save_meta`` appends a ``{"kind": "meta", ...}`` line; the open
     folds the log last-wins.  ``compact()`` rewrites the file to one
-    line per live document; it runs on close, at open, and live --
-    mid-session, whenever redundancy crosses ``COMPACT_FACTOR`` -- so a
-    verifier that re-saves its records every wave for weeks never grows
-    an unbounded log.
+    line per live document; it runs on close (when the log holds more
+    lines than live documents; otherwise close only syncs), at open,
+    and live -- mid-session, whenever redundancy crosses
+    ``COMPACT_FACTOR`` -- so a verifier that re-saves its records every
+    wave for weeks never grows an unbounded log.
     """
 
     # Compact when the log holds this many times more lines than live
@@ -201,9 +202,11 @@ class JsonlStore(JsonlLog, MemoryStore):
         if self._over_threshold():
             self.compact()
 
+    def _live(self) -> int:
+        return len(self._records) + (1 if self._meta else 0)
+
     def _over_threshold(self) -> bool:
-        live = len(self._records) + (1 if self._meta else 0)
-        return self._lines > max(64, self.COMPACT_FACTOR * live)
+        return self._lines > max(64, self.COMPACT_FACTOR * self._live())
 
     def save_record(self, doc: dict):
         with self._lock:
@@ -251,7 +254,8 @@ class JsonlStore(JsonlLog, MemoryStore):
 
     def close(self):
         with self._lock:
-            self._compact_locked()
+            if self._lines > self._live():
+                self._compact_locked()
             JsonlLog.close(self)
 
 

@@ -160,8 +160,14 @@ class EventLog(RecordLog):
         return self.events(since=since_seq)
 
     def has_campaign(self, campaign_id: str) -> bool:
-        """Whether any event carries *campaign_id* (stops at the first)."""
-        return any(doc["campaign"] == campaign_id for doc in self._scan())
+        """Whether any event carries *campaign_id* (stops at the first).
+
+        Its id is ``c<start seq>``, so only events from that seq on are
+        scanned, and a malformed id is unknown without a scan.
+        """
+        start = campaign_start_seq(campaign_id)
+        return start is not None and any(
+            doc["campaign"] == campaign_id for doc in self._scan(start - 1))
 
     def __len__(self):
         return len(self.events())
@@ -237,7 +243,7 @@ class EventLog(RecordLog):
         if campaign is None:
             docs = self._scan()
         else:
-            start = _campaign_start_seq(campaign)
+            start = campaign_start_seq(campaign)
             if start is None:
                 return []
             docs = self.events(campaign=campaign, since=start - 1)
@@ -322,7 +328,7 @@ class EventLog(RecordLog):
         }
 
 
-def _campaign_start_seq(campaign_id: str) -> Optional[int]:
+def campaign_start_seq(campaign_id: str) -> Optional[int]:
     """The seq of a ``c<seq>`` campaign id's start event, else None."""
     digits = campaign_id[1:]
     if campaign_id[:1] != "c" or not (digits.isascii() and digits.isdigit()):
@@ -434,9 +440,10 @@ class SqliteEventLog(SqliteLog, EventLog):
         return self.events(since=since)
 
     def has_campaign(self, campaign_id: str) -> bool:
-        return bool(self._rows(
-            "SELECT 1 FROM events WHERE campaign = ? LIMIT 1",
-            (campaign_id,)))
+        start = campaign_start_seq(campaign_id)
+        return start is not None and bool(self._rows(
+            "SELECT 1 FROM events WHERE campaign = ? AND seq >= ? LIMIT 1",
+            (campaign_id, start)))
 
 
 def open_event_log(path: Optional[str]) -> EventLog:

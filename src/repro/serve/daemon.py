@@ -1,20 +1,25 @@
 """The verifier control plane: an asyncio HTTP/1.1 JSON daemon.
 
 One long-running process fronts a fleet: enroll/attest/rollout arrive
-as HTTP requests, fan out through :class:`~repro.serve.pump
+as HTTP requests, go through :class:`~repro.serve.pump
 .AsyncFleetPump` onto the existing HMAC protocol, and persist through
 whatever store the fleet was opened on -- usually a
 :class:`~repro.serve.shard.ShardedStore` spanning several durable
 backends.  Everything is stdlib: ``asyncio.start_server`` carries the
 sockets, the HTTP parsing is the few dozen lines a JSON-only
-HTTP/1.1 API actually needs.  Connections persist: one connection
-serves request after request (each head read with one
-``readuntil``) until the client asks to close or speaks HTTP/1.0, a
-stream ends it (streams are close-delimited), a 400 leaves its
-framing untrusted, or it sits idle past ``REQUEST_TIMEOUT_S``.  The
-daemon never closes a connection between reading a request head and
-answering it, so a client may safely resend, once, a request that
-failed on a reused connection before any response byte.
+HTTP/1.1 API actually needs.  An attest is answered on the loop
+thread that read it (the pump runs its exchanges there); enrollments
+and campaigns run on the pump's executor.  Connections persist: one
+connection serves request after request (each head read with one
+``readuntil`` in the connection's own task, which starts no other)
+until the client asks to close or speaks HTTP/1.0, a stream ends it
+(streams are close-delimited), a 400 leaves its framing untrusted,
+or it sits idle past ``REQUEST_TIMEOUT_S``.  That limit is one
+deadline, kept by a timer: reading a request, head and body, must
+finish within it.  The daemon never closes a connection between
+reading a request head and answering it, so a client may safely
+resend, once, a request that failed on a reused connection before
+any response byte.
 
 Endpoints (every JSON body is the same ``schema``/``version``
 envelope the CLI emits; streams are JSONL, one event document per
@@ -57,6 +62,7 @@ from repro.api.results import envelope
 from repro.api.spec import SpecError
 from repro.fleet.campaign import CampaignConfig
 from repro.fleet.registry import FleetError
+from repro.obs.events import campaign_start_seq
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import METRICS
 from repro.serve.pump import AsyncFleetPump, PumpBusy
@@ -65,8 +71,8 @@ from repro.serve.pump import AsyncFleetPump, PumpBusy
 # 50ms keeps first-event latency far inside the 1s gate while a quiet
 # stream costs ~20 empty tail reads a second.
 STREAM_POLL_S = 0.05
-# Reading a request (head + body) may not stall the loop, and a
-# kept-alive connection idle this long is closed.
+# Reading a request (head + body) must finish this long after it
+# starts, and a kept-alive connection idle this long is closed.
 REQUEST_TIMEOUT_S = 30.0
 MAX_BODY_BYTES = 8 << 20
 # How long a connection ending after its answer waits for the client
@@ -113,8 +119,11 @@ class BadFraming(Exception):
 # /rollout body keys handed to CampaignConfig, which checks them (the
 # body calls its wave_fractions "waves").  metrics_dump is never one: a
 # request must not name files on the server.
-_ROLLOUT_KNOBS = ("failure_threshold", "max_attempts", "workers", "backend",
+_ROLLOUT_KNOBS = ("failure_threshold", "workers", "backend",
                   "verify_after_wave")
+# Every key a /rollout body may hold; any other answers 400.
+_ROLLOUT_KEYS = frozenset(_ROLLOUT_KNOBS + (
+    "version", "waves", "resume", "device_ids"))
 
 
 def _is(value, kinds) -> bool:
@@ -235,14 +244,21 @@ class VerifierDaemon:
     async def _serve_one(self, reader, writer) -> bool:
         """Read, dispatch and answer one request; returns whether the
         connection stays open for the next one."""
+        # The read's one deadline, head and body: a timer, not a task,
+        # fails it with asyncio.TimeoutError, which ends the connection.
+        timer = self._loop.call_later(
+            REQUEST_TIMEOUT_S, reader.set_exception, asyncio.TimeoutError())
         try:
-            request = await asyncio.wait_for(
-                self._read_request(reader, writer), REQUEST_TIMEOUT_S)
+            request = await self._read_request(reader, writer)
         except BadFraming as error:
-            response, keep_alive = _error(400, str(error)), False
+            request = error
+        finally:
+            timer.cancel()
+        if request is None:
+            return False  # the client closed between requests
+        if isinstance(request, BadFraming):
+            response, keep_alive = _error(400, str(request)), False
         else:
-            if request is None:
-                return False  # the client closed between requests
             method, target, keep_alive, raw = request
             response = await self._respond(method, target, raw)
         keep_alive = keep_alive and not self._shutting_down and \
@@ -455,6 +471,9 @@ class VerifierDaemon:
             failed=failed, results=results))
 
     async def _h_rollout(self, path, query, body):
+        unknown = sorted(set(body) - _ROLLOUT_KEYS)
+        if unknown:
+            raise SpecError(unknown[0], "not a /rollout key")
         version = body.get("version")
         if version is None:
             return _error(400, "rollout wants {'version': N, ...}")
@@ -479,8 +498,8 @@ class VerifierDaemon:
                 "serve.rollout", campaign=None,
                 report=self._report_doc(report)))
         campaign_id = start["campaign"]
-        entry = self.campaigns[campaign_id] = {
-            "running": True, "report": None, "start_seq": start["seq"]}
+        entry = self.campaigns[campaign_id] = {"running": True,
+                                               "report": None}
 
         def _finish(done):
             entry["running"] = False
@@ -536,11 +555,11 @@ class VerifierDaemon:
     async def _campaign_stream(self, campaign_id: str, since: int):
         """Live per-wave progress: the event log's tail cursor,
         filtered to one campaign, polled until its campaign-end.  The
-        cursor starts at the campaign's own start event when this
-        daemon started it: nothing before it can belong to it."""
-        entry = self.campaigns.get(campaign_id)
-        cursor = since if entry is None else max(since,
-                                                 entry["start_seq"] - 1)
+        cursor starts at the campaign's own start event, whichever
+        daemon started it: its id is ``c<start seq>``, and nothing
+        before that seq can belong to it."""
+        start = campaign_start_seq(campaign_id)
+        cursor = since if start is None else max(since, start - 1)
         while True:
             docs = self.fleet.events.tail(since_seq=cursor)
             if docs:

@@ -1,4 +1,4 @@
-"""Async session layer: run HMAC exchanges off the event loop.
+"""Async session layer: the synchronous verifier behind an event loop.
 
 The protocol layer (:mod:`repro.fleet.protocol`) is synchronous and
 per-device stateful -- a ``VerifierSession`` draws nonces from its
@@ -6,14 +6,19 @@ record and must never run two exchanges for the *same* device at
 once, but exchanges for *different* devices are independent.  The
 pump lifts that contract onto asyncio:
 
-* each attest *request* is one executor call: it attests its devices
-  in request order, saves each record, then flushes once -- the same
-  batch rule ``attest_all`` and the campaign's per-wave flush follow,
-  at one loop/executor hop per request however many devices it names;
-* every device gets a ``threading.Lock``, held only around that
-  device's exchange, so overlapping requests still serialise per
-  device, and no request ever holds two device locks (no lock-order
-  deadlock between ``[a, b]`` and ``[b, a]``).
+* each attest *request* runs its exchanges on the event loop, the
+  thread that read it: it attests its devices in request order,
+  saving each record, yields to the loop between devices, then
+  flushes once -- the same batch rule ``attest_all`` and the
+  campaign's per-wave flush follow.  An exchange never awaits, so no
+  two exchanges ever run at once and overlapping requests serialise
+  per device with no lock; the yield lets other connections' requests
+  (a ``GET /status``, another attest) in between devices.  The
+  trade: the durability flush runs on the loop too, so the loop
+  blocks for its fsyncs (one per log the request wrote, ~0.1 ms each
+  on a local disk) before it answers anyone;
+* enrollments (which build whole simulated devices) and campaigns run
+  on the executor, off the loop.
 
 Rollouts keep their wave semantics by running the existing
 ``RolloutCampaign`` on one executor thread (a serial campaign makes
@@ -29,7 +34,7 @@ rolling.
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.fleet.campaign import CampaignConfig
 
@@ -49,7 +54,6 @@ class AsyncFleetPump:
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers or min(8, (os.cpu_count() or 1) + 2),
             thread_name_prefix="serve-pump")
-        self._device_locks: Dict[str, threading.Lock] = {}
         self._enroll_lock = asyncio.Lock()
         self._inflight = 0
         self._idle = asyncio.Event()
@@ -92,28 +96,25 @@ class AsyncFleetPump:
 
     async def attest(self, device_ids: Optional[Sequence[str]] = None
                      ) -> List[dict]:
-        """One heartbeat per device, in request order, in ONE executor
-        call that ends with ONE flush (durability point), mirroring the
-        sync ``attest_all`` batch rule."""
+        """One heartbeat per device, in request order, on the loop
+        with a yield between devices, ending with ONE flush
+        (durability point), mirroring the sync ``attest_all`` batch
+        rule."""
         self._check_free()
+        fleet = self.fleet
+        registry = fleet.registry
         ids = (list(device_ids) if device_ids is not None
-               else self.fleet.registry.ids())
-        unknown = [i for i in ids if i not in self.fleet.agents]
+               else registry.ids())
+        unknown = [i for i in ids if i not in fleet.agents]
         if unknown:
             raise KeyError(f"no simulated device for {unknown[0]!r}")
         self._enter()
         try:
-            return await self._run_blocking(self._attest_sync, ids)
-        finally:
-            self._exit()
-
-    def _attest_sync(self, ids: List[str]) -> List[dict]:
-        registry, locks = self.fleet.registry, self._device_locks
-        docs = []
-        for device_id in ids:
-            # setdefault is atomic: overlapping requests get one lock.
-            with locks.setdefault(device_id, threading.Lock()):
-                result = self.fleet.session(device_id).attest()
+            docs = []
+            for device_id in ids:
+                if docs:
+                    await asyncio.sleep(0)
+                result = fleet.session(device_id).attest()
                 record = registry.get(device_id)
                 registry.save(record)
                 docs.append({
@@ -121,8 +122,10 @@ class AsyncFleetPump:
                     "detail": result.detail, "attempts": result.attempts,
                     "state": record.state.value,
                     "nonce_high_water": record.nonce_high_water})
-        registry.flush()
-        return docs
+            registry.flush()
+            return docs
+        finally:
+            self._exit()
 
     async def enroll(self, count: int = 0,
                      device_ids: Optional[Sequence[str]] = None
@@ -167,8 +170,13 @@ class AsyncFleetPump:
         """
         self._check_free()
         # Exchanges already in flight finish first: a campaign must see
-        # every record at rest, same as the sync path.
-        await self._idle.wait()
+        # every record at rest, same as the sync path.  Both conditions
+        # are tested again after the wait: an attest or another rollout
+        # may start between the idle signal and this task waking, and
+        # the loop's exchanges have no lock to keep a campaign out.
+        while self._inflight:
+            await self._idle.wait()
+        self._check_free()
         loop = asyncio.get_running_loop()
         started = loop.create_future()
 

@@ -282,9 +282,32 @@ def test_has_campaign(tmp_path, kind):
     log = make_log(kind, tmp_path)
     log.emit("enroll", device="d1")
     started = log.start_campaign(target_version=1)
-    log.emit("alert", campaign="c9", rule="x")  # tagged, never started
-    assert log.has_campaign(started) and log.has_campaign("c9")
+    log.emit("alert", campaign="c3", rule="x")  # tagged, never started
+    assert log.has_campaign(started) and log.has_campaign("c3")
     assert not log.has_campaign("c1")
+    # A tag before its id's start seq cannot belong to it, and a
+    # malformed id is never one.
+    log.emit("alert", campaign="c9", rule="x")
+    log.emit("alert", campaign="bogus", rule="x")
+    assert not log.has_campaign("c9") and not log.has_campaign("bogus")
+    log.close()
+
+
+@pytest.mark.parametrize("kind", ("memory", "jsonl"))
+def test_has_campaign_scans_from_the_start_seq(tmp_path, kind):
+    log = make_log(kind, tmp_path)
+    for index in range(40):
+        log.emit("enroll", device=f"d{index}")
+    started = log.start_campaign(target_version=1)
+    log.emit("offer", device="d1", campaign=started, status="applied")
+    scanned = []
+    scan = log._scan
+    log._scan = lambda since=None: (scanned.append(since) or scan(since))
+    start = int(started[1:])
+    assert log.has_campaign(started)
+    assert not log.has_campaign(f"c{start + 5}")
+    assert not log.has_campaign("bogus") and not log.has_campaign("c")
+    assert scanned == [start - 1, start + 4]
     log.close()
 
 
@@ -363,9 +386,34 @@ def test_jsonl_flush_fsyncs_only_what_was_appended(tmp_path, monkeypatch):
     assert len(synced) == 3
     store.close()
     log.close()
-    assert len(synced) == 4  # close compacts the store again
+    assert len(synced) == 3  # nothing to compact or sync at close
     with JsonlStore(str(tmp_path / "fleet.jsonl")) as reopened:
         assert reopened.load_records()["a"] == record("a", attest_count=1)
+
+
+def test_jsonl_close_compacts_only_a_redundant_log(tmp_path, monkeypatch):
+    path = str(tmp_path / "fleet.jsonl")
+    rewrites = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda *paths: (
+        rewrites.append(paths), real_replace(*paths)))
+
+    def lines():
+        with open(path, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
+    store = JsonlStore(path)
+    store.save_record(record("a"))
+    store.save_record(record("b"))
+    store.close()  # one line per live document already
+    assert rewrites == []
+    assert [line["device_id"] for line in lines()] == ["a", "b"]
+    store = JsonlStore(path)
+    store.save_record(record("a", attest_count=1))
+    store.close()  # a's first line is dead now: the log is rewritten
+    assert len(rewrites) == 1
+    assert sorted((line["device_id"], line.get("attest_count"))
+                  for line in lines()) == [("a", 1), ("b", None)]
 
 
 def test_write_atomic_replaces_the_file_and_leaves_no_temp(tmp_path):

@@ -24,7 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fleet.campaign import CampaignConfig, CampaignStatus
-from repro.fleet.protocol import VERIFIER_ID, MsgKind, SignedReport
+from repro.fleet.protocol import (
+    VERIFIER_ID,
+    MsgKind,
+    SignedReport,
+    VerifierSession,
+)
 from repro.fleet.registry import Lifecycle
 from repro.fleet.simulation import FleetSimulation
 from repro.fleet.store import META_PACKAGES, JsonlStore, SqliteStore
@@ -554,6 +559,8 @@ class TestRolloutBodyRules:
         ({"resume": "yes"}, "resume"),
         ({"version": 0}, "version"),
         ({"version": -5}, "version"),
+        ({"metrics_dump": "metrics.prom"}, "metrics_dump"),
+        ({"colour": "blue"}, "colour"),
     ])
     def test_bad_knob_is_400_and_starts_nothing(self, daemon, body, field):
         fleet = daemon.fleet
@@ -769,6 +776,138 @@ class TestCampaignStreamCursor:
         assert streamed == fleet.events.events(campaign=campaign_id)
         assert streamed[0]["seq"] == start_seq
         assert asked and min(asked) == start_seq - 1
+
+    def test_stream_of_a_campaign_an_earlier_daemon_started(self):
+        fleet = FleetSimulation(size=8)
+        for _ in range(5):
+            fleet.attest_all()  # earlier events the stream must skip
+        with DaemonThread(fleet) as thread, \
+                FleetClient(thread.url) as client:
+            campaign_id = client.rollout(1, waves=[0.5, 1.0])["campaign"]
+            client.wait_campaign(campaign_id)
+        with DaemonThread(fleet) as thread, \
+                FleetClient(thread.url) as client:
+            asked = []
+            tail = fleet.events.tail
+            fleet.events.tail = lambda since_seq=0: (
+                asked.append(since_seq) or tail(since_seq=since_seq))
+            streamed = collect(client.campaign_events(campaign_id))
+        start_seq = int(campaign_id[1:])
+        assert start_seq > 40
+        assert streamed == fleet.events.events(campaign=campaign_id)
+        assert streamed[-1]["kind"] == "campaign-end"
+        assert asked and min(asked) == start_seq - 1
+
+
+def _pump_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith("serve-pump")}
+
+
+class TestWhereExchangesRun:
+    """An attest is answered on the loop thread that read it, one
+    device at a time with a yield to the loop between devices; the
+    pump's executor runs only enrollments and campaigns, and a
+    campaign never starts while an exchange is in flight."""
+
+    def test_attest_exchanges_run_on_the_loop_thread(self, monkeypatch):
+        fleet = FleetSimulation(size=6)
+        threads = []
+        attest = VerifierSession.attest
+        monkeypatch.setattr(VerifierSession, "attest", lambda session: (
+            threads.append(threading.current_thread().name)
+            or attest(session)))
+        with DaemonThread(fleet) as thread, \
+                FleetClient(thread.url) as client:
+            client.attest()
+            client.attest(fleet.registry.ids()[:2])
+            client.enroll(count=1)
+            client.attest(fleet.registry.ids()[-1:])
+        assert threads == ["serve-daemon"] * 9
+
+    def test_attest_only_traffic_starts_no_pump_thread(self):
+        before = _pump_threads()
+        fleet = FleetSimulation(size=6)
+        with DaemonThread(fleet) as thread, \
+                FleetClient(thread.url) as client:
+            client.attest()
+            for device_id in fleet.registry.ids():
+                client.attest([device_id])
+            assert not _pump_threads() - before
+            client.enroll(count=1)
+            assert _pump_threads() - before
+
+    def test_status_is_answered_while_a_long_attest_runs(self, monkeypatch):
+        fleet = FleetSimulation(size=500)
+        exchanges = []
+        first = threading.Event()
+        attest = VerifierSession.attest
+
+        def counting(session):
+            first.set()
+            result = attest(session)
+            exchanges.append(result)
+            return result
+
+        monkeypatch.setattr(VerifierSession, "attest", counting)
+        with DaemonThread(fleet) as thread, \
+                FleetClient(thread.url) as sweeper, \
+                FleetClient(thread.url) as prober:
+            sweep = threading.Thread(target=sweeper.attest)
+            sweep.start()
+            try:
+                assert first.wait(60)
+                assert prober.status()["ready"] is True
+                answered_after = len(exchanges)
+            finally:
+                sweep.join(120)
+        assert len(exchanges) == 500
+        assert answered_after < 500
+
+    def test_rollout_starts_only_with_no_attest_in_flight(self):
+        """An attest that starts between the idle signal and a waiting
+        rollout's wake-up finishes before the campaign launches, and of
+        two rollouts that waited together only one launches."""
+        fleet = FleetSimulation(size=8)
+        ids = fleet.registry.ids()
+
+        async def _run():
+            pump = AsyncFleetPump(fleet)
+            inflight_at_launch = []
+            run_blocking = pump._run_blocking
+
+            def recording(func, *args):
+                if func == fleet.rollout:
+                    inflight_at_launch.append(pump._inflight)
+                return run_blocking(func, *args)
+
+            pump._run_blocking = recording
+
+            async def between():
+                await pump._idle.wait()
+                return await pump.attest(ids[:3])
+
+            try:
+                first = asyncio.ensure_future(pump.attest())
+                await asyncio.sleep(0)  # the sweep is in flight
+                later = asyncio.ensure_future(between())
+                await asyncio.sleep(0)
+                rollouts = [asyncio.ensure_future(pump.start_rollout(1))
+                            for _ in range(2)]
+                await asyncio.wait_for(asyncio.gather(first, later), 60)
+                outcomes = await asyncio.wait_for(asyncio.gather(
+                    *rollouts, return_exceptions=True), 60)
+                launched = [outcome for outcome in outcomes
+                            if not isinstance(outcome, PumpBusy)]
+                assert len(launched) == 1
+                (_start, future), = launched
+                await asyncio.wait_for(future, 60)
+                return inflight_at_launch
+            finally:
+                pump.close()
+
+        assert asyncio.run(_run()) == [0]
+        assert fleet.registry.version_histogram() == {1: 8}
 
 
 # ---- the socket boundary, fuzzed ---------------------------------------------
