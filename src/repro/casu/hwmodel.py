@@ -11,6 +11,12 @@ maps them to LUT/FF estimates with coefficients calibrated against the
 published synthesis numbers -- i.e. it reproduces *how the area scales
 with the monitor structure*, anchored to the paper's absolute deltas.
 
+The rule blocks are derived, one per row of the monitor's rule table
+(:data:`repro.casu.monitor.RULES`) the EILID policy arms: the
+comparators and state bits of the signals the row reads (a shared
+signal is decoded once, in its first row), plus one enable gate per
+policy field.  Only the reset latch and the bank select are declared.
+
 The comparison series (HAFIX, HCFI, Tiny-CFA, ACFA, LO-FAT, LiteHAX)
 are published numbers encoded as a reference dataset in
 :mod:`repro.eval.paper_data`.
@@ -18,6 +24,8 @@ are published numbers encoded as a reference dataset in
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+from repro.casu.monitor import RULES, SIGNALS, MonitorPolicy
 
 # Calibrated element costs (4-input LUT equivalents / flip-flops).
 LUTS_PER_RANGE_COMPARATOR = 9  # two 16-bit magnitude compares, folded
@@ -53,38 +61,35 @@ class MonitorBlock:
         return self.fsm_state_bits * FFS_PER_STATE_BIT + self.latch_bits * FFS_PER_LATCH_BIT
 
 
+# The blocks that are not rules: the reset/diagnostic latch (16-bit
+# faulting address + 4-bit reason + the latch driving the reset wire)
+# and the secure-bank chip select shared with the bus fabric.
+NON_RULE_BLOCKS = (
+    MonitorBlock("reset-latch", latch_bits=21, fsm_state_bits=1, glue=2),
+    MonitorBlock("bank-select", range_comparators=1, latch_bits=9, glue=1),
+)
+
+
 def eilid_monitor_blocks() -> List[MonitorBlock]:
-    """The EILID hardware extension over openMSP430, block by block.
-
-    Mirrors the rules `repro.casu.monitor` checks in one pass per step
-    plus the violation latch that drives the reset line.  Element
-    counts follow the signals each rule actually inspects:
-
-    * W-xor-X: PC against the two executable ranges (PMEM, ROM).
-    * PMEM guard: write address against PMEM, PC against ROM, plus the
-      update-session state bit.
-    * secure-RAM guard: data address against the shadow bank, PC
-      against ROM.
-    * ROM atomicity: previous-PC state, entry-point equality compare,
-      exit-range compare, IRQ gate.
-    * violation port: port address equality compare.
-    * reset/diagnostic latch: 16-bit faulting address + 4-bit reason +
-      the latch driving the reset wire.
-    """
-    return [
-        MonitorBlock("w-xor-x", range_comparators=2, glue=1),
-        # `pc in ROM` is decoded once and fanned out to the guards below.
-        MonitorBlock("pc-in-rom-decode", range_comparators=1, glue=1),
-        MonitorBlock("pmem-guard", range_comparators=1, fsm_state_bits=1, glue=2),
-        MonitorBlock("secure-ram-guard", range_comparators=1, glue=1),
-        MonitorBlock(
-            "rom-atomicity", range_comparators=1, eq_comparators=2, fsm_state_bits=2, glue=1
-        ),
-        MonitorBlock("violation-port", eq_comparators=1),
-        MonitorBlock("reset-latch", latch_bits=21, fsm_state_bits=1, glue=2),
-        # Secure-bank chip-select decode shared with the bus fabric.
-        MonitorBlock("bank-select", range_comparators=1, latch_bits=9, glue=1),
-    ]
+    """The EILID hardware extension over openMSP430, block by block:
+    one per rule the EILID policy arms, then :data:`NON_RULE_BLOCKS`."""
+    policy = MonitorPolicy.eilid()
+    signals = {signal.name: signal for signal in SIGNALS}
+    decoded, enabled = set(), set()
+    blocks = []
+    for rule in RULES:
+        if not getattr(policy, rule.arm):
+            continue
+        new = [signals[name] for name in rule.reads if name not in decoded]
+        decoded.update(rule.reads)
+        blocks.append(MonitorBlock(
+            rule.name,
+            range_comparators=sum(s.range_comparators for s in new),
+            eq_comparators=sum(s.eq_comparators for s in new),
+            fsm_state_bits=sum(s.state_bits for s in new),
+            glue=0 if rule.arm in enabled else 1))
+        enabled.add(rule.arm)
+    return blocks + list(NON_RULE_BLOCKS)
 
 
 @dataclass

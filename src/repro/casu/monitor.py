@@ -2,11 +2,12 @@
 
 EILID's monitor is combinational logic beside the core: every rule
 looks at the same bus signals in the same cycle, and the violation
-wires are ORed into one reset line.  :meth:`HardwareMonitor.observe`
-has the same shape -- one pass over a :class:`repro.cpu.StepRecord`'s
-accesses, each answered from the layout's 64 KB attribute table.  When
-several armed rules fire on one step, the verdict is the first in this
-priority order:
+wires are ORed into one reset line.  Each rule is declared once, as a
+row of :data:`RULES`: the reason it reports, the :class:`MonitorPolicy`
+field that arms it, its guard -- an OR of AND-terms over the boolean
+:data:`SIGNALS` -- and the witness that names the address.  Row order
+is the verdict priority: when several armed rules fire on one step,
+the first row wins.
 
 1. **W^X** -- no instruction fetch outside executable regions (PMEM +
    secure ROM); blocks code injection.
@@ -14,22 +15,27 @@ priority order:
    session is open and the write is issued from secure ROM.
 3. **secure-RAM guard** -- the shadow-stack bank is accessible only
    while the PC is inside secure ROM (the EILID hardware extension).
-4. **ROM atomicity** -- secure ROM is entered only at declared entry
-   points, left only from the declared exit ranges, and never
-   interrupted.
-5. **violation port** -- a write from ROM is a failed EILIDsw CFI check
-   (the value is its reason code); any *untrusted* write to the port
-   is itself an attack.
+4. **ROM atomicity** (three rows) -- secure ROM is never interrupted,
+   left only from the declared exit ranges, and entered only at
+   declared entry points.
+5. **violation port** (two rows) -- a write from ROM is a failed
+   EILIDsw CFI check (the value is its reason code); any *untrusted*
+   write to the port is itself an attack.
 6. **illegal opcode** -- undefined opcodes reset.
 
 Within one rule, the first offending access names the address.  The
-verified per-rule FSMs in :mod:`repro.verification.properties` model
-the same rules one at a time.
+clean-step filter's trip tables, the verified FSMs
+(:mod:`repro.verification.properties`) and the Figure 10 rule blocks
+(:mod:`repro.casu.hwmodel`) are generated from the table.
+:meth:`HardwareMonitor.observe` stays hand-written for speed -- one
+pass over a step's accesses, each answered from the layout's 64 KB
+attribute table -- and a refinement check holds it to
+:func:`evaluate` over :func:`abstract`'s signals.
 """
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.cpu.core import StepKind
@@ -38,6 +44,7 @@ from repro.memory.map import F_EXEC, F_PMEM, F_SDMEM, F_SROM
 from repro.peripherals.ports import VIOLATION_PORT
 
 _FETCH = AccessKind.FETCH
+_READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
 _INTERRUPT = StepKind.INTERRUPT
 _ILLEGAL = StepKind.ILLEGAL
@@ -121,17 +128,191 @@ class MonitorPolicy:
         return MonitorPolicy(secure_ram_guard=True, violation_port=True)
 
 
-@functools.lru_cache(maxsize=None)
-def _trip_translations(w_xor_x, read_bits, write_bits):
-    """Per access kind (fetch, read, write), a 256-byte translation of
-    ``F_*`` attribute bytes: 1 where an untrusted access to an address
-    with those bits could trip an armed rule."""
-    def table(trips):
-        return bytes(1 if trips(bits) else 0 for bits in range(256))
+@dataclass(frozen=True)
+class Signal:
+    """A boolean input of the rules.  An access signal is raised by an
+    access of one of *kinds* to an address with one of the ``F_*``
+    *bits* (with *absent*: none of them).  The counts are what deciding
+    the signal costs in hardware (:mod:`repro.casu.hwmodel`)."""
 
-    return (table(lambda bits: w_xor_x and not bits & F_EXEC),
-            table(lambda bits: bits & read_bits),
-            table(lambda bits: bits & write_bits))
+    name: str
+    kinds: Tuple[AccessKind, ...] = ()
+    bits: int = 0
+    absent: bool = False
+    range_comparators: int = 0
+    eq_comparators: int = 0
+    state_bits: int = 0
+
+    def raised_by(self, kind, flags) -> bool:
+        return kind in self.kinds and (not flags & self.bits) is self.absent
+
+
+SIGNALS = (
+    Signal("fetch_nx", (_FETCH,), F_EXEC, absent=True, range_comparators=2),
+    Signal("pmem_write", (_WRITE,), F_PMEM, range_comparators=1),
+    Signal("sram_access", (_READ, _WRITE), F_SDMEM, range_comparators=1),
+    Signal("port_write", eq_comparators=1),  # a write to VIOLATION_PORT
+    Signal("pc_in_rom", range_comparators=1),
+    # The atomicity FSM's state: where the PC went, registered.
+    Signal("next_in_rom", state_bits=2),
+    Signal("at_entry", eq_comparators=2),  # next PC is an entry point
+    Signal("in_exit", range_comparators=1),  # PC is in an exit range
+    Signal("irq"),  # the step accepts an interrupt
+    Signal("illegal"),  # the step decoded an undefined opcode
+    Signal("update_open", state_bits=1),  # an update session is open
+)
+_BIT = {signal.name: 1 << index for index, signal in enumerate(SIGNALS)}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A row of :data:`RULES`.  *guard* is written ``"a & !b | c"`` and
+    kept as AND-terms of ``(signal, polarity)`` literals.  The verdict
+    names the address of witness *addr* (an access signal's first
+    access, or ``"next_pc"``); with *code*, its reason is that signal's
+    written value looked up in :data:`SW_REASON_CODES`.  *detail* is a
+    ``str.format`` template over the step."""
+
+    name: str
+    reason: ViolationReason
+    arm: str  # the MonitorPolicy field that arms the rule
+    guard: tuple
+    addr: Optional[str] = None
+    code: Optional[str] = None
+    detail: str = ""
+
+    def __post_init__(self):
+        if isinstance(self.guard, str):
+            object.__setattr__(self, "guard", tuple(
+                tuple((name.strip().lstrip("!"), "!" not in name)
+                      for name in term.split("&"))
+                for term in self.guard.split("|")))
+        # The guard as (mask, value) pairs over abstract()'s bits.
+        object.__setattr__(self, "masks", tuple(
+            (sum(_BIT[name] for name, _ in term),
+             sum(_BIT[name] for name, polarity in term if polarity))
+            for term in self.guard))
+
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        """The signals the guard reads, in :data:`SIGNALS` order."""
+        names = {name for term in self.guard for name, _ in term}
+        return tuple(signal.name for signal in SIGNALS if signal.name in names)
+
+    def holds(self, inputs) -> bool:
+        """The guard over named boolean inputs (the FSM view)."""
+        return any(all(inputs[name] is polarity for name, polarity in term)
+                   for term in self.guard)
+
+    def violation(self, step, witnesses) -> Violation:
+        """The verdict on *step*.  A witness or step field the step
+        lacks (only a mutated guard fires without it) names nothing."""
+        coded = witnesses.get(self.code)
+        reason = (self.reason if coded is None
+                  else SW_REASON_CODES.get(coded.value, self.reason))
+        addr = (step.next_pc if self.addr == "next_pc"
+                else getattr(witnesses.get(self.addr), "addr", None))
+        try:
+            detail = self.detail.format(step)
+        except TypeError:
+            detail = ""
+        return Violation(reason, step.pc, addr, detail)
+
+
+# The policy fields, in order: what arms each rule.
+ARMS = tuple(field.name for field in fields(MonitorPolicy))
+
+# The rule table, in priority order.
+RULES = (
+    Rule("w-xor-x", ViolationReason.W_XOR_X, "w_xor_x", "fetch_nx",
+         addr="fetch_nx"),
+    Rule("pmem-guard", ViolationReason.PMEM_WRITE, "pmem_guard",
+         "pmem_write & !pc_in_rom | pmem_write & !update_open",
+         addr="pmem_write"),
+    Rule("secure-ram-guard", ViolationReason.SECURE_RAM_ACCESS,
+         "secure_ram_guard", "sram_access & !pc_in_rom", addr="sram_access"),
+    Rule("irq-in-rom", ViolationReason.IRQ_IN_ROM, "rom_atomicity",
+         "pc_in_rom & irq"),
+    Rule("rom-exit", ViolationReason.ROM_EXIT, "rom_atomicity",
+         "pc_in_rom & !next_in_rom & !in_exit", addr="next_pc"),
+    Rule("rom-entry", ViolationReason.ROM_ENTRY, "rom_atomicity",
+         "!pc_in_rom & next_in_rom & !at_entry", addr="next_pc"),
+    Rule("trusted-port", ViolationReason.BAD_SELECTOR, "violation_port",
+         "port_write & pc_in_rom", code="port_write",
+         detail="(EILIDsw check failed)"),
+    Rule("untrusted-port", ViolationReason.SECURE_PORT, "violation_port",
+         "port_write & !pc_in_rom", addr="port_write"),
+    Rule("illegal-opcode", ViolationReason.ILLEGAL_INSN, "illegal_insn",
+         "illegal", detail="word=0x{0.illegal_word:04x}"),
+)
+
+# Per access kind, F_* byte -> the bits of the access signals it raises.
+_FETCH_BITS, _READ_BITS, _WRITE_BITS = (
+    tuple(sum(_BIT[signal.name] for signal in SIGNALS
+              if signal.raised_by(kind, flags)) for flags in range(256))
+    for kind in (_FETCH, _READ, _WRITE))
+_WITNESSED = [(_BIT[signal.name], signal.name) for signal in SIGNALS
+              if signal.kinds or signal.name == "port_write"]
+
+
+def abstract(step, flags, rom_config: RomConfig, session_open: bool):
+    """A step's signals, as bits (bit *i* is ``SIGNALS[i]``), and its
+    witnesses: the first access that raised each access signal and
+    ``port_write``.  *flags* is the layout's attribute table."""
+    signals = 0
+    witnesses = {}
+    for access in step.accesses:
+        kind, addr = access.kind, access.addr
+        if kind is _FETCH:
+            raised = _FETCH_BITS[flags[addr]]
+        elif kind is _WRITE:
+            raised = _WRITE_BITS[flags[addr]]
+            if addr == VIOLATION_PORT:
+                raised |= _BIT["port_write"]
+        else:
+            raised = _READ_BITS[flags[addr]]
+        if raised & ~signals:
+            for bit, name in _WITNESSED:
+                if raised & bit & ~signals:
+                    witnesses[name] = access
+            signals |= raised
+    pc, next_pc = step.pc, step.next_pc
+    for name, raised in (
+            ("pc_in_rom", flags[pc] & F_SROM),
+            ("next_in_rom", flags[next_pc] & F_SROM),
+            ("at_entry", next_pc in rom_config.entry_points),
+            ("in_exit", rom_config.in_exit_range(pc)),
+            ("irq", step.kind is _INTERRUPT),
+            ("illegal", step.kind is _ILLEGAL),
+            ("update_open", session_open)):
+        if raised:
+            signals |= _BIT[name]
+    return signals, witnesses
+
+
+def evaluate(step, signals, witnesses, policy: MonitorPolicy,
+             rules=RULES) -> Optional[Violation]:
+    """The table's verdict on an abstracted step: the first armed rule
+    whose guard holds, or None."""
+    for rule in rules:
+        for mask, value in rule.masks:
+            if signals & mask == value:
+                if getattr(policy, rule.arm):
+                    return rule.violation(step, witnesses)
+                break
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _trip_translations(arming):
+    """Per access kind (fetch, read, write), a 256-byte translation of
+    ``F_*`` attribute bytes: 1 where the access raises a signal some
+    rule armed by *arming* (the policy's field values) reads."""
+    policy = MonitorPolicy(*arming)
+    read = sum({_BIT[name] for rule in RULES if getattr(policy, rule.arm)
+                for name in rule.reads})
+    return tuple(bytes(bool(raised & read) for raised in table)
+                 for table in (_FETCH_BITS, _READ_BITS, _WRITE_BITS))
 
 
 class HardwareMonitor:
@@ -159,8 +340,7 @@ class HardwareMonitor:
         # (the violation port aside), derived once per layout.
         self._trips = tuple(
             layout.translate_flags(table) for table in _trip_translations(
-                self._w_xor_x, self._sram_bits,
-                self._sram_bits | self._pmem_bits))
+                tuple(getattr(policy, name) for name in ARMS)))
 
     def observe(self, step) -> Optional[Violation]:
         """Check one CPU step; the highest-priority violation wins."""

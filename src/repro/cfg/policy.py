@@ -28,6 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.recover import CfgError, RecoveredCfg, TransferKind, recover_cfg
+from repro.snapshot import (
+    OPTIONAL_INT, state_dict, state_int, state_list, state_rows, state_str,
+    state_value)
 from repro.toolchain.listing import parse_listing
 
 POLICY_FORMAT = "eilid-cfi-policy/1"
@@ -108,25 +111,30 @@ class CfiPolicy:
         if data.get("format") != POLICY_FORMAT:
             raise PolicyError(f"unsupported policy format {data.get('format')!r}")
         try:
-            transfers = {}
-            for key, (kind, target, return_site) in data["transfers"].items():
-                if kind not in _KIND_VALUES:
-                    raise PolicyError(f"unknown transfer kind {kind!r}")
-                transfers[int(key, 16)] = Transfer(kind, target, return_site)
+            # Transfers as [address, kind, target, return site] rows.
+            transfers = [[key, *value] if type(value) is list else value
+                         for key, value in state_dict(data, "transfers").items()]
+            isr_handlers = state_dict(data, "isr_handlers")
             return CfiPolicy(
-                name=data["name"],
-                entry=data["entry"],
-                transfers=transfers,
-                return_sites=frozenset(data["return_sites"]),
-                indirect_targets=frozenset(data["indirect_targets"]),
-                indirect_from_table=data["indirect_from_table"],
+                name=state_str(data, "name"),
+                entry=state_int(data, "entry"),
+                transfers={
+                    int(key, 16): Transfer(kind, target, return_site)
+                    for key, kind, target, return_site in state_rows(
+                        {"transfers": transfers}, "transfers", str,
+                        set(_KIND_VALUES), OPTIONAL_INT, OPTIONAL_INT)},
+                return_sites=frozenset(state_list(data, "return_sites", int)),
+                indirect_targets=frozenset(
+                    state_list(data, "indirect_targets", int)),
+                indirect_from_table=state_value(data, "indirect_from_table",
+                                                bool),
                 function_entries=tuple(
-                    (addr, name) for addr, name in data["function_entries"]
-                ),
-                isr_handlers={int(v): h for v, h in data["isr_handlers"].items()},
-                reti_sites=frozenset(data["reti_sites"]),
-                code_ranges=tuple(tuple(span) for span in data["code_ranges"]),
-                halt_address=data["halt_address"],
+                    state_rows(data, "function_entries", int, str)),
+                isr_handlers={int(vector): state_int(isr_handlers, vector)
+                              for vector in isr_handlers},
+                reti_sites=frozenset(state_list(data, "reti_sites", int)),
+                code_ranges=tuple(state_rows(data, "code_ranges", int, int)),
+                halt_address=state_int(data, "halt_address", optional=True),
             )
         except PolicyError:
             raise

@@ -23,7 +23,8 @@ Commands:
 * ``run-app NAME [--variant original|eilid]`` -- build + execute one
   Table IV application and print its run summary.
 * ``attack NAME [--security none|casu|eilid]`` -- run one attack.
-* ``verify`` -- model-check the monitor properties.
+* ``verify`` -- model-check the FSMs generated from the monitor's rule
+  table.
 * ``fleet enroll|status|rollout|history|watch|alerts|metrics`` --
   simulate a verifier managing a population of devices (see
   :mod:`repro.fleet`).  ``--store PATH`` makes the verifier's registry
@@ -1050,7 +1051,9 @@ def main(argv=None):
     add_json(p_attack)
     p_attack.set_defaults(func=_cmd_attack)
 
-    p_verify = sub.add_parser("verify", help="model-check the monitor properties")
+    p_verify = sub.add_parser(
+        "verify", help="model-check the FSMs generated from the monitor's "
+                       "rule table")
     add_json(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -70,34 +70,37 @@ def check_wire_version(doc: Dict[str, Any], what: str = "snapshot") -> None:
             f"got {got!r} (parent and worker builds out of sync?)")
 
 
+OPTIONAL_INT = (int, type(None))  # a *kind*: an integer or null
+
+
 def state_int(state: Dict[str, Any], key: str, optional: bool = False):
-    """``state[key]`` if it is an integer (JSON true/false are not), or
-    None when *optional*.  Anything else raises ValueError, so a wrongly
-    typed leaf fails at restore instead of inside a later run."""
+    """``state[key]`` of a snapshot or other wire document if it is an
+    integer (JSON true/false are not), or None when *optional*.
+    Anything else raises ValueError, so a wrongly typed leaf fails at
+    the boundary instead of inside a later run."""
     value = state[key]
     if type(value) is int or (optional and value is None):
         return value
-    raise ValueError(f"snapshot field {key!r} must be an integer, "
+    raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+
+
+def state_value(state: Dict[str, Any], key: str, kind):
+    """``state[key]`` if it is a *kind* (see :func:`_conforms`)."""
+    value = state[key]
+    if _conforms((value,), kind):
+        return value
+    raise ValueError(f"field {key!r} must be {_kind_name(kind)}, "
                      f"got {value!r}")
 
 
 def state_str(state: Dict[str, Any], key: str, allowed=None) -> str:
     """``state[key]`` if it is a string (one of *allowed*, if given)."""
-    kind = str if allowed is None else allowed
-    value = state[key]
-    if _conforms((value,), kind):
-        return value
-    raise ValueError(f"snapshot field {key!r} must be {_kind_name(kind)}, "
-                     f"got {value!r}")
+    return state_value(state, key, str if allowed is None else allowed)
 
 
 def state_dict(state: Dict[str, Any], key: str) -> dict:
     """``state[key]`` if it is an object."""
-    value = state[key]
-    if type(value) is not dict:
-        raise ValueError(f"snapshot field {key!r} must be an object, "
-                         f"got {value!r}")
-    return value
+    return state_value(state, key, dict)
 
 
 def state_list(state: Dict[str, Any], key: str, item=None) -> list:
@@ -106,11 +109,10 @@ def state_list(state: Dict[str, Any], key: str, item=None) -> list:
     :func:`_conforms`)."""
     value = state[key]
     if type(value) is not list:
-        raise ValueError(f"snapshot field {key!r} must be a list, "
-                         f"got {value!r}")
+        raise ValueError(f"field {key!r} must be a list, got {value!r}")
     if item is not None and not _conforms(value, item):
         bad = next(entry for entry in value if not _conforms((entry,), item))
-        raise ValueError(f"snapshot field {key!r} must hold "
+        raise ValueError(f"field {key!r} must hold "
                          f"{_kind_name(item)} items, got {bad!r}")
     return value
 
@@ -132,7 +134,7 @@ def state_rows(state: Dict[str, Any], key: str, *kinds) -> List[tuple]:
             and all(_conforms((field,), kind)
                     for field, kind in zip(row, kinds))))
         raise ValueError(
-            f"snapshot field {key!r} must hold "
+            f"field {key!r} must hold "
             f"[{', '.join(map(_kind_name, kinds))}] items, got {bad!r}")
     return list(map(tuple, rows))
 
@@ -145,17 +147,25 @@ def state_counts(state: Dict[str, Any], key: str) -> Dict[str, int]:
 
 def _conforms(values, kind) -> bool:
     """Whether every value is a *kind*: a type, matched exactly (JSON
-    true/false are not integers), or a collection of the allowed
-    strings or integers."""
+    true/false are not integers), a tuple of such types, or a
+    collection of the allowed strings or integers."""
     types = set(map(type, values))
     if isinstance(kind, type):
         return types <= {kind}
+    if _is_types(kind):
+        return types <= set(kind)
     return types <= {str, int} and set(values).issubset(kind)
+
+
+def _is_types(kind) -> bool:
+    return isinstance(kind, tuple) and all(isinstance(k, type) for k in kind)
 
 
 def _kind_name(kind) -> str:
     if isinstance(kind, type):
-        return {dict: "object"}.get(kind, kind.__name__)
+        return {dict: "object", type(None): "null"}.get(kind, kind.__name__)
+    if _is_types(kind):
+        return " or ".join(map(_kind_name, kind))
     return "one of " + ", ".join(map(repr, sorted(kind)))
 
 

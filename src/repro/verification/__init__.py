@@ -10,10 +10,11 @@ This package reproduces that claim at the model level:
   exhaustively (every reachable state x every input valuation) against
   safety invariants and transition properties, with counterexample
   extraction.
-* :mod:`repro.verification.properties` -- the abstract monitor models
-  and their LTL-style sub-properties (the VRASED/CASU property
-  decomposition), plus deliberately buggy mutants used to demonstrate
-  that the checker actually finds violations.
+* :mod:`repro.verification.properties` -- the monitor's model,
+  generated from its rule table (:data:`repro.casu.monitor.RULES`): a
+  product FSM that carries the verdict priority and its properties,
+  checked per rule and per policy, and the table's single-guard
+  mutants, which show the checks are not vacuous.
 * :mod:`repro.verification.oracles` -- runtime oracles that replay a
   device execution and independently judge P1/P2 (every return/reti
   lands where its call/interrupt said it would), used to cross-check
@@ -24,16 +25,17 @@ from repro.verification.fsm import Fsm, Transition
 from repro.verification.model_checker import (
     CheckResult,
     check_invariant,
+    check_transition_properties,
     check_transition_property,
     reachable_states,
 )
 from repro.verification.properties import (
-    pmem_guard_fsm,
-    pmem_guard_fsm_buggy,
-    rom_atomicity_fsm,
-    w_xor_x_fsm,
-    secure_ram_fsm,
-    MONITOR_PROPERTIES,
+    check_all,
+    check_product,
+    check_rule,
+    equivalent,
+    mutants,
+    product_fsm,
 )
 from repro.verification.oracles import ControlFlowOracle, OracleDeviation
 
@@ -42,14 +44,15 @@ __all__ = [
     "Transition",
     "CheckResult",
     "check_invariant",
+    "check_transition_properties",
     "check_transition_property",
     "reachable_states",
-    "pmem_guard_fsm",
-    "pmem_guard_fsm_buggy",
-    "rom_atomicity_fsm",
-    "w_xor_x_fsm",
-    "secure_ram_fsm",
-    "MONITOR_PROPERTIES",
+    "check_all",
+    "check_product",
+    "check_rule",
+    "equivalent",
+    "mutants",
+    "product_fsm",
     "ControlFlowOracle",
     "OracleDeviation",
 ]

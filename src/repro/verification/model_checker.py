@@ -11,9 +11,10 @@ monitors:
   unauthorised PMEM write in a non-violation state moves the machine to
   the violation state").
 
-The input alphabet is exhaustively enumerated (monitors have <= 5
-boolean signals, so the product space is tiny) and counterexample paths
-are reconstructed for failures.
+The input alphabet is exhaustively enumerated (the composed monitor
+reads 11 boolean signals, 2048 valuations) and counterexample paths are
+reconstructed for failures.  Each reachable transition is stepped
+once, however many properties are checked over it.
 """
 
 from collections import deque
@@ -40,18 +41,22 @@ class CheckResult:
         return f"{self.property_name}: FAILS: {trace}"
 
 
-def _bfs(fsm: Fsm):
-    """Reachable states with predecessor links for path reconstruction."""
+def _explore(fsm: Fsm):
+    """Reachable states with predecessor links for path reconstruction,
+    and every reachable transition as ``(state, inputs, next_state)``."""
+    valuations = list(fsm.input_space())
     parents: Dict[str, Optional[Tuple[str, Inputs]]] = {fsm.initial: None}
+    edges = []
     queue = deque([fsm.initial])
     while queue:
         state = queue.popleft()
-        for inputs in fsm.input_space():
+        for inputs in valuations:
             nxt = fsm.step(state, inputs)
+            edges.append((state, inputs, nxt))
             if nxt not in parents:
                 parents[nxt] = (state, inputs)
                 queue.append(nxt)
-    return parents
+    return parents, edges
 
 
 def _path_to(parents, state) -> List[Tuple[str, Optional[Inputs]]]:
@@ -71,15 +76,35 @@ def _path_to(parents, state) -> List[Tuple[str, Optional[Inputs]]]:
 
 
 def reachable_states(fsm: Fsm):
-    return set(_bfs(fsm))
+    return set(_explore(fsm)[0])
 
 
 def check_invariant(fsm: Fsm, predicate: Callable[[str], bool], name="invariant") -> CheckResult:
-    parents = _bfs(fsm)
+    parents = _explore(fsm)[0]
     for state in parents:
         if not predicate(state):
             return CheckResult(False, name, _path_to(parents, state), len(parents))
     return CheckResult(True, name, states_explored=len(parents))
+
+
+def check_transition_properties(
+    fsm: Fsm,
+    properties: Dict[str, Callable[[str, Inputs, str], bool]],
+) -> List[CheckResult]:
+    """Check each named ``(state, inputs, next_state)`` predicate over
+    every reachable transition; one result per property, in order."""
+    parents, edges = _explore(fsm)
+    results = []
+    for name, predicate in properties.items():
+        for state, inputs, nxt in edges:
+            if not predicate(state, inputs, nxt):
+                path = _path_to(parents, state)
+                path.append((nxt, inputs))
+                results.append(CheckResult(False, name, path, len(parents)))
+                break
+        else:
+            results.append(CheckResult(True, name, states_explored=len(parents)))
+    return results
 
 
 def check_transition_property(
@@ -87,12 +112,4 @@ def check_transition_property(
     predicate: Callable[[str, Inputs, str], bool],
     name="transition-property",
 ) -> CheckResult:
-    parents = _bfs(fsm)
-    for state in parents:
-        for inputs in fsm.input_space():
-            nxt = fsm.step(state, inputs)
-            if not predicate(state, inputs, nxt):
-                path = _path_to(parents, state)
-                path.append((nxt, inputs))
-                return CheckResult(False, name, path, len(parents))
-    return CheckResult(True, name, states_explored=len(parents))
+    return check_transition_properties(fsm, {name: predicate})[0]

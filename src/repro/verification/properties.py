@@ -1,242 +1,163 @@
-"""Abstract monitor models and their verified sub-properties.
+"""The monitor's verified model, generated from its rule table.
 
-Each function returns an :class:`Fsm` abstracting one hardware
-monitor rule over boolean signals, together with the safety properties
-the CASU/VRASED decomposition attaches to it.  ``MONITOR_PROPERTIES``
-bundles (fsm, property list) pairs for the test suite and the
-``eilid verify`` CLI command.
+:data:`repro.casu.monitor.RULES` declares each monitor rule once; this
+module builds the CASU/VRASED-style model from it -- FSMs over boolean
+bus signals.  :func:`product_fsm` composes the rows one
+:class:`MonitorPolicy` arms: from OK, the first row whose guard holds
+moves to that row's violation state, which is absorbing (the latched
+reset line), so row order carries the verdict priority.
+:func:`check_all` checks every rule alone (its one-row product) and the
+whole table under all 64 policies; ``repro verify`` reports it.
 
-The VIOL state models the latched reset line: once entered it is
-absorbing (the device resets; the monitor restarts with the MCU).
+The tests hold the executed :meth:`HardwareMonitor.observe` to the same
+FSMs step by step (the refinement check in ``tests/conftest.py``), and
+:func:`mutants` enumerates the table's single-guard mutants under
+stable ids: one that no refinement corpus kills must be one
+:func:`equivalent` proves equivalent with the model checker.
 """
 
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from dataclasses import replace
+from itertools import product
+from typing import Dict, List
 
+from repro.casu.monitor import ARMS, RULES, SIGNALS, MonitorPolicy
 from repro.verification.fsm import Fsm, Transition
 from repro.verification.model_checker import (
-    CheckResult,
-    check_invariant,
-    check_transition_property,
-)
+    CheckResult, check_transition_properties)
 
 OK = "OK"
-VIOL = "VIOL"
-IN_ROM = "IN_ROM"
+POLICIES = tuple(MonitorPolicy(*arming)
+                 for arming in product((False, True), repeat=len(ARMS)))
+_NAMES = tuple(signal.name for signal in SIGNALS)
 
 
-@dataclass
-class MonitorProperty:
-    name: str
-    kind: str  # "invariant" | "transition"
-    predicate: Callable
-    description: str = ""
+def _always(_inputs):
+    return True
 
 
-def w_xor_x_fsm() -> Fsm:
-    """No fetch outside executable regions."""
-    return Fsm(
-        name="w-xor-x",
-        states=(OK, VIOL),
-        inputs=("fetch", "addr_executable"),
-        initial=OK,
-        transitions=[
-            Transition(OK, lambda i: i["fetch"] and not i["addr_executable"], VIOL,
-                       "fetch-from-nx"),
-            Transition(VIOL, lambda i: True, VIOL, "latched"),
-        ],
-    )
+def _inputs(*rules):
+    """The signals any of *rules* reads, in ``SIGNALS`` order."""
+    read = {name for rule in rules for name in rule.reads}
+    return tuple(name for name in _NAMES if name in read)
 
 
-W_XOR_X_PROPERTIES = [
-    MonitorProperty(
-        "nx-fetch-trips",
-        "transition",
-        lambda s, i, n: not (s == OK and i["fetch"] and not i["addr_executable"]) or n == VIOL,
-        "a fetch from non-executable memory always moves OK -> VIOL",
-    ),
-    MonitorProperty(
-        "no-false-positive",
-        "transition",
-        lambda s, i, n: not (s == OK and (not i["fetch"] or i["addr_executable"])) or n == OK,
-        "benign cycles never trip the monitor",
-    ),
-    MonitorProperty(
-        "violation-latched",
-        "transition",
-        lambda s, i, n: s != VIOL or n == VIOL,
-        "the reset line stays asserted until the MCU resets",
-    ),
-]
+def _armed(policy, rules):
+    return [rule for rule in rules if getattr(policy, rule.arm)]
 
 
-def pmem_guard_fsm() -> Fsm:
-    """PMEM writes only from ROM during an open update session."""
-    return Fsm(
-        name="pmem-guard",
-        states=(OK, VIOL),
-        inputs=("pmem_write", "pc_in_rom", "update_open"),
-        initial=OK,
-        transitions=[
-            Transition(
-                OK,
-                lambda i: i["pmem_write"] and not (i["pc_in_rom"] and i["update_open"]),
-                VIOL,
-                "unauthorised-pmem-write",
-            ),
-            Transition(VIOL, lambda i: True, VIOL, "latched"),
-        ],
-    )
+def violation_state(rule) -> str:
+    return f"VIOL:{rule.name}"
 
 
-def pmem_guard_fsm_buggy() -> Fsm:
-    """A deliberately broken guard (checks only the ROM bit) -- used to
-    show the checker produces counterexamples, mirroring mutation
-    testing of the verified Verilog."""
-    return Fsm(
-        name="pmem-guard-buggy",
-        states=(OK, VIOL),
-        inputs=("pmem_write", "pc_in_rom", "update_open"),
-        initial=OK,
-        transitions=[
-            Transition(OK, lambda i: i["pmem_write"] and not i["pc_in_rom"], VIOL,
-                       "missing-update-check"),
-            Transition(VIOL, lambda i: True, VIOL, "latched"),
-        ],
-    )
+def product_fsm(policy: MonitorPolicy, rules=RULES, inputs=None) -> Fsm:
+    """The rows of *rules* that *policy* arms as one FSM: from OK, the
+    first whose guard holds moves to its own, absorbing, violation
+    state."""
+    armed = _armed(policy, rules)
+    states = tuple(map(violation_state, armed))
+    arming = "+".join(name for name in ARMS if getattr(policy, name))
+    return Fsm(f"monitor[{arming or 'none'}]", (OK,) + states,
+               inputs or _inputs(*armed), OK,
+               [Transition(OK, rule.holds, violation_state(rule),
+                           rule.reason.value) for rule in armed]
+               + [Transition(state, _always, state, "latched")
+                  for state in states])
 
 
-PMEM_GUARD_PROPERTIES = [
-    MonitorProperty(
-        "unauthorised-write-trips",
-        "transition",
-        lambda s, i, n: not (
-            s == OK and i["pmem_write"] and not (i["pc_in_rom"] and i["update_open"])
-        ) or n == VIOL,
-        "a PMEM write without (ROM && update session) always trips",
-    ),
-    MonitorProperty(
-        "authorised-write-passes",
-        "transition",
-        lambda s, i, n: not (
-            s == OK and i["pmem_write"] and i["pc_in_rom"] and i["update_open"]
-        ) or n == OK,
-        "the secure-update copy loop is never reset",
-    ),
-    MonitorProperty(
-        "violation-latched",
-        "transition",
-        lambda s, i, n: s != VIOL or n == VIOL,
-    ),
-]
+def product_properties(policy: MonitorPolicy, rules=RULES) -> Dict[str, object]:
+    """What the composed monitor must do under *policy*, stated from
+    the table, as predicates over ``(state, inputs, next_state)``."""
+    armed = _armed(policy, rules)
+
+    def first(inputs):
+        return next((violation_state(rule) for rule in armed
+                     if rule.holds(inputs)), OK)
+
+    return {
+        "armed-guard-trips": lambda s, i, n: s != OK or n != OK or first(i) == OK,
+        "no-violation-without-armed-guard":
+            lambda s, i, n: s != OK or n == OK or first(i) != OK,
+        "verdict-is-first-armed-rule": lambda s, i, n: s != OK or n == first(i),
+        "violation-latched": lambda s, i, n: s == OK or n == s,
+    }
 
 
-def secure_ram_fsm() -> Fsm:
-    """Shadow-stack bank access only while executing in ROM (the EILID
-    hardware extension)."""
-    return Fsm(
-        name="secure-ram-guard",
-        states=(OK, VIOL),
-        inputs=("secure_ram_access", "pc_in_rom"),
-        initial=OK,
-        transitions=[
-            Transition(OK, lambda i: i["secure_ram_access"] and not i["pc_in_rom"], VIOL,
-                       "untrusted-shadow-access"),
-            Transition(VIOL, lambda i: True, VIOL, "latched"),
-        ],
-    )
+def _check(policy, rules, spec, prefix=None, only=None) -> List[CheckResult]:
+    """The product FSM of *rules* against *spec*'s properties (those in
+    *only*, if given), named *prefix* (default: the FSM's name)."""
+    fsm = product_fsm(policy, rules, _inputs(*_armed(policy, rules),
+                                              *_armed(policy, spec)))
+    return check_transition_properties(fsm, {
+        f"{prefix or fsm.name}/{name}": predicate
+        for name, predicate in product_properties(policy, spec).items()
+        if only is None or name in only})
 
 
-SECURE_RAM_PROPERTIES = [
-    MonitorProperty(
-        "untrusted-access-trips",
-        "transition",
-        lambda s, i, n: not (s == OK and i["secure_ram_access"] and not i["pc_in_rom"])
-        or n == VIOL,
-        "shadow-stack data is unreachable from untrusted code",
-    ),
-    MonitorProperty(
-        "rom-access-passes",
-        "transition",
-        lambda s, i, n: not (s == OK and i["secure_ram_access"] and i["pc_in_rom"]) or n == OK,
-    ),
-    MonitorProperty(
-        "violation-latched",
-        "transition",
-        lambda s, i, n: s != VIOL or n == VIOL,
-    ),
-]
+def check_rule(rule, spec=None) -> List[CheckResult]:
+    """One rule alone, armed, against *spec* (default: itself): its
+    guard trips it, nothing else does, and the violation latches."""
+    return _check(MonitorPolicy(*[True] * len(ARMS)), (rule,),
+                  (spec or rule,), rule.name,
+                  ("armed-guard-trips", "no-violation-without-armed-guard",
+                   "violation-latched"))
 
 
-def rom_atomicity_fsm() -> Fsm:
-    """ROM entered only at the entry point, left only from the exit
-    section, never interrupted while inside."""
-    return Fsm(
-        name="rom-atomicity",
-        states=(OK, IN_ROM, VIOL),
-        inputs=("next_in_rom", "at_entry", "in_exit", "irq"),
-        initial=OK,
-        transitions=[
-            # Outside -> inside must land on the entry point.
-            Transition(OK, lambda i: i["next_in_rom"] and not i["at_entry"], VIOL,
-                       "mid-rom-entry"),
-            Transition(OK, lambda i: i["next_in_rom"] and i["at_entry"], IN_ROM, "enter"),
-            # Interrupt acceptance while inside is a violation.
-            Transition(IN_ROM, lambda i: i["irq"], VIOL, "irq-in-rom"),
-            # Inside -> outside must come from the exit section.
-            Transition(IN_ROM, lambda i: not i["next_in_rom"] and not i["in_exit"], VIOL,
-                       "mid-rom-exit"),
-            Transition(IN_ROM, lambda i: not i["next_in_rom"] and i["in_exit"], OK, "leave"),
-            Transition(VIOL, lambda i: True, VIOL, "latched"),
-        ],
-    )
-
-
-ROM_ATOMICITY_PROPERTIES = [
-    MonitorProperty(
-        "entry-only-at-entry-point",
-        "transition",
-        lambda s, i, n: not (s == OK and i["next_in_rom"] and not i["at_entry"]) or n == VIOL,
-        "jumping into the middle of the ROM resets",
-    ),
-    MonitorProperty(
-        "exit-only-from-exit-section",
-        "transition",
-        lambda s, i, n: not (
-            s == IN_ROM and not i["irq"] and not i["next_in_rom"] and not i["in_exit"]
-        ) or n == VIOL,
-        "leaving the ROM other than through `leave` resets",
-    ),
-    MonitorProperty(
-        "no-interrupt-inside",
-        "transition",
-        lambda s, i, n: not (s == IN_ROM and i["irq"]) or n == VIOL,
-        "secure execution is atomic w.r.t. interrupts",
-    ),
-    MonitorProperty(
-        "violation-latched",
-        "transition",
-        lambda s, i, n: s != VIOL or n == VIOL,
-    ),
-]
-
-
-MONITOR_PROPERTIES: List[Tuple[Fsm, List[MonitorProperty]]] = [
-    (w_xor_x_fsm(), W_XOR_X_PROPERTIES),
-    (pmem_guard_fsm(), PMEM_GUARD_PROPERTIES),
-    (secure_ram_fsm(), SECURE_RAM_PROPERTIES),
-    (rom_atomicity_fsm(), ROM_ATOMICITY_PROPERTIES),
-]
+def check_product(rules=RULES, only=None) -> List[CheckResult]:
+    """The product FSM of *rules* against the table's properties (those
+    in *only*, if given) under each of the 64 policies.  One result per
+    property: the first failing policy's, or a pass whose state count
+    sums the policies'."""
+    results: Dict[str, CheckResult] = {}
+    for policy in POLICIES:
+        for result in _check(policy, rules, RULES, only=only):
+            name = "monitor/" + result.property_name.split("/")[-1]
+            seen = results.setdefault(name, CheckResult(True, name))
+            if seen.holds and not result.holds:
+                results[name] = result
+            elif seen.holds:
+                seen.states_explored += result.states_explored
+    return list(results.values())
 
 
 def check_all() -> List[CheckResult]:
-    """Check every monitor property; returns one result per property."""
-    results = []
-    for fsm, properties in MONITOR_PROPERTIES:
-        for prop in properties:
-            name = f"{fsm.name}/{prop.name}"
-            if prop.kind == "invariant":
-                results.append(check_invariant(fsm, prop.predicate, name))
-            else:
-                results.append(check_transition_property(fsm, prop.predicate, name))
-    return results
+    """Every generated property: three per rule, then the table's."""
+    return [result for rule in RULES for result in check_rule(rule)] \
+        + check_product()
+
+
+def _with_guard(index, guard):
+    return RULES[:index] + (replace(RULES[index], guard=guard),) \
+        + RULES[index + 1:]
+
+
+def mutants():
+    """Every single-guard mutant of the table, as ``(id, rules)``.
+
+    An id is ``(row reason, term, literal, operator)``: ``drop`` and
+    ``negate`` name one literal of one term, ``drop-term`` one term
+    (literal None), and ``swap`` exchanges the row with the next one
+    (term and literal None).  Ids count terms and literals within their
+    row, so they stay stable when other rows change.
+    """
+    for index, rule in enumerate(RULES):
+        reason, guard = rule.reason.name, rule.guard
+        for t, term in enumerate(guard):
+            for k, (name, polarity) in enumerate(term):
+                for operator, literal in (("drop", ()),
+                                          ("negate", ((name, not polarity),))):
+                    new = term[:k] + literal + term[k + 1:]
+                    yield ((reason, t, k, operator), _with_guard(
+                        index, guard[:t] + (new,) + guard[t + 1:]))
+            yield ((reason, t, None, "drop-term"),
+                   _with_guard(index, guard[:t] + guard[t + 1:]))
+        if index + 1 < len(RULES):
+            yield ((reason, None, None, "swap"), RULES[:index]
+                   + (RULES[index + 1], rule) + RULES[index + 2:])
+
+
+def equivalent(rules) -> bool:
+    """Whether *rules* give the table's verdict on every signal
+    valuation under every policy: the model checker holds *rules*'
+    product FSM to the table's priority property."""
+    return all(result.holds for result in check_product(
+        rules, only=("verdict-is-first-armed-rule",)))

@@ -13,6 +13,7 @@ The acceptance spine:
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import APPS, TABLE_IV_ORDER
 from repro.cfg import (
@@ -156,6 +157,80 @@ class TestPolicyArtifact:
         with pytest.raises(PolicyError) as excinfo:
             CfiPolicy.from_json(text)
         assert isinstance(excinfo.value, ReproError)
+
+
+# ---- policy documents with wrongly typed items ------------------------------
+
+# One wrong value per JSON type, and out-of-range integers.
+WRONG_VALUES = [None, "x", -1, [], {}, 1.5, True, 2 ** 40]
+
+
+@pytest.fixture(scope="module")
+def light_policy(app_cfgs):
+    """light_sensor's EILID policy as a document, and a trace of a run."""
+    _variant, build, _cfg, policy = app_cfgs["light_sensor"][1]
+    device = build_device(build.program, security="eilid",
+                          peripherals=APPS["light_sensor"].make_peripherals())
+    device.run(max_cycles=APPS["light_sensor"].max_cycles)
+    return policy.to_dict(), device.trace_snapshot()
+
+
+def _leaves(node, path=()):
+    """Paths to every leaf of a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _with_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestPolicyItemTypes:
+    # Each was adopted and then raised a bare TypeError in replay
+    # (isr_handlers, code_ranges) or in to_json/digest (the sets).
+    @pytest.mark.parametrize("field,inner", [
+        ("isr_handlers", ()),  # a handler address
+        ("code_ranges", (1,)),  # the end of a range
+        ("return_sites", ()),
+        ("indirect_targets", ()),
+    ])
+    def test_wrongly_typed_item_raises_policy_error(self, light_policy,
+                                                    field, inner):
+        doc, _trace = light_policy
+        items = doc[field]
+        assert items
+        first = next(iter(items)) if isinstance(items, dict) else 0
+        with pytest.raises(PolicyError):
+            CfiPolicy.from_dict(_with_leaf(doc, (field, first, *inner), None))
+
+    def test_every_single_leaf_mutant_is_rejected_or_usable(self, light_policy):
+        doc, trace = light_policy
+        paths = [path for path in _leaves(doc) if path != ("format",)]
+
+        @settings(max_examples=400, derandomize=True, database=None,
+                  deadline=None)
+        @given(path=st.sampled_from(paths), value=st.sampled_from(WRONG_VALUES))
+        def mutant_is_rejected_or_usable(path, value):
+            try:
+                policy = CfiPolicy.from_dict(_with_leaf(doc, path, value))
+            except PolicyError:
+                return
+            try:  # what a verifier does with an adopted policy
+                replay_trace(policy, trace)
+                assert policy.digest  # serialises it with to_json()
+            except ReproError:
+                pass
+
+        mutant_is_rejected_or_usable()
 
 
 # ---- trace recording --------------------------------------------------------

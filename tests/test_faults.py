@@ -31,6 +31,7 @@ from repro.casu.update import UpdateKey
 from repro.fleet.store import record_from_dict, record_to_dict
 from repro.obs.events import EVENT_KINDS, open_event_log
 from repro.snapshot import WIRE_VERSION
+from conftest import refined
 
 APP = "light_sensor"  # smallest Table IV app: fastest golden runs
 SEED = 7
@@ -110,13 +111,17 @@ def test_plan_wire_round_trip(light_sensor_sites):
 
 @pytest.fixture(scope="module")
 def sweep_reports(light_sensor_sites):
-    """One seeded plan swept on both backends, all three profiles."""
+    """One seeded plan swept on both backends, all three profiles; the
+    serial sweep's monitored steps are checked against the monitor's
+    rule table as they run."""
     spec, sites = light_sensor_sites
     plan = expand_plan(sites, seed=SEED, count=12, name=APP)
     reports = {}
-    for backend in ("serial", "process"):
-        campaign = FaultCampaign(spec, plan, backend=backend, workers=2)
-        reports[backend] = campaign.run()
+    with refined() as reports["refinement"]:
+        reports["serial"] = FaultCampaign(spec, plan, backend="serial",
+                                          workers=2).run()
+    reports["process"] = FaultCampaign(spec, plan, backend="process",
+                                       workers=2).run()
     return reports
 
 
@@ -137,6 +142,15 @@ def test_detection_ordering_nests_with_monitor_sets(sweep_reports):
     assert none.detected == 0
     assert eilid.detected >= casu.detected >= none.detected
     assert casu.detected > 0  # the seeded plan actually trips monitors
+
+
+def test_faulted_runs_refine_the_rule_table(sweep_reports):
+    """Every monitored step of the serial sweep -- the golden and the
+    faulted runs under casu and eilid -- gets the verdict the monitor's
+    rule table gives it."""
+    refinement = sweep_reports["refinement"]
+    assert refinement.steps > 10_000
+    assert not refinement.divergences, refinement.divergences[0]
 
 
 def test_every_fault_graded_once(sweep_reports):

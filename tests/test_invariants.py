@@ -4,7 +4,8 @@ The checker is CI's guard for contracts a general linter can't see:
 closed event kinds, enveloped CLI JSON, deterministic fault/analysis
 paths, dynamic code confined to the instruction compiler, threads
 confined to the serve package, broad excepts confined to sanctioned
-sites.  These tests
+sites, the monitor's region bits confined to their two homes.  These
+tests
 pin both directions -- the real repo is clean, and seeded violations in
 a synthetic tree are caught.
 """
@@ -284,3 +285,28 @@ def test_sanctioned_site_and_narrow_excepts_pass(tmp_path):
             "        pass\n",
     })
     assert checker.run_checks(root) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "from repro.memory.map import F_EXEC\n",
+    "from repro.memory.map import F_DMEM, F_SROM as ROM\n",
+    "from repro.memory import map as layout_map\n\n"
+    "def pmem(flags):\n    return flags & layout_map.F_PMEM\n",
+])
+def test_region_bits_outside_their_homes_are_caught(tmp_path, snippet):
+    root = _tree(tmp_path, **{"src/repro/analyze/regions.py": snippet})
+    problems = checker.check_region_bits(root)
+    assert len(problems) == 1
+    assert "src/repro/analyze/regions.py" in problems[0]
+    assert "one home" in problems[0]
+
+
+def test_region_bits_in_their_homes_pass(tmp_path):
+    root = _tree(tmp_path, **{
+        "src/repro/memory/map.py": "F_EXEC = 0x01\nF_SDMEM = 0x08\n",
+        "src/repro/casu/monitor.py":
+            "from repro.memory.map import F_EXEC, F_PMEM, F_SDMEM, F_SROM\n",
+        # The other region flags stay free to use anywhere.
+        "src/repro/memory/bus.py": "from repro.memory.map import F_PERIPH\n",
+    })
+    assert checker.check_region_bits(root) == []

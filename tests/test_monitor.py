@@ -1,20 +1,28 @@
-"""The hardware monitor's rules against synthetic step records."""
+"""The hardware monitor's rules against synthetic step records.
+
+The hand-picked cases pin each rule and each adjacent pair of the
+priority order; the hypothesis property holds ``observe`` to the rule
+table's evaluator on random steps; the mutation gate shows that those
+steps and cases would notice any single-guard change to the table.
+"""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.casu.monitor import (
-    SW_REASON_CODES,
+    ARMS,
     HardwareMonitor,
     MonitorPolicy,
     RomConfig,
-    Violation,
     ViolationReason,
+    abstract,
+    evaluate,
 )
 from repro.cpu.core import StepKind, StepRecord
 from repro.memory.bus import Access, AccessKind
 from repro.memory.map import MemoryLayout
 from repro.peripherals.ports import VIOLATION_PORT
+from repro.verification.properties import equivalent, mutants
 
 LAYOUT = MemoryLayout.default()
 ROM = LAYOUT.secure_rom
@@ -200,115 +208,47 @@ class TestIllegalInstruction:
         assert violation.reason is ViolationReason.ILLEGAL_INSN
 
 
+# One case per adjacent pair in the priority order.  The step trips
+# both rules, with the lower-priority offence first in the access
+# stream, so the verdict cannot come from access order.
+PRIORITY_CASES = [
+    pytest.param(step(0x0200, accesses=[write(0xE000, 1, 0x0200),
+                                         fetch(0x0200, 0x0200)]),
+                 ViolationReason.W_XOR_X, id="wxorx-over-pmem"),
+    pytest.param(step(0xE010, accesses=[read(LAYOUT.secure_dmem.start, 0xE010),
+                                         write(0xE100, 1, 0xE010)]),
+                 ViolationReason.PMEM_WRITE, id="pmem-over-secure-ram"),
+    pytest.param(step(0xE010, next_pc=ENTRY + 8,
+                      accesses=[read(LAYOUT.secure_dmem.start, 0xE010)]),
+                 ViolationReason.SECURE_RAM_ACCESS,
+                 id="secure-ram-over-rom-atomicity"),
+    pytest.param(step(ENTRY + 4, next_pc=0xE010,
+                      accesses=[write(VIOLATION_PORT, 1, ENTRY + 4)]),
+                 ViolationReason.ROM_EXIT, id="rom-atomicity-over-port"),
+    pytest.param(step(0xE010, kind=StepKind.ILLEGAL, illegal=0x0000,
+                      accesses=[write(VIOLATION_PORT, 1, 0xE010)]),
+                 ViolationReason.SECURE_PORT, id="port-over-illegal"),
+]
+# A fetch from RAM combined with a PMEM write, and a benign step.
+FIRST_WINS = step(0x0200, accesses=[fetch(0x0200, 0x0200), write(0xE000, 1, 0x0200)])
+BENIGN = step(0xE010, accesses=[fetch(0xE010, 0xE010), write(0x0300, 5, 0xE010)])
+
+
 class TestComposition:
     def test_first_violation_wins(self):
-        # A fetch from RAM combined with a PMEM write: W-xor-X is
-        # checked first in the composition order.
-        record = step(0x0200, accesses=[fetch(0x0200, 0x0200), write(0xE000, 1, 0x0200)])
-        violation = eilid_monitor().observe(record)
+        # W-xor-X is checked first in the composition order.
+        violation = eilid_monitor().observe(FIRST_WINS)
         assert violation.reason is ViolationReason.W_XOR_X
 
     def test_benign_step_passes_everything(self):
-        record = step(0xE010, accesses=[fetch(0xE010, 0xE010), write(0x0300, 5, 0xE010)])
-        assert eilid_monitor().observe(record) is None
+        assert eilid_monitor().observe(BENIGN) is None
 
-    # One case per adjacent pair in the priority order.  The step trips
-    # both rules, with the lower-priority offence first in the access
-    # stream, so the verdict cannot come from access order.
-    @pytest.mark.parametrize("record,reason", [
-        pytest.param(step(0x0200, accesses=[write(0xE000, 1, 0x0200),
-                                             fetch(0x0200, 0x0200)]),
-                     ViolationReason.W_XOR_X, id="wxorx-over-pmem"),
-        pytest.param(step(0xE010, accesses=[read(LAYOUT.secure_dmem.start, 0xE010),
-                                             write(0xE100, 1, 0xE010)]),
-                     ViolationReason.PMEM_WRITE, id="pmem-over-secure-ram"),
-        pytest.param(step(0xE010, next_pc=ENTRY + 8,
-                          accesses=[read(LAYOUT.secure_dmem.start, 0xE010)]),
-                     ViolationReason.SECURE_RAM_ACCESS,
-                     id="secure-ram-over-rom-atomicity"),
-        pytest.param(step(ENTRY + 4, next_pc=0xE010,
-                          accesses=[write(VIOLATION_PORT, 1, ENTRY + 4)]),
-                     ViolationReason.ROM_EXIT, id="rom-atomicity-over-port"),
-        pytest.param(step(0xE010, kind=StepKind.ILLEGAL, illegal=0x0000,
-                          accesses=[write(VIOLATION_PORT, 1, 0xE010)]),
-                     ViolationReason.SECURE_PORT, id="port-over-illegal"),
-    ])
+    @pytest.mark.parametrize("record,reason", PRIORITY_CASES)
     def test_first_violation_wins_over_the_next_rule(self, record, reason):
         assert eilid_monitor().observe(record).reason is reason
 
 
-# ---- the monitor against a rule-by-rule oracle ----------------------------
-
-# The verdict priority: the first armed rule that fires wins.
-PRIORITY = ("w_xor_x", "pmem_guard", "secure_ram_guard", "rom_atomicity",
-            "violation_port", "illegal_insn")
-
-
-def oracle(record, policy, rom_config, session_open):
-    """The monitor's verdict, computed one rule at a time."""
-    pc = record.pc
-    trusted = LAYOUT.in_secure_rom(pc)
-    data = [a for a in record.accesses if a.kind is not AccessKind.FETCH]
-    writes = [a for a in data if a.kind is AccessKind.WRITE]
-
-    def w_xor_x():
-        for a in record.accesses:
-            if a.kind is AccessKind.FETCH and not LAYOUT.is_executable(a.addr):
-                return Violation(ViolationReason.W_XOR_X, pc, a.addr)
-        return None
-
-    def pmem_guard():
-        for a in writes:
-            if LAYOUT.in_pmem(a.addr) and not (session_open and trusted):
-                return Violation(ViolationReason.PMEM_WRITE, pc, a.addr)
-        return None
-
-    def secure_ram_guard():
-        for a in data:
-            if LAYOUT.in_secure_dmem(a.addr) and not trusted:
-                return Violation(ViolationReason.SECURE_RAM_ACCESS, pc, a.addr)
-        return None
-
-    def rom_atomicity():
-        lands_in = LAYOUT.in_secure_rom(record.next_pc)
-        if record.kind is StepKind.INTERRUPT and trusted:
-            return Violation(ViolationReason.IRQ_IN_ROM, pc)
-        if (not trusted and lands_in
-                and record.next_pc not in rom_config.entry_points):
-            return Violation(ViolationReason.ROM_ENTRY, pc, record.next_pc)
-        if trusted and not lands_in and not any(
-                lo <= pc <= hi for lo, hi in rom_config.exit_ranges):
-            return Violation(ViolationReason.ROM_EXIT, pc, record.next_pc)
-        return None
-
-    def violation_port():
-        for a in writes:
-            if a.addr != VIOLATION_PORT:
-                continue
-            if trusted:
-                return Violation(SW_REASON_CODES.get(a.value,
-                                                     ViolationReason.BAD_SELECTOR),
-                                 pc, detail="(EILIDsw check failed)")
-            return Violation(ViolationReason.SECURE_PORT, pc, a.addr)
-        return None
-
-    def illegal_insn():
-        if record.kind is StepKind.ILLEGAL:
-            return Violation(ViolationReason.ILLEGAL_INSN, pc,
-                             detail=f"word=0x{record.illegal_word:04x}")
-        return None
-
-    rules = {"w_xor_x": w_xor_x, "pmem_guard": pmem_guard,
-             "secure_ram_guard": secure_ram_guard,
-             "rom_atomicity": rom_atomicity,
-             "violation_port": violation_port, "illegal_insn": illegal_insn}
-    for name in PRIORITY:
-        if getattr(policy, name):
-            verdict = rules[name]()
-            if verdict is not None:
-                return verdict
-    return None
-
+# ---- the monitor against its rule table ---------------------------------
 
 # Addresses worth hitting: every region's edges, the violation port,
 # the IVT and reset vector, and the unmapped gaps between regions.
@@ -337,7 +277,7 @@ RECORDS = st.builds(
     st.lists(ACCESSES, max_size=6), st.integers(0, 0xFFFF))
 POLICIES = st.one_of(
     st.sampled_from([MonitorPolicy.casu(), MonitorPolicy.eilid()]),
-    st.builds(MonitorPolicy, *[st.booleans()] * len(PRIORITY)))
+    st.builds(MonitorPolicy, *[st.booleans()] * len(ARMS)))
 
 
 @settings(max_examples=600, deadline=None)
@@ -347,5 +287,97 @@ def test_observe_matches_the_rule_by_rule_oracle(record, policy, session_open):
     session_open = session_open and policy.pmem_guard
     if session_open:
         monitor.open_update_session()
-    assert monitor.observe(record) == oracle(record, policy, ROM_CONFIG,
-                                             session_open)
+    signals, witnesses = abstract(record, LAYOUT.flags, ROM_CONFIG, session_open)
+    assert monitor.observe(record) == evaluate(record, signals, witnesses, policy)
+
+
+# ---- the mutation gate ------------------------------------------------------
+
+# The table mutants no corpus step can tell from the table, each with
+# why; the gate also proves each equivalent with the model checker.
+EQUIVALENT = {
+    ("SECURE_RAM_ACCESS", None, None, "swap"):
+        "secure-RAM needs !pc_in_rom, IRQ-in-ROM pc_in_rom: never both",
+    ("ROM_EXIT", None, None, "swap"):
+        "ROM exit needs pc_in_rom, ROM entry !pc_in_rom: never both",
+    ("ROM_ENTRY", None, None, "swap"):
+        "ROM entry needs !pc_in_rom, the trusted port pc_in_rom: never both",
+    ("BAD_SELECTOR", None, None, "swap"):
+        "the trusted and untrusted port rows split on pc_in_rom",
+    ("SECURE_PORT", 0, 1, "drop"):
+        "the trusted-port row, armed by the same field, takes every port "
+        "write from ROM first",
+}
+
+
+SHADOW = LAYOUT.secure_dmem.start + 4
+# Each rule's boundary, as the classes above pin it.  Random steps
+# rarely write the violation port from ROM or leave through the exit
+# range, so the draws alone would kill some mutants only by luck;
+# these cases alone kill every mutant not in EQUIVALENT.
+BOUNDARY_CASES = [
+    (step(0x0200, accesses=[fetch(0x0200, 0x0200)]), False),
+    (step(0xE010, accesses=[write(0xE100, 1, 0xE010)]), True),
+    (step(ENTRY, accesses=[write(0xE100, 1, ENTRY)]), True),
+    (step(ENTRY, accesses=[write(0xE100, 1, ENTRY)]), False),
+    (step(0xE010, accesses=[read(SHADOW, 0xE010)]), False),
+    (step(ENTRY, accesses=[write(SHADOW, 1, ENTRY)]), False),
+    (step(0xE010, next_pc=ENTRY), False),
+    (step(0xE010, next_pc=ENTRY + 8), False),
+    (step(LEAVE + 2, next_pc=0xE010), False),
+    (step(ENTRY + 4, next_pc=0xE010), False),
+    (step(ENTRY + 4, next_pc=0xFFF2, kind=StepKind.INTERRUPT, vector=9), False),
+    (step(0xE010, next_pc=0xFFF2, kind=StepKind.INTERRUPT, vector=9), False),
+    (step(ENTRY + 10, accesses=[write(VIOLATION_PORT, 3, ENTRY + 10)]), False),
+    (step(0xE010, accesses=[write(VIOLATION_PORT, 1, 0xE010)]), False),
+    (step(0xE010, kind=StepKind.ILLEGAL, illegal=0x0000), False),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Derandomized draws from the property's strategies, the
+    composition cases and the rule boundaries, each with its
+    abstraction and ``observe``'s verdict."""
+    drawn = [(record, MonitorPolicy.eilid(), session_open)
+             for record, session_open in BOUNDARY_CASES]
+    drawn += [(record, MonitorPolicy.eilid(), False) for record in
+              [FIRST_WINS, BENIGN] + [case.values[0] for case in PRIORITY_CASES]]
+
+    @settings(max_examples=600, derandomize=True, database=None,
+              deadline=None, phases=[Phase.generate],
+              suppress_health_check=list(HealthCheck))
+    @given(record=RECORDS, policy=POLICIES, session_open=st.booleans())
+    def draw(record, policy, session_open):
+        drawn.append((record, policy, session_open and policy.pmem_guard))
+
+    draw()
+    cases = []
+    for record, policy, session_open in drawn:
+        monitor = HardwareMonitor(LAYOUT, policy, ROM_CONFIG)
+        if session_open:
+            monitor.open_update_session()
+        cases.append((record, policy,
+                      abstract(record, LAYOUT.flags, ROM_CONFIG, session_open),
+                      monitor.observe(record)))
+    return cases
+
+
+def test_every_table_mutant_is_killed_or_proven_equivalent(corpus):
+    ids = []
+    survivors = {}
+    for mutant_id, rules in mutants():
+        ids.append(mutant_id)
+        if all(evaluate(record, signals, witnesses, policy, rules) == observed
+               for record, policy, (signals, witnesses), observed in corpus):
+            survivors[mutant_id] = rules
+    # 20 literals dropped and 20 negated, 10 terms dropped, 8 swaps.
+    assert len(ids) == len(set(ids)) == 58
+    assert set(survivors) == set(EQUIVALENT)
+    for mutant_id, rules in survivors.items():
+        assert equivalent(rules), mutant_id
+
+
+def test_the_table_itself_survives_its_corpus(corpus):
+    for record, policy, (signals, witnesses), observed in corpus:
+        assert evaluate(record, signals, witnesses, policy) == observed

@@ -806,9 +806,47 @@ def _pump_threads():
 
 class TestWhereExchangesRun:
     """An attest is answered on the loop thread that read it, one
-    device at a time with a yield to the loop between devices; the
-    pump's executor runs only enrollments and campaigns, and a
-    campaign never starts while an exchange is in flight."""
+    device at a time, yielding to the loop between devices once a
+    millisecond of exchange work has run; the pump's executor runs only
+    enrollments and campaigns, and a campaign never starts while an
+    exchange is in flight."""
+
+    def test_a_long_attest_yields_by_elapsed_time(self, monkeypatch):
+        """A 100-device attest whose exchanges each take 0.25 ms (on
+        the pump's clock, not the host's) yields about once per
+        millisecond of work, not once per device."""
+        from repro.serve import pump as pump_module
+
+        fleet = FleetSimulation(size=100)
+        clock = [0.0]
+        yields = []
+        attest = VerifierSession.attest
+        sleep = asyncio.sleep
+
+        def timed(session):
+            clock[0] += 0.00025
+            return attest(session)
+
+        async def counting_sleep(delay, *args):
+            yields.append(delay)
+            return await sleep(delay, *args)
+
+        monkeypatch.setattr(pump_module, "perf_counter", lambda: clock[0],
+                            raising=False)
+        monkeypatch.setattr(VerifierSession, "attest", timed)
+        monkeypatch.setattr(asyncio, "sleep", counting_sleep)
+
+        async def run():
+            pump = AsyncFleetPump(fleet)
+            try:
+                return await pump.attest()
+            finally:
+                pump.close()
+
+        docs = asyncio.run(run())
+        assert len(docs) == 100 and all(doc["ok"] for doc in docs)
+        # 25 ms of exchange work: a yield after every fourth device.
+        assert 20 <= len(yields) <= 25
 
     def test_attest_exchanges_run_on_the_loop_thread(self, monkeypatch):
         fleet = FleetSimulation(size=6)
@@ -1035,6 +1073,7 @@ class TestDurabilityPoint:
                 assert all(line["kind"] == "record" for line in added)
                 assert bool(added) == (path == shard)
         store.close()
+        fleet.events.close()
 
 
 class TestDaemonShutdown:
@@ -1044,10 +1083,11 @@ class TestDaemonShutdown:
         fleet = FleetSimulation(size=10, store=store,
                                 events=str(tmp_path / "events.jsonl"))
         thread = DaemonThread(fleet)
-        client = FleetClient(thread.url)
-        client.attest()
+        with FleetClient(thread.url) as client:
+            client.attest()
         thread.stop()
         store.close()
+        fleet.events.close()
         reopened = open_sharded_store(paths)
         docs = reopened.load_records()
         assert len(docs) == 10
@@ -1058,7 +1098,8 @@ class TestDaemonShutdown:
         fleet = FleetSimulation(size=4)
         thread = DaemonThread(fleet)
         try:
-            assert FleetClient(thread.url).status()["ready"] is True
+            with FleetClient(thread.url) as client:
+                assert client.status()["ready"] is True
         finally:
             thread.stop()
 
@@ -1104,6 +1145,7 @@ class TestServeCli:
                     proc.send_signal(signal.SIGTERM)
                     break
         finally:
+            client.close()
             out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         assert json.loads(out.splitlines()[-1])["schema"] == \
@@ -1121,6 +1163,7 @@ class TestServeCli:
         assert report.resumed + report.applied == 400
         assert fleet.registry.version_histogram() == {2: 400}
         store.close()
+        fleet.events.close()
 
     def test_fleet_status_and_watch_against_daemon(self, tmp_path, capsys):
         from repro.cli import main

@@ -9,6 +9,11 @@ to the CPU, bus, monitor, peripherals or trace recorder that moves any
 simulated step shows up here as a mismatch, whole program by whole
 program.
 
+The same runs carry the monitor's refinement check: every step of the
+EILID images under ``eilid``, of the original images under ``casu`` and
+of every attack under ``casu`` and ``eilid`` is also checked against
+the monitor's rule table (``conftest.refined``).
+
 Regenerate only for an intended change of step semantics::
 
     PYTHONPATH=src python tests/test_step_goldens.py --write
@@ -24,9 +29,12 @@ import pytest
 from repro.apps.registry import APPS, TABLE_IV_ORDER
 from repro.attacks import ATTACKS
 from repro.device import SECURITY_LEVELS
+from conftest import refined
 
 GOLDENS = Path(__file__).with_name("step_goldens.json")
 VARIANTS = ("original", "eilid")
+# (variant, security) app runs checked against the rule table.
+REFINED_APPS = {("eilid", "eilid"), ("original", "casu")}
 
 
 def _sha(text: str) -> str:
@@ -123,16 +131,27 @@ def test_goldens_cover_every_case(goldens):
         sorted(_key(*c) for c in attack_cases())
 
 
+def assert_refines(refinement, steps):
+    assert refinement.steps == steps
+    assert not refinement.divergences, refinement.divergences[0]
+
+
 @pytest.mark.parametrize("app,variant,security", app_cases())
 def test_app_run_matches_golden(goldens, app, variant, security):
-    assert app_run(app, variant, security) == \
-        goldens["apps"][_key(app, variant, security)]
+    checked = (variant, security) in REFINED_APPS
+    with refined(checked) as refinement:
+        doc = app_run(app, variant, security)
+    assert doc == goldens["apps"][_key(app, variant, security)]
+    assert_refines(refinement, doc["steps"] if checked else 0)
 
 
 @pytest.mark.parametrize("name,security", attack_cases())
 def test_attack_matches_golden(goldens, name, security):
-    assert attack_run(name, security) == \
-        goldens["attacks"][_key(name, security)]
+    checked = security != "none"
+    with refined(checked) as refinement:
+        doc = attack_run(name, security)
+    assert doc == goldens["attacks"][_key(name, security)]
+    assert_refines(refinement, doc["steps"] if checked else 0)
 
 
 if __name__ == "__main__":

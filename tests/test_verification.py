@@ -1,6 +1,7 @@
 """Model checker, monitor property FSMs, runtime oracles."""
 
 
+from conftest import Refinement
 from repro.verification import (
     ControlFlowOracle,
     Fsm,
@@ -9,12 +10,12 @@ from repro.verification import (
     check_transition_property,
     reachable_states,
 )
+from repro.casu.monitor import RULES, MonitorPolicy
 from repro.verification.properties import (
     check_all,
-    pmem_guard_fsm,
-    pmem_guard_fsm_buggy,
-    rom_atomicity_fsm,
-    PMEM_GUARD_PROPERTIES,
+    check_rule,
+    mutants,
+    product_fsm,
 )
 
 
@@ -91,18 +92,33 @@ class TestModelChecker:
         assert fsm.step("A", {"go": False}) == "A"
 
 
+def _signals(fsm, **raised):
+    """An input valuation of *fsm*: the named signals raised, the rest low."""
+    return {name: raised.get(name, False) for name in fsm.inputs}
+
+
 class TestMonitorProperties:
     def test_all_monitor_properties_hold(self):
         results = check_all()
-        assert len(results) >= 12
+        # Three per rule alone, then the whole table's four.
+        assert len(results) == 3 * len(RULES) + 4 == 31
         failing = [r for r in results if not r.holds]
         assert not failing, "\n".join(str(r) for r in failing)
+        names = {r.property_name for r in results}
+        for covered in ("trusted-port/armed-guard-trips",
+                        "untrusted-port/armed-guard-trips",
+                        "illegal-opcode/armed-guard-trips",
+                        "monitor/verdict-is-first-armed-rule",
+                        "monitor/no-violation-without-armed-guard"):
+            assert covered in names
 
     def test_buggy_mutant_caught(self):
-        buggy = pmem_guard_fsm_buggy()
-        result = check_transition_property(
-            buggy, PMEM_GUARD_PROPERTIES[0].predicate, "mutant"
-        )
+        # The PMEM guard without its second term checks only the ROM bit.
+        table = dict(mutants())[("PMEM_WRITE", 1, None, "drop-term")]
+        pmem = RULES[1]
+        assert table[1].reason is pmem.reason
+        result = check_rule(table[1], spec=pmem)[0]
+        assert result.property_name == "pmem-guard/armed-guard-trips"
         assert not result.holds
         # The counterexample is exactly the missed case: a PMEM write
         # from ROM without an open update session.
@@ -110,47 +126,46 @@ class TestMonitorProperties:
         assert inputs["pmem_write"] and inputs["pc_in_rom"] and not inputs["update_open"]
 
     def test_rom_atomicity_run_trace(self):
-        fsm = rom_atomicity_fsm()
+        fsm = product_fsm(MonitorPolicy.casu())
         benign = [
-            {"next_in_rom": True, "at_entry": True, "in_exit": False, "irq": False},
-            {"next_in_rom": True, "at_entry": False, "in_exit": False, "irq": False},
-            {"next_in_rom": False, "at_entry": False, "in_exit": True, "irq": False},
+            _signals(fsm, next_in_rom=True, at_entry=True),  # enter
+            _signals(fsm, pc_in_rom=True, next_in_rom=True),  # stay
+            _signals(fsm, pc_in_rom=True, in_exit=True),  # leave
         ]
-        assert fsm.run(benign) == ["OK", "IN_ROM", "IN_ROM", "OK"]
+        assert fsm.run(benign) == ["OK", "OK", "OK", "OK"]
 
     def test_rom_atomicity_attack_trace(self):
-        fsm = rom_atomicity_fsm()
-        attack = [
-            {"next_in_rom": True, "at_entry": False, "in_exit": False, "irq": False},
-        ]
-        assert fsm.run(attack)[-1] == "VIOL"
+        fsm = product_fsm(MonitorPolicy.casu())
+        attack = [_signals(fsm, next_in_rom=True)]  # into mid-ROM
+        assert fsm.run(attack)[-1] == "VIOL:rom-entry"
 
-    def test_fsm_mirrors_concrete_monitor(self):
-        """Abstract FSM and the concrete monitor's PMEM guard agree."""
-        from repro.casu.monitor import HardwareMonitor, MonitorPolicy
+    def test_product_fsm_latches_the_first_armed_rule(self):
+        fsm = product_fsm(MonitorPolicy.eilid())
+        # An untrusted PMEM write that also enters mid-ROM and writes
+        # the port: the PMEM guard is the first armed row.
+        trace = [_signals(fsm, pmem_write=True, next_in_rom=True, port_write=True),
+                 _signals(fsm)]
+        assert fsm.run(trace)[1:] == ["VIOL:pmem-guard", "VIOL:pmem-guard"]
+        # Disarm it and the next row that fires names the verdict.
+        fsm = product_fsm(MonitorPolicy(pmem_guard=False))
+        assert fsm.step("OK", _signals(fsm, pmem_write=True, next_in_rom=True)) \
+            == "VIOL:rom-entry"
+
+    def test_refinement_flags_a_monitor_that_disagrees(self):
+        from repro.casu.monitor import HardwareMonitor, Violation, ViolationReason
         from repro.cpu.core import StepKind, StepRecord
-        from repro.memory.bus import Access, AccessKind
         from repro.memory.map import MemoryLayout
 
-        layout = MemoryLayout.default()
-        abstract = pmem_guard_fsm()
-
-        for pc, update_open in [(0xE010, False), (layout.secure_rom.start, False),
-                                (layout.secure_rom.start, True), (0xE010, True)]:
-            concrete = HardwareMonitor(layout, MonitorPolicy.casu())
-            if update_open:
-                concrete.open_update_session()
-            record = StepRecord(
-                kind=StepKind.INSTRUCTION, pc=pc, next_pc=pc + 2, cycles=1,
-                accesses=[Access(AccessKind.WRITE, 0xE100, 1, 2, pc, prev=0)],
-            )
-            concrete_violates = concrete.observe(record) is not None
-            abstract_next = abstract.step("OK", {
-                "pmem_write": True,
-                "pc_in_rom": layout.in_secure_rom(pc),
-                "update_open": update_open,
-            })
-            assert concrete_violates == (abstract_next == "VIOL"), (pc, update_open)
+        monitor = HardwareMonitor(MemoryLayout.default(), MonitorPolicy.casu())
+        record = StepRecord(kind=StepKind.ILLEGAL, pc=0xE010, next_pc=0xE012,
+                            cycles=1, accesses=[], illegal_word=0x0000)
+        refinement = Refinement()
+        refinement.check(monitor, record, monitor.observe(record))
+        assert refinement.steps == 1 and not refinement.divergences
+        wrong = Violation(ViolationReason.W_XOR_X, 0xE010)
+        refinement.check(monitor, record, wrong)
+        assert refinement.divergences[0][1:] == (
+            wrong, monitor.observe(record), monitor.observe(record))
 
 
 class TestOracles:

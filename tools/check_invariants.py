@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces six codebase contracts no general-purpose linter knows
+Enforces seven codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -34,6 +34,13 @@ about:
    in ``BROAD_EXCEPT_SITES``, each with the reason it must catch
    everything.  Anywhere else a broad handler would turn a typed
    boundary error (or a bug) into silence.
+7. **the monitor's region bits have one home** -- ``F_EXEC``,
+   ``F_PMEM``, ``F_SDMEM`` and ``F_SROM`` are imported or reached only
+   in src/repro/memory/map.py, which defines them, and
+   src/repro/casu/monitor.py, whose rule table and hand-written
+   ``observe`` are the only code that decides a rule from them.  A
+   rule written anywhere else would be a copy the refinement check
+   and the mutation gate never see.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -74,6 +81,10 @@ BROAD_EXCEPT_SITES = {
         "isolates subscribers from each other; counted in errors",
 }
 _BROAD = {"Exception", "BaseException"}
+
+# The monitor's region bits and the two modules that may use them.
+REGION_BITS = {"F_EXEC", "F_PMEM", "F_SDMEM", "F_SROM"}
+REGION_BIT_HOMES = ("src/repro/memory/map.py", "src/repro/casu/monitor.py")
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -343,6 +354,32 @@ def check_broad_excepts(root: Path) -> list:
     return problems
 
 
+def _region_bits(node) -> list:
+    """The region bits *node* imports or reaches by attribute."""
+    if isinstance(node, ast.ImportFrom):
+        return sorted(alias.name for alias in node.names
+                      if alias.name in REGION_BITS)
+    if isinstance(node, ast.Attribute) and node.attr in REGION_BITS:
+        return [node.attr]
+    return []
+
+
+def check_region_bits(root: Path) -> list:
+    """Rule 7: the monitor's region bits only in their two homes."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in REGION_BIT_HOMES:
+            continue
+        for node in ast.walk(_parse(path)):
+            for name in _region_bits(node):
+                problems.append(
+                    f"{rel}:{node.lineno}: {name} outside "
+                    f"{' and '.join(REGION_BIT_HOMES)} (the monitor's "
+                    f"region bits have one home)")
+    return problems
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
@@ -352,6 +389,7 @@ def run_checks(root: Path) -> list:
     problems += check_dynamic_code(root)
     problems += check_thread_home(root)
     problems += check_broad_excepts(root)
+    problems += check_region_bits(root)
     return problems
 
 
