@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.recover import CfgError, RecoveredCfg, TransferKind, recover_cfg
+from repro.memory.map import NUM_VECTORS
 from repro.snapshot import (
     OPTIONAL_INT, state_dict, state_int, state_list, state_rows, state_str,
     state_value)
@@ -119,7 +120,8 @@ class CfiPolicy:
                 name=state_str(data, "name"),
                 entry=state_int(data, "entry"),
                 transfers={
-                    int(key, 16): Transfer(kind, target, return_site)
+                    _index(key, 16, 0x10000, "transfer address"):
+                        Transfer(kind, target, return_site)
                     for key, kind, target, return_site in state_rows(
                         {"transfers": transfers}, "transfers", str,
                         set(_KIND_VALUES), OPTIONAL_INT, OPTIONAL_INT)},
@@ -130,8 +132,10 @@ class CfiPolicy:
                                                 bool),
                 function_entries=tuple(
                     state_rows(data, "function_entries", int, str)),
-                isr_handlers={int(vector): state_int(isr_handlers, vector)
-                              for vector in isr_handlers},
+                isr_handlers={
+                    _index(vector, 10, NUM_VECTORS, "ISR vector"):
+                        state_int(isr_handlers, vector)
+                    for vector in isr_handlers},
                 reti_sites=frozenset(state_list(data, "reti_sites", int)),
                 code_ranges=tuple(state_rows(data, "code_ranges", int, int)),
                 halt_address=state_int(data, "halt_address", optional=True),
@@ -148,6 +152,15 @@ class CfiPolicy:
         except ValueError as error:
             raise PolicyError(f"policy is not valid JSON: {error}") from None
         return CfiPolicy.from_dict(data)
+
+
+def _index(key: str, base: int, limit: int, what: str) -> int:
+    """A document key as an integer in [0, *limit*), so that it
+    survives the policy's own round trip."""
+    value = int(key, base)
+    if not 0 <= value < limit:
+        raise PolicyError(f"{what} {key!r} is outside [0, {limit:#x})")
+    return value
 
 
 def compile_policy(cfg: RecoveredCfg, symbols: Optional[dict] = None) -> CfiPolicy:

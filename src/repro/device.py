@@ -288,6 +288,8 @@ class Device:
     def snapshot(self) -> "DeviceSnapshot":
         """Capture the complete mutable device state (see repro.snapshot).
 
+        The one definition of device state: two devices of one program
+        are in the same state exactly when their documents are equal.
         Must be called between steps (the per-step bus trace is drained
         into each StepRecord, so there is no in-flight transaction to
         lose).  The result restores into any device built from the same
@@ -316,6 +318,11 @@ class Device:
             "update_engine": self.update_engine.snapshot_state(),
         }
         return DeviceSnapshot(doc)
+
+    def state_digest(self) -> str:
+        """SHA-256 hex of :meth:`snapshot`'s JSON: equal exactly when
+        the documents are, and never a second walk over the state."""
+        return hashlib.sha256(self.snapshot().to_json().encode()).hexdigest()
 
     def restore(self, snapshot) -> None:
         """Adopt a snapshot's state, bit-identically.

@@ -33,9 +33,11 @@ import threading
 from typing import Dict, Optional
 
 from repro.casu.update import UpdateKey
+from repro.device import SECURITY_LEVELS
 from repro.fleet.registry import DeviceRecord, FleetError, Lifecycle
 from repro.recordlog import JsonlLog, RecordLog, SqliteLog, open_view
-from repro.snapshot import WIRE_VERSION
+from repro.snapshot import (
+    WIRE_VERSION, state_counts, state_int, state_list, state_str, state_value)
 
 META_CLOCK = "clock"
 META_PACKAGES = "packages"  # version(str) -> {"target": int, "payload": hex}
@@ -74,7 +76,20 @@ def record_to_dict(record: DeviceRecord) -> dict:
     }
 
 
+# What a record document written before a field existed holds for it.
+_RECORD_DEFAULTS = {
+    "firmware_hash": None, "enrolled_at": 0, "last_seen": None,
+    "attest_count": 0, "violation_count": 0, "reset_count": 0,
+    "update_failures": 0, "nonce_high_water": 0, "applied_versions": [],
+    "violation_totals": {},
+}
+_LIFECYCLE_VALUES = {state.value for state in Lifecycle}
+
+
 def record_from_dict(doc: dict) -> DeviceRecord:
+    """The record a document holds, each field type-checked as it is
+    adopted (the ``state_*`` helpers); a malformed one raises
+    :class:`FleetError` naming the field."""
     # Docs that predate the codec field are grandfathered in (their
     # layout is codec-1 compatible); an explicit mismatch -- a rolling
     # upgrade where parent and worker builds disagree -- is an error,
@@ -85,24 +100,25 @@ def record_from_dict(doc: dict) -> DeviceRecord:
             f"device record codec version {codec!r} is not supported by "
             f"this build (expected {WIRE_VERSION}); parent and worker "
             f"are running different versions")
+    doc = {**_RECORD_DEFAULTS, **doc}
     try:
         return DeviceRecord(
-            device_id=doc["device_id"],
-            key=UpdateKey(bytes.fromhex(doc["key"])),
-            platform=doc["platform"],
-            security=doc["security"],
-            state=Lifecycle(doc["state"]),
-            firmware_version=doc["firmware_version"],
-            firmware_hash=doc.get("firmware_hash"),
-            enrolled_at=doc.get("enrolled_at", 0),
-            last_seen=doc.get("last_seen"),
-            attest_count=doc.get("attest_count", 0),
-            violation_count=doc.get("violation_count", 0),
-            reset_count=doc.get("reset_count", 0),
-            update_failures=doc.get("update_failures", 0),
-            nonce_high_water=doc.get("nonce_high_water", 0),
-            applied_versions=list(doc.get("applied_versions", ())),
-            violation_totals=dict(doc.get("violation_totals", {})),
+            device_id=state_str(doc, "device_id"),
+            key=UpdateKey(bytes.fromhex(state_str(doc, "key"))),
+            platform=state_str(doc, "platform"),
+            security=state_str(doc, "security", SECURITY_LEVELS),
+            state=Lifecycle(state_str(doc, "state", _LIFECYCLE_VALUES)),
+            firmware_version=state_int(doc, "firmware_version"),
+            firmware_hash=state_value(doc, "firmware_hash", (str, type(None))),
+            enrolled_at=state_int(doc, "enrolled_at"),
+            last_seen=state_int(doc, "last_seen", optional=True),
+            attest_count=state_int(doc, "attest_count"),
+            violation_count=state_int(doc, "violation_count"),
+            reset_count=state_int(doc, "reset_count"),
+            update_failures=state_int(doc, "update_failures"),
+            nonce_high_water=state_int(doc, "nonce_high_water"),
+            applied_versions=list(state_list(doc, "applied_versions", int)),
+            violation_totals=state_counts(doc, "violation_totals"),
         )
     except (KeyError, ValueError) as error:
         raise FleetError(f"malformed stored device record: {error}") from None
@@ -197,7 +213,12 @@ class JsonlStore(JsonlLog, MemoryStore):
             if doc.pop("kind", "record") == "meta":
                 self._meta = doc
             elif "device_id" in doc:
-                self._records[doc["device_id"]] = doc
+                try:
+                    self._records[state_str(doc, "device_id")] = doc
+                except ValueError as error:
+                    self._file.close()
+                    raise FleetError(
+                        f"malformed stored device record: {error}") from None
         self._lines = len(docs)
         if self._over_threshold():
             self.compact()

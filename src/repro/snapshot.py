@@ -8,21 +8,29 @@ every peripheral's latches and schedules, the branch-trace ring, the
 monitor's update session, the update engine's monotonic version, and
 the device event log -- in a plain dict of JSON types.  Restoring a
 snapshot into a freshly built device of the same program/security
-produces a device that executes **bit-identically** to the original
-(the lockstep differential tests in ``tests/test_snapshot.py`` are the
-contract).  Restore type-checks what it adopts, down to the items of
-its logs, queues and the trace ring (the ``state_*`` helpers below),
-so a malformed document raises :class:`SnapshotError` at the boundary
+produces a device that executes **bit-identically** to the original.
+Restore type-checks what it adopts, down to the items of its logs,
+queues and the trace ring (the ``state_*`` helpers below), so a
+malformed document raises :class:`SnapshotError` at the boundary
 rather than a ``TypeError`` inside a later run.
 
-Two consumers:
+The document is the one definition of device state: two devices of one
+program are in the same state exactly when their documents are equal.
+Its memory section is :func:`memory_delta`, the one page compare, and
+:meth:`repro.device.Device.state_digest` hashes its JSON -- a
+fixed-size fingerprint to store; live comparisons compare documents.
+
+Three consumers:
 
 * the fleet layer ships snapshots through ``campaign.py``'s
   process-shard wire format, so pool workers resurrect *arbitrary*
   (including adversarially mutated) device state instead of rebuilding
   honest devices from registry records;
 * the fault-injection campaigns (:mod:`repro.faults`) snapshot an
-  honest device once, then restore+mutate per fault site.
+  honest device once, then restore+mutate per fault site;
+* the differential tests compare documents at every lockstep boundary
+  (``tests/conftest.py``) and pin each whole run's digest
+  (``tests/step_goldens.json``).
 
 Versioning: every wire document carries ``{"codec": WIRE_VERSION}``.
 The fleet record codec (:mod:`repro.fleet.store`) shares the same
@@ -37,7 +45,7 @@ self-modifying code, just wholesale (see :mod:`repro.cpu.core`).
 """
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import ReproError
 
@@ -49,6 +57,7 @@ WIRE_VERSION = 1
 # Memory deltas are emitted per fixed-size page: cheap to diff with
 # slice compares, compact for the near-empty deltas of idle devices.
 PAGE_SIZE = 256
+CHUNK_SIZE = 4096
 
 
 class SnapshotError(ReproError):
@@ -172,20 +181,22 @@ def _kind_name(kind) -> str:
 def memory_delta(mem, baseline) -> list:
     """Pages of *mem* that differ from *baseline*, as ``[addr, hex]``.
 
-    The common case -- snapshotting right after build, or a firmware
-    that never self-modifies -- compares the whole image at C speed,
-    without copying it, and emits nothing for untouched pages.
-    *baseline* is only read: devices share their program's image.
+    An unchanged image costs one compare at C speed.  Otherwise 4 KB
+    chunks are compared as bytes slices, and pages only inside a chunk
+    that differs.  *baseline* is only read: devices share their
+    program's image.
     """
     if mem == baseline:
         return []
     delta = []
-    view = memoryview(mem)
-    base = memoryview(baseline)
-    for start in range(0, len(mem), PAGE_SIZE):
-        page = view[start:start + PAGE_SIZE]
-        if page != base[start:start + PAGE_SIZE]:
-            delta.append([start, bytes(page).hex()])
+    for chunk in range(0, len(mem), CHUNK_SIZE):
+        end = chunk + CHUNK_SIZE
+        if mem[chunk:end] == baseline[chunk:end]:
+            continue
+        for start in range(chunk, end, PAGE_SIZE):
+            page = mem[start:start + PAGE_SIZE]
+            if page != baseline[start:start + PAGE_SIZE]:
+                delta.append([start, page.hex()])
     return delta
 
 
@@ -218,8 +229,6 @@ class DeviceSnapshot:
         check_wire_version(doc, "device snapshot")
         self._doc = doc
 
-    # -- wire form ---------------------------------------------------------
-
     def to_dict(self) -> Dict[str, Any]:
         return self._doc
 
@@ -237,21 +246,3 @@ class DeviceSnapshot:
         except ValueError as error:
             raise SnapshotError(f"snapshot is not valid JSON: {error}")
         return cls(doc)
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def program_name(self) -> Optional[str]:
-        return self._doc.get("program")
-
-    @property
-    def security(self) -> Optional[str]:
-        return self._doc.get("security")
-
-    @property
-    def cycle(self) -> int:
-        return self._doc.get("cycle", 0)
-
-    def __repr__(self):
-        return (f"DeviceSnapshot(program={self.program_name!r}, "
-                f"security={self.security!r}, cycle={self.cycle})")

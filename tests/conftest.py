@@ -2,9 +2,12 @@
 
 Expensive artifacts (built applications, victim devices' programs) are
 cached at session scope; tests that need a *fresh* device build one
-from the cached program, which is cheap.  :func:`refined` is the
-monitor's refinement check: it holds every ``HardwareMonitor.observe``
-call a block makes to the monitor's rule table.
+from the cached program, which is cheap.  :func:`lockstep` is every
+differential test's harness: two devices step together, and their
+snapshot documents -- the one definition of device state -- must agree.
+:func:`refined` is the monitor's refinement check: it holds every
+``HardwareMonitor.observe`` call a block makes to the monitor's rule
+table.
 """
 
 import contextlib
@@ -88,6 +91,42 @@ def run_c(c_source, max_cycles=500_000, peripherals=None, security="none"):
     device = build_device(program, security=security, peripherals=peripherals)
     device.run(max_cycles=max_cycles)
     return device
+
+
+def assert_same_state(left, right, where="at the end"):
+    """The two devices' snapshot documents are equal; a failure names
+    the sections that differ."""
+    ours, theirs = left.snapshot().to_dict(), right.snapshot().to_dict()
+    differing = sorted(key for key in ours.keys() | theirs.keys()
+                       if ours.get(key) != theirs.get(key))
+    assert not differing, f"states differ {where} in {differing}"
+
+
+def lockstep(left, right, steps, until=None, every=0, boundary=None,
+             after_step=None):
+    """Step two devices of one program together.
+
+    Every step's ``(StepRecord, violation)`` must be equal on both
+    sides; ``after_step(record)`` then runs.  After every *every*-th
+    step, ``boundary(right)`` returns the device the right side goes on
+    as -- itself, or a restored copy -- and the two snapshot documents
+    must be equal.  They must be equal at the end too: after *steps*
+    steps, or after the first step for which ``until(left)`` holds.
+    """
+    for step in range(steps):
+        record, violation = left.step()
+        other_record, other_violation = right.step()
+        assert record == other_record, f"step {step} diverged"
+        assert violation == other_violation, f"step {step} verdict diverged"
+        if after_step is not None:
+            after_step(record)
+        if until is not None and until(left):
+            break
+        if every and (step + 1) % every == 0:
+            if boundary is not None:
+                right = boundary(right)
+            assert_same_state(left, right, f"after step {step}")
+    assert_same_state(left, right)
 
 
 SIGNAL_NAMES = tuple(signal.name for signal in SIGNALS)

@@ -163,6 +163,9 @@ class TestPolicyArtifact:
 
 # One wrong value per JSON type, and out-of-range integers.
 WRONG_VALUES = [None, "x", -1, [], {}, 1.5, True, 2 ** 40]
+# Keys of the transfer and ISR tables: negative, past the address space
+# or the vector table, and not a number.
+WRONG_KEYS = ["-1", "-3", "0x10000", "16", "x", "", "1.5"]
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +197,18 @@ def _with_leaf(doc, path, value):
     return doc
 
 
+def _table_keys(doc):
+    """The key of every entry of the document's keyed tables."""
+    return [(field, key) for field in ("transfers", "isr_handlers")
+            for key in doc[field]]
+
+
+def _with_key(doc, field, key, new_key):
+    doc = json.loads(json.dumps(doc))
+    doc[field][new_key] = doc[field].pop(key)
+    return doc
+
+
 class TestPolicyItemTypes:
     # Each was adopted and then raised a bare TypeError in replay
     # (isr_handlers, code_ranges) or in to_json/digest (the sets).
@@ -212,18 +227,39 @@ class TestPolicyItemTypes:
         with pytest.raises(PolicyError):
             CfiPolicy.from_dict(_with_leaf(doc, (field, first, *inner), None))
 
+    @pytest.mark.parametrize("field,key", [
+        ("transfers", "-1"),  # written back as 0x-001, which did not parse
+        ("isr_handlers", "-3"),
+    ])
+    def test_out_of_range_key_raises_policy_error(self, light_policy, field,
+                                                  key):
+        doc, _trace = light_policy
+        with pytest.raises(PolicyError, match=repr(key)):
+            CfiPolicy.from_dict(_with_key(doc, field, next(iter(doc[field])),
+                                          key))
+
     def test_every_single_leaf_mutant_is_rejected_or_usable(self, light_policy):
+        """A document with one leaf, or one table key, replaced is
+        rejected, or it survives its own round trip and replays."""
         doc, trace = light_policy
         paths = [path for path in _leaves(doc) if path != ("format",)]
+        mutants = st.one_of(
+            st.builds(lambda path, value: _with_leaf(doc, path, value),
+                      st.sampled_from(paths), st.sampled_from(WRONG_VALUES)),
+            st.builds(lambda entry, key: _with_key(doc, *entry, key),
+                      st.sampled_from(_table_keys(doc)),
+                      st.sampled_from(WRONG_KEYS)))
 
         @settings(max_examples=400, derandomize=True, database=None,
                   deadline=None)
-        @given(path=st.sampled_from(paths), value=st.sampled_from(WRONG_VALUES))
-        def mutant_is_rejected_or_usable(path, value):
+        @given(mutant=mutants)
+        def mutant_is_rejected_or_usable(mutant):
             try:
-                policy = CfiPolicy.from_dict(_with_leaf(doc, path, value))
+                policy = CfiPolicy.from_dict(mutant)
             except PolicyError:
                 return
+            assert CfiPolicy.from_json(policy.to_json()).digest == \
+                policy.digest
             try:  # what a verifier does with an adopted policy
                 replay_trace(policy, trace)
                 assert policy.digest  # serialises it with to_json()

@@ -3,8 +3,9 @@
 The cache (see :mod:`repro.cpu.core`) must be architecturally invisible:
 for every Table IV application and every attack trace, a cached device
 and an uncached device must produce bit-identical StepRecords (including
-the monitor-visible access stream), cycle totals, monitor verdicts and
-attestation evidence.  These tests run both interpreters in lockstep
+the monitor-visible access stream), monitor verdicts and device state
+(the snapshot document: cycle totals, memory, peripherals, trace and
+attestation evidence).  These tests run both interpreters in lockstep
 and compare every record, then check the invalidation contract against
 self-modifying and attacker-injected code.
 """
@@ -21,6 +22,7 @@ from repro.attacks import (
 )
 from repro.device import build_device
 from repro.toolchain import link, parse_source
+from conftest import assert_same_state, lockstep
 
 # Enough lockstep steps to cover each app's startup, main loop and (for
 # the short apps) the complete run; full-run equivalence is additionally
@@ -45,47 +47,32 @@ def uncached_default():
         cpu_core.DECODE_CACHE_DEFAULT = True
 
 
-def lockstep(program, security, make_peripherals, max_steps=LOCKSTEP_STEPS):
-    """Step a cached and an uncached device in lockstep, comparing
-    every StepRecord (kind, PCs, cycles, instruction, access stream)
-    and every monitor verdict."""
+def cache_lockstep(program, security, make_peripherals,
+                   max_steps=LOCKSTEP_STEPS):
+    """Step a cached and an uncached device in lockstep: every
+    StepRecord (kind, PCs, cycles, instruction, access stream) and
+    monitor verdict, then the whole device state, must agree."""
     cached = build_device(program, security=security,
                           peripherals=make_peripherals(), decode_cache=True)
     plain = build_device(program, security=security,
                          peripherals=make_peripherals(), decode_cache=False)
     assert cached.cpu._dcache is not None
     assert plain.cpu._dcache is None
-    for step in range(max_steps):
-        record_c, violation_c = cached.step()
-        record_p, violation_p = plain.step()
-        assert record_c == record_p, f"step {step} diverged"
-        assert violation_c == violation_p, f"step {step} verdict diverged"
-        if cached.harness.done:
-            break
-    assert cached.cycle == plain.cycle
-    assert cached.cpu.total_cycles == plain.cpu.total_cycles
-    assert cached.cpu.instruction_count == plain.cpu.instruction_count
-    assert cached.cpu.regs == plain.cpu.regs
-    assert cached.harness.done == plain.harness.done
-    assert cached.harness.done_value == plain.harness.done_value
-    assert cached.reset_count == plain.reset_count
-    assert cached.trace_snapshot() == plain.trace_snapshot()
-    assert cached.firmware_measurement() == plain.firmware_measurement()
-    return cached, plain
+    lockstep(cached, plain, max_steps, until=lambda device: device.harness.done)
 
 
 @pytest.mark.parametrize("name", TABLE_IV_ORDER)
 def test_table4_app_original_is_cache_invariant(name, app_builds):
     spec = APPS[name]
     original, _ = app_builds[name]
-    lockstep(original.program, "none", spec.make_peripherals)
+    cache_lockstep(original.program, "none", spec.make_peripherals)
 
 
 @pytest.mark.parametrize("name", TABLE_IV_ORDER)
 def test_table4_app_eilid_is_cache_invariant(name, app_builds):
     spec = APPS[name]
     _, eilid = app_builds[name]
-    lockstep(eilid.final.program, "eilid", spec.make_peripherals)
+    cache_lockstep(eilid.final.program, "eilid", spec.make_peripherals)
 
 
 @pytest.mark.parametrize("attack_name", sorted(ATTACKS))
@@ -93,7 +80,7 @@ def test_table4_app_eilid_is_cache_invariant(name, app_builds):
 def test_attack_outcomes_are_cache_invariant(attack_name, security,
                                              uncached_default):
     """Each Table IV attack trace ends in the same outcome, violation
-    reasons, cycle count and attestation evidence on both interpreters."""
+    reasons and device state on both interpreters."""
     attack = ATTACKS[attack_name]
     plain = attack(security)  # DECODE_CACHE_DEFAULT is False here
     cpu_core.DECODE_CACHE_DEFAULT = True
@@ -101,12 +88,7 @@ def test_attack_outcomes_are_cache_invariant(attack_name, security,
     assert cached.outcome is plain.outcome
     assert [v.reason for v in cached.violations] == \
            [v.reason for v in plain.violations]
-    assert cached.device.cycle == plain.device.cycle
-    assert cached.device.reset_count == plain.device.reset_count
-    assert cached.device.cpu.regs == plain.device.cpu.regs
-    assert cached.device.trace_snapshot() == plain.device.trace_snapshot()
-    assert cached.device.attestation_report() == \
-           plain.device.attestation_report()
+    assert_same_state(cached.device, plain.device)
 
 
 # ---- invalidation contract ---------------------------------------------------

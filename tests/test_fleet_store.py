@@ -14,11 +14,13 @@ The properties this file guards:
   no healthy device is ever quarantined on either backend.
 """
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
     CampaignConfig,
@@ -33,7 +35,7 @@ from repro.fleet import (
     record_from_dict,
     record_to_dict,
 )
-from repro.fleet.registry import NONCE_RESTART_SLACK, DeviceRecord
+from repro.fleet.registry import NONCE_RESTART_SLACK, DeviceRecord, FleetError
 from repro.casu.update import UpdateKey
 
 BACKENDS = ("serial", "process")
@@ -461,6 +463,102 @@ class TestSimulationRestart:
 
 
 # ---- resumable campaigns ----------------------------------------------------
+
+
+# ---- stored records with wrongly typed fields ----------------------------------
+
+# One wrong value per JSON type, and out-of-range integers.
+BAD_VALUES = (None, "x", -1, [], {}, 1.5, True, 2 ** 40)
+
+
+@pytest.fixture(scope="module")
+def stored_lines(tmp_path_factory):
+    """A JSONL store's lines after a rollout, a corrupted device's
+    violation and an attest sweep, and the index of its last record: a
+    device with applied versions and violation totals."""
+    path = str(tmp_path_factory.mktemp("stored") / "fleet.jsonl")
+    fleet = FleetSimulation(size=2, security="casu", store=path)
+    fleet.rollout(1)
+    fleet.corrupt_firmware(sorted(fleet.devices)[-1])
+    fleet.attest_all()
+    fleet.registry.store.close()
+    with open(path) as handle:
+        lines = [json.loads(line) for line in handle]
+    last = max(index for index, line in enumerate(lines)
+               if line["kind"] == "record")
+    assert lines[last]["applied_versions"] and \
+        lines[last]["violation_totals"]
+    return lines, last
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every leaf of a record: its scalar fields and the items
+    of its lists and objects (an empty one is a leaf itself)."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    items = list(items)
+    if not items:
+        yield path
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _open_and_attest(tmp_path, lines, last, path, value):
+    """Store the record at *last* with its leaf at *path* replaced, then
+    open a fleet on the store and attest every device."""
+    doc = json.loads(json.dumps(lines[last]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    store_path = str(tmp_path / "mutant.jsonl")
+    with open(store_path, "w") as handle:
+        for index, line in enumerate(lines):
+            handle.write(json.dumps(doc if index == last else line) + "\n")
+    store = open_store(store_path)
+    try:
+        FleetSimulation(security="casu", store=store).attest_all()
+    finally:
+        store.close()
+
+
+class TestStoredRecordTypes:
+    # Each escaped a fleet's open or its first attest sweep as a
+    # TypeError, AttributeError or ValueError.
+    @pytest.mark.parametrize("field,value", [
+        ("device_id", []),  # unhashable as the store's key
+        ("device_id", None),  # unsortable against the other ids
+        ("key", None),
+        ("security", "x"),
+        ("last_seen", "x"),
+        ("nonce_high_water", None),
+        ("attest_count", None),
+        ("reset_count", None),
+        ("applied_versions", None),
+        ("violation_totals", None),
+    ])
+    def test_wrongly_typed_field_raises_fleet_error(self, stored_lines,
+                                                    tmp_path, field, value):
+        lines, last = stored_lines
+        with pytest.raises(FleetError, match=repr(field)):
+            _open_and_attest(tmp_path, lines, last, (field,), value)
+
+    def test_every_single_leaf_mutant_raises_only_fleet_error(
+            self, stored_lines, tmp_path):
+        lines, last = stored_lines
+        paths = [path for path in _leaf_paths(lines[last])
+                 if path != ("kind",)]
+
+        @settings(max_examples=150, derandomize=True, database=None,
+                  deadline=None)
+        @given(path=st.sampled_from(paths), value=st.sampled_from(BAD_VALUES))
+        def mutant_raises_only_fleet_error(path, value):
+            try:
+                _open_and_attest(tmp_path, lines, last, path, value)
+            except FleetError:
+                pass
+
+        mutant_raises_only_fleet_error()
 
 
 class TestResume:

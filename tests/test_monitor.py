@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.casu.monitor import (
     ARMS,
+    RULES,
     HardwareMonitor,
     MonitorPolicy,
     RomConfig,
@@ -265,16 +266,32 @@ ROM_SPOTS = (ENTRY, ENTRY + 8, LEAVE, LEAVE + 2, LEAVE + 4, ROM.end - 1)
 PCS = st.one_of(st.sampled_from(ROM_SPOTS),
                 st.integers(ROM.start, ROM.end).map(lambda a: a & 0xFFFE),
                 st.integers(0, 0xFFFF).map(lambda a: a & 0xFFFE))
+# Written values: the violation port's reason codes, or any word.
+VALUES = st.one_of(st.integers(0, 9), st.integers(0, 0xFFFF))
 ACCESSES = st.builds(
     lambda kind, addr, value: Access(kind, addr, value, 2, 0, prev=0),
-    st.sampled_from(list(AccessKind)), ADDRESSES,
-    st.one_of(st.integers(0, 9), st.integers(0, 0xFFFF)))
-RECORDS = st.builds(
-    lambda kind, pc, next_pc, accesses, word: StepRecord(
-        kind=kind, pc=pc, next_pc=next_pc, cycles=1, accesses=accesses,
-        illegal_word=word),
-    st.sampled_from(list(StepKind)), PCS, PCS,
-    st.lists(ACCESSES, max_size=6), st.integers(0, 0xFFFF))
+    st.sampled_from(list(AccessKind)), ADDRESSES, VALUES)
+IN_ROM = st.one_of(st.sampled_from(ROM_SPOTS),
+                   st.integers(ROM.start, ROM.end).map(lambda a: a & 0xFFFE))
+# The one shape the trusted-port row decides: an instruction in ROM
+# that stays in ROM and writes the violation port, among random
+# accesses it issues.
+TRUSTED_PORT_WRITES = st.builds(
+    lambda pc, next_pc, before, code, after: StepRecord(
+        kind=StepKind.INSTRUCTION, pc=pc, next_pc=next_pc, cycles=1,
+        accesses=[access._replace(pc=pc) for access in before]
+        + [write(VIOLATION_PORT, code, pc)]
+        + [access._replace(pc=pc) for access in after]),
+    IN_ROM, IN_ROM, st.lists(ACCESSES, max_size=3), VALUES,
+    st.lists(ACCESSES, max_size=3))
+RECORDS = st.one_of(
+    st.builds(
+        lambda kind, pc, next_pc, accesses, word: StepRecord(
+            kind=kind, pc=pc, next_pc=next_pc, cycles=1, accesses=accesses,
+            illegal_word=word),
+        st.sampled_from(list(StepKind)), PCS, PCS,
+        st.lists(ACCESSES, max_size=6), st.integers(0, 0xFFFF)),
+    TRUSTED_PORT_WRITES)
 POLICIES = st.one_of(
     st.sampled_from([MonitorPolicy.casu(), MonitorPolicy.eilid()]),
     st.builds(MonitorPolicy, *[st.booleans()] * len(ARMS)))
@@ -334,6 +351,10 @@ BOUNDARY_CASES = [
 ]
 
 
+# The corpus's random steps, drawn after its hand-picked cases.
+DRAWS = 600
+
+
 @pytest.fixture(scope="module")
 def corpus():
     """Derandomized draws from the property's strategies, the
@@ -344,7 +365,7 @@ def corpus():
     drawn += [(record, MonitorPolicy.eilid(), False) for record in
               [FIRST_WINS, BENIGN] + [case.values[0] for case in PRIORITY_CASES]]
 
-    @settings(max_examples=600, derandomize=True, database=None,
+    @settings(max_examples=DRAWS, derandomize=True, database=None,
               deadline=None, phases=[Phase.generate],
               suppress_health_check=list(HealthCheck))
     @given(record=RECORDS, policy=POLICIES, session_open=st.booleans())
@@ -376,6 +397,16 @@ def test_every_table_mutant_is_killed_or_proven_equivalent(corpus):
     assert set(survivors) == set(EQUIVALENT)
     for mutant_id, rules in survivors.items():
         assert equivalent(rules), mutant_id
+
+
+def test_the_draws_reach_the_trusted_port_row(corpus):
+    """The random steps alone tell the table from the table without its
+    trusted-port row, not only the boundary cases."""
+    without = tuple(rule for rule in RULES if rule.name != "trusted-port")
+    told = sum(evaluate(record, signals, witnesses, policy)
+               != evaluate(record, signals, witnesses, policy, without)
+               for record, policy, (signals, witnesses), _ in corpus[-DRAWS:])
+    assert told >= 10
 
 
 def test_the_table_itself_survives_its_corpus(corpus):

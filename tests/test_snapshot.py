@@ -3,10 +3,11 @@
 A :meth:`Device.snapshot` / :meth:`Device.restore` cycle must be
 architecturally invisible: a device that is periodically checkpointed
 through the JSON wire form and resumed on a *fresh* device must produce
-bit-identical StepRecords, monitor verdicts, cycle totals, trace
-digests and attestation evidence against a reference device that never
-stopped.  These tests run that lockstep for every Table IV application
-and every control-flow attack, then check the restore-side decode-cache
+bit-identical StepRecords and monitor verdicts, and the same snapshot
+document (cycle totals, memory, peripherals, trace digests and
+attestation evidence), as a reference device that never stopped.
+These tests run that lockstep for every Table IV application and every
+control-flow attack, then check the restore-side decode-cache
 invalidation contract against self-modifying code and the wire-form
 rejection rules (codec / program / security mismatches).
 """
@@ -15,6 +16,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import FirmwareSpec, build_firmware
 from repro.apps.registry import APPS, TABLE_IV_ORDER
@@ -29,8 +31,11 @@ from repro.casu.monitor import ViolationReason
 from repro.casu.update import UpdatePackage
 from repro.device import build_device
 from repro.fleet.simulation import UPDATE_TARGET, default_payload
-from repro.snapshot import DeviceSnapshot, SnapshotError
+from repro.snapshot import (
+    CHUNK_SIZE, PAGE_SIZE, DeviceSnapshot, SnapshotError, apply_memory_delta,
+    memory_delta)
 from repro.toolchain import link, parse_source
+from conftest import lockstep
 
 # Enough steps to cover startup + main loop; each run round-trips the
 # device through the wire form several times mid-flight.
@@ -54,38 +59,26 @@ def checkpointed_lockstep(program, security, make_peripherals,
     Every ``checkpoint_every`` steps the checkpointed device is
     serialised to JSON, discarded, and replaced by a fresh build that
     restores the snapshot -- every StepRecord (kind, PCs, cycles,
-    instruction, access stream) and monitor verdict must still match.
+    instruction, access stream) and monitor verdict, and the whole
+    device state at every checkpoint and at the end, must still match.
     """
-    reference = build_device(program, security=security,
-                             peripherals=make_peripherals())
-    live = build_device(program, security=security,
-                        peripherals=make_peripherals())
+    def build():
+        return build_device(program, security=security,
+                            peripherals=make_peripherals())
+
     restores = 0
-    for step in range(max_steps):
-        if step and step % checkpoint_every == 0:
-            wire = live.snapshot().to_json()
-            live = build_device(program, security=security,
-                                peripherals=make_peripherals())
-            live.restore(DeviceSnapshot.from_json(wire))
-            restores += 1
-        record_r, violation_r = reference.step()
-        record_l, violation_l = live.step()
-        assert record_r == record_l, f"step {step} diverged"
-        assert violation_r == violation_l, f"step {step} verdict diverged"
-        if reference.harness.done:
-            break
+
+    def checkpoint(live):
+        nonlocal restores
+        restores += 1
+        fresh = build()
+        fresh.restore(DeviceSnapshot.from_json(live.snapshot().to_json()))
+        return fresh
+
+    reference = build()
+    lockstep(reference, build(), max_steps, every=checkpoint_every,
+             boundary=checkpoint, until=lambda device: device.harness.done)
     assert restores > 0 or reference.harness.done
-    assert reference.cycle == live.cycle
-    assert reference.cpu.total_cycles == live.cpu.total_cycles
-    assert reference.cpu.instruction_count == live.cpu.instruction_count
-    assert reference.cpu.regs == live.cpu.regs
-    assert reference.harness.done == live.harness.done
-    assert reference.harness.done_value == live.harness.done_value
-    assert reference.reset_count == live.reset_count
-    assert reference.trace_snapshot() == live.trace_snapshot()
-    assert reference.firmware_measurement() == live.firmware_measurement()
-    assert reference.attestation_report() == live.attestation_report()
-    return reference, live
 
 
 @pytest.mark.parametrize("name", TABLE_IV_ORDER)
@@ -121,18 +114,7 @@ def test_attack_state_survives_snapshot(attack_name, security):
     # Re-snapshotting the restored device reproduces the wire form:
     # nothing was dropped, defaulted or replayed on the way through.
     assert fresh.snapshot().to_dict() == json.loads(wire)
-    assert fresh.cycle == attacked.cycle
-    assert fresh.reset_count == attacked.reset_count
-    assert fresh.violation_count == attacked.violation_count
-    assert fresh.cpu.regs == attacked.cpu.regs
-    assert fresh.trace_snapshot() == attacked.trace_snapshot()
-    assert fresh.attestation_report() == attacked.attestation_report()
-
-    for step in range(CONTINUATION_STEPS):
-        record_a, violation_a = attacked.step()
-        record_f, violation_f = fresh.step()
-        assert record_a == record_f, f"post-restore step {step} diverged"
-        assert violation_a == violation_f
+    lockstep(attacked, fresh, CONTINUATION_STEPS)
 
 
 # ---- self-modifying code vs. the decode cache --------------------------------
@@ -246,16 +228,7 @@ def test_devices_share_one_image_and_never_write_through_it(security):
     # A's snapshot, restored into a fresh device, runs in lockstep.
     fresh = build_device(program, security=security)
     fresh.restore(DeviceSnapshot.from_json(device_a.snapshot().to_json()))
-    for step in range(20_000):
-        record_a, violation_a = device_a.step()
-        record_f, violation_f = fresh.step()
-        assert record_a == record_f, f"step {step} diverged"
-        assert violation_a == violation_f, f"step {step} verdict diverged"
-    assert fresh.cpu.regs == device_a.cpu.regs
-    assert fresh.bus.mem == device_a.bus.mem
-    assert fresh.cycle == device_a.cycle
-    assert fresh.trace_snapshot().digest == device_a.trace_snapshot().digest
-    assert fresh.reset_count == device_a.reset_count
+    lockstep(device_a, fresh, 20_000)
 
 
 # ---- wire-form rejection rules -----------------------------------------------
@@ -304,3 +277,81 @@ def test_json_round_trip_is_lossless(app_builds):
     assert doc["program"] == device.program.name
     # Wire form is pure JSON: a strict dump round-trips losslessly.
     assert json.loads(json.dumps(doc)) == doc
+
+
+# ---- the page compare and the state digest -----------------------------------
+
+# Pokes at every edge the compare has: the first and last byte of each
+# chunk, of each page and of the address space, anywhere at all, and
+# several pages of one chunk.
+_EDGES = sorted({start + offset for size in (PAGE_SIZE, CHUNK_SIZE)
+                 for start in range(0, 0x10000, size)
+                 for offset in (0, size - 1)})
+_ADDRESSES = st.one_of(st.sampled_from(_EDGES), st.integers(0, 0xFFFF))
+_CLUSTERS = st.builds(
+    lambda chunk, offsets: [chunk * CHUNK_SIZE + offset for offset in offsets],
+    st.integers(0, 0xFFFF // CHUNK_SIZE),
+    st.lists(st.integers(0, CHUNK_SIZE - 1), min_size=2, max_size=6))
+POKES = st.lists(st.one_of(_ADDRESSES.map(lambda addr: [addr]), _CLUSTERS),
+                 max_size=4).map(lambda groups: sum(groups, []))
+FLIPS = st.integers(1, 0xFF)
+
+
+def per_page_delta(mem, baseline):
+    """The reference compare: every page, one at a time."""
+    return [[start, bytes(mem[start:start + PAGE_SIZE]).hex()]
+            for start in range(0, len(mem), PAGE_SIZE)
+            if mem[start:start + PAGE_SIZE] != baseline[start:start + PAGE_SIZE]]
+
+
+def poked(device, addresses, flips):
+    """XOR a byte into each address, through the bus's back door."""
+    for addr, flip in zip(addresses, flips):
+        device.bus.load_bytes(addr, bytes([device.bus.mem[addr] ^ flip]))
+
+
+def test_page_compare_matches_the_per_page_reference(app_builds):
+    baseline = app_builds["light_sensor"][0].program.image
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(addresses=POKES, data=st.data())
+    def compare_matches(addresses, data):
+        mem = bytearray(baseline)
+        for addr in addresses:
+            mem[addr] ^= data.draw(FLIPS)
+        delta = memory_delta(mem, baseline)
+        assert delta == per_page_delta(mem, baseline)
+        rebuilt = bytearray(len(mem))
+        apply_memory_delta(rebuilt, baseline, delta)
+        assert not per_page_delta(rebuilt, mem)
+
+    compare_matches()
+
+
+def test_state_digest_is_the_document_through_restore(app_builds):
+    """Through a live device: the snapshot's memory is the reference
+    compare, a restore reproduces the digest, and any one-byte
+    difference changes it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(steps=st.integers(0, 500), addresses=POKES, flip=_ADDRESSES,
+           data=st.data())
+    def digest_is_the_document(steps, addresses, flip, data):
+        device = _light_sensor_device(app_builds, security="eilid")
+        device.run_steps(steps)
+        poked(device, addresses, [data.draw(FLIPS) for _ in addresses])
+        snapshot = device.snapshot()
+        assert snapshot.to_dict()["memory"] == \
+            per_page_delta(device.bus.mem, device._baseline)
+        digest = device.state_digest()
+
+        fresh = _light_sensor_device(app_builds, security="eilid")
+        fresh.restore(DeviceSnapshot.from_json(snapshot.to_json()))
+        assert fresh.state_digest() == digest
+
+        poked(fresh, [flip], [data.draw(FLIPS)])  # any one byte
+        assert fresh.state_digest() != digest
+
+    digest_is_the_document()

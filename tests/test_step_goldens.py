@@ -49,7 +49,7 @@ def _device_digests(device) -> dict:
         "reset_count": device.reset_count,
         "outputs": _sha(json.dumps(device.output_events())),
         "trace": [trace.digest_hex, trace.total, trace.dropped],
-        "snapshot": _sha(device.snapshot().to_json()),
+        "snapshot": device.state_digest(),
     }
 
 
