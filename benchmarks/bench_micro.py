@@ -330,6 +330,7 @@ def test_bench_memory_delta(benchmark):
     fleet.rollout(1)
     fleet.attest_all()
     device = next(iter(fleet.devices.values()))
+    device.unpark()  # the fleet parks its replicas; compare the live array
     mem, baseline = device.bus.mem, device._baseline
     delta = memory_delta(mem, baseline)
     assert delta == _per_page_delta(mem, baseline) and len(delta) == 3

@@ -12,6 +12,11 @@ peripheral log entries (hardware resets preempt commit), records the
 event, and resets the MCU -- the paper's "detects control-flow
 violation and triggers a reset".  Steps commit on success: nothing is
 saved before a step; the void works from the step's own records.
+
+A device that nothing runs on can be parked (:meth:`Device.park`): its
+bus keeps only the pages that differ from the program's image, and
+every entry point that touches memory unparks it first.  The fleet
+parks its replicas between exchanges; no other device parks.
 """
 
 import hashlib
@@ -197,6 +202,9 @@ class Device:
         # image, shared by every device built from it; snapshots and
         # restores only read it.
         self._baseline = program.image
+        # The firmware measurement taken as the device parked; None
+        # while it is live.
+        self._measurement: Optional[str] = None
         self.cpu.reset()
 
     # ---- accessors -----------------------------------------------------------
@@ -218,6 +226,7 @@ class Device:
         return self.program.symbols[name]
 
     def peek_word(self, addr):
+        self.unpark()
         return self.bus.peek_word(addr)
 
     @property
@@ -250,7 +259,10 @@ class Device:
         return self.trace.snapshot()
 
     def firmware_measurement(self) -> str:
-        """SHA-256 over PMEM + IVT, the device's software identity."""
+        """SHA-256 over PMEM + IVT, the device's software identity.
+        A parked device answers with the hash it took as it parked."""
+        if self.bus.mem is None:
+            return self._measurement
         start = self.layout.pmem.start
         end = self.layout.ivt.end
         return hashlib.sha256(bytes(self.bus.mem[start:end + 1])).hexdigest()
@@ -283,6 +295,31 @@ class Device:
             trace_dropped=snapshot.dropped,
         )
 
+    # ---- parking -------------------------------------------------------------------
+
+    @property
+    def parked(self) -> bool:
+        return self.bus.mem is None
+
+    def park(self) -> None:
+        """Keep RAM as only the pages that differ from the program's
+        image (:meth:`repro.memory.bus.Bus.park`) until an entry point
+        that touches memory unparks it.
+
+        Nothing else is saved: every other component stays live, and
+        the decode cache stays valid.  The firmware measurement is
+        taken here, so an attestation report never unparks.
+        """
+        if self.bus.mem is not None:
+            self._measurement = self.firmware_measurement()
+            self.bus.park(self._baseline)
+
+    def unpark(self) -> None:
+        """Rebuild the 64 KB array of a parked device; else nothing."""
+        if self.bus.mem is None:
+            self.bus.unpark(self._baseline)
+            self._measurement = None
+
     # ---- snapshot/restore --------------------------------------------------------
 
     def snapshot(self) -> "DeviceSnapshot":
@@ -295,6 +332,7 @@ class Device:
         lose).  The result restores into any device built from the same
         program/security/peripheral configuration.
         """
+        self.unpark()
         self.clock.catch_up()
         doc = {
             "codec": WIRE_VERSION,
@@ -351,6 +389,7 @@ class Device:
         if (doc["trace"] is None) != (self.trace is None):
             raise SnapshotError(
                 "snapshot and device disagree on trace recording")
+        self.unpark()
         try:
             self.bus.restore_memory(self._baseline, doc["memory"])
             self.cpu.restore_state(doc["cpu"])
@@ -407,6 +446,7 @@ class Device:
         self.hard_reset()
 
     def hard_reset(self):
+        self.unpark()
         self.reset_count += 1
         self._log_event(DeviceEvent("reset", self.cycle))
         self.cpu.reset()
@@ -475,6 +515,7 @@ class Device:
         violation :meth:`_void_step`.  Peripherals are not caught up
         at the ends; :meth:`_caught_up_run` does that for runs.
         """
+        self.unpark()
         clock = self.clock
         cpu = self.cpu
         harness = self._harness
@@ -539,6 +580,7 @@ class Device:
         a run nor a breakpoint stop, and it leaves the peripherals as
         lazily ticked as single steps do.
         """
+        self.unpark()
         sentinel = self.symbol("__halt")
         self.cpu.set_reg(1, self.layout.stack_top)
         for reg, value in (regs or {}).items():
@@ -565,6 +607,7 @@ class Device:
         staging = self.layout.dmem.start + 2 * STAGING_HEADER_WORDS
         if staging + len(package.payload) > self.layout.dmem.end + 1:
             raise UpdateError("payload does not fit in the staging area")
+        self.unpark()
         self.bus.load_bytes(staging, package.payload)  # models network receive
 
         if self.monitor is not None:

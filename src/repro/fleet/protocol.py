@@ -132,7 +132,9 @@ class DeviceAgent:
     The agent is the untrusted-software shim around the device: the
     actual accept/reject decisions happen inside ``apply_update`` on
     the modelled ROM path, and the MACs use the key baked into the
-    device at provisioning.
+    device at provisioning.  The device is parked after every message
+    (see :meth:`repro.device.Device.park`): an attest answers from the
+    parked device, and only an accepted offer unparks it.
     """
 
     def __init__(self, device_id: str, device, link: Link):
@@ -148,6 +150,7 @@ class DeviceAgent:
         """Handle every message currently deliverable on the downlink."""
         for envelope in self.link.down.drain():
             self._handle(envelope)
+            self.device.park()
 
     def _handle(self, envelope):
         kind = MsgKind(envelope.kind)

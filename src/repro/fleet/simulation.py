@@ -33,8 +33,18 @@ record snapshots to worker processes; :func:`_run_shard` below is the
 worker: it rebuilds its shard's devices from the same FirmwareSpec +
 fleet seed and returns mutated record documents for the parent to
 merge.
+
+Parked replicas: a replica is live only while something runs on it.
+Its agent parks it after every message, and ``enroll``, the restore,
+``run_all``, the process backend's replica sync and
+``corrupt_firmware`` park it when they finish
+(:meth:`repro.device.Device.park`), so an idle replica holds only the
+RAM pages that differ from the firmware image, and an attest answers
+without unparking.  There is no live set to size: a rollout offers to
+every replica, so any bound smaller than the fleet would only churn.
 """
 
+import contextlib
 from typing import Dict, List, Optional, Sequence
 
 from repro.api.firmware import build_firmware
@@ -123,18 +133,33 @@ class FleetSimulation:
         # snapshots so workers see the true state; everyone else
         # keeps the cheap record-only rebuild path.
         self._mutated: set = set()
-        # Durable verifier state: a path picks a backend via
-        # open_store; records found in it are restored, not re-enrolled.
-        if isinstance(store, str):
-            store = open_store(store)
-        # The longitudinal event log: observability is on by default at
-        # the fleet layer (an in-memory log costs one dict append per
-        # operational fact); a path makes it durable alongside the
-        # store, flushed at the same registry durability points.
-        if isinstance(events, str):
-            events = open_event_log(events)
-        elif events is None:
-            events = MemoryEventLog()
+        self.transport = Transport(loss=loss, reorder=reorder, seed=seed)
+        self.devices: Dict[str, Device] = {}
+        self.agents: Dict[str, DeviceAgent] = {}
+        self._sessions: Dict[str, VerifierSession] = {}
+        # A store or event log opened here from a path is closed again
+        # if loading the fleet raises (a malformed record, a firmware
+        # spec mismatch); once loaded, the fleet owns it.
+        with contextlib.ExitStack() as opened:
+            # Durable verifier state: a path picks a backend via
+            # open_store; records found in it are restored, not
+            # re-enrolled.
+            if isinstance(store, str):
+                store = opened.enter_context(open_store(store))
+            # The longitudinal event log: observability is on by
+            # default at the fleet layer (an in-memory log costs one
+            # dict append per operational fact); a path makes it
+            # durable alongside the store, flushed at the same registry
+            # durability points.
+            if isinstance(events, str):
+                events = opened.enter_context(open_event_log(events))
+            elif events is None:
+                events = MemoryEventLog()
+            self._load(size, store, events, alerts)
+            opened.pop_all()
+
+    def _load(self, size, store, events, alerts):
+        """Attach the registry, restore its records, enroll the rest."""
         self.events = events
         # Live alerting over the event stream: ``alerts=True`` attaches
         # the default rule panel, a dict (``FleetSpec.alerts`` shape)
@@ -147,11 +172,7 @@ class FleetSimulation:
             config = None if alerts is True else dict(alerts)
             self.alerts = AlertEngine(build_rules(config)).attach(events)
         self.registry = FleetRegistry(store=store, events=events)
-        self.transport = Transport(loss=loss, reorder=reorder, seed=seed)
         self.telemetry = FleetTelemetry(events=events)
-        self.devices: Dict[str, Device] = {}
-        self.agents: Dict[str, DeviceAgent] = {}
-        self._sessions: Dict[str, VerifierSession] = {}
         # The store's records pin golden hashes of ONE firmware image;
         # restoring them under a different spec would rebuild wrong
         # replicas and mass-quarantine healthy devices on the next
@@ -180,6 +201,7 @@ class FleetSimulation:
                                       security=self.security)
         device = build_device(build_firmware(self.firmware).program,
                               security=self.security, update_key=record.key)
+        device.park()  # the enrollment report answers parked
         link = self.transport.link(device_id)
         self.devices[device_id] = device
         self.agents[device_id] = DeviceAgent(device_id, device, link)
@@ -223,6 +245,7 @@ class FleetSimulation:
                                       bytes.fromhex(applied["payload"]))
         if record.last_seen is not None:
             device.cycle = max(device.cycle, record.last_seen)
+        device.park()
         link = self.transport.link(record.device_id)
         self.devices[record.device_id] = device
         self.agents[record.device_id] = DeviceAgent(record.device_id, device,
@@ -279,6 +302,7 @@ class FleetSimulation:
         for device in self.devices.values():
             device.run_steps(max_cycles, max_cycles=max_cycles,
                              stop_on_done=True)
+            device.park()
 
     def package_factory(self, version: int, payload: Optional[bytes] = None,
                         tamper_ids: Sequence[str] = (),
@@ -414,7 +438,9 @@ class FleetSimulation:
         device = self.devices.get(device_id)
         if device is None or device_id not in self._mutated:
             return None
-        return device.snapshot().to_dict()
+        snapshot = device.snapshot().to_dict()
+        device.park()
+        return snapshot
 
     def _sync_replicas(self, version: int, payload: bytes):
         """Fast-forward parent replicas after a process-backend wave.
@@ -432,7 +458,9 @@ class FleetSimulation:
             if (record.firmware_version == version
                     and device.update_engine.current_version < version):
                 device.update_engine.current_version = version
+                device.unpark()
                 device.bus.load_bytes(UPDATE_TARGET, payload)
+                device.park()
 
     # ---- fault injection -------------------------------------------------
 
@@ -459,11 +487,13 @@ class FleetSimulation:
     def corrupt_firmware(self, device_id: str, max_cycles=2_000):
         """Flip the first word of the resident app and run into the fault."""
         device = self.devices[device_id]
+        device.unpark()
         main = device.symbol("main")
         device.bus.load_bytes(main, b"\x00\x00")  # illegal opcode
         self.mark_mutated(device_id)
         device.hard_reset()
         device.run(max_cycles=max_cycles, stop_on_done=False)
+        device.park()
 
     # ---- reporting -------------------------------------------------------
 

@@ -25,6 +25,13 @@ mutation of ``mem`` through the bus (CPU writes, back-door pokes,
 loader writes, violation rollbacks) invalidates any cached decode whose
 words overlap the mutated address.  See :mod:`repro.cpu.core` for the
 full contract.
+
+Parking: a bus that nothing runs on can drop its 64 KB array and keep,
+as ``bytes``, only the 256-B pages that differ from its program's image
+(:meth:`Bus.park`); :meth:`Bus.unpark` rebuilds the array from the two.
+The decode cache survives both, because the bytes it decoded are the
+same.  A parked bus holds no array at all, so an access that missed its
+unpark raises instead of reading zeros.
 """
 
 import enum
@@ -32,6 +39,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import MemoryAccessError
 from repro.memory.map import MemoryLayout
+from repro.snapshot import apply_memory_delta, changed_pages
 
 ADDRESS_SPACE = 0x10000
 
@@ -72,8 +80,10 @@ class Bus:
                  image: Optional[bytes] = None):
         self.layout = layout or MemoryLayout.default()
         # Zeroed RAM, or one copy of a loaded 64 KB *image* (the decode
-        # cache is empty, so there is nothing to invalidate).
+        # cache is empty, so there is nothing to invalidate).  None
+        # while parked: then ``_parked`` holds the differing pages.
         self.mem = bytearray(ADDRESS_SPACE if image is None else image)
+        self._parked: Optional[list] = None
         self._read_handlers: Dict[int, Callable[[], int]] = {}
         self._write_handlers: Dict[int, Callable[[int], None]] = {}
         # Runs before any register handler, so lazily advanced
@@ -165,13 +175,24 @@ class Bus:
         never refills stale entries because the cache is keyed by PC
         over *current* memory.
         """
-        from repro.snapshot import apply_memory_delta
-
         if self._dcache is not None:
             self._dcache.clear()
         self._dcache_index.clear()
         self._dcache_span.clear()
         apply_memory_delta(self.mem, baseline, delta)
+
+    def park(self, image: bytes) -> None:
+        """Drop the array, keeping the pages that differ from *image*."""
+        self._parked = changed_pages(self.mem, image)
+        self.mem = None
+
+    def unpark(self, image: bytes) -> None:
+        """Rebuild the array: *image* plus the pages :meth:`park` kept."""
+        mem = bytearray(image)
+        for start, page in self._parked:
+            mem[start:start + len(page)] = page
+        self.mem = mem
+        self._parked = None
 
     def peek_word(self, addr):
         self._check(addr, 2)

@@ -16,7 +16,8 @@ rather than a ``TypeError`` inside a later run.
 
 The document is the one definition of device state: two devices of one
 program are in the same state exactly when their documents are equal.
-Its memory section is :func:`memory_delta`, the one page compare, and
+Its memory section is :func:`memory_delta`, the one page compare
+(:func:`changed_pages`, which a parked bus keeps as ``bytes``), and
 :meth:`repro.device.Device.state_digest` hashes its JSON -- a
 fixed-size fingerprint to store; live comparisons compare documents.
 
@@ -178,9 +179,10 @@ def _kind_name(kind) -> str:
     return "one of " + ", ".join(map(repr, sorted(kind)))
 
 
-def memory_delta(mem, baseline) -> list:
-    """Pages of *mem* that differ from *baseline*, as ``[addr, hex]``.
+def changed_pages(mem, baseline) -> list:
+    """Pages of *mem* that differ from *baseline*, as ``(addr, bytes)``.
 
+    The one page compare, under every snapshot and every parked bus.
     An unchanged image costs one compare at C speed.  Otherwise 4 KB
     chunks are compared as bytes slices, and pages only inside a chunk
     that differs.  *baseline* is only read: devices share their
@@ -188,7 +190,7 @@ def memory_delta(mem, baseline) -> list:
     """
     if mem == baseline:
         return []
-    delta = []
+    pages = []
     for chunk in range(0, len(mem), CHUNK_SIZE):
         end = chunk + CHUNK_SIZE
         if mem[chunk:end] == baseline[chunk:end]:
@@ -196,8 +198,13 @@ def memory_delta(mem, baseline) -> list:
         for start in range(chunk, end, PAGE_SIZE):
             page = mem[start:start + PAGE_SIZE]
             if page != baseline[start:start + PAGE_SIZE]:
-                delta.append([start, page.hex()])
-    return delta
+                pages.append((start, bytes(page)))
+    return pages
+
+
+def memory_delta(mem, baseline) -> list:
+    """:func:`changed_pages` in the wire form, ``[addr, hex]``."""
+    return [[start, page.hex()] for start, page in changed_pages(mem, baseline)]
 
 
 def apply_memory_delta(mem, baseline, delta) -> None:

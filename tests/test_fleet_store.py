@@ -14,10 +14,12 @@ The properties this file guards:
   no healthy device is ever quarantined on either backend.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +178,7 @@ class TestStoreBackends:
         # 7 live documents (6 records + meta): bounded by the
         # open-handle threshold, not by campaigns * devices.
         assert lines <= max(64, 4 * 7) + 7
+        fleet.registry.store.close()
 
     def test_store_close_is_idempotent(self, tmp_path):
         for kind in ("jsonl", "sqlite"):
@@ -216,15 +219,16 @@ class TestRegistryPersistence:
         registry.flush()
         store.close()
 
-        reloaded = FleetRegistry(store=open_store(store.path))
-        assert reloaded.ids() == ["a", "b"]
-        assert reloaded.clock == registry.clock
-        b = reloaded.get("b")
-        # nonce high water reloads with the restart reservation added
-        assert (b.firmware_version, b.nonce_high_water, b.last_seen) \
-            == (4, 99 + NONCE_RESTART_SLACK, 1234)
-        assert b.key.secret == record.key.secret
-        assert reloaded.get("a").state is Lifecycle.QUARANTINED
+        with open_store(store.path) as reopened:
+            reloaded = FleetRegistry(store=reopened)
+            assert reloaded.ids() == ["a", "b"]
+            assert reloaded.clock == registry.clock
+            b = reloaded.get("b")
+            # nonce high water reloads with the restart reservation added
+            assert (b.firmware_version, b.nonce_high_water, b.last_seen) \
+                == (4, 99 + NONCE_RESTART_SLACK, 1234)
+            assert b.key.secret == record.key.secret
+            assert reloaded.get("a").state is Lifecycle.QUARANTINED
 
     @pytest.mark.parametrize("kind", ("jsonl", "sqlite"))
     def test_meta_survives_a_reopen_after_attests(self, kind, tmp_path):
@@ -342,6 +346,26 @@ class TestSimulationRestart:
         restored = FleetSimulation(size=2, store=path)
         assert all(result.ok for result in restored.attest_all().values())
         restored.registry.store.close()
+
+    def test_a_refused_restore_closes_what_it_opened(self, tmp_path):
+        """A fleet that raises while loading closes the store and the
+        event log it opened from their paths, so neither is left for
+        the garbage collector to warn about."""
+        from repro.api.spec import FirmwareSpec
+
+        path = str(tmp_path / "fleet.jsonl")
+        FleetSimulation(size=1, store=path).registry.store.close()
+        other = FirmwareSpec(kind="asm", source=".text\n.global main\n"
+                             "main:\n jmp main\n", variant="original",
+                             name="other-node", link_rom=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(FleetError):
+                FleetSimulation(store=path, firmware=other,
+                                events=str(tmp_path / "events.jsonl"))
+            gc.collect()
+        assert [str(warning.message) for warning in caught
+                if issubclass(warning.category, ResourceWarning)] == []
 
     def test_restore_replays_only_versions_the_device_applied(self,
                                                               tmp_path):

@@ -882,8 +882,12 @@ class TestWhereExchangesRun:
         attest = VerifierSession.attest
 
         def counting(session):
+            # Each exchange takes at least 0.2 ms, so the sweep outlasts
+            # a /status round trip however fast an attest is.
             first.set()
+            started = time.perf_counter()
             result = attest(session)
+            time.sleep(max(0.0, started + 0.0002 - time.perf_counter()))
             exchanges.append(result)
             return result
 
