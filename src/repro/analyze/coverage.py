@@ -27,8 +27,9 @@ CFI policy / shadow-stack replayer can *vouch for*:
 from typing import List, Set, Tuple
 
 from repro.analyze.findings import Finding
-from repro.cfg.recover import RecoveredCfg, TransferKind
+from repro.cfg.recover import RecoveredCfg
 from repro.isa.operands import AddrMode
+from repro.isa.transfer import TransferKind
 
 
 def address_taken_entries(cfg: RecoveredCfg) -> Tuple[int, ...]:

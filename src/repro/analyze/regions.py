@@ -8,21 +8,18 @@ they are critical findings at lint time, before the image ever runs.
 Reads of the secure DMEM bank (shadow stack / call table) from
 untrusted code are flagged on the same rule the hardware enforces.
 
-``mov ..., pc``-style dispatch through a register or memory cell
-(``TransferKind.JUMP_INDIRECT``) has no statically resolvable target
-set at all -- the trace replayer rejects such edges, so the lint
-surfaces each site as a warning.
+``mov ..., pc``-style dispatch through a register or memory cell, and
+any other computed write to ``pc`` (``TransferKind.JUMP_INDIRECT``),
+has no statically resolvable target set at all -- the trace replayer
+rejects such edges, so the lint surfaces each site as a warning.
 """
 
 from typing import List
 
 from repro.analyze.findings import Finding
-from repro.cfg.recover import RecoveredCfg, TransferKind
-from repro.isa.opcodes import Format
+from repro.cfg.recover import RecoveredCfg
 from repro.isa.operands import AddrMode
-
-# Format II mnemonics that read-modify-write their operand in place.
-_RMW_SINGLE = {"rrc", "rra", "swpb", "sxt"}
+from repro.isa.transfer import TransferKind
 
 
 def _locate(cfg: RecoveredCfg, addr: int):
@@ -32,13 +29,6 @@ def _locate(cfg: RecoveredCfg, addr: int):
             if block.start <= addr <= block.end:
                 return block.start, func.name
     return None, None
-
-
-def _writes_operand(insn) -> bool:
-    name = insn.opcode.mnemonic
-    if name in _RMW_SINGLE:
-        return True
-    return insn.opcode.writes_dest and insn.opcode.format is Format.DOUBLE
 
 
 def analyze_regions(cfg: RecoveredCfg, program) -> List[Finding]:
@@ -61,7 +51,7 @@ def analyze_regions(cfg: RecoveredCfg, program) -> List[Finding]:
 
         dst = insn.dst
         if (dst is not None and dst.mode is AddrMode.ABSOLUTE
-                and _writes_operand(insn)):
+                and insn.opcode.writes_dest):
             target = dst.value
             if layout.ivt.start <= target <= layout.ivt.end:
                 vector = (target - layout.ivt.start) // 2

@@ -23,9 +23,10 @@ through ``__start``.
 from typing import Dict, Optional, Tuple
 
 from repro.analyze.findings import Finding
-from repro.cfg.recover import RecoveredCfg, TransferKind
+from repro.cfg.recover import RecoveredCfg
 from repro.isa.operands import AddrMode
 from repro.isa.registers import SP
+from repro.isa.transfer import TransferKind
 
 # Dataflow divergence guard: no 64 KB device nests this deep.
 _DEPTH_CAP = 0x20000

@@ -9,6 +9,9 @@ device-side enforcement.  Three stages:
 1. **Recovery** (:mod:`repro.cfg.recover`) -- disassemble the linked
    image through :mod:`repro.isa.decode`, split it into basic blocks,
    and rebuild per-function CFGs plus an interprocedural call graph.
+   Which instructions are calls, returns and jumps is decided by
+   :mod:`repro.isa.transfer`, the same classification the CPU stores
+   in its decode cache and the trace recorder records.
    Indirect-call target sets are seeded from the EILID call-table
    registrations found in the binary itself; uninstrumented firmware
    falls back to discovered function entries.
@@ -46,8 +49,6 @@ from repro.cfg.recover import (
     DecodedInsn,
     FunctionCfg,
     RecoveredCfg,
-    TransferKind,
-    classify_insn,
     disassemble,
     recover_cfg,
 )
@@ -56,9 +57,9 @@ from repro.cfg.trace import (
     BranchTraceRecorder,
     TraceSnapshot,
     capture_trace,
-    classify_step,
     fold_edges,
 )
+from repro.isa.transfer import TransferKind, classify_insn
 
 __all__ = [
     "BasicBlock",
@@ -77,7 +78,6 @@ __all__ = [
     "TransferKind",
     "capture_trace",
     "classify_insn",
-    "classify_step",
     "compile_policy",
     "diff_against_listing",
     "disassemble",

@@ -27,7 +27,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cfg.recover import CfgError, RecoveredCfg, TransferKind, recover_cfg
+from repro.cfg.recover import CfgError, RecoveredCfg, recover_cfg
+from repro.isa.transfer import TransferKind
 from repro.memory.map import NUM_VECTORS
 from repro.snapshot import (
     OPTIONAL_INT, state_dict, state_int, state_list, state_rows, state_str,

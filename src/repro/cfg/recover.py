@@ -4,7 +4,8 @@ The recovery is *independent of the toolchain's own view*: it takes the
 loadable segments of a :class:`~repro.toolchain.linker.LinkedProgram`
 (or any equivalent byte image), disassembles the executable extents
 word-by-word through :func:`repro.isa.decode.decode_words`, classifies
-every control transfer, and rebuilds
+every control transfer with :func:`repro.isa.transfer.classify_insn`,
+and rebuilds
 
 * per-function basic-block CFGs,
 * an interprocedural call graph with per-site return addresses,
@@ -22,32 +23,19 @@ is what lets :mod:`repro.cfg.policy` cross-check the instrumenter's
 listing-derived view against this one.
 """
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import DecodingError, ReproError
 from repro.isa.decode import decode_words
-from repro.isa.opcodes import Format
 from repro.isa.operands import AddrMode
-from repro.isa.registers import PC, SP
+from repro.isa.transfer import TransferKind, classify_insn
 
 EXECUTABLE_SECTIONS = (".text", ".secure_text")
 
 
 class CfgError(ReproError):
     """CFG recovery / policy compilation failure."""
-
-
-class TransferKind(enum.Enum):
-    NONE = "none"  # falls through
-    CALL = "call"  # direct call (static target known)
-    CALL_INDIRECT = "call-indirect"
-    JUMP = "jump"  # unconditional direct jump/branch
-    COND_JUMP = "cond-jump"  # conditional: target or fall-through
-    JUMP_INDIRECT = "jump-indirect"  # register/memory jump (policy rejects)
-    RET = "ret"
-    RETI = "reti"
 
 
 # Transfer kinds that end a basic block.
@@ -147,50 +135,6 @@ class RecoveredCfg:
             ):
                 return func
         return None
-
-
-# ---------------------------------------------------------------------------
-# Instruction classification
-# ---------------------------------------------------------------------------
-
-
-def classify_insn(insn, addr) -> Tuple[TransferKind, Optional[int]]:
-    """Classify one decoded instruction's control-transfer behaviour.
-
-    Returns ``(kind, static_target)``; targets are word-aligned the way
-    the CPU aligns PC writes.
-    """
-    fmt = insn.opcode.format
-    name = insn.opcode.mnemonic
-    if fmt is Format.JUMP:
-        target = (addr + 2 + 2 * insn.offset) & 0xFFFF
-        if name == "jmp":
-            return TransferKind.JUMP, target
-        return TransferKind.COND_JUMP, target
-    if name == "call":
-        dst = insn.dst
-        if dst.mode in (AddrMode.IMMEDIATE, AddrMode.CONSTANT):
-            return TransferKind.CALL, dst.value & 0xFFFE
-        return TransferKind.CALL_INDIRECT, None
-    if name == "reti":
-        return TransferKind.RETI, None
-    # Emulated transfers are all MOVs into PC after expansion.
-    dst = insn.dst
-    if (
-        dst is not None
-        and dst.mode is AddrMode.REGISTER
-        and dst.reg == PC
-        and fmt is Format.DOUBLE
-    ):
-        src = insn.src
-        if name == "mov":
-            if src.mode is AddrMode.AUTOINC and src.reg == SP:
-                return TransferKind.RET, None  # ret == mov @sp+, pc
-            if src.mode in (AddrMode.IMMEDIATE, AddrMode.CONSTANT):
-                return TransferKind.JUMP, src.value & 0xFFFE  # br #imm
-        # mov rN/@rN/x(rN), pc; add #x, pc; ... -- all indirect jumps.
-        return TransferKind.JUMP_INDIRECT, None
-    return TransferKind.NONE, None
 
 
 # ---------------------------------------------------------------------------

@@ -30,27 +30,20 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.cfg.policy import CfiPolicy
-from repro.cfg.trace import (
+from repro.cfg.trace import TraceSnapshot
+from repro.isa.transfer import (
     EDGE_CALL,
     EDGE_IRQ,
     EDGE_JUMP,
+    EDGE_KINDS,
     EDGE_RET,
     EDGE_RETI,
-    TraceSnapshot,
+    TransferKind,
 )
-from repro.cfg.recover import TransferKind
 
-# Static transfer kinds a recorded edge kind may correspond to.
-_EDGE_COMPATIBLE = {
-    EDGE_CALL: {TransferKind.CALL.value, TransferKind.CALL_INDIRECT.value},
-    EDGE_JUMP: {
-        TransferKind.JUMP.value,
-        TransferKind.COND_JUMP.value,
-        TransferKind.JUMP_INDIRECT.value,
-    },
-    EDGE_RET: {TransferKind.RET.value},
-    EDGE_RETI: {TransferKind.RETI.value},
-}
+# The edge kind each static transfer kind (as the policy stores it)
+# records when taken.
+_EDGE_OF_TRANSFER = {kind.value: edge for kind, edge in EDGE_KINDS.items()}
 
 _FRAME_CALL = "call"
 _FRAME_IRQ = "irq"
@@ -112,7 +105,7 @@ class TraceReplayer:
             transfer = policy.transfers.get(src)
             if transfer is None:
                 return reject("edge from a non-control-transfer instruction")
-            if kind not in _EDGE_COMPATIBLE or transfer.kind not in _EDGE_COMPATIBLE[kind]:
+            if _EDGE_OF_TRANSFER.get(transfer.kind) != kind:
                 return reject(
                     f"recorded {kind} edge but 0x{src:04x} is a {transfer.kind}")
 

@@ -1,12 +1,13 @@
 """Branch-trace recording: the device-side half of trace attestation.
 
-A :class:`BranchTraceRecorder` observes every :class:`StepRecord` the
-CPU produces and keeps the *taken* control-flow edges -- calls, taken
-jumps/branches, returns, interrupt entries and interrupt returns -- in
-a bounded ring buffer.  Straight-line execution and not-taken
-conditional jumps produce no edge, so the buffer holds exactly the
-information a verifier needs to replay the control flow against a
-statically recovered CFG (OAT-style trace attestation).
+A :class:`BranchTraceRecorder` keeps the *taken* control-flow edges --
+calls, taken jumps/branches, returns, interrupt entries and interrupt
+returns -- in a bounded ring buffer.  The CPU hands it each edge's
+:class:`StepRecord` with the edge kind :mod:`repro.isa.transfer`
+assigned the instruction when it was decoded.  Straight-line execution
+and not-taken conditional jumps produce no edge, so the buffer holds
+exactly the information a verifier needs to replay the control flow
+against a statically recovered CFG (OAT-style trace attestation).
 
 Wire/trace format (also noted in CHANGES.md):
 
@@ -27,20 +28,12 @@ or fabricated edge window no longer folds to the reported digest.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.cpu.core import StepKind
-from repro.isa.operands import AddrMode
-from repro.isa.registers import PC, SP
+from repro.isa.transfer import EDGE_CALL, EDGE_IRQ, EDGE_JUMP, EDGE_RET, EDGE_RETI
 from repro.snapshot import state_int, state_rows
 
-# Edge kinds, with the codes folded into the digest chain.
-EDGE_CALL = "call"
-EDGE_JUMP = "jump"
-EDGE_RET = "ret"
-EDGE_RETI = "reti"
-EDGE_IRQ = "irq"
-
+# The code each edge kind folds into the digest chain.
 EDGE_KIND_CODES = {
     EDGE_CALL: 1,
     EDGE_JUMP: 2,
@@ -72,39 +65,6 @@ def fold_edges(prefix: int, edges) -> int:
     for src, dst, kind in edges:
         h = chain_edge(h, src, dst, kind)
     return h
-
-
-def classify_step(record) -> Optional[Tuple[int, int, str]]:
-    """The control-flow edge taken by one step, or ``None``.
-
-    Interrupt acceptance is always an edge.  An instruction step is an
-    edge when it is a call, a ``reti``, or any instruction whose
-    resulting PC differs from the fall-through PC (taken jumps, ``br``,
-    ``ret`` -- which is ``mov @sp+, pc`` after emulation expansion).
-    """
-    if record.kind is StepKind.INTERRUPT:
-        return (record.pc, record.next_pc, EDGE_IRQ)
-    if record.kind is not StepKind.INSTRUCTION:
-        return None
-    insn = record.insn
-    name = insn.opcode.mnemonic
-    if name == "call":
-        return (record.pc, record.next_pc, EDGE_CALL)
-    if name == "reti":
-        return (record.pc, record.next_pc, EDGE_RETI)
-    if record.next_pc == (record.pc + insn.size_bytes) & 0xFFFF:
-        return None  # straight-line or not-taken conditional
-    if (
-        name == "mov"
-        and insn.dst is not None
-        and insn.dst.mode is AddrMode.REGISTER
-        and insn.dst.reg == PC
-        and insn.src is not None
-        and insn.src.mode is AddrMode.AUTOINC
-        and insn.src.reg == SP
-    ):
-        return (record.pc, record.next_pc, EDGE_RET)
-    return (record.pc, record.next_pc, EDGE_JUMP)
 
 
 def empty_snapshot() -> "TraceSnapshot":
@@ -165,9 +125,9 @@ def capture_trace(device, steps, max_cycles=None,
 class BranchTraceRecorder:
     """Bounded ring of taken control-flow edges with a rolling digest.
 
-    Installed as ``Cpu.trace_sink``; the CPU calls :meth:`observe` only
-    for steps that can be edges, and each edge costs three calls:
-    :meth:`observe`, :func:`classify_step` and :meth:`record_edge`.
+    Installed as ``Cpu.trace_sink``; the CPU calls :meth:`observe` once
+    per edge with the edge's kind, so each edge costs two calls:
+    :meth:`observe` and :meth:`record_edge`.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -181,10 +141,8 @@ class BranchTraceRecorder:
         self.total = 0
         self.dropped = 0
 
-    def observe(self, record):
-        edge = classify_step(record)
-        if edge is not None:
-            self.record_edge(*edge)
+    def observe(self, record, kind: str):
+        self.record_edge(record.pc, record.next_pc, kind)
 
     def record_edge(self, src: int, dst: int, kind: str):
         edges = self._edges

@@ -22,7 +22,8 @@ drives it (:meth:`repro.device.Device.run`, ``run_steps``, ``step`` or
   :meth:`repro.casu.monitor.HardwareMonitor.observe` of that record;
 * on a control-flow edge only, one
   :meth:`repro.cfg.trace.BranchTraceRecorder.observe` from inside
-  :meth:`Cpu.step`, which appends one edge through ``record_edge``.
+  :meth:`Cpu.step`, given the edge's kind, which appends one edge
+  through ``record_edge``.
 
 These calls are the seams the layer ledger counts and times, so the
 run loop binds them when a run starts, never when a device is built.
@@ -44,10 +45,12 @@ re-decodes.  ``next_pc`` is the fall-through address; ``executor`` is
 the instruction compiled once by
 :func:`repro.cpu.compiler.compile_instruction` into a specialized
 function called as ``executor(regs, bus)`` (shared by every CPU in the
-process, and holding no reference to any); ``edge`` marks a
-``call``/``reti``, a control-flow edge even when it lands on the
-fall-through address.  The invalidation contract, shared with
-:class:`repro.memory.bus.Bus`:
+process, and holding no reference to any); ``edge`` is the trace edge
+kind :mod:`repro.isa.transfer` assigns the instruction (``None`` for
+one that never transfers control).  A step records its edge when it
+leaves the fall-through address, and a ``call`` or ``reti`` records it
+even when it does not.  The uncached path classifies on every step.
+The invalidation contract, shared with :class:`repro.memory.bus.Bus`:
 
 * filling an entry registers every word address the instruction's
   encoding occupies with the bus (:meth:`Bus.note_code_cached`);
@@ -94,6 +97,7 @@ from repro.isa.registers import (
     SP,
     SR,
 )
+from repro.isa.transfer import ALWAYS_EDGES, EDGE_IRQ, EDGE_KINDS, classify_insn
 from repro.memory.bus import Bus
 from repro.memory.map import RESET_VECTOR
 
@@ -173,11 +177,10 @@ class Cpu:
         # PC, pending interrupts are *deferred* (EILID keeps IRQs out of
         # the secure ROM to preserve atomicity).  Installed by the device.
         self.irq_deferred_at = lambda pc: False
-        # Branch-trace tap: an object with .observe(StepRecord) (the
-        # EILID trace-attestation recorder), installed by the device.
-        # It sees only the steps that can be control-flow edges --
-        # interrupt entries, call/reti, and any instruction whose PC
-        # differs from its fall-through address; None skips even that.
+        # Branch-trace tap: an object with .observe(StepRecord, kind)
+        # (the EILID trace-attestation recorder), installed by the
+        # device.  It sees only the steps that are control-flow edges,
+        # each with its edge kind; None skips even that.
         self.trace_sink = None
         # Extension-word fetch cursor for the decoder's callback.
         self._fetch_addr = 0
@@ -315,12 +318,11 @@ class Cpu:
                 # 0xFFFE): a fault step, not a simulator crash.
                 return self._illegal_step(pc_before, first_word)
             next_pc = self._fetch_addr & 0xFFFE
-            mnemonic = insn.opcode.mnemonic
-            edge = mnemonic in _ALWAYS_EDGES
+            edge = EDGE_KINDS[classify_insn(insn, pc_before)[0]]
             cycles = instruction_cycles(insn)
             regs[PC] = next_pc
             if cache is None:
-                _EXECUTORS[mnemonic](self, insn)
+                _EXECUTORS[insn.opcode.mnemonic](self, insn)
             else:
                 executor = compile_instruction(insn)
                 cache[pc_before] = (insn, next_pc, cycles, tuple(trace),
@@ -343,8 +345,9 @@ class Cpu:
         record.insn = insn
         record.vector = None
         record.illegal_word = None
-        if (edge or pc_after != next_pc) and self.trace_sink is not None:
-            self.trace_sink.observe(record)
+        if (edge is not None and (pc_after != next_pc or edge in ALWAYS_EDGES)
+                and self.trace_sink is not None):
+            self.trace_sink.observe(record, edge)
         return record
 
     def _illegal_step(self, pc_before, first_word):
@@ -370,7 +373,7 @@ class Cpu:
         record = StepRecord(StepKind.INTERRUPT, pc_before, self.pc,
                             INTERRUPT_CYCLES, trace, vector=vector)
         if self.trace_sink is not None:
-            self.trace_sink.observe(record)
+            self.trace_sink.observe(record, EDGE_IRQ)
         return record
 
     def _fetch_ext(self):
@@ -693,6 +696,3 @@ class Cpu:
 # against.
 _EXECUTORS = {name[len("_ex_"):]: fn for name, fn in vars(Cpu).items()
               if name.startswith("_ex_")}
-# Instructions that are control-flow edges even when they land on the
-# fall-through address (see repro.cfg.trace.classify_step).
-_ALWAYS_EDGES = frozenset({"call", "reti"})

@@ -9,6 +9,8 @@ user's guide (TI SLAU049).
 
 The model is shared by the assembler/encoder (`repro.toolchain`), the
 CPU simulator (`repro.cpu`) and the EILID instrumenter (`repro.eilid`).
+`repro.isa.transfer` decides which instructions are calls, returns and
+jumps, for CFG recovery, the decode cache and the branch trace alike.
 """
 
 from repro.isa.registers import (

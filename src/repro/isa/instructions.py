@@ -37,8 +37,7 @@ class Instruction:
             if self.offset is None:
                 raise IsaError(f"{self.opcode.mnemonic} needs a jump offset")
         # All fields are frozen, so the encoded size is fixed; latch it
-        # once -- size_bytes sits on the per-step trace-classification
-        # hot path and cached instructions are re-used across steps.
+        # once -- cached instructions are re-used across steps.
         words = 1
         if self.src is not None:
             words += self.src.extension_words

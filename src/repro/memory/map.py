@@ -143,10 +143,6 @@ class MemoryLayout:
 
     # ---- predicates used by the hardware monitors -------------------------
 
-    def is_executable(self, addr):
-        """W+X policy: only PMEM, IVT-adjacent flash and secure ROM execute."""
-        return 0 <= addr <= 0xFFFF and self.flags[addr] & F_EXEC != 0
-
     def in_pmem(self, addr):
         return 0 <= addr <= 0xFFFF and self.flags[addr] & F_PMEM != 0
 

@@ -206,6 +206,27 @@ def test_ivt_write_names_the_vector():
     assert finding.evidence["vector"] == 9  # the timer vector
 
 
+def test_computed_pc_write_is_an_unresolved_indirect_jump():
+    # rra writes its operand like mov does, so ``rra pc`` jumps to a
+    # computed address no policy can name.
+    spec = FirmwareSpec(kind="asm", source="""
+    .text
+    .global main
+main:
+    mov #1, r5
+site:
+    rra pc
+park:
+    jmp park
+""", variant="original", name="fw")
+    program = build_firmware(spec).program
+    report = analyze_program(program, name="fw", variant="original")
+    (finding,) = [f for f in report.findings
+                  if f.rule == "indirect-jump-unresolved"]
+    assert finding.pc == program.symbols["site"]
+    assert finding.evidence["mnemonic"] == "rra"
+
+
 def test_shadow_stack_capacity_severity_depends_on_variant():
     # 132 nested calls exceed the 128-entry shadow stack: a critical
     # for an eilid image (the store would trap at runtime), only a

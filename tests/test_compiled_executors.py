@@ -8,19 +8,27 @@ opcode, As/Ad mode, byte mode and register, PC/SP/SR/CG2 included),
 gives it random extension words, registers, flags and memory -- with
 addresses aimed at peripheral registers, RAM and the code itself --
 and steps it once on each interpreter from the same state.  Registers,
-memory, the StepRecord with its access stream, peripheral state and
-any exception must be identical.  The Table IV apps never execute
-``dadd``, ``rrc.b`` or ``subc``, so whole-program differentials alone
-would not see a bug in them.
+memory, the StepRecord with its access stream, peripheral state, the
+trace edges and any exception must be identical.  The Table IV apps
+never execute ``dadd``, ``rrc.b`` or ``subc``, so whole-program
+differentials alone would not see a bug in them.
+
+Each step is also held to :func:`repro.isa.transfer.classify_insn`: an
+instruction it classes as no transfer ends at its fall-through PC, and
+a step that records a trace edge records the edge kind its class maps
+to.  Random operand fields rarely name ``pc`` as a register
+destination, so one fixed case per Format I and Format II opcode does.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cpu.compiler import compile_instruction
+from repro.cpu.core import StepKind, StepRecord
 from repro.device import build_device
 from repro.isa.opcodes import FORMAT1_OPCODES, FORMAT2_OPCODES, JUMP_OPCODES
-from repro.isa.registers import SP
+from repro.isa.registers import PC, SP
+from repro.isa.transfer import EDGE_KINDS, TransferKind, classify_insn
 from repro.peripherals import ports
 from repro.toolchain import link, parse_source
 
@@ -94,7 +102,28 @@ def _step(device, state):
     device.clock.catch_up()
     peripherals = {name: p.snapshot_state()
                    for name, p in device.peripherals.items()}
-    return outcome, list(cpu.regs), bytes(bus.mem), peripherals
+    return (outcome, list(cpu.regs), bytes(bus.mem), peripherals,
+            device.trace.snapshot().edges)
+
+
+def _check_step(devices, state):
+    """Step *state* on both interpreters; both must agree, and the step
+    must do what the classifier says of its instruction."""
+    compiled, generic, _ = devices
+    got = _step(compiled, state)
+    want = _step(generic, state)
+    assert got[0] == want[0], "step record or exception differs"
+    assert got[1] == want[1], "registers differ"
+    assert got[2] == want[2], "memory differs"
+    assert got[3] == want[3], "peripheral state differs"
+    assert got[4] == want[4], "trace edges differ"
+    record, edges = got[0], got[4]
+    if type(record) is StepRecord and record.kind is StepKind.INSTRUCTION:
+        kind = classify_insn(record.insn, record.pc)[0]
+        if kind is TransferKind.NONE:
+            assert record.next_pc == (record.pc + record.insn.size_bytes) & 0xFFFF
+        assert [edge[2] for edge in edges] in ([], [EDGE_KINDS[kind]])
+    return got
 
 
 MNEMONICS = sorted(FORMAT1_OPCODES) + sorted(FORMAT2_OPCODES) + sorted(JUMP_OPCODES)
@@ -105,7 +134,7 @@ MNEMONICS = sorted(FORMAT1_OPCODES) + sorted(FORMAT2_OPCODES) + sorted(JUMP_OPCO
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_compiled_executor_matches_generic(devices, mnemonic, data):
-    compiled, generic, snapshot = devices
+    compiled, _, snapshot = devices
     word = data.draw(first_words(mnemonic), label="first word")
     ext = data.draw(st.lists(WORDS, min_size=2, max_size=2), label="ext words")
     # Registers and the words under them come from one block of bytes
@@ -122,14 +151,40 @@ def test_compiled_executor_matches_generic(devices, mnemonic, data):
     site = data.draw(CODE_SITES, label="pc")
     state = (snapshot, regs, pokes, site, [word] + ext)
 
-    got = _step(compiled, state)
-    want = _step(generic, state)
-    assert got[0] == want[0], "step record or exception differs"
-    assert got[1] == want[1], "registers differ"
-    assert got[2] == want[2], "memory differs"
-    assert got[3] == want[3], "peripheral state differs"
+    _check_step(devices, state)
     # The entry (unless the step overwrote its own code) holds the
     # executor that ran, so cache hits run it too.
     entry = compiled.cpu._dcache.get(site)
     if entry is not None:
         assert entry[4] is compile_instruction(entry[0])
+
+
+# Register-mode ``pc`` destinations: those that write it are transfers,
+# those that only read it (cmp, bit, push) fall through.
+PC_DESTINATION_KINDS = {
+    **{name: TransferKind.JUMP_INDIRECT for name in FORMAT1_OPCODES},
+    "cmp": TransferKind.NONE,
+    "bit": TransferKind.NONE,
+    "rrc": TransferKind.JUMP_INDIRECT,
+    "swpb": TransferKind.JUMP_INDIRECT,
+    "rra": TransferKind.JUMP_INDIRECT,
+    "sxt": TransferKind.JUMP_INDIRECT,
+    "push": TransferKind.NONE,
+    "call": TransferKind.CALL_INDIRECT,
+    "reti": TransferKind.RETI,
+}
+
+
+@pytest.mark.parametrize("mnemonic", sorted(PC_DESTINATION_KINDS))
+def test_pc_destination_classifies_and_steps(devices, mnemonic):
+    if mnemonic in FORMAT1_OPCODES:  # op r5, pc
+        word = FORMAT1_OPCODES[mnemonic].code << 12 | 5 << 8 | PC
+    else:  # op pc
+        word = 0x1000 | FORMAT2_OPCODES[mnemonic].code << 7 | PC
+    regs = [0] * 16
+    regs[5], regs[SP] = 0xE124, 0x0800
+    state = (devices[2], regs, [(0x0800, 0), (0x0802, 0xE140)], 0xE100,
+             [word])
+    record = _check_step(devices, state)[0]
+    assert record.insn.mnemonic == mnemonic
+    assert classify_insn(record.insn, 0xE100)[0] is PC_DESTINATION_KINDS[mnemonic]

@@ -4,9 +4,9 @@ The checker is CI's guard for contracts a general linter can't see:
 closed event kinds, enveloped CLI JSON, deterministic fault/analysis
 paths, dynamic code confined to the instruction compiler, threads
 confined to the serve package, broad excepts confined to sanctioned
-sites, the monitor's region bits confined to their two homes.  These
-tests
-pin both directions -- the real repo is clean, and seeded violations in
+sites, the monitor's region bits confined to their two homes, and
+control-transfer literals confined to repro.isa.  These tests pin both
+directions -- the real repo is clean, and seeded violations in
 a synthetic tree are caught.
 """
 
@@ -310,3 +310,41 @@ def test_region_bits_in_their_homes_pass(tmp_path):
         "src/repro/memory/bus.py": "from repro.memory.map import F_PERIPH\n",
     })
     assert checker.check_region_bits(root) == []
+
+
+# ---- rule 8: control-transfer classification has one home -------------------
+
+
+@pytest.mark.parametrize("snippet", [
+    'def is_call(insn):\n    return insn.opcode.mnemonic == "call"\n',
+    'def returns(kind):\n    return "ret" != kind\n',
+    'ALWAYS = frozenset({"call", "reti"})\n',
+    'def framing(name):\n    return name in ("push", "reti")\n',
+    'STACKED = ["call"]\n',
+])
+def test_transfer_literals_outside_their_home_are_caught(tmp_path, snippet):
+    root = _tree(tmp_path, **{"src/repro/cfg/trace.py": snippet})
+    problems = checker.check_transfer_home(root)
+    assert len(problems) == 1
+    assert "src/repro/cfg/trace.py" in problems[0]
+    assert "one home" in problems[0]
+
+
+def test_transfer_literals_in_their_home_and_exempt_paths_pass(tmp_path):
+    classifier = 'def f(name):\n    return name == "call" or name in {"reti"}\n'
+    root = _tree(tmp_path, **{
+        "src/repro/isa/transfer.py": classifier,
+        "src/repro/toolchain/emulated.py": classifier,
+        "src/repro/minicc/codegen.py": classifier,
+        "src/repro/eilid/instrumenter.py": classifier,
+        "src/repro/cpu/compiler.py": classifier,
+        "src/repro/verification/oracles.py": classifier,
+        # Other strings, names bound to the literal, and a lone "ret"
+        # in a collection stay free to use anywhere.
+        "src/repro/cfg/replay.py":
+            '_FRAME_CALL = "call"\n'
+            'def f(kind, frame):\n'
+            '    return kind == "jump" or frame != _FRAME_CALL '
+            'or kind in ("ret", "irq")\n',
+    })
+    assert checker.check_transfer_home(root) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces seven codebase contracts no general-purpose linter knows
+Enforces eight codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -41,6 +41,15 @@ about:
    ``observe`` are the only code that decides a rule from them.  A
    rule written anywhere else would be a copy the refinement check
    and the mutation gate never see.
+8. **control-transfer classification has one home** -- no code under
+   src/repro/ compares against the literal ``"call"``, ``"reti"`` or
+   ``"ret"``, or builds a set, tuple or list literal holding ``"call"``
+   or ``"reti"``, outside ``TRANSFER_EXEMPT``: src/repro/isa/, where
+   :mod:`repro.isa.transfer` decides which instructions are calls,
+   returns and jumps, and the modules that emit, rewrite or execute
+   instructions or judge them independently.  Anywhere else such a
+   literal is a second classifier, and the CFG, the trace and the
+   replayer could disagree about one instruction.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -85,6 +94,18 @@ _BROAD = {"Exception", "BaseException"}
 # The monitor's region bits and the two modules that may use them.
 REGION_BITS = {"F_EXEC", "F_PMEM", "F_SDMEM", "F_SROM"}
 REGION_BIT_HOMES = ("src/repro/memory/map.py", "src/repro/casu/monitor.py")
+
+# Control-transfer literals, and the paths that may spell them out.
+TRANSFER_COMPARED = {"call", "reti", "ret"}
+TRANSFER_COLLECTED = {"call", "reti"}
+TRANSFER_EXEMPT = (
+    "src/repro/isa/",  # the home
+    "src/repro/toolchain/",  # emits code
+    "src/repro/minicc/",  # emits code
+    "src/repro/eilid/instrumenter.py",  # rewrites assembly statements
+    "src/repro/cpu/compiler.py",  # executor bodies implement the instructions
+    "src/repro/verification/oracles.py",  # the independent reference
+)
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -380,6 +401,39 @@ def check_region_bits(root: Path) -> list:
     return problems
 
 
+def _transfer_literal(node):
+    """The call/return literal *node* compares against or collects, or
+    None."""
+    if isinstance(node, ast.Compare):
+        operands, names = [node.left, *node.comparators], TRANSFER_COMPARED
+    elif isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+        operands, names = node.elts, TRANSFER_COLLECTED
+    else:
+        return None
+    for operand in operands:
+        if isinstance(operand, ast.Constant) and operand.value in names:
+            return operand.value
+    return None
+
+
+def check_transfer_home(root: Path) -> list:
+    """Rule 8: control-transfer literals only in repro.isa and the
+    exempt modules."""
+    problems = []
+    for path in sorted((root / "src/repro").rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith(TRANSFER_EXEMPT):
+            continue
+        for node in ast.walk(_parse(path)):
+            literal = _transfer_literal(node)
+            if literal is not None:
+                problems.append(
+                    f"{rel}:{node.lineno}: {literal!r} literal outside "
+                    f"src/repro/isa/ (control-transfer classification "
+                    f"has one home)")
+    return problems
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
@@ -390,6 +444,7 @@ def run_checks(root: Path) -> list:
     problems += check_thread_home(root)
     problems += check_broad_excepts(root)
     problems += check_region_bits(root)
+    problems += check_transfer_home(root)
     return problems
 
 
