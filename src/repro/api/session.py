@@ -493,29 +493,20 @@ class Session:
         """Yield per-device attestation records lazily (fleet-scale)."""
         self.run()
         if self.workload == "fleet":
-            fleet = self.fleet
-            registry = fleet.registry
-            try:
-                for device_id in registry.ids():
-                    result = fleet.session(device_id).attest()
-                    # Each attest consumed a challenge nonce (and may
-                    # have quarantined); persist so a restart cannot
-                    # reissue it -- that is the replay defence.
-                    registry.save(registry.get(device_id))
-                    report = result.report
-                    yield DeviceAttestation(
-                        device_id=device_id,
-                        ok=result.ok,
-                        detail=result.detail,
-                        attempts=result.attempts,
-                        firmware_hash=None if report is None
-                        else report.firmware_hash,
-                        firmware_version=None if report is None
-                        else report.firmware_version,
-                    )
-            finally:
-                # Commit even when the consumer abandons the stream.
-                registry.flush()
+            # The sweep saves each record and flushes once, even when
+            # the consumer abandons the stream.
+            for device_id, result in self.fleet.attest_sweep():
+                report = result.report
+                yield DeviceAttestation(
+                    device_id=device_id,
+                    ok=result.ok,
+                    detail=result.detail,
+                    attempts=result.attempts,
+                    firmware_hash=None if report is None
+                    else report.firmware_hash,
+                    firmware_version=None if report is None
+                    else report.firmware_version,
+                )
         else:
             report = self.device.attestation_report()
             yield DeviceAttestation(

@@ -42,7 +42,9 @@ EDGE_KIND_CODES = {
     EDGE_IRQ: 5,
 }
 
-_FNV_OFFSET = 0xCBF29CE484222325
+# The chain value of an empty trace: the prefix of every window that
+# has lost no edges.
+FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -69,8 +71,8 @@ def fold_edges(prefix: int, edges) -> int:
 
 def empty_snapshot() -> "TraceSnapshot":
     """The snapshot of a device with trace recording disabled."""
-    return TraceSnapshot(edges=(), prefix_digest=_FNV_OFFSET,
-                         digest=_FNV_OFFSET, total=0, dropped=0, capacity=0)
+    return TraceSnapshot(edges=(), prefix_digest=FNV_OFFSET,
+                         digest=FNV_OFFSET, total=0, dropped=0, capacity=0)
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,8 @@ class BranchTraceRecorder:
         self.capacity = capacity
         # Ring entries: (src, dst, kind, chain_after).
         self._edges = deque(maxlen=capacity)
-        self._digest = _FNV_OFFSET
-        self._prefix = _FNV_OFFSET  # chain value before the oldest entry
+        self._digest = FNV_OFFSET
+        self._prefix = FNV_OFFSET  # chain value before the oldest entry
         self.total = 0
         self.dropped = 0
 
@@ -216,7 +218,7 @@ class BranchTraceRecorder:
         """Forget everything (fresh provisioning, not used on reset --
         a violation's trace is exactly the evidence worth keeping)."""
         self._edges.clear()
-        self._digest = _FNV_OFFSET
-        self._prefix = _FNV_OFFSET
+        self._digest = FNV_OFFSET
+        self._prefix = FNV_OFFSET
         self.total = 0
         self.dropped = 0

@@ -571,12 +571,12 @@ def _cmd_fleet_status(args):
     session.run()
     attest = session.attest()
     if args.json:
-        # Additive keys on the eilid.attest envelope: the telemetry
-        # aggregate always, the longitudinal per-device rollup when an
+        # Additive keys on the eilid.attest envelope: what this run
+        # observed always, the longitudinal per-device rollup when an
         # event DB is attached (last-seen, quarantine reason, campaign
         # count -- the questions "which device went dark and why").
         doc = attest.to_dict()
-        doc["telemetry"] = session.fleet.telemetry.as_dict()
+        doc["telemetry"] = session.fleet.observed()
         if args.events:
             doc["history"] = session.fleet.events.device_rollup()
         _print_json(doc)

@@ -15,8 +15,8 @@ simulated devices.
 * :mod:`repro.fleet.protocol`   -- authenticated verifier<->device messages.
 * :mod:`repro.fleet.campaign`   -- staged-rollout engine (waves, halt,
   serial/process backends, resume).
-* :mod:`repro.fleet.telemetry`  -- fleet-level counters and histograms.
-* :mod:`repro.fleet.simulation` -- N devices + agents + links in one object.
+* :mod:`repro.fleet.simulation` -- N devices + agents + links in one object;
+  its ``status()`` folds the event log (:mod:`repro.obs.events`).
 """
 
 from repro.fleet.campaign import (
@@ -39,7 +39,6 @@ from repro.fleet.store import (
     record_from_dict,
     record_to_dict,
 )
-from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.transport import ChannelStats, Envelope, Link, SimChannel, Transport
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "Envelope",
     "FleetRegistry",
     "FleetSimulation",
-    "FleetTelemetry",
     "JsonlStore",
     "Lifecycle",
     "Link",

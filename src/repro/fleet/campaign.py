@@ -244,7 +244,6 @@ class RolloutCampaign:
                  package_factory: Callable[[DeviceRecord], UpdatePackage],
                  target_version: int,
                  config: Optional[CampaignConfig] = None,
-                 telemetry=None,
                  shard_task: Optional[Tuple[Callable, dict]] = None,
                  snapshot_factory: Optional[Callable[[str], Optional[dict]]] = None,
                  post_wave_merge: Optional[Callable[[], None]] = None,
@@ -254,7 +253,6 @@ class RolloutCampaign:
         self.package_factory = package_factory
         self.target_version = target_version
         self.config = config or CampaignConfig()
-        self.telemetry = telemetry
         self.shard_task = shard_task
         # Process backend: ``snapshot_factory(device_id)`` returns the
         # wire dict of a full device snapshot (repro.snapshot) or None.
@@ -538,6 +536,10 @@ class RolloutCampaign:
                        prior: Optional[Lifecycle] = None):
         """Fold one device's result back into the registry."""
         record = self.registry.get(outcome.device_id)
+        if METRICS.enabled:
+            METRICS.inc("fleet.updates")
+            if not outcome.applied:
+                METRICS.inc("fleet.update_failures")
         events = self.registry.events
         if events is not None:
             events.emit("offer", device=outcome.device_id,
@@ -571,7 +573,3 @@ class RolloutCampaign:
                 # authentic) firmware.
                 record.state = prior or Lifecycle.ACTIVE
         self.registry.save(record)
-        if self.telemetry is not None:
-            self.telemetry.record_update(outcome.device_id, outcome.status,
-                                         outcome.attempts,
-                                         detail=outcome.detail)

@@ -36,13 +36,14 @@ import enum
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.casu.update import UpdateKey, UpdatePackage, UpdateStatus
+from repro.cfg.trace import FNV_OFFSET, TraceSnapshot
 from repro.eilid.trusted_sw import AttestationReport
 from repro.fleet.registry import DeviceRecord, Lifecycle
-from repro.fleet.telemetry import parse_violation_totals
 from repro.fleet.transport import Link
+from repro.obs.metrics import METRICS
 
 VERIFIER_ID = "verifier"
 
@@ -179,6 +180,25 @@ class DeviceAgent:
 # ---- verifier side ---------------------------------------------------------
 
 
+def parse_violation_totals(items) -> Tuple[Dict[str, int], int]:
+    """Decode 'reason=count' cumulative totals; count malformed entries.
+
+    Returns ``(totals, malformed)``.  The entries are MAC'd, so a
+    malformed one is defensive-only -- but silently dropping it would
+    hide a device-side encoder bug, so the attest event carries the
+    count.
+    """
+    totals: Dict[str, int] = {}
+    malformed = 0
+    for item in items:
+        reason, _, count = item.partition("=")
+        try:
+            totals[reason] = int(count)
+        except ValueError:
+            malformed += 1
+    return totals, malformed
+
+
 @dataclass
 class AttestResult:
     ok: bool
@@ -217,11 +237,10 @@ class VerifierSession:
     """
 
     def __init__(self, record: DeviceRecord, agent: DeviceAgent, link: Link,
-                 telemetry=None, max_attempts=4, policy=None, events=None):
+                 max_attempts=4, policy=None, events=None):
         self.record = record
         self.agent = agent
         self.link = link
-        self.telemetry = telemetry
         self.max_attempts = max_attempts
         # Optional repro.cfg.CfiPolicy: when set, attest() additionally
         # authenticates and replays the device's branch trace.
@@ -323,72 +342,89 @@ class VerifierSession:
         nonce = self._next_nonce()
         reply, attempts = self._exchange(
             MsgKind.ATTEST_REQ, Challenge(nonce), MsgKind.ATTEST_REPORT, nonce)
+        fold = ({}, 0, 0)
         if reply is None:
+            detail = "unreachable"
             if self._replay_detected(
                     lambda body: body.verify(self.record.key, b"attest")):
-                self._quarantine("replay")
-                result = AttestResult(False, "replay", attempts=attempts)
-            else:
-                result = AttestResult(False, "unreachable", attempts=attempts)
-            self._note_attest(result)
-            return result
-        if not reply.verify(self.record.key, b"attest"):
+                detail = "replay"
+                self._quarantine(detail)
+            result = AttestResult(False, detail, attempts=attempts)
+        elif not reply.verify(self.record.key, b"attest"):
             self._quarantine("bad-mac")
             result = AttestResult(False, "bad-mac", attempts=attempts)
-            self._note_attest(result)
-            return result
-        report = reply.report
+        else:
+            report = reply.report
+            fold = self._fold_violations(report)
+            problem = self._verdict(reply)
+            if problem is not None:
+                self._quarantine(problem)
+                result = AttestResult(False, problem, report, attempts)
+            else:
+                record = self.record
+                record.firmware_hash = report.firmware_hash
+                record.firmware_version = report.firmware_version
+                record.observe_cycle(report.cycle)
+                record.attest_count += 1
+                record.violation_count = report.violation_count
+                if record.state in (Lifecycle.ENROLLED, Lifecycle.UPDATING):
+                    record.state = Lifecycle.ACTIVE
+                result = AttestResult(True, report=report, attempts=attempts)
+        self._note_attest(result, *fold)
+        return result
+
+    def _fold_violations(self, report: AttestationReport
+                         ) -> Tuple[Dict[str, int], int, int]:
+        """Fold a verified report's cumulative counters into the record.
+
+        A device reports cumulative per-reason violation totals and a
+        reset counter: the monitor resets the MCU on every violation,
+        so only the RoT's counters keep history.  The record holds the
+        last verified report's values, and the difference is what this
+        heartbeat newly observed -- across verifier restarts too, since
+        the record is durable.  Every MAC-verified report advances the
+        record, one that a later check quarantines included.  Returns
+        ``(deltas, resets, malformed)``.
+        """
         record = self.record
-        # Every MAC-verified report refreshes the persisted telemetry
-        # baselines (cumulative violation totals, reset counter): the
-        # fold in _note_attest consumes the same report even when a
-        # later check quarantines, and a restarted verifier must seed
-        # exactly the baseline the fold advanced to (see
-        # FleetTelemetry.seed_baseline).
-        record.violation_totals, _ = parse_violation_totals(
-            report.violation_totals)
+        totals, malformed = parse_violation_totals(report.violation_totals)
+        seen = record.violation_totals
+        deltas = {reason: count - seen.get(reason, 0)
+                  for reason, count in totals.items()
+                  if count > seen.get(reason, 0)}
+        resets = max(0, report.reset_count - record.reset_count)
+        record.violation_totals = totals
         record.reset_count = report.reset_count
+        return deltas, resets, malformed
+
+    def _verdict(self, reply: SignedReport) -> Optional[str]:
+        """The quarantine reason a MAC-verified report earns, or None."""
         trace_problem = self._check_trace(reply)
         if trace_problem is not None:
-            self._quarantine(trace_problem)
-            result = AttestResult(False, trace_problem, reply.report, attempts)
-            self._note_attest(result)
-            return result
+            return trace_problem
+        report, record = reply.report, self.record
         if record.last_seen is not None and report.cycle < record.last_seen:
             # The device's logical clock only ever advances (resets
             # included), so a verified report from its past is captured
             # evidence being served back -- quarantine, never roll
             # last_seen backwards.
-            self._quarantine("stale-report")
-            result = AttestResult(False, "stale-report", report, attempts)
-            self._note_attest(result)
-            return result
+            return "stale-report"
         if (record.firmware_hash is not None
                 and report.firmware_version == record.firmware_version
                 and report.firmware_hash != record.firmware_hash):
-            self._quarantine("hash-mismatch")
-            result = AttestResult(False, "hash-mismatch", report, attempts)
-            self._note_attest(result)
-            return result
-        record.firmware_hash = report.firmware_hash
-        record.firmware_version = report.firmware_version
-        record.observe_cycle(report.cycle)
-        record.attest_count += 1
-        record.violation_count = report.violation_count
-        if record.state in (Lifecycle.ENROLLED, Lifecycle.UPDATING):
-            record.state = Lifecycle.ACTIVE
-        result = AttestResult(True, report=report, attempts=attempts)
-        self._note_attest(result)
-        return result
+            return "hash-mismatch"
+        return None
 
     def _check_trace(self, reply: SignedReport) -> Optional[str]:
         """Trace attestation: authenticate the window, then replay it.
 
-        Returns a quarantine reason or None.  The digest in the MAC'd
-        report binds the unauthenticated edge window; a window that
-        does not fold to it is forged.  An authentic window that does
-        not replay over the firmware's recovered CFG is evidence of a
-        control-flow hijack the device-side monitor missed.
+        Returns a quarantine reason or None.  The digest and counters
+        in the MAC'd report bind the unauthenticated edge window; a
+        window that does not fold to the digest, or whose length or
+        prefix disagrees with the counters, is forged.  An authentic
+        window that does not replay over the firmware's recovered CFG
+        is evidence of a control-flow hijack the device-side monitor
+        missed.
         """
         if self.policy is None:
             return None
@@ -399,11 +435,23 @@ class VerifierSession:
         # Every snapshot counter must match its MAC'd counterpart: a
         # stripped window (total/dropped zeroed to make an empty trace
         # fold cleanly) or an inflated `dropped` (downgrading replay to
-        # lenient windowed mode) is as forged as a tampered edge.
-        if (snapshot.total != report.trace_edges
-                or snapshot.dropped != report.trace_dropped
-                or snapshot.digest_hex != report.trace_digest
-                or not snapshot.consistent()):
+        # lenient windowed mode) is as forged as a tampered edge.  The
+        # window must hold exactly the edges the counters say survive,
+        # and a window that lost none must fold from the empty chain,
+        # so an emptied window cannot pose as the whole trace.
+        try:
+            bound = (isinstance(snapshot, TraceSnapshot)
+                     and snapshot.total == report.trace_edges
+                     and snapshot.dropped == report.trace_dropped
+                     and len(snapshot.edges)
+                     == report.trace_edges - report.trace_dropped
+                     and (report.trace_dropped
+                          or snapshot.prefix_digest == FNV_OFFSET)
+                     and snapshot.digest_hex == report.trace_digest
+                     and snapshot.consistent())
+        except (TypeError, ValueError):
+            bound = False  # ill-typed fields or edges: not even a window
+        if not bound:
             return "trace-forged"
         from repro.cfg.replay import TraceReplayer
 
@@ -460,14 +508,29 @@ class VerifierSession:
             self.record.firmware_hash = None
         return OfferResult(status, attempts)
 
-    def _note_attest(self, result: AttestResult):
-        if self.telemetry is not None:
-            self.telemetry.record_attest(self.record.device_id, result)
-        if self.events is not None:
-            report = result.report
-            self.events.emit(
-                "attest", device=self.record.device_id,
-                campaign=self.campaign, ok=result.ok,
-                detail=result.detail, attempts=result.attempts,
-                firmware_version=None if report is None
-                else report.firmware_version)
+    def _note_attest(self, result: AttestResult, deltas: Dict[str, int],
+                     resets: int, malformed: int):
+        """Count one attest and log it: the violations and resets the
+        report newly showed (``violation-delta``), then the verdict."""
+        if METRICS.enabled:
+            METRICS.inc("fleet.attestations")
+            if not result.ok:
+                METRICS.inc("fleet.attest_failures")
+            if deltas:
+                METRICS.inc("fleet.violations", sum(deltas.values()))
+            if malformed:
+                METRICS.inc("fleet.malformed_totals", malformed)
+        events = self.events
+        if events is None:
+            return
+        device_id = self.record.device_id
+        if deltas or resets:
+            events.emit("violation-delta", device=device_id, deltas=deltas,
+                        resets=resets)
+        report = result.report
+        events.emit(
+            "attest", device=device_id, campaign=self.campaign, ok=result.ok,
+            detail=result.detail, attempts=result.attempts,
+            firmware_version=None if report is None
+            else report.firmware_version,
+            **({"malformed": malformed} if malformed else {}))

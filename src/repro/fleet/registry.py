@@ -83,11 +83,10 @@ class DeviceRecord:
     # every step; replaying this sequence is what lets a restored
     # replica hash identically to the real device.
     applied_versions: List[int] = field(default_factory=list)
-    # Cumulative per-reason violation totals from the last accepted
-    # report.  Persisting them lets a restarted verifier seed its
-    # telemetry baselines (FleetTelemetry._seen) from the store, so
-    # the first post-restart heartbeat folds only *new* violations
-    # instead of re-counting the device's whole history.
+    # Cumulative per-reason violation totals from the last MAC-verified
+    # report; with reset_count, the one baseline an attest folds the
+    # next report's violation and reset deltas against.  Being durable,
+    # it keeps a restarted verifier from re-counting a device's history.
     violation_totals: Dict[str, int] = field(default_factory=dict)
 
     @property

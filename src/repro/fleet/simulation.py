@@ -45,12 +45,13 @@ every replica, so any bound smaller than the fleet would only churn.
 """
 
 import contextlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.firmware import build_firmware
 from repro.api.spec import FirmwareSpec
 from repro.casu.update import UpdatePackage
 from repro.device import Device, build_device
+from repro.eval.report import render_bars, render_table
 from repro.fleet.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -65,7 +66,6 @@ from repro.fleet.store import (
     open_store,
     record_from_dict,
 )
-from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.transport import Transport
 from repro.obs.events import MemoryEventLog, open_event_log
 from repro.obs.metrics import METRICS
@@ -161,6 +161,9 @@ class FleetSimulation:
     def _load(self, size, store, events, alerts):
         """Attach the registry, restore its records, enroll the rest."""
         self.events = events
+        # What this fleet observed is what its log received from here
+        # on (see observed()); a reopened durable log keeps the past.
+        self._opened_seq = events.last_seq
         # Live alerting over the event stream: ``alerts=True`` attaches
         # the default rule panel, a dict (``FleetSpec.alerts`` shape)
         # tunes thresholds per rule.  Off (None/False) means the engine
@@ -172,7 +175,6 @@ class FleetSimulation:
             config = None if alerts is True else dict(alerts)
             self.alerts = AlertEngine(build_rules(config)).attach(events)
         self.registry = FleetRegistry(store=store, events=events)
-        self.telemetry = FleetTelemetry(events=events)
         # The store's records pin golden hashes of ONE firmware image;
         # restoring them under a different spec would rebuild wrong
         # replicas and mass-quarantine healthy devices on the next
@@ -250,13 +252,6 @@ class FleetSimulation:
         self.devices[record.device_id] = device
         self.agents[record.device_id] = DeviceAgent(record.device_id, device,
                                                     link)
-        # Telemetry deltas must not re-count the device's pre-restart
-        # history: its reports carry cumulative totals, so seed the
-        # baseline from the durable record (the last accepted report's
-        # totals) before the first post-restore heartbeat folds.
-        self.telemetry.seed_baseline(record.device_id,
-                                     record.violation_totals,
-                                     record.reset_count)
 
     # ---- verifier plumbing -----------------------------------------------
 
@@ -277,7 +272,7 @@ class FleetSimulation:
                 raise FleetError(f"no simulated device for {device_id!r}")
             session = VerifierSession(
                 self.registry.get(device_id), self.agents[device_id],
-                self.transport.link(device_id), telemetry=self.telemetry,
+                self.transport.link(device_id),
                 max_attempts=self.max_attempts,
                 policy=self.policy if self.verify_traces else None,
                 events=self.registry.events)
@@ -286,16 +281,30 @@ class FleetSimulation:
 
     # ---- fleet operations ------------------------------------------------
 
+    def attest_sweep(self, device_ids: Optional[Sequence[str]] = None
+                     ) -> Iterator[Tuple[str, AttestResult]]:
+        """Attest each device in order, yielding ``(id, result)``.
+
+        Each attest consumed a challenge nonce (and may have
+        quarantined), so its record is saved before the result is
+        yielded -- a restart cannot reissue the nonce, which is the
+        replay defence.  The sweep flushes once, when it ends or its
+        consumer abandons it: one durability point per sweep.
+        """
+        registry = self.registry
+        ids = device_ids if device_ids is not None else registry.ids()
+        try:
+            for device_id in ids:
+                result = self.session(device_id).attest()
+                registry.save(registry.get(device_id))
+                yield device_id, result
+        finally:
+            registry.flush()
+
     def attest_all(self, device_ids: Optional[Sequence[str]] = None
                    ) -> Dict[str, AttestResult]:
-        """One heartbeat sweep; results also land in the telemetry."""
-        ids = device_ids if device_ids is not None else self.registry.ids()
-        results = {}
-        for device_id in ids:
-            results[device_id] = self.session(device_id).attest()
-            self.registry.save(self.registry.get(device_id))
-        self.registry.flush()
-        return results
+        """One heartbeat sweep (see :meth:`attest_sweep`)."""
+        return dict(self.attest_sweep(device_ids))
 
     def run_all(self, max_cycles=2_000):
         """Let every device execute its resident app for a while."""
@@ -408,7 +417,6 @@ class FleetSimulation:
                 version, payload, tamper_ids, rollback_ids),
             target_version=version,
             config=config,
-            telemetry=self.telemetry,
             shard_task=shard_task,
             # Ship mutated replicas' full snapshots with their
             # records: workers restore the actual device state --
@@ -497,8 +505,46 @@ class FleetSimulation:
 
     # ---- reporting -------------------------------------------------------
 
+    def observed(self) -> dict:
+        """What the verifier observed since this fleet opened its event
+        log (:meth:`~repro.obs.events.EventLog.fleet_rollup`)."""
+        return self.events.fleet_rollup(since=self._opened_seq)
+
     def status(self) -> str:
-        return self.telemetry.render(self.registry)
+        """The registry's states and versions, then :meth:`observed`,
+        rendered with the paper tables' helpers."""
+        observed = self.observed()
+        summary = self.registry.summary()
+        blocks = [render_table(
+            ("state", "devices"), sorted(summary["states"].items()),
+            title=f"fleet of {summary['devices']} devices")]
+        versions = sorted(summary["versions"].items())
+        if versions:
+            blocks.append(render_bars(
+                [f"v{version}" for version, _ in versions],
+                [count for _, count in versions], title="firmware versions"))
+        if observed["update_statuses"]:
+            blocks.append(render_table(
+                ("update status", "count"),
+                sorted(observed["update_statuses"].items()),
+                title="update outcomes"))
+        if observed["attest_outcomes"]:
+            blocks.append(render_table(
+                ("attest outcome", "count"),
+                sorted(observed["attest_outcomes"].items()),
+                title=f"attestations ({observed['attestations']})"))
+        if observed["violations"]:
+            reasons = sorted(observed["violations"].items())
+            blocks.append(render_bars(
+                [reason for reason, _ in reasons],
+                [count for _, count in reasons],
+                title="monitor violations by reason"))
+        malformed = observed["malformed_totals"]
+        if malformed:
+            blocks.append(f"{malformed} malformed violation-total "
+                          f"entr{'y' if malformed == 1 else 'ies'} "
+                          f"dropped (defensive parse)")
+        return "\n\n".join(blocks)
 
 
 # ---- process-backend shard worker ------------------------------------------

@@ -5,8 +5,10 @@ operational fact -- a device enrolled, a heartbeat verified, a device
 quarantined, an offer answered, a wave committed, a campaign started
 or ended, a violation delta folded -- and the log replays them later:
 per-device timelines, per-campaign rollups, cross-campaign trends.
-One-shot aggregates (``FleetTelemetry``) answer "what happened this
-process"; the event log answers "what happened to this fleet, ever".
+It is the one account of what the verifier observed: ``fleet status``
+folds the events a fleet's log received since the fleet opened it
+(:meth:`EventLog.fleet_rollup`), and ``fleet history`` folds the whole
+log -- "what happened to this fleet, ever".
 
 Event documents are flat and JSON-safe::
 
@@ -37,6 +39,7 @@ event-log durability point too.
 import json
 import threading
 import time
+from collections import Counter
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
@@ -148,6 +151,12 @@ class EventLog(RecordLog):
     def _scan(self, since: Optional[int] = None) -> Iterable[dict]:
         raise NotImplementedError
 
+    @property
+    def last_seq(self) -> int:
+        """The newest event's seq (0 for an empty log): the cursor to
+        pass as ``since`` to read only what arrives after now."""
+        return self._seq
+
     def tail(self, since_seq: int = 0) -> List[dict]:
         """Every event with ``seq > since_seq``, in seq order.
 
@@ -228,6 +237,44 @@ class EventLog(RecordLog):
         for entry in rollup.values():
             entry["campaigns"] = len(entry.pop("_campaigns"))
         return rollup
+
+    def fleet_rollup(self, since: Optional[int] = None) -> dict:
+        """What the verifier observed across the fleet, folded from the
+        events past seq *since* (all of them by default).
+
+        ``attest`` events count by outcome (their ``detail``, or
+        ``ok``) and add their ``malformed`` violation-total entries;
+        ``offer`` events count by status label; both add their
+        round-trip attempts to one histogram; ``violation-delta``
+        events add their per-reason deltas and resets.  Mappings keep
+        the order in which their keys first appeared.
+        """
+        outcomes, statuses, violations, attempts = (
+            Counter(), Counter(), Counter(), Counter())
+        attestations = resets = malformed = 0
+        for doc in self._scan(since):
+            kind = doc["kind"]
+            data = doc["data"]
+            if kind == "attest":
+                attestations += 1
+                outcomes[data.get("detail") or "ok"] += 1
+                attempts[data.get("attempts", 0)] += 1
+                malformed += data.get("malformed", 0)
+            elif kind == "offer":
+                statuses[data.get("status", "unreachable")] += 1
+                attempts[data.get("attempts", 0)] += 1
+            elif kind == "violation-delta":
+                violations.update(data.get("deltas", {}))
+                resets += data.get("resets", 0)
+        return {
+            "attestations": attestations,
+            "attest_outcomes": dict(outcomes),
+            "update_statuses": dict(statuses),
+            "violations": dict(violations),
+            "resets": resets,
+            "malformed_totals": malformed,
+            "attempts": dict(attempts),
+        }
 
     def campaign_rollup(self, campaign: Optional[str] = None) -> List[dict]:
         """One summary per campaign, in start order.

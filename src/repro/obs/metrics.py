@@ -1,10 +1,11 @@
 """Process-global metrics: counters, gauges, histograms, spans.
 
 One :class:`MetricsRegistry` per process (the module-level
-:data:`METRICS`), fed by the fleet layers (telemetry folds its
-aggregates in), the API session (phase spans), the campaign engine
-(wave spans) and the interpreter (``run_steps`` batch boundaries --
-never the per-step loop, see PR 3's hot-path contract).
+:data:`METRICS`), fed by the fleet layers (the ``fleet.*`` counters,
+incremented where the protocol and the campaign engine emit their
+``attest`` and ``offer`` events), the API session (phase spans), the
+campaign engine (wave spans) and the interpreter (``run_steps`` batch
+boundaries -- never the per-step loop, see PR 3's hot-path contract).
 
 The disabled path is deliberately near-zero: every recording call
 starts with one attribute check on ``registry.enabled``, and

@@ -7,13 +7,13 @@ once, but exchanges for *different* devices are independent.  The
 pump lifts that contract onto asyncio:
 
 * each attest *request* runs its exchanges on the event loop, the
-  thread that read it: it attests its devices in request order,
-  saving each record, yields to the loop between devices once
-  :data:`YIELD_AFTER_S` of exchange work has run since the last
-  yield, then flushes once -- the same batch rule ``attest_all`` and
-  the campaign's per-wave flush follow.  An exchange never awaits, so
-  no two exchanges ever run at once and overlapping requests
-  serialise per device with no lock; the yield lets other
+  thread that read it: it iterates the fleet's one attest sweep
+  (``FleetSimulation.attest_sweep``: attest and save each device in
+  request order, flush once at the end), yielding to the loop between
+  devices once :data:`YIELD_AFTER_S` of exchange work has run since
+  the last yield.  An exchange never awaits, so no two exchanges ever
+  run at once and overlapping requests serialise per device with no
+  lock; the yield lets other
   connections' requests (a ``GET /status``, another attest) in within
   about a millisecond, without a loop round trip per device.  The
   trade: the durability flush runs on the loop too, so the loop
@@ -102,10 +102,10 @@ class AsyncFleetPump:
 
     async def attest(self, device_ids: Optional[Sequence[str]] = None
                      ) -> List[dict]:
-        """One heartbeat per device, in request order, on the loop
-        with a yield between devices every :data:`YIELD_AFTER_S` of
-        work, ending with ONE flush (durability point), mirroring the
-        sync ``attest_all`` batch rule."""
+        """One heartbeat per device through the fleet's attest sweep,
+        on the loop, with a yield between devices every
+        :data:`YIELD_AFTER_S` of work; the sweep ends with ONE flush
+        (durability point)."""
         self._check_free()
         fleet = self.fleet
         registry = fleet.registry
@@ -118,19 +118,17 @@ class AsyncFleetPump:
         try:
             docs = []
             since = perf_counter()
-            for device_id in ids:
-                if perf_counter() - since >= YIELD_AFTER_S:
-                    await asyncio.sleep(0)
-                    since = perf_counter()
-                result = fleet.session(device_id).attest()
+            for device_id, result in fleet.attest_sweep(ids):
                 record = registry.get(device_id)
-                registry.save(record)
                 docs.append({
                     "device": device_id, "ok": result.ok,
                     "detail": result.detail, "attempts": result.attempts,
                     "state": record.state.value,
                     "nonce_high_water": record.nonce_high_water})
-            registry.flush()
+                if (perf_counter() - since >= YIELD_AFTER_S
+                        and len(docs) < len(ids)):
+                    await asyncio.sleep(0)
+                    since = perf_counter()
             return docs
         finally:
             self._exit()

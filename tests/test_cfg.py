@@ -11,6 +11,7 @@ The acceptance spine:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from repro.cfg import (
     recover_cfg,
     replay_trace,
 )
+from repro.cfg.trace import EDGE_KIND_CODES
 from repro.device import build_device
 from repro.errors import ReproError
 from repro.fleet import CampaignConfig, FleetSimulation, Lifecycle
@@ -537,29 +539,152 @@ class TestFleetTraceAttestation:
         results = fleet.attest_all()
         assert results["dev-00000"].detail == "trace-forged"
 
+    def test_emptied_trace_window_is_caught(self):
+        """An emptied window -- no edges, the digest as its prefix, the
+        counters untouched -- folds cleanly and matches every MAC'd
+        counter; its length must match them too."""
+        fleet = FleetSimulation(size=3, verify_traces=True)
+        fleet.run_all(max_cycles=1_000)
+        device = fleet.devices["dev-00001"]
+        real = device.trace_snapshot()
+        assert real.total > 0
+        emptied = replace(real, edges=(), prefix_digest=real.digest)
+        assert emptied.consistent()  # the forgery folds cleanly...
+        device.trace_snapshot = lambda: emptied
+        results = fleet.attest_all()
+        assert results["dev-00001"].detail == "trace-forged"  # ...but is caught
+        assert fleet.registry.get("dev-00001").state is Lifecycle.QUARANTINED
+
+    def test_window_that_lost_no_edges_folds_from_the_empty_chain(self):
+        """FNV-1a's step is a bijection, so any window of the right
+        length can be given a prefix that folds it to the MAC'd digest.
+        A window that lost no edges must start at the empty chain."""
+        fleet = FleetSimulation(size=2, verify_traces=True)
+        fleet.run_all(max_cycles=1_000)
+        device = fleet.devices["dev-00000"]
+        benign = device.trace_snapshot().edges[-1]
+        # A hijack into RAM that the device-side monitor missed.
+        device.trace.record_edge(benign[0], 0x0200, benign[2])
+        honest = device.trace_snapshot()
+        assert honest.dropped == 0
+        assert fleet.attest_all()["dev-00000"].detail.startswith(
+            "trace-replay:")
+        # Swap the hijack for a benign edge and invert the prefix.
+        edges = honest.edges[:-1] + (benign,)
+        forged = replace(honest, edges=edges,
+                         prefix_digest=_unfold(honest.digest, edges))
+        assert forged.consistent()
+        device.trace_snapshot = lambda: forged
+        assert fleet.attest_all()["dev-00000"].detail == "trace-forged"
+
+    @pytest.mark.parametrize("forge", [
+        lambda real: replace(real, edges=None),
+        lambda real: replace(real, edges=(real.edges[0][:2],)
+                             + real.edges[1:]),
+        lambda real: replace(real, edges=((hex(real.edges[0][0]),)
+                                          + real.edges[0][1:],)
+                             + real.edges[1:]),
+        lambda real: dict(vars(real)),
+    ], ids=["edges-none", "two-field-edge", "str-address", "not-a-snapshot"])
+    def test_malformed_window_is_forged(self, forge):
+        """A window that is not even well formed quarantines its device
+        like any forgery, and the sweep goes on to the next device."""
+        fleet = FleetSimulation(size=3, verify_traces=True)
+        fleet.run_all(max_cycles=1_000)
+        device = fleet.devices["dev-00000"]
+        forged = forge(device.trace_snapshot())
+        device.trace_snapshot = lambda: forged
+        results = fleet.attest_all()
+        assert results["dev-00000"].detail == "trace-forged"
+        assert fleet.registry.get("dev-00000").state is Lifecycle.QUARANTINED
+        assert results["dev-00001"].ok and results["dev-00002"].ok
+
+    def test_every_malformed_window_is_forged(self):
+        """Whatever shape the unauthenticated window arrives in, the
+        trace check raises nothing: the verdict is trace-forged and the
+        sweep attests the next device."""
+        fleet = FleetSimulation(size=2, verify_traces=True)
+        fleet.run_all(max_cycles=1_000)
+        device = fleet.devices["dev-00000"]
+        real = device.trace_snapshot()
+        assert real.edges and real.dropped == 0
+        src, dst, kind = real.edges[-1]
+        junk = st.one_of(st.none(), st.text(max_size=4),
+                         st.floats(allow_nan=False), st.binary(max_size=4),
+                         st.lists(st.integers(), max_size=3))
+        bad_edges = st.one_of(
+            junk,
+            st.tuples(st.integers(), st.integers()),
+            st.tuples(st.integers(), st.integers(),
+                      st.sampled_from(sorted(EDGE_KIND_CODES)),
+                      st.integers()),
+            st.tuples(junk, st.just(dst), st.just(kind)),
+            st.tuples(st.just(src), junk, st.just(kind)),
+            st.tuples(st.just(src), st.just(dst), st.one_of(
+                junk, st.text().filter(
+                    lambda text: text not in EDGE_KIND_CODES))))
+        spliced = st.builds(
+            lambda index, edge: real.edges[:index] + (edge,)
+            + real.edges[index + 1:],
+            st.integers(0, len(real.edges) - 1), bad_edges)
+        snapshots = st.one_of(
+            st.builds(lambda edges: replace(real, edges=edges),
+                      st.one_of(spliced, junk)),
+            st.builds(lambda prefix: replace(real, prefix_digest=prefix),
+                      junk),
+            st.builds(lambda digest: replace(real, digest=digest), junk),
+            st.builds(lambda total: replace(real, total=total),
+                      junk.filter(lambda value: value != real.total)),
+            junk.filter(lambda value: value is not None),  # None: missing
+            st.just(dict(vars(real))))
+
+        @settings(max_examples=300, derandomize=True, database=None,
+                  deadline=None)
+        @given(forged=snapshots)
+        def malformed_window_is_forged(forged):
+            device.trace_snapshot = lambda: forged
+            results = fleet.attest_all()
+            assert results["dev-00000"].detail == "trace-forged"
+            assert results["dev-00001"].ok
+
+        malformed_window_is_forged()
+
+
+def _unfold(digest: int, edges) -> int:
+    """The prefix that folds *edges* to *digest*: FNV-1a's step
+    ``h -> ((h ^ v) * P) mod 2**64`` runs backwards because P is odd."""
+    inverse = pow(0x100000001B3, -1, 1 << 64)  # FNV-1a's 64-bit prime
+    chain = digest
+    for src, dst, kind in reversed(edges):
+        for value in (EDGE_KIND_CODES[kind], dst, src):
+            chain = ((chain * inverse) & ((1 << 64) - 1)) ^ value
+    assert fold_edges(chain, edges) == digest
+    return chain
+
 
 def test_telemetry_totals_survive_event_ring_eviction():
-    """Cumulative per-reason totals keep fleet telemetry exact even
-    after the device's bounded event ring starts evicting."""
-    from repro.eilid.trusted_sw import AttestationReport
-    from repro.fleet.protocol import AttestResult
-    from repro.fleet.telemetry import FleetTelemetry
+    """Cumulative per-reason totals keep the verifier's violation
+    counts exact even after the device's bounded event ring starts
+    evicting."""
+    fleet = FleetSimulation(size=1)
+    device_id = fleet.registry.ids()[0]
+    device = fleet.devices[device_id]
+    honest = device.attestation_report
+    counts = iter((3, 500, 2000))
 
-    telemetry = FleetTelemetry()
-
-    def heartbeat(count):
-        report = AttestationReport(
-            firmware_hash="h", firmware_version=0, reset_count=count,
+    def heartbeat():
+        count = next(counts)
+        return replace(
+            honest(), reset_count=count,
             violation_reasons=("w-xor-x",) * min(count, 4),  # ring-bounded
-            cycle=0, violation_count=count,
-            violation_totals=(f"w-xor-x={count}",))
-        telemetry.record_attest("dev", AttestResult(True, report=report,
-                                                    attempts=1))
+            violation_count=count, violation_totals=(f"w-xor-x={count}",))
 
-    for count in (3, 500, 2000):
-        heartbeat(count)
-    assert telemetry.violations["w-xor-x"] == 2000
-    assert telemetry.resets == 2000
+    device.attestation_report = heartbeat
+    for _ in range(3):
+        assert fleet.session(device_id).attest().ok
+    observed = fleet.observed()
+    assert observed["violations"]["w-xor-x"] == 2000
+    assert observed["resets"] == 2000
 
 
 # ---- CLI --------------------------------------------------------------------

@@ -207,7 +207,7 @@ class TestProtocol:
         result = fleet.attest_all([victim])[victim]
         assert not result.ok and result.detail == "hash-mismatch"
         assert fleet.registry.get(victim).state is Lifecycle.QUARANTINED
-        assert fleet.telemetry.violations["illegal-instruction"] >= 1
+        assert fleet.observed()["violations"]["illegal-instruction"] >= 1
 
     def test_forged_report_mac_quarantines(self):
         fleet = FleetSimulation(size=2)
@@ -342,7 +342,7 @@ class TestProtocol:
         assert statuses["unreachable"] == 0
         assert fleet.registry.get(victim).state is Lifecycle.QUARANTINED
         assert fleet.registry.get(honest).state is Lifecycle.ACTIVE
-        assert fleet.telemetry.update_statuses["bad-ack-mac"] == 1
+        assert fleet.observed()["update_statuses"]["bad-ack-mac"] == 1
 
 
 # ---- campaigns -------------------------------------------------------------
@@ -442,9 +442,11 @@ class TestRollout:
         fleet = FleetSimulation(size=50)
         fleet.rollout(version=1, tamper_fraction=0.1,
                       config=CampaignConfig(failure_threshold=0.5))
-        assert fleet.telemetry.update_statuses[UpdateStatus.BAD_MAC.value] == 5
-        assert fleet.telemetry.rejection_count() == 5
-        assert fleet.telemetry.device_rejection_count() == 5
+        statuses = fleet.observed()["update_statuses"]
+        rejected = {status: count for status, count in statuses.items()
+                    if status != UpdateStatus.APPLIED.value}
+        assert rejected == {UpdateStatus.BAD_MAC.value: 5}
+        assert UpdateStatus.BAD_MAC.rejected  # the device's own ROM check
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

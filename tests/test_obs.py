@@ -8,21 +8,22 @@ The properties this file guards:
   identically;
 * the metrics registry is genuinely off when disabled -- no series
   mutate -- and spans time their blocks when enabled;
-* telemetry delta-folding stays correct across device resets,
-  concurrent (process-backend-shaped) feeding, and a fleet restored
-  from a durable store whose ``_seen`` baselines must re-sync so the
-  first post-restart heartbeat does not re-fold old history;
-* malformed ``reason=count`` entries are counted, surfaced in
-  ``fleet status``, and never crash the fold.
+* violation deltas fold against the device record's last verified
+  totals, correctly across device resets and across a verifier
+  restart (the record is the only baseline, so a restored fleet never
+  re-folds old history), and ``fleet status`` reads them back from the
+  event log;
+* malformed ``reason=count`` entries are counted on the attest event,
+  surfaced in ``fleet status``, and never crash the fold.
 """
 
+import dataclasses
 import json
-import threading
 
 import pytest
 
 from repro.fleet import CampaignStatus, FleetSimulation
-from repro.fleet.telemetry import FleetTelemetry, parse_violation_totals
+from repro.fleet.protocol import parse_violation_totals
 from repro.obs import (
     EVENT_KINDS,
     JsonlEventLog,
@@ -249,22 +250,27 @@ class TestMetrics:
             METRICS.enable(was_enabled)
 
 
-# ---- telemetry folding ------------------------------------------------------
+# ---- violation folding ------------------------------------------------------
 
 
-class _Report:
-    def __init__(self, violation_totals=(), reset_count=0):
-        self.violation_totals = list(violation_totals)
-        self.reset_count = reset_count
-        self.firmware_version = 1
+def _scripted_fleet(*series):
+    """A one-device fleet whose attests report the scripted cumulative
+    ``(violation_totals, reset_count)`` pairs, one per heartbeat.  The
+    agent MACs whatever the device reports, so the verifier sees them
+    as authentic evidence."""
+    fleet = FleetSimulation(size=1)
+    device_id = fleet.registry.ids()[0]
+    device = fleet.devices[device_id]
+    honest = device.attestation_report
+    script = iter(series)
 
+    def scripted():
+        totals, resets = next(script)
+        return dataclasses.replace(honest(), violation_totals=tuple(totals),
+                                   reset_count=resets)
 
-class _Result:
-    def __init__(self, ok=True, detail="", attempts=1, report=None):
-        self.ok = ok
-        self.detail = detail
-        self.attempts = attempts
-        self.report = report
+    device.attestation_report = scripted
+    return fleet, device_id
 
 
 class TestTelemetryFolding:
@@ -275,92 +281,88 @@ class TestTelemetryFolding:
         assert malformed == 2
 
     def test_malformed_totals_counted_and_rendered(self):
-        telemetry = FleetTelemetry()
-        telemetry.record_attest("d1", _Result(
-            report=_Report(violation_totals=["cfi-return=1", "broken"])))
-        assert telemetry.malformed_totals == 1
-        assert telemetry.as_dict()["malformed_totals"] == 1
-        assert "1 malformed violation-total entry" in telemetry.render()
+        fleet, device_id = _scripted_fleet((["cfi-return=1", "broken"], 0),
+                                           (["cfi-return=1"], 0))
+        fleet.attest_all()
+        fleet.attest_all()
+        first, second = fleet.events.events(kind="attest")
+        assert first["data"]["malformed"] == 1
+        assert "malformed" not in second["data"]  # only when nonzero
+        assert fleet.observed()["malformed_totals"] == 1
+        assert fleet.observed()["violations"] == {"cfi-return": 1}
+        assert "1 malformed violation-total entry" in fleet.status()
 
     def test_deltas_fold_across_device_resets(self):
         # Cumulative totals never reset on the device; reset_count
         # climbs independently.  The fold must track both as deltas.
-        telemetry = FleetTelemetry()
-        telemetry.record_attest("d1", _Result(report=_Report(
-            ["cfi-return=2"], reset_count=1)))
-        telemetry.record_attest("d1", _Result(report=_Report(
-            ["cfi-return=5", "stack-tamper=1"], reset_count=3)))
-        telemetry.record_attest("d1", _Result(report=_Report(
-            ["cfi-return=5", "stack-tamper=1"], reset_count=3)))  # no change
-        assert telemetry.violations == {"cfi-return": 5, "stack-tamper": 1}
-        assert telemetry.resets == 3
-        assert telemetry.attestations == 3
+        fleet, device_id = _scripted_fleet(
+            (["cfi-return=2"], 1),
+            (["cfi-return=5", "stack-tamper=1"], 3),
+            (["cfi-return=5", "stack-tamper=1"], 3))  # no change
+        for _ in range(3):
+            assert fleet.session(device_id).attest().ok
+        observed = fleet.observed()
+        assert observed["violations"] == {"cfi-return": 5, "stack-tamper": 1}
+        assert observed["resets"] == 3
+        assert observed["attestations"] == 3
+        record = fleet.registry.get(device_id)
+        assert record.violation_totals == {"cfi-return": 5, "stack-tamper": 1}
+        assert record.reset_count == 3
 
     def test_violation_delta_events_emitted_only_on_change(self):
-        log = MemoryEventLog()
-        telemetry = FleetTelemetry(events=log)
-        telemetry.record_attest("d1", _Result(report=_Report(
-            ["cfi-return=2"], reset_count=0)))
-        telemetry.record_attest("d1", _Result(report=_Report(
-            ["cfi-return=2"], reset_count=0)))
-        deltas = log.events(kind="violation-delta")
+        fleet, device_id = _scripted_fleet((["cfi-return=2"], 0),
+                                           (["cfi-return=2"], 0))
+        fleet.attest_all()
+        fleet.attest_all()
+        deltas = fleet.events.events(kind="violation-delta")
         assert len(deltas) == 1
         assert deltas[0]["data"] == {"deltas": {"cfi-return": 2}, "resets": 0}
 
-    def test_concurrent_workers_fold_exactly_once(self):
-        # The process backend's shape: many worker threads feed one
-        # FleetTelemetry.  Each device's cumulative series arrives in
-        # order per device but interleaved across devices.
-        telemetry = FleetTelemetry()
-        devices = [f"d{i}" for i in range(8)]
-
-        def feed(device_id):
-            for count in range(1, 26):
-                telemetry.record_attest(device_id, _Result(report=_Report(
-                    [f"cfi-return={count}"], reset_count=0)))
-
-        threads = [threading.Thread(target=feed, args=(device_id,))
-                   for device_id in devices]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Per device the cumulative max was 25, so exactly 25 fold.
-        assert telemetry.violations == {"cfi-return": 25 * len(devices)}
-        assert telemetry.attestations == 25 * len(devices)
-
-    def test_seed_baseline_never_overwrites_live_state(self):
-        telemetry = FleetTelemetry()
-        telemetry.record_attest("d1", _Result(report=_Report(
-            ["cfi-return=4"], reset_count=1)))
-        telemetry.seed_baseline("d1", {"cfi-return": 1}, 0)  # stale record
-        telemetry.record_attest("d1", _Result(report=_Report(
-            ["cfi-return=4"], reset_count=1)))
-        assert telemetry.violations == {"cfi-return": 4}
+    def test_quarantine_then_violation_delta_then_attest(self):
+        # A report that quarantines still advances the record's totals,
+        # and the attest's events keep the verdict's causal order.
+        fleet = FleetSimulation(size=3)
+        victim = fleet.registry.ids()[1]
+        fleet.corrupt_firmware(victim)
+        fleet.attest_all([victim])
+        kinds = [doc["kind"] for doc in fleet.events.device_timeline(victim)]
+        assert kinds[-3:] == ["quarantine", "violation-delta", "attest"]
+        delta = fleet.events.events(kind="violation-delta")[-1]["data"]
+        assert delta["deltas"] == fleet.registry.get(victim).violation_totals
 
     def test_restored_fleet_does_not_refold_old_violations(self, tmp_path):
-        # The cross-layer property: protocol persists the accepted
-        # report's totals on the record, the store round-trips them,
-        # and the restored fleet seeds its telemetry baselines -- so a
-        # restart never re-counts violations the old process folded.
+        # The cross-layer property: protocol folds each verified
+        # report against the record's persisted totals, and the store
+        # round-trips them -- so a restart never re-counts violations
+        # the old process folded, with no baseline to seed.
         store_path = str(tmp_path / "fleet.db")
         fleet = FleetSimulation(size=3, store=store_path)
         victim = fleet.registry.ids()[0]
         fleet.corrupt_firmware(victim)
         device = fleet.devices[victim]
         assert device.violation_totals  # the fault fired
-        fleet.session(victim).attest()
-        old_violations = dict(fleet.telemetry.violations)
+        fleet.attest_all([victim])  # saves the record, then flushes
+        old_violations = fleet.observed()["violations"]
         assert old_violations  # the live fold saw the delta
         assert fleet.registry.get(victim).violation_totals
-        fleet.registry.flush()
+        counters = device.attestation_report()
+        assert counters.violation_totals and counters.reset_count
         fleet.registry.store.close()
 
         restored = FleetSimulation(store=store_path)
-        # The replica reports the same cumulative totals; a seeded
-        # baseline means zero *new* violations fold on the heartbeat.
-        restored.attest_all()
-        assert dict(restored.telemetry.violations) == {}
+        # The real device's RoT counters outlive the verifier restart,
+        # while a rebuilt replica counts from zero: make it report the
+        # same cumulative totals.  The record's baseline means zero
+        # *new* violations fold on the heartbeat.
+        replica = restored.devices[victim]
+        honest = replica.attestation_report
+        replica.attestation_report = lambda: dataclasses.replace(
+            honest(), violation_totals=counters.violation_totals,
+            reset_count=counters.reset_count)
+        assert all(result.ok for result in restored.attest_all().values())
+        assert restored.observed()["violations"] == {}
+        assert restored.observed()["resets"] == 0
+        assert restored.events.events(kind="violation-delta") == []
         restored.registry.store.close()
 
 
