@@ -26,6 +26,7 @@ the MAC'd attestation report (:mod:`repro.fleet.protocol`): a tampered
 or fabricated edge window no longer folds to the reported digest.
 """
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Tuple
@@ -129,15 +130,20 @@ class BranchTraceRecorder:
 
     Installed as ``Cpu.trace_sink``; the CPU calls :meth:`observe` once
     per edge with the edge's kind, so each edge costs two calls:
-    :meth:`observe` and :meth:`record_edge`.
+    :meth:`observe` and :meth:`record_edge`.  An edge costs the ring no
+    new objects: it is kept as the equal tuple the ring already holds,
+    and its chain value as an unboxed word of a 64-bit column.
     """
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("trace capacity must be >= 1")
         self.capacity = capacity
-        # Ring entries: (src, dst, kind, chain_after).
-        self._edges = deque(maxlen=capacity)
+        self._edges = deque(maxlen=capacity)  # (src, dst, kind), oldest first
+        self._shared = {}  # edge -> the equal tuple the ring holds
+        # The chain value after each entry; the oldest entry's at _head.
+        self._chains = array("Q")
+        self._head = 0
         self._digest = FNV_OFFSET
         self._prefix = FNV_OFFSET  # chain value before the oldest entry
         self.total = 0
@@ -151,7 +157,7 @@ class BranchTraceRecorder:
         if len(edges) == self.capacity:
             # The leftmost entry is about to be evicted; its chain value
             # becomes the new prefix so snapshots stay verifiable.
-            self._prefix = edges[0][3]
+            self._prefix = self._evict()
             self.dropped += 1
         # chain_edge, folded inline (one call per edge, not four); one
         # mask per product equals _fold's, as the fold works mod 2**64.
@@ -159,7 +165,9 @@ class BranchTraceRecorder:
         digest = ((digest ^ dst) * _FNV_PRIME) & _MASK64
         digest = ((digest ^ EDGE_KIND_CODES[kind]) * _FNV_PRIME) & _MASK64
         self._digest = digest
-        edges.append((src, dst, kind, digest))
+        edge = (src, dst, kind)
+        edges.append(self._shared.setdefault(edge, edge))
+        self._chains.append(digest)
         self.total += 1
 
     def inject_edge(self, src: int, dst: int, kind: str):
@@ -169,15 +177,31 @@ class BranchTraceRecorder:
         trace evidence; the snapshot stops re-folding to its digest and
         the verifier must flag it.  Test/fault-injection hook only.
         """
-        self._edges.append((src, dst, kind, self._digest))
+        if len(self._edges) == self.capacity:
+            self._evict()  # the entry goes uncounted and the prefix stays
+        self._edges.append((src, dst, kind))
+        self._chains.append(self._digest)
         self.total += 1
+
+    def _evict(self) -> int:
+        """Pop the oldest entry's chain value.  The column is compacted
+        once per capacity evictions (amortised O(1), never more than
+        twice the ring), and the shared-edge table is bounded then."""
+        chain = self._chains[self._head]
+        self._head += 1
+        if self._head == self.capacity:
+            del self._chains[:self._head]
+            self._head = 0
+            if len(self._shared) > self.capacity:
+                self._shared.clear()
+        return chain
 
     def __len__(self):
         return len(self._edges)
 
     def snapshot(self) -> TraceSnapshot:
         return TraceSnapshot(
-            edges=tuple((src, dst, kind) for src, dst, kind, _ in self._edges),
+            edges=tuple(self._edges),
             prefix_digest=self._prefix,
             digest=self._digest,
             total=self.total,
@@ -192,8 +216,8 @@ class BranchTraceRecorder:
         (unlike :meth:`snapshot`, which is the attestation *evidence*
         view and drops them)."""
         return {
-            "edges": [[src, dst, kind, chain]
-                      for src, dst, kind, chain in self._edges],
+            "edges": [[src, dst, kind, chain] for (src, dst, kind), chain
+                      in zip(self._edges, self._chains[self._head:])],
             "digest": self._digest,
             "prefix": self._prefix,
             "total": self.total,
@@ -206,19 +230,16 @@ class BranchTraceRecorder:
             raise ValueError(
                 f"trace snapshot capacity {state['capacity']} does not match "
                 f"recorder capacity {self.capacity}")
-        self._edges = deque(
-            state_rows(state, "edges", int, int, EDGE_KIND_CODES, int),
-            maxlen=self.capacity)
+        rows = state_rows(state, "edges", int, int, EDGE_KIND_CODES,
+                          int)[-self.capacity:]
+        try:
+            self._chains = array("Q", [row[3] for row in rows])
+        except OverflowError:
+            raise ValueError("trace chain values must be 64-bit words") from None
+        self._head = 0
+        self._edges = deque([row[:3] for row in rows], maxlen=self.capacity)
+        self._shared = {}
         self._digest = state_int(state, "digest")
         self._prefix = state_int(state, "prefix")
         self.total = state_int(state, "total")
         self.dropped = state_int(state, "dropped")
-
-    def clear(self):
-        """Forget everything (fresh provisioning, not used on reset --
-        a violation's trace is exactly the evidence worth keeping)."""
-        self._edges.clear()
-        self._digest = FNV_OFFSET
-        self._prefix = FNV_OFFSET
-        self.total = 0
-        self.dropped = 0

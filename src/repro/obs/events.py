@@ -39,12 +39,14 @@ event-log durability point too.
 import json
 import threading
 import time
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
 from repro.obs.bus import EventBus
-from repro.recordlog import JsonlLog, RecordLog, SqliteLog, open_view
+from repro.recordlog import JsonlLog, RecordLog, SqliteLog, open_view, read_lines
 
 __all__ = [
     "EVENT_KINDS",
@@ -391,48 +393,67 @@ class MemoryEventLog(EventLog):
     def __init__(self):
         super().__init__()
         self._events: List[dict] = []
+        self._seqs = array("q")  # emission appends in seq order: bisect it
 
     def _append(self, doc: dict):
         self._events.append(doc)
+        self._seqs.append(doc["seq"])
 
     def _scan(self, since: Optional[int] = None):
-        events = self._events
         if since is None:
-            return events
-        # Emission appends in seq order, so binary-search the first
-        # event past *since* (bisect has no key= before Python 3.10).
-        low, high = 0, len(events)
-        while low < high:
-            middle = (low + high) // 2
-            if events[middle]["seq"] > since:
-                high = middle
-            else:
-                low = middle + 1
-        return events[low:]
+            return self._events
+        return self._events[bisect_right(self._seqs, since):]
 
 
-class JsonlEventLog(JsonlLog, MemoryEventLog):
-    """The memory log's list over a JSON-lines log, one line per event.
-
-    The log is append-only by nature (events never rewrite), so unlike
-    the registry's JsonlStore there is nothing to compact -- growth is
-    the point.
+class JsonlEventLog(JsonlLog, EventLog):
+    """A JSON-lines log, one line per event, read back from the file:
+    memory keeps each event's seq and the offset its line ends at (see
+    :func:`_is_event`), so a long-running verifier's footprint does not
+    grow with its history.  The log is
+    append-only by nature, so unlike the registry's JsonlStore there is
+    nothing to compact -- growth is the point.
     """
 
     def __init__(self, path: str):
-        MemoryEventLog.__init__(self)
+        EventLog.__init__(self)
         JsonlLog.__init__(self, path)
-        self._events = [doc for doc in self._read() if "seq" in doc]
-        if self._events:
-            self._seq = self._events[-1]["seq"]
+        self._seqs, self._ends = array("q"), array("q")
+        with open(path, "rb") as handle:
+            for line in handle:
+                for doc in read_lines((line,)):
+                    if _is_event(doc):
+                        self._seqs.append(doc["seq"])
+                        self._ends.append(handle.tell())
+        if self._seqs:
+            self._seq = self._seqs[-1]
 
     def _append(self, doc: dict):
-        self._events.append(doc)
         self._write(doc)
+        self._seqs.append(doc["seq"])
+        self._ends.append(self._file.buffer.tell())  # _write flushed
+
+    def _scan(self, since: Optional[int] = None) -> List[dict]:
+        with self._lock:
+            first = 0 if since is None else bisect_right(self._seqs, since)
+            if first == len(self._seqs):
+                return []
+            start = self._ends[first - 1] if first else 0
+            end = self._ends[-1]  # every line before it is whole
+        with open(self.path, "rb") as handle:
+            handle.seek(start)
+            lines = handle.read(end - start).split(b"\n")
+        return [doc for doc in read_lines(lines) if _is_event(doc)]
 
     def flush(self):
         with self._lock:
             self._sync()
+
+
+def _is_event(doc: dict) -> bool:
+    """Whether a stored line is an event: its seq is an integer that
+    fits the 64-bit seq column."""
+    seq = doc.get("seq")
+    return type(seq) is int and -(1 << 63) <= seq < 1 << 63
 
 
 class SqliteEventLog(SqliteLog, EventLog):

@@ -11,6 +11,8 @@ The acceptance spine:
 """
 
 import json
+import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -29,7 +31,12 @@ from repro.cfg import (
     recover_cfg,
     replay_trace,
 )
-from repro.cfg.trace import EDGE_KIND_CODES
+from repro.cfg.trace import (
+    EDGE_KIND_CODES,
+    FNV_OFFSET,
+    TraceSnapshot,
+    chain_edge,
+)
 from repro.device import build_device
 from repro.errors import ReproError
 from repro.fleet import CampaignConfig, FleetSimulation, Lifecycle
@@ -307,6 +314,73 @@ class TestTraceRecorder:
         edges = list(snapshot.edges)
         edges[2] = (edges[2][0], 0xDEAD, edges[2][2])
         assert fold_edges(snapshot.prefix_digest, tuple(edges)) != snapshot.digest
+
+    def test_ring_keeps_what_a_plain_ring_of_chained_entries_keeps(self):
+        """The shared-edge ring and its chain column hold exactly the
+        state of a plain ring of ``(src, dst, kind, chain_after)``
+        entries, through evictions, compactions, injected edges and
+        JSON restores."""
+        steps = st.lists(st.tuples(
+            st.sampled_from(("record", "record", "inject", "restore")),
+            st.integers(0, 3), st.integers(0, 3),
+            st.sampled_from(sorted(EDGE_KIND_CODES))), max_size=60)
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(capacity=st.integers(1, 5), steps=steps)
+        def check(capacity, steps):
+            recorder = BranchTraceRecorder(capacity=capacity)
+            plain = deque(maxlen=capacity)
+            prefix = digest = FNV_OFFSET
+            total = dropped = 0
+            for op, src, dst, kind in steps:
+                if op == "record":
+                    recorder.record_edge(src, dst, kind)
+                    if len(plain) == capacity:
+                        prefix = plain[0][3]
+                        dropped += 1
+                    digest = chain_edge(digest, src, dst, kind)
+                    plain.append((src, dst, kind, digest))
+                    total += 1
+                elif op == "inject":
+                    recorder.inject_edge(src, dst, kind)
+                    plain.append((src, dst, kind, digest))
+                    total += 1
+                else:
+                    doc = json.loads(json.dumps(recorder.snapshot_state()))
+                    recorder = BranchTraceRecorder(capacity=capacity)
+                    recorder.restore_state(doc)
+                assert recorder.snapshot_state() == {
+                    "edges": [list(entry) for entry in plain],
+                    "digest": digest, "prefix": prefix, "total": total,
+                    "dropped": dropped, "capacity": capacity}
+                assert recorder.snapshot() == TraceSnapshot(
+                    edges=tuple(entry[:3] for entry in plain),
+                    prefix_digest=prefix, digest=digest, total=total,
+                    dropped=dropped, capacity=capacity)
+
+        check()
+
+    def test_repeated_edges_cost_no_new_objects(self):
+        """A loop's edges, recorded again and again, share one tuple per
+        distinct edge, so the ring's memory is its column, not objects
+        per edge."""
+        loop = [(0xE000 + 8 * index, 0xE100 + 8 * index, "jump")
+                for index in range(8)]
+        recorder = BranchTraceRecorder(capacity=4096)
+        tracemalloc.start()
+        try:
+            for _ in range(500):
+                for src, dst, kind in loop:
+                    # Fresh int objects, as the CPU's StepRecords carry.
+                    recorder.record_edge(int(str(src)), int(str(dst)), kind)
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recorder) == 4000
+        assert len({id(edge) for edge in recorder.snapshot().edges}) == 8
+        # A deque slot and a column word per entry, ~64 KB for 4000; a
+        # new tuple per edge, holding new ints, retained ~0.7 MB.
+        assert retained < 100_000
 
     def test_device_records_taken_edges_only(self, app_builds):
         original, _eilid = app_builds["light_sensor"]

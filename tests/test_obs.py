@@ -19,6 +19,7 @@ The properties this file guards:
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -126,6 +127,44 @@ class TestEventLog:
         assert [doc["kind"] for doc in again.events()] == ["enroll"]
         assert again.emit("attest", device="d1", ok=True)["seq"] == 2
         again.close()
+
+    def test_jsonl_reads_its_own_lines_past_a_terminated_fragment(
+            self, tmp_path):
+        """The log keeps line offsets, not documents: its own scans must
+        land on the lines it wrote after ending a torn fragment,
+        non-ASCII text included."""
+        log = make_log("jsonl", tmp_path)
+        log.emit("enroll", device="d1")
+        log.close()
+        with open(log.path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 18446744073709551616, "kind": "attest"}\n')
+            handle.write('{"seq": 2, "kind": "att')  # kill mid-append
+        again = JsonlEventLog(log.path)  # neither line is an event
+        again.emit("attest", device="d1", ok=True, detail="naïve")
+        again.emit("attest", device="d2", ok=False)
+        assert [(doc["seq"], doc["device"]) for doc in again.events()] \
+            == [(1, "d1"), (2, "d1"), (3, "d2")]
+        assert [doc["seq"] for doc in again.tail(since_seq=2)] == [3]
+        assert again.events(since=1)[0]["data"]["detail"] == "naïve"
+        assert len(again) == 3
+        again.close()
+
+    def test_jsonl_log_does_not_keep_its_events(self, tmp_path):
+        """A durable log's memory does not grow with its history: 5000
+        events keep their seqs and offsets, not their documents."""
+        log = make_log("jsonl", tmp_path)
+        tracemalloc.start()
+        try:
+            for index in range(5000):
+                log.emit("attest", device=f"dev-{index:05d}", ok=True,
+                         attempts=1)
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log.tail(since_seq=4990)) == 10
+        # Two 64-bit columns are ~80 KB; the documents were ~3 MB.
+        assert retained < 400_000
+        log.close()
 
     def test_sqlite_batches_until_flush(self, tmp_path):
         path = str(tmp_path / "events.db")
