@@ -17,15 +17,18 @@ measure themselves against:
   floor, since the sharding overhead (snapshot, pickle, rebuild,
   merge) is real and a regression there shows up even single-core;
 * per-replica memory: tracemalloc bytes per device over a 500-device
-  casu fleet, whose devices share one firmware image per program and
-  are parked between exchanges: a parked replica keeps only the RAM
-  pages that differ from that image, plus its CPU, decode cache,
-  monitor, peripherals, link and registry entry.  Enrolled, a replica
-  reads ~14 KB on a 2-vCPU container (CPython 3.11), gated at 24 KB;
-  after one rollout and one attest sweep it reads ~25 KB, gated at
-  32 KB.  Before parking the two read ~78 and ~88 KB, when each replica
-  held its own live 64 KB of RAM, and ~147 KB enrolled when every
-  device also kept a private 64 KB image copy.  ``build_device`` on
+  casu fleet, whose devices share one firmware image and one decode
+  table per program and are parked between exchanges: a parked replica
+  keeps only the RAM pages that differ from that image, plus its CPU,
+  its own decode-cache dict (entries adopted from the program's
+  table), monitor, peripherals, link and registry entry.  Enrolled, a
+  replica reads ~11.3-11.9 KB on a 2-vCPU container (CPython 3.11),
+  gated at 16 KB; after one rollout and one attest sweep it reads
+  ~15.5-16.3 KB, gated at 20 KB.  With private decode caches, a set per covered code
+  word and empty event and UART rings the two read ~13.4-14 and
+  ~23.5-25 KB.  Before parking they read ~78 and ~88 KB, when each
+  replica held its own live 64 KB of RAM, and ~147 KB enrolled when
+  every device also kept a private 64 KB image copy.  ``build_device`` on
   the fleet image, whose 104 segments were once loaded one
   bounds-checked call at a time, takes a median ~45-60 us with the
   500-device fleet alive (it took ~95-145 us).
@@ -48,8 +51,8 @@ from repro.fleet import CampaignConfig, CampaignStatus, FleetSimulation
 
 FLEET_SIZE = 1000
 REPLICA_FLEET = 500
-REPLICA_KB_CEILING = 24  # enrolled
-SERVED_REPLICA_KB_CEILING = 32  # after one rollout and one attest sweep
+REPLICA_KB_CEILING = 16  # enrolled
+SERVED_REPLICA_KB_CEILING = 20  # after one rollout and one attest sweep
 
 
 def _usable_cores() -> int:

@@ -86,12 +86,19 @@ class UpdateResult:
         return self.status is UpdateStatus.APPLIED
 
 
+# How many offers ``UpdateEngine.history`` keeps, newest last: one
+# verdict per offer would otherwise grow every long-lived fleet replica
+# by one entry per rollout.  Nothing but the snapshot reads it.
+HISTORY_LIMIT = 8
+
+
 class UpdateEngine:
     """Device-side update logic (ROM crypto modelled natively)."""
 
     def __init__(self, key: UpdateKey):
         self.key = key
         self.current_version = 0
+        # (version, status) of the last HISTORY_LIMIT offers.
         self.history: List[Tuple[int, UpdateStatus]] = []
 
     def verify(self, package: UpdatePackage) -> UpdateResult:
@@ -106,6 +113,8 @@ class UpdateEngine:
         else:
             result = UpdateResult(UpdateStatus.APPLIED)
         self.history.append((package.version, result.status))
+        if len(self.history) > HISTORY_LIMIT:
+            del self.history[0]
         return result
 
     def accept(self, package: UpdatePackage):
@@ -124,5 +133,9 @@ class UpdateEngine:
     def restore_state(self, state):
         self.current_version = state_int(state, "current_version")
         statuses = [status.value for status in UpdateStatus]
-        self.history = [(version, UpdateStatus(value)) for version, value
-                        in state_rows(state, "history", int, statuses)]
+        rows = state_rows(state, "history", int, statuses)
+        if len(rows) > HISTORY_LIMIT:
+            raise ValueError(f"field 'history' holds {len(rows)} offers, "
+                             f"more than the {HISTORY_LIMIT} kept")
+        self.history = [(version, UpdateStatus(value))
+                        for version, value in rows]

@@ -50,10 +50,27 @@ kind :mod:`repro.isa.transfer` assigns the instruction (``None`` for
 one that never transfers control).  A step records its edge when it
 leaves the fall-through address, and a ``call`` or ``reti`` records it
 even when it does not.  The uncached path classifies on every step.
-The invalidation contract, shared with :class:`repro.memory.bus.Bus`:
 
-* filling an entry registers every word address the instruction's
-  encoding occupies with the bus (:meth:`Bus.note_code_cached`);
+An entry is a function of its PC and the 1-3 words it was decoded
+from, so devices of one program share them: each
+:class:`~repro.toolchain.linker.LinkedProgram` keeps one decode table,
+``{pc: entry}``, beside its image (``decode_table``, installed by the
+device through :meth:`Cpu.share_decodes`).  A hit is still one lookup
+in the device's own dict.  On a miss the device adopts the table's
+entry for that PC if its current words over the entry's whole span
+equal the image's; otherwise it decodes, and publishes the new entry
+(``setdefault``, before the instruction executes) only if the decoded
+words equal the image's.  So the table holds only entries of the
+image's code, and a device whose words differ from the image's there
+-- self-modified, updated, poked -- decodes its own.  Invalidation
+stays per device: a device's writes kill entries in its own dict
+alone, never in the table or another device's dict, so no device runs
+a shared entry after writing that entry's words.  The invalidation
+contract, shared with :class:`repro.memory.bus.Bus`:
+
+* filling an entry, decoded or adopted, registers every word address
+  the instruction's encoding occupies with the bus
+  (:meth:`Bus.note_code_cached`);
 * **any** mutation of memory through the bus -- CPU-issued writes,
   back-door ``poke_word``/``load_bytes``, violation-rollback restores --
   kills every entry whose registered words overlap the written word, so
@@ -69,12 +86,15 @@ The invalidation contract, shared with :class:`repro.memory.bus.Bus`:
   same order with the same arguments, so access records, peripheral
   handlers and invalidation see no difference.
 
-Interrupt acceptance and ILLEGAL/fault steps are never cached.  Passing
-``decode_cache=False`` (or flipping :data:`DECODE_CACHE_DEFAULT`)
-disables the cache and runs the generic ``_ex_*`` executors, the
-reference: the differential tests in ``tests/test_decode_cache.py``
-assert both paths produce identical StepRecords, cycle totals and
-monitor verdicts over whole programs, and
+Interrupt acceptance, ILLEGAL/fault steps and an odd PC are never
+cached.  Passing ``decode_cache=False`` (or flipping
+:data:`DECODE_CACHE_DEFAULT`) disables the cache and runs the generic
+``_ex_*`` executors, the reference: the differential tests in
+``tests/test_decode_cache.py`` assert both paths produce identical
+StepRecords, cycle totals and monitor verdicts over whole programs,
+``tests/test_decode_table.py`` holds devices sharing a table to
+uncached twins through self-modifying code, updates, fault pokes and a
+sibling that rewrites code another device keeps running, and
 ``tests/test_compiled_executors.py`` compares the two executors one
 instruction at a time over every opcode and addressing mode.
 """
@@ -189,6 +209,19 @@ class Cpu:
         self._dcache: Optional[dict] = {} if decode_cache else None
         if self._dcache is not None:
             bus.bind_decode_cache(self._dcache)
+        # The program's decode table and the image its entries were
+        # decoded from (see share_decodes); None for a bare CPU.
+        self._program_decodes: Optional[dict] = None
+        self._program_image: Optional[bytes] = None
+
+    def share_decodes(self, table: dict, image: bytes):
+        """Fill this CPU's decode cache through *table*, the decode
+        table of the program whose loaded *image* the bus started as
+        (see the module docstring).  Installed by the device; a CPU
+        without a decode cache keeps decoding every step."""
+        if self._dcache is not None:
+            self._program_decodes = table
+            self._program_image = image
 
     # ---- register helpers -------------------------------------------------
 
@@ -293,6 +326,8 @@ class Cpu:
 
         cache = self._dcache
         entry = cache.get(pc_before) if cache is not None else None
+        if entry is None and cache is not None:
+            entry = self._fill(pc_before)
         if entry is not None:
             insn, next_pc, cycles, fetches, executor, edge = entry
             # Replay the monitor-visible FETCH stream; invalidation
@@ -301,34 +336,23 @@ class Cpu:
             regs[PC] = next_pc
             executor(regs, bus)
         else:
+            # The uncached path; on the cached one, an illegal word or
+            # an odd PC.
             bus.trace = trace = []
-            first_word = None
             try:
-                first_word = bus.fetch_word(pc_before)
-                self._fetch_addr = pc_before + 2
-                insn = decode(first_word, self._fetch_ext)
-            except DecodingError:
+                insn = self._decode(pc_before)
+            except (DecodingError, MemoryAccessError):
                 # An illegal opcode halts a real MSP430 into reset via
-                # the watchdog; we surface it as an ILLEGAL step and let
-                # the device reset.
-                return self._illegal_step(pc_before, first_word)
-            except MemoryAccessError:
-                # The fetch ran off the top of the address space (e.g.
-                # the extension word of a two-word instruction at
-                # 0xFFFE): a fault step, not a simulator crash.
-                return self._illegal_step(pc_before, first_word)
+                # the watchdog, and a fetch off the top of the address
+                # space (the extension word of a two-word instruction
+                # at 0xFFFE) is a fault too: an ILLEGAL step the device
+                # resets on, not a simulator crash.
+                return self._illegal_step(pc_before)
             next_pc = self._fetch_addr & 0xFFFE
             edge = EDGE_KINDS[classify_insn(insn, pc_before)[0]]
             cycles = instruction_cycles(insn)
             regs[PC] = next_pc
-            if cache is None:
-                _EXECUTORS[insn.opcode.mnemonic](self, insn)
-            else:
-                executor = compile_instruction(insn)
-                cache[pc_before] = (insn, next_pc, cycles, tuple(trace),
-                                    executor, edge)
-                bus.note_code_cached(pc_before, len(trace))
-                executor(regs, bus)
+            _EXECUTORS[insn.opcode.mnemonic](self, insn)
         bus.trace = []
 
         self.total_cycles += cycles
@@ -350,12 +374,62 @@ class Cpu:
             self.trace_sink.observe(record, edge)
         return record
 
-    def _illegal_step(self, pc_before, first_word):
+    def _decode(self, pc):
+        """Fetch and decode the instruction at *pc*, appending its
+        fetches to the bus trace; raises DecodingError or
+        MemoryAccessError for a word that is no instruction."""
+        first_word = self.bus.fetch_word(pc)
+        self._fetch_addr = pc + 2
+        return decode(first_word, self._fetch_ext)
+
+    def _fill(self, pc):
+        """The decode-cache entry for a miss at *pc*, now in the cache
+        and registered with the bus; None for an illegal word.
+
+        The program's entry is adopted when this device's words over
+        its whole span equal the image's; otherwise the instruction is
+        decoded here, and the new entry is published to the program's
+        table (before it executes) only when the decoded words equal
+        the image's.  An odd PC, which only a restored register file
+        can hold, is never cached, so every key is a word address.
+        """
+        if pc & 1:
+            return None
+        bus = self.bus
+        mem = bus.mem
+        table = self._program_decodes
+        if table is not None:
+            entry = table.get(pc)
+            if entry is not None:
+                n_words = len(entry[3])
+                end = pc + 2 * n_words
+                if mem[pc:end] == self._program_image[pc:end]:
+                    self._dcache[pc] = entry
+                    bus.note_code_cached(pc, n_words)
+                    return entry
+        bus.trace = trace = []
+        try:
+            insn = self._decode(pc)
+        except (DecodingError, MemoryAccessError):
+            return None
+        n_words = len(trace)
+        entry = (insn, self._fetch_addr & 0xFFFE, instruction_cycles(insn),
+                 tuple(trace), compile_instruction(insn),
+                 EDGE_KINDS[classify_insn(insn, pc)[0]])
+        self._dcache[pc] = entry
+        bus.note_code_cached(pc, n_words)
+        end = pc + 2 * n_words
+        if table is not None and mem[pc:end] == self._program_image[pc:end]:
+            table.setdefault(pc, entry)
+        return entry
+
+    def _illegal_step(self, pc_before):
         bus = self.bus
         trace, bus.trace = bus.trace, []
         self.total_cycles += 1
+        # The first word, when its fetch made it onto the trace.
         return StepRecord(StepKind.ILLEGAL, pc_before, pc_before, 1, trace,
-                          illegal_word=0 if first_word is None else first_word)
+                          illegal_word=trace[0].value if trace else 0)
 
     def _service_interrupt(self, pc_before):
         bus = self.bus

@@ -149,6 +149,7 @@ class Device:
         self.bus = Bus(self.layout, program.image)
         self.ic = InterruptController()
         self.cpu = Cpu(self.bus, self.ic, decode_cache=decode_cache)
+        self.cpu.share_decodes(program.decode_table, program.image)
 
         if peripherals is None:
             peripherals = {}
@@ -181,7 +182,9 @@ class Device:
         self.max_events = self.DEFAULT_MAX_EVENTS if max_events is None else max_events
         if self.max_events < 1:
             raise ValueError("max_events must be >= 1")
-        self.events = deque(maxlen=self.max_events)
+        # The empty tuple until the first event: most replicas never
+        # log one, and an empty deque costs ~600 B.
+        self.events = ()
         self.events_dropped = 0
         # Cumulative counters survive event-ring eviction, so fleet
         # telemetry keeps exact totals on long-running devices.
@@ -248,7 +251,9 @@ class Device:
 
     def _log_event(self, event: DeviceEvent):
         """Append to the bounded event ring, counting evictions."""
-        if len(self.events) == self.max_events:
+        if not self.events:
+            self.events = deque(maxlen=self.max_events)
+        elif len(self.events) == self.max_events:
             self.events_dropped += 1
         self.events.append(event)
 
@@ -404,9 +409,10 @@ class Device:
             self.clock.cycle = state_int(doc, "cycle")
             self.clock.catch_up()
             self.reset_count = state_int(doc, "reset_count")
-            self.events = deque(
-                map(_event_from_doc, state_list(doc, "events", dict)),
-                maxlen=self.max_events)
+            events = [_event_from_doc(event)
+                      for event in state_list(doc, "events", dict)]
+            self.events = (deque(events, maxlen=self.max_events)
+                           if events else ())
             self.events_dropped = state_int(doc, "events_dropped")
             self.violation_count = state_int(doc, "violation_count")
             self.violation_totals = state_counts(doc, "violation_totals")

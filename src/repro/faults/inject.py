@@ -53,7 +53,7 @@ def _trigger(device, fault: Dict) -> None:
         elif name == "timer":
             peripheral.count ^= mask & 0xFFFF
         elif name == "uart":
-            peripheral._rx_fifo.append(mask & 0xFF)
+            peripheral.push_rx(mask)
         else:
             raise ValueError(f"cannot corrupt peripheral {name!r}")
     else:

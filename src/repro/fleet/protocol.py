@@ -356,7 +356,8 @@ class VerifierSession:
         else:
             report = reply.report
             fold = self._fold_violations(report)
-            problem = self._verdict(reply)
+            problem = ("counter-rollback" if fold[0] is None
+                       else self._verdict(reply))
             if problem is not None:
                 self._quarantine(problem)
                 result = AttestResult(False, problem, report, attempts)
@@ -374,7 +375,7 @@ class VerifierSession:
         return result
 
     def _fold_violations(self, report: AttestationReport
-                         ) -> Tuple[Dict[str, int], int, int]:
+                         ) -> Tuple[Optional[Dict[str, int]], int, int]:
         """Fold a verified report's cumulative counters into the record.
 
         A device reports cumulative per-reason violation totals and a
@@ -384,15 +385,23 @@ class VerifierSession:
         heartbeat newly observed -- across verifier restarts too, since
         the record is durable.  Every MAC-verified report advances the
         record, one that a later check quarantines included.  Returns
-        ``(deltas, resets, malformed)``.
+        ``(deltas, resets, malformed)``.  Cumulative counters never go
+        down, so a report whose reset count or any per-reason total (a
+        reason it leaves out counts 0) is below the record's is
+        evidence, not a delta: its deltas are None, and the record
+        keeps its baseline.
         """
         record = self.record
         totals, malformed = parse_violation_totals(report.violation_totals)
         seen = record.violation_totals
+        if (report.reset_count < record.reset_count
+                or any(totals.get(reason, 0) < count
+                       for reason, count in seen.items())):
+            return None, 0, malformed
         deltas = {reason: count - seen.get(reason, 0)
                   for reason, count in totals.items()
                   if count > seen.get(reason, 0)}
-        resets = max(0, report.reset_count - record.reset_count)
+        resets = report.reset_count - record.reset_count
         record.violation_totals = totals
         record.reset_count = report.reset_count
         return deltas, resets, malformed
@@ -508,8 +517,9 @@ class VerifierSession:
             self.record.firmware_hash = None
         return OfferResult(status, attempts)
 
-    def _note_attest(self, result: AttestResult, deltas: Dict[str, int],
-                     resets: int, malformed: int):
+    def _note_attest(self, result: AttestResult,
+                     deltas: Optional[Dict[str, int]], resets: int,
+                     malformed: int):
         """Count one attest and log it: the violations and resets the
         report newly showed (``violation-delta``), then the verdict."""
         if METRICS.enabled:
@@ -525,8 +535,8 @@ class VerifierSession:
             return
         device_id = self.record.device_id
         if deltas or resets:
-            events.emit("violation-delta", device=device_id, deltas=deltas,
-                        resets=resets)
+            events.emit("violation-delta", device=device_id,
+                        campaign=self.campaign, deltas=deltas, resets=resets)
         report = result.report
         events.emit(
             "attest", device=device_id, campaign=self.campaign, ok=result.ok,

@@ -229,7 +229,8 @@ class FleetSimulation:
         counter, and advance the device's logical clock past
         ``last_seen`` (the real device kept running while the verifier
         was down; a replica that rebooted to cycle 0 would read as a
-        stale-report replay).
+        stale-report replay), and carry the record's cumulative
+        violation and reset counters over.
         """
         device = build_device(build_firmware(self.firmware).program,
                               security=record.security,
@@ -247,6 +248,11 @@ class FleetSimulation:
                                       bytes.fromhex(applied["payload"]))
         if record.last_seen is not None:
             device.cycle = max(device.cycle, record.last_seen)
+        # The real device's RoT counters outlived the verifier; a
+        # replica counting from zero would report them going down.
+        device.violation_count = record.violation_count
+        device.violation_totals = dict(record.violation_totals)
+        device.reset_count = record.reset_count
         device.park()
         link = self.transport.link(record.device_id)
         self.devices[record.device_id] = device

@@ -95,12 +95,12 @@ class Bus:
         # Decoded-instruction cache coupling (see repro.cpu.core):
         # ``_dcache`` is the CPU-owned {pc: entry} dict; ``_dcache_index``
         # maps each word-aligned address covered by a cached instruction
-        # to the set of cache keys to kill when that address is written;
-        # ``_dcache_span`` remembers each key's word count so those index
-        # entries can be unregistered on invalidation.
+        # to a bit mask of where those instructions start: bit k set
+        # means the entry at ``addr - 2 * k`` covers *addr*.  An
+        # instruction spans at most three words, so k < 3, and a
+        # covered word costs one dict slot holding a small int.
         self._dcache: Optional[dict] = None
-        self._dcache_index: Dict[int, set] = {}
-        self._dcache_span: Dict[int, int] = {}
+        self._dcache_index: Dict[int, int] = {}
 
     # ---- peripheral registration ------------------------------------------
 
@@ -119,32 +119,41 @@ class Bus:
         """Adopt the CPU's decode cache for write invalidation."""
         self._dcache = cache
         self._dcache_index.clear()
-        self._dcache_span.clear()
 
     def note_code_cached(self, key: int, n_words: int):
-        """Register the code words a new cache entry depends on."""
-        self._dcache_span[key] = n_words
+        """Register the code words a new cache entry depends on: word
+        ``key + 2 * k`` gets bit k.  *key* is the entry's word-aligned
+        PC, and a fetch never crosses the top of the address space, so
+        the words never wrap."""
         index = self._dcache_index
         for offset in range(n_words):
-            addr = (key + 2 * offset) & 0xFFFE
-            bucket = index.get(addr)
-            if bucket is None:
-                index[addr] = bucket = set()
-            bucket.add(key)
+            addr = key + 2 * offset
+            index[addr] = index.get(addr, 0) | (1 << offset)
 
     def _invalidate_code(self, addr):
-        """Kill every cache entry whose words cover word-aligned *addr*."""
+        """Kill every cache entry whose words cover word-aligned *addr*.
+
+        An entry's own words are exactly those that carry its bit
+        (word ``key + 2 * k``, bit k), so unregistering it needs no
+        record of its span.
+        """
         cache = self._dcache
         index = self._dcache_index
-        for key in index.pop(addr, ()):
+        starts = index.pop(addr, 0)
+        for back in range(3):
+            if not starts >> back & 1:
+                continue
+            key = addr - 2 * back
             if cache is not None:
                 cache.pop(key, None)
-            for offset in range(self._dcache_span.pop(key, 0)):
-                covered = (key + 2 * offset) & 0xFFFE
-                bucket = index.get(covered)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
+            for offset in range(3):
+                covered = key + 2 * offset
+                mask = index.get(covered, 0)
+                if mask >> offset & 1:
+                    mask &= ~(1 << offset)
+                    if mask:
+                        index[covered] = mask
+                    else:
                         del index[covered]
 
     # ---- raw (monitor-invisible) access for loaders and test harnesses ----
@@ -178,7 +187,6 @@ class Bus:
         if self._dcache is not None:
             self._dcache.clear()
         self._dcache_index.clear()
-        self._dcache_span.clear()
         apply_memory_delta(self.mem, baseline, delta)
 
     def park(self, image: bytes) -> None:

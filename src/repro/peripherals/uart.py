@@ -13,14 +13,21 @@ from repro.peripherals.base import NEVER, Peripheral
 from repro.snapshot import state_list, state_rows
 
 
+def _queue(items):
+    """A deque of *items*, or the empty tuple when there are none."""
+    return deque(items) if items else ()
+
+
 class Uart(Peripheral):
     name = "uart"
     _log_attrs = ("tx_log",)
 
     def __init__(self, rx_schedule: Iterable[Tuple[int, int]] = (), rx_irq_enabled=False):
         super().__init__()
-        self._rx_schedule = deque(sorted(rx_schedule))
-        self._rx_fifo = deque()
+        # Both queues are the empty tuple until they hold a byte: most
+        # devices never receive one, and an empty deque costs ~600 B.
+        self._rx_schedule = _queue(sorted(rx_schedule))
+        self._rx_fifo = ()
         self.rx_irq_enabled = rx_irq_enabled
         self.tx_log = []
 
@@ -39,6 +46,13 @@ class Uart(Peripheral):
             return self._rx_fifo.popleft()
         return 0
 
+    def push_rx(self, byte):
+        """Put *byte* in the RX FIFO, raising no interrupt (``tick``
+        raises it for a scheduled byte; the fault injector pushes one)."""
+        if not self._rx_fifo:
+            self._rx_fifo = deque()
+        self._rx_fifo.append(byte & 0xFF)
+
     def _read_status(self):
         status = ports.UART_TX_READY
         if self._rx_fifo:
@@ -49,7 +63,7 @@ class Uart(Peripheral):
         super().tick(cycles)
         while self._rx_schedule and self._rx_schedule[0][0] <= self.now:
             _, byte = self._rx_schedule.popleft()
-            self._rx_fifo.append(byte & 0xFF)
+            self.push_rx(byte)
             if self.rx_irq_enabled:
                 self.raise_irq(ports.UART_VECTOR)
 
@@ -57,7 +71,7 @@ class Uart(Peripheral):
         return self._rx_schedule[0][0] if self._rx_schedule else NEVER
 
     def reset(self):
-        self._rx_fifo.clear()
+        self._rx_fifo = ()
 
     def _snapshot_extra(self):
         return {
@@ -68,8 +82,8 @@ class Uart(Peripheral):
         }
 
     def _restore_extra(self, state):
-        self._rx_schedule = deque(state_rows(state, "rx_schedule", int, int))
-        self._rx_fifo = deque(state_list(state, "rx_fifo", int))
+        self._rx_schedule = _queue(state_rows(state, "rx_schedule", int, int))
+        self._rx_fifo = _queue(state_list(state, "rx_fifo", int))
         self.rx_irq_enabled = bool(state["rx_irq_enabled"])
         self.tx_log[:] = state_rows(state, "tx_log", int, int)
 

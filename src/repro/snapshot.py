@@ -41,8 +41,10 @@ misinterpreting fields.
 
 Restore and the decode cache: restoring a memory image is an arbitrary
 memory mutation, so :meth:`repro.memory.bus.Bus.restore_memory` drops
-the *entire* decoded-instruction cache -- the same contract as
-self-modifying code, just wholesale (see :mod:`repro.cpu.core`).
+the device's *entire* decoded-instruction cache -- the same contract as
+self-modifying code, just wholesale.  The device then adopts the
+program's shared entries again wherever its words equal the image's
+(see :mod:`repro.cpu.core`).
 """
 
 import json

@@ -91,6 +91,15 @@ class LinkedProgram:
             bus.load_bytes(addr, data)
         return bytes(bus.mem)
 
+    @cached_property
+    def decode_table(self) -> dict:
+        """The decode-cache entries of :attr:`image`'s code, ``{pc:
+        entry}``, one table per program like the image itself.  Every
+        device built from the program adopts entries from it and
+        publishes the ones it decodes from unmodified words (see
+        :mod:`repro.cpu.core`)."""
+        return {}
+
     def section_extent(self, name):
         for extent in self.sections:
             if extent.name == name:

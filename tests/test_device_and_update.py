@@ -7,11 +7,17 @@ import pytest
 
 from repro.apps.registry import APPS
 from repro.casu.monitor import ViolationReason
-from repro.casu.update import UpdateKey, UpdatePackage, UpdateStatus
+from repro.casu.update import (
+    HISTORY_LIMIT,
+    UpdateKey,
+    UpdatePackage,
+    UpdateStatus,
+)
 from repro.device import build_device
 from repro.eilid.iterbuild import IterativeBuild
 from repro.memory.bus import AccessKind
 from repro.peripherals.ports import DONE_PORT, GPIO_OUT, LCD_CMD, UART_TX
+from repro.snapshot import SnapshotError
 from repro.toolchain.build import SourceModule
 
 
@@ -215,6 +221,33 @@ class TestSecureUpdate:
         package = UpdatePackage.make(key, 0xE800, b"\x11\x22", version=1)
         assert device.apply_update(package).ok
         assert device.apply_update(package).status is UpdateStatus.STALE_VERSION
+
+    def test_history_keeps_the_last_offers_through_a_snapshot(self):
+        device, key = self.make_device()
+        offers = 3 * HISTORY_LIMIT
+        for version in range(1, offers + 1):
+            package = UpdatePackage.make(key, 0xE800, b"\x11\x22", version)
+            if version % 2:
+                package = package.tampered()
+            device.apply_update(package)
+        history = device.update_engine.history
+        assert len(history) == HISTORY_LIMIT
+        assert [version for version, _ in history] == list(
+            range(offers - HISTORY_LIMIT + 1, offers + 1))
+        doc = device.snapshot().to_dict()
+        assert len(doc["update_engine"]["history"]) == HISTORY_LIMIT
+        fresh, _ = self.make_device()
+        fresh.restore(doc)
+        assert fresh.update_engine.history == history
+        assert fresh.snapshot().to_json() == device.snapshot().to_json()
+
+    def test_a_longer_history_is_a_snapshot_error(self):
+        device, _ = self.make_device()
+        doc = device.snapshot().to_dict()
+        doc["update_engine"]["history"] = [
+            [version, "applied"] for version in range(HISTORY_LIMIT + 1)]
+        with pytest.raises(SnapshotError, match="history"):
+            self.make_device()[0].restore(doc)
 
     def test_update_session_gates_the_guard(self):
         # The same ROM copy routine without an open session must reset.

@@ -12,7 +12,8 @@ The properties this file guards:
   totals, correctly across device resets and across a verifier
   restart (the record is the only baseline, so a restored fleet never
   re-folds old history), and ``fleet status`` reads them back from the
-  event log;
+  event log; counters that go down quarantine the device and fold
+  nothing, and a campaign's attests tag their deltas with it;
 * malformed ``reason=count`` entries are counted on the attest event,
   surfaced in ``fleet status``, and never crash the fold.
 """
@@ -23,7 +24,8 @@ import tracemalloc
 
 import pytest
 
-from repro.fleet import CampaignStatus, FleetSimulation
+from repro.fleet import CampaignConfig, CampaignStatus, FleetSimulation
+from repro.fleet.registry import Lifecycle
 from repro.fleet.protocol import parse_violation_totals
 from repro.obs import (
     EVENT_KINDS,
@@ -357,6 +359,42 @@ class TestTelemetryFolding:
         assert len(deltas) == 1
         assert deltas[0]["data"] == {"deltas": {"cfi-return": 2}, "resets": 0}
 
+    @pytest.mark.parametrize("rolled_back", [
+        ([], 0),  # both counters down: the report leaves the reason out
+        (["cfi-return=5"], 1),  # the reset count alone
+        (["cfi-return=4"], 2),  # one per-reason total alone
+    ])
+    def test_counters_that_go_down_quarantine_and_fold_nothing(
+            self, rolled_back):
+        fleet, device_id = _scripted_fleet((["cfi-return=5"], 2),
+                                           rolled_back,
+                                           (["cfi-return=5"], 2))
+        results = [fleet.session(device_id).attest() for _ in range(3)]
+        assert [result.ok for result in results] == [True, False, True]
+        assert results[1].detail == "counter-rollback"
+        record = fleet.registry.get(device_id)
+        assert record.state is Lifecycle.QUARANTINED
+        assert record.violation_totals == {"cfi-return": 5}
+        assert record.reset_count == 2
+        observed = fleet.observed()
+        assert observed["violations"] == {"cfi-return": 5}
+        assert observed["resets"] == 2
+        assert observed["attest_outcomes"] == {"ok": 2,
+                                               "counter-rollback": 1}
+
+    def test_violation_delta_carries_its_campaign(self):
+        fleet = FleetSimulation(size=3)
+        victim = fleet.registry.ids()[1]
+        fleet.corrupt_firmware(victim)
+        fleet.rollout(version=1, config=CampaignConfig(
+            verify_after_wave=True, failure_threshold=1.0))
+        (delta,) = fleet.events.events(kind="violation-delta")
+        attest = fleet.events.device_timeline(victim)[-1]
+        assert attest["kind"] == "attest"
+        assert delta["device"] == victim
+        assert delta["campaign"] is not None
+        assert delta["campaign"] == attest["campaign"]
+
     def test_quarantine_then_violation_delta_then_attest(self):
         # A report that quarantines still advances the record's totals,
         # and the attest's events keep the verdict's causal order.
@@ -404,6 +442,28 @@ class TestTelemetryFolding:
         assert restored.events.events(kind="violation-delta") == []
         restored.registry.store.close()
 
+    def test_a_restored_fleet_reads_ok_on_its_first_sweep(self, tmp_path):
+        # A replica rebuilt from its record carries the record's RoT
+        # counters, so it never reports them going down.
+        store_path = str(tmp_path / "fleet.db")
+        fleet = FleetSimulation(size=3, store=store_path)
+        victim = fleet.registry.ids()[0]
+        fleet.corrupt_firmware(victim)
+        fleet.attest_all([victim])
+        record = fleet.registry.get(victim)
+        assert record.violation_totals and record.reset_count
+        fleet.registry.store.close()
+
+        restored = FleetSimulation(store=store_path)
+        replica = restored.devices[victim]
+        assert replica.violation_totals == record.violation_totals
+        assert replica.reset_count == record.reset_count
+        assert replica.violation_count == record.violation_count
+        results = restored.attest_all()
+        assert all(result.ok for result in results.values())
+        assert restored.observed()["violations"] == {}
+        restored.registry.store.close()
+
 
 # ---- end-to-end: events flow from every layer -------------------------------
 
@@ -426,8 +486,6 @@ class TestFleetEventFlow:
 
     def test_tampered_offers_quarantine_with_campaign_tag(self):
         fleet = FleetSimulation(size=10, seed=3)
-        from repro.fleet import CampaignConfig
-
         report = fleet.rollout(version=1, tamper_fraction=0.2,
                                config=CampaignConfig(failure_threshold=0.9))
         assert report.failed > 0
@@ -442,8 +500,6 @@ class TestFleetEventFlow:
         # Workers have no event log; the parent emits quarantine events
         # while merging shard outcomes -- exactly one per quarantined
         # device, tagged with the campaign.
-        from repro.fleet import CampaignConfig
-
         fleet = FleetSimulation(size=12, seed=5)
         report = fleet.rollout(version=1, tamper_fraction=0.25,
                                config=CampaignConfig(

@@ -15,7 +15,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.api import FirmwareSpec, build_firmware
 from repro.apps.registry import APPS
@@ -156,19 +156,23 @@ def _field_paths(node, prefix=()):
             yield from _field_paths(value, prefix + (key,))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_snapshot_raises_only_snapshot_error(program, snapshot_doc,
-                                                     data):
+def test_mutated_snapshot_raises_only_snapshot_error(program, snapshot_doc):
     paths = sorted(_field_paths(snapshot_doc))
-    path = data.draw(st.sampled_from(paths), label="field")
-    value = data.draw(st.sampled_from(BAD_VALUES), label="value")
-    try:
-        device = restored(program, mutated(snapshot_doc, path, value))
-    except SnapshotError:
-        return
-    exercised(device)
+
+    # Nested, so a failing example is reported without hypothesis
+    # rewriting this module to pin it.
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        path = data.draw(st.sampled_from(paths), label="field")
+        value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+        try:
+            device = restored(program, mutated(snapshot_doc, path, value))
+        except SnapshotError:
+            return
+        exercised(device)
+
+    check()
 
 
 def _item_paths(node, prefix=()):
@@ -227,16 +231,19 @@ def test_malformed_list_item_raises_snapshot_error(program, busy_doc, path,
         restored(program, mutated(busy_doc, path, value), **LIMITS)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_list_item_raises_only_snapshot_error(program, busy_doc,
-                                                      data):
+def test_mutated_list_item_raises_only_snapshot_error(program, busy_doc):
     paths = list(_item_paths(busy_doc))
-    path = data.draw(st.sampled_from(paths), label="item")
-    value = data.draw(st.sampled_from(ITEM_VALUES), label="value")
-    try:
-        device = restored(program, mutated(busy_doc, path, value), **LIMITS)
-    except SnapshotError:
-        return
-    exercised(device)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        path = data.draw(st.sampled_from(paths), label="item")
+        value = data.draw(st.sampled_from(ITEM_VALUES), label="value")
+        try:
+            device = restored(program, mutated(busy_doc, path, value),
+                              **LIMITS)
+        except SnapshotError:
+            return
+        exercised(device)
+
+    check()
