@@ -1,6 +1,6 @@
 """Sec. VI micro numbers plus interpreter hot-path throughput gates.
 
-Three families of benchmarks:
+Four families of benchmarks:
 
 * the paper's per-protected-call store/check cycle attribution
   (:mod:`repro.eval.microbench`);
@@ -12,7 +12,12 @@ Three families of benchmarks:
 * the snapshot gates: ``snapshot()`` stays a rounding error next to a
   batch, and ``memory_delta`` on a fleet replica runs >= 5x the
   per-page memoryview loop it replaced (~12x on the container below,
-  where ``snapshot()`` then takes ~38 us and ``state_digest()`` ~80 us).
+  where ``snapshot()`` then takes ~38 us and ``state_digest()`` ~80 us);
+* exact "no extra work" gates beside the wall-clock overhead gates:
+  they count the bytecodes a path runs (``sys.settrace`` with
+  ``f_trace_opcodes``), which host noise cannot move, so a disabled
+  alert engine adds none to an emission and enabled metrics add none
+  per step.  Work done inside C functions is not counted.
 
 Reference numbers for ``_HOT_LOOP`` (2-vCPU container, CPython 3.11.7,
 medians of five gate runs while the ledger's host probe read ~0.9-1.15x
@@ -36,6 +41,7 @@ within minutes, so absolute numbers move with it; the ratios move less.
 
 import gc
 import statistics
+import sys
 import time
 
 from repro.device import build_device
@@ -139,6 +145,35 @@ def _paired_median_ratio(numerator, denominator, pairs=7, block=3):
     return statistics.median(ratios)
 
 
+def _bytecodes(call) -> int:
+    """The bytecodes *call* runs, over every Python frame it enters.
+
+    Exact and repeatable where a timing is not: a path that does no
+    extra work in Python runs exactly as many.  The collector is off
+    while counting, so no finalizer's bytecodes land in the count.
+    """
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        else:
+            frame.f_trace_opcodes = True
+        return tracer
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        if gc_was_enabled:
+            gc.enable()
+    return count
+
+
 def test_bench_micro_paths(benchmark, capsys):
     result = benchmark.pedantic(measure_micro, rounds=1, iterations=1)
     with capsys.disabled():
@@ -240,6 +275,44 @@ def test_bench_instrumentation_overhead(benchmark):
     assert overhead <= INSTRUMENTATION_OVERHEAD_CEILING, (
         f"metrics-enabled batched stepping is {overhead:.4f}x slower "
         f"than disabled (ceiling {INSTRUMENTATION_OVERHEAD_CEILING})")
+
+
+def test_bench_instrumentation_adds_no_bytecodes_per_step(benchmark):
+    """The exact form of the overhead gate above: enabling METRICS adds
+    the same number of bytecodes to ``run_steps`` at two step counts,
+    so the batch-boundary span and counters add none per step.  The
+    registry resets before each enabled run, so the span ring and
+    histograms start from the same state every time."""
+    program = _hot_program()
+    was_enabled = METRICS.enabled
+    # Fill the program's shared decode table before counting.
+    build_device(program, security="none").run_steps(
+        2_000, stop_on_done=False)
+
+    def run_bytecodes(enabled, steps):
+        device = build_device(program, security="none")
+        METRICS.enable(enabled)
+        METRICS.reset()
+        return _bytecodes(
+            lambda: device.run_steps(steps, stop_on_done=False))
+
+    def measure():
+        try:
+            return {steps: (run_bytecodes(False, steps),
+                            run_bytecodes(True, steps))
+                    for steps in (500, 1_000)}
+        finally:
+            METRICS.enable(was_enabled)
+
+    counts = benchmark.pedantic(measure, rounds=1, iterations=1)
+    (short_off, short_on), (long_off, long_on) = counts[500], counts[1_000]
+    benchmark.extra_info["bytecodes_per_step"] = (long_off - short_off) / 500
+    benchmark.extra_info["metrics_bytecodes_per_batch"] = long_on - long_off
+    assert long_off > short_off
+    assert long_on - long_off == short_on - short_off, (
+        f"METRICS adds {short_on - short_off} bytecodes to a 500-step "
+        f"batch and {long_on - long_off} to a 1,000-step one: the "
+        f"instrumentation runs inside the step loop")
 
 
 def test_bench_snapshot_overhead(benchmark):
@@ -392,6 +465,39 @@ def test_bench_alert_engine_disabled_path_overhead(benchmark):
     assert overhead <= INSTRUMENTATION_OVERHEAD_CEILING, (
         f"emission with a disabled alert engine is {overhead:.4f}x slower "
         f"than bare emission (ceiling {INSTRUMENTATION_OVERHEAD_CEILING})")
+
+
+def test_bench_alert_engine_disabled_path_bytecodes(benchmark):
+    """The exact form of the gate above: with a disabled alert engine
+    attached, an emission runs exactly as many bytecodes as a bare
+    one, because the engine never subscribes."""
+    from repro.obs import AlertEngine, MemoryEventLog
+
+    emissions = 100
+
+    def emit_bytecodes(with_disabled_engine):
+        log = MemoryEventLog()
+        if with_disabled_engine:
+            AlertEngine(enabled=False).attach(log)
+
+        def emit_all():
+            for _ in range(emissions):
+                log.emit("offer", device="d0", campaign="c1",
+                         status="applied", version=1)
+
+        emit_all()  # first emissions may take one-time paths
+        count = _bytecodes(emit_all)
+        log.close()
+        return count
+
+    def measure():
+        return emit_bytecodes(False), emit_bytecodes(True)
+
+    bare, disabled = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["bytecodes_per_emit"] = bare / emissions
+    assert disabled == bare, (
+        f"{emissions} emissions run {disabled} bytecodes with a disabled "
+        f"alert engine attached and {bare} without")
 
 
 def test_bench_serve_request_accounting_overhead(benchmark):

@@ -73,10 +73,11 @@ class TraceReplayer:
 
     def replay(self, snapshot: TraceSnapshot,
                check_digest: bool = True) -> ReplayResult:
-        """Validate *snapshot*; digest consistency first, then the walk."""
+        """Validate *snapshot*: the window binding first
+        (:meth:`TraceSnapshot.consistent`), then the walk."""
         if check_digest and not snapshot.consistent():
             return ReplayResult(
-                False, "edge window does not fold to the reported digest",
+                False, "edge window does not match its digest and counters",
                 edges_checked=0, failed_index=None, failed_edge=None)
         return self.replay_edges(snapshot.edges, windowed=snapshot.windowed)
 

@@ -103,7 +103,17 @@ class TraceSnapshot:
         return self.dropped > 0
 
     def consistent(self) -> bool:
-        """Does the edge window re-fold to the claimed digest?"""
+        """Is the edge window an authentic window of its own counters?
+
+        It must hold exactly the ``total - dropped`` edges that
+        survive, a window that lost none must start from the empty
+        chain (so an emptied window cannot pose as the whole trace),
+        and it must re-fold over ``prefix_digest`` to ``digest``.
+        """
+        if len(self.edges) != self.total - self.dropped:
+            return False
+        if not self.dropped and self.prefix_digest != FNV_OFFSET:
+            return False
         try:
             return fold_edges(self.prefix_digest, self.edges) == self.digest
         except KeyError:  # unknown edge kind smuggled in

@@ -23,7 +23,6 @@ from repro.fleet.campaign import (
     CampaignConfig,
     CampaignReport,
     CampaignStatus,
-    DeviceOutcome,
     RolloutCampaign,
     WaveResult,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "CampaignStatus",
     "ChannelStats",
     "DeviceAgent",
-    "DeviceOutcome",
     "DeviceRecord",
     "Envelope",
     "FleetRegistry",

@@ -16,10 +16,10 @@ Two execution backends (``CampaignConfig.backend``):
   that ship to a ``ProcessPoolExecutor``.  Each worker process
   rebuilds its shard's devices from the fleet's ``FirmwareSpec`` +
   seed and the registry-record snapshots it is handed (the store
-  codec doubles as the wire format), runs the full authenticated
-  conversation locally, and returns mutated record documents; the
-  parent merges them back into the registry/store.  This sidesteps
-  the GIL and is the scale path for multi-10k fleets.
+  codec doubles as the wire format), runs the same offer the serial
+  backend runs, and returns each record through the same codec; the
+  parent adopts the decoded records into the registry/store.  This
+  sidesteps the GIL and is the scale path for multi-10k fleets.
 
 Campaigns are resumable: every wave's outcomes are persisted through
 the registry's store (when one is attached) and flushed as a
@@ -49,7 +49,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.api.spec import check_field_types, require
 from repro.casu.update import UpdatePackage, UpdateStatus
 from repro.eval.report import render_table
+from repro.fleet.protocol import OfferResult, VerifierSession
 from repro.fleet.registry import DeviceRecord, FleetRegistry, Lifecycle
+from repro.fleet.store import record_from_dict, record_to_dict
 from repro.obs.metrics import METRICS
 
 CAMPAIGN_BACKENDS = ("serial", "process")
@@ -137,26 +139,6 @@ class CampaignStatus(enum.Enum):
 
 
 @dataclass
-class DeviceOutcome:
-    device_id: str
-    status: Optional[UpdateStatus]  # None -> no authentic ack
-    attempts: int
-    # Why status is None: "unreachable", "bad-ack-mac" (forged ack,
-    # quarantines) or "replay" (captured ack injected, quarantines).
-    detail: str = ""
-
-    @property
-    def applied(self):
-        return self.status is UpdateStatus.APPLIED
-
-    @property
-    def status_label(self):
-        if self.status is not None:
-            return self.status.value
-        return self.detail or "unreachable"
-
-
-@dataclass
 class WaveResult:
     index: int
     size: int
@@ -222,7 +204,8 @@ class RolloutCampaign:
     """Drive one staged rollout over a registry's manageable devices.
 
     Decoupled from the simulation: all it needs is the registry, a
-    ``session_factory(device_id) -> VerifierSession`` and a
+    ``session_factory(device_id, campaign) -> VerifierSession`` that
+    builds one session per exchange, tagged with the campaign id, and a
     ``package_factory(record) -> UpdatePackage`` (per-device, because
     packages are MAC'd under per-device keys -- and because tests and
     demos model a man-in-the-middle by tampering some devices' copies).
@@ -232,15 +215,18 @@ class RolloutCampaign:
     ``function(context, record_docs)`` in a worker process for each
     batch, where *record_docs* are ``store.record_to_dict`` snapshots
     taken just before submission; the function returns a shard
-    document ``{"outcomes": [...], "metrics": snapshot}`` -- mutated
-    record/outcome documents the campaign merges back into the live
-    registry (and its store) on the calling thread, plus the worker's
-    per-batch ``MetricsRegistry.snapshot()``, folded into the parent
-    registry with its spans re-rooted under the wave's span.
+    document ``{"outcomes": [...], "metrics": snapshot}``.  Each
+    outcome is ``{"record": record_to_dict(record), "status",
+    "attempts", "detail"}``: the offered record, which the campaign
+    decodes and adopts into the live registry (and its store) on the
+    calling thread, and the :class:`OfferResult`'s fields.  The
+    worker's per-batch ``MetricsRegistry.snapshot()`` folds into the
+    parent registry with its spans re-rooted under the wave's span.
     """
 
     def __init__(self, registry: FleetRegistry,
-                 session_factory: Callable[[str], "VerifierSession"],
+                 session_factory: Callable[[str, Optional[str]],
+                                           VerifierSession],
                  package_factory: Callable[[DeviceRecord], UpdatePackage],
                  target_version: int,
                  config: Optional[CampaignConfig] = None,
@@ -393,29 +379,28 @@ class RolloutCampaign:
         if self.config.backend == "process":
             from itertools import repeat
 
-            from repro.fleet.store import record_to_dict
-
             # Shard-task submission costs real serialisation; ~2
             # batches per worker balance the load and amortise it.
             size = -(-len(wave) // (2 * self.config.effective_workers))
             func, context = self.shard_task
-            payloads = [[self._shard_doc(record_to_dict, device_id)
+            payloads = [[self._shard_doc(device_id)
                          for device_id in wave[i:i + size]]
                         for i in range(0, len(wave), size)]
-            outcomes: List[DeviceOutcome] = []
+            outcomes: List[Tuple[str, OfferResult]] = []
             for shard_doc in pool.map(func, repeat(context), payloads):
                 # The wire format's other half: the worker's per-batch
                 # MetricsRegistry snapshot folds into the parent
                 # registry, its spans re-rooted under this wave so both
                 # backends report identical totals and one causal tree.
                 METRICS.merge(shard_doc["metrics"], reroot_to=wave_span)
-                outcomes.extend(self._merge_shard_outcome(doc)
+                outcomes.extend(self._adopt_shard_outcome(doc)
                                 for doc in shard_doc["outcomes"])
         else:
-            outcomes = [self._offer(device_id) for device_id in wave]
+            outcomes = [(device_id, self._offer(device_id))
+                        for device_id in wave]
         result = WaveResult(index=index, size=len(wave), applied=0, failed=0)
-        for outcome in outcomes:
-            self._apply_outcome(outcome, prior.get(outcome.device_id))
+        for device_id, outcome in outcomes:
+            self._apply_outcome(device_id, outcome, prior.get(device_id))
             result.statuses[outcome.status_label] += 1
             if outcome.applied:
                 result.applied += 1
@@ -446,7 +431,7 @@ class RolloutCampaign:
                                   f"/wave{index}")
         return result
 
-    def _shard_doc(self, record_to_dict, device_id: str) -> dict:
+    def _shard_doc(self, device_id: str) -> dict:
         """One record's shard wire document, plus its device snapshot.
 
         The record codec carries the verifier-side state; the optional
@@ -461,88 +446,77 @@ class RolloutCampaign:
                 doc["device"] = snapshot
         return doc
 
-    def _merge_shard_outcome(self, doc: dict) -> DeviceOutcome:
-        """Fold one worker-process outcome document into the registry.
+    def _adopt_shard_outcome(self, doc: dict) -> Tuple[str, OfferResult]:
+        """Adopt one worker-process outcome into the registry.
 
-        The worker mutated its own copy of the record (version bump,
-        nonce high-water advance, quarantine on forged evidence); the
-        parent replays those deltas onto the live record here, on the
-        calling thread, before the usual outcome accounting runs.
+        The worker ran :meth:`_offer`'s exchange on its own copy of the
+        record (nonce high-water, version, applied versions, golden
+        hash, a quarantine on forged evidence) and shipped it back
+        through the record codec; the decoded record replaces the live
+        record's fields, so whatever an offer writes reaches the parent
+        exactly as the serial backend would leave it.
         """
-        record = self.registry.get(doc["device_id"])
-        record.nonce_high_water = max(record.nonce_high_water,
-                                      doc["nonce_high_water"])
-        # The worker's session is the integrity authority: a verdict
-        # it reached (forged ack, replay) travels as record state and
-        # survives the merge exactly like a serial-backend session
-        # writing the live record directly.
-        if doc["state"] == Lifecycle.QUARANTINED.value:
-            # Worker sessions have no event log; the parent logs the
-            # verdict on merge (only the transition, once).
-            if (record.state is not Lifecycle.QUARANTINED
-                    and self.registry.events is not None):
-                self.registry.events.emit(
-                    "quarantine", device=record.device_id,
-                    campaign=self._campaign_id,
-                    reason=doc.get("detail") or "worker-verdict")
-            record.state = Lifecycle.QUARANTINED
+        shipped = record_from_dict(doc["record"])
+        record = self.registry.get(shipped.device_id)
+        # Worker sessions have no event log; the parent logs their
+        # quarantine verdict (forged ack, replay) once, on the
+        # transition.
+        if (shipped.state is Lifecycle.QUARANTINED
+                and record.state is not Lifecycle.QUARANTINED
+                and self.registry.events is not None):
+            self.registry.events.emit(
+                "quarantine", device=record.device_id,
+                campaign=self._campaign_id,
+                reason=doc["detail"])
+        vars(record).update(vars(shipped))
         status = UpdateStatus(doc["status"]) if doc["status"] else None
-        if status is UpdateStatus.APPLIED:
-            record.firmware_version = doc["current_version"]
-            record.applied_versions = list(doc["applied_versions"])
-            # Same re-baseline rule as the serial path: the image
-            # changed, the pinned hash is stale.
-            record.firmware_hash = None
-        return DeviceOutcome(doc["device_id"], status, doc["attempts"],
-                             detail=doc.get("detail", ""))
+        return record.device_id, OfferResult(status, doc["attempts"],
+                                             doc["detail"])
 
-    def _verify_wave(self, result: WaveResult, outcomes: List[DeviceOutcome]):
+    def _verify_wave(self, result: WaveResult,
+                     outcomes: List[Tuple[str, OfferResult]]):
         """Attest each applied device; demote verification failures.
 
-        The attest runs on the calling thread over the already-created
-        sessions; a failed verification (bad MAC, hash mismatch,
-        forged or non-replaying branch trace) flips the device from
-        the wave's applied column into its failed column -- counted
-        against the halt threshold like any other wave failure.
+        The attest runs on the calling thread, one session per device;
+        a failed verification (bad MAC, hash mismatch, forged or
+        non-replaying branch trace) flips the device from the wave's
+        applied column into its failed column -- counted against the
+        halt threshold like any other wave failure.
         """
-        for outcome in outcomes:
+        for device_id, outcome in outcomes:
             if not outcome.applied:
                 continue
-            session = self.session_factory(outcome.device_id)
-            session.campaign = self._campaign_id
+            session = self.session_factory(device_id, self._campaign_id)
             with METRICS.span("campaign.attest"):
                 attest = session.attest()
             # The attest consumed a nonce (and may have quarantined);
             # persist before the wave's durability flush.
-            self.registry.save(self.registry.get(outcome.device_id))
+            self.registry.save(self.registry.get(device_id))
             if attest.ok:
                 continue
             result.applied -= 1
             result.failed += 1
             result.statuses[f"verify:{attest.detail}"] += 1
 
-    def _offer(self, device_id: str) -> DeviceOutcome:
+    def _offer(self, device_id: str) -> OfferResult:
         """One device's update conversation, end to end (serial)."""
         record = self.registry.get(device_id)
-        session = self.session_factory(device_id)
-        session.campaign = self._campaign_id
+        session = self.session_factory(device_id, self._campaign_id)
         package = self.package_factory(record)
         with METRICS.span("campaign.offer"):
-            offer = session.offer_update(package)
-        return DeviceOutcome(device_id, offer.status, offer.attempts,
-                             detail=offer.detail)
+            return session.offer_update(package)
 
-    def _apply_outcome(self, outcome: DeviceOutcome,
+    def _apply_outcome(self, device_id: str, outcome: OfferResult,
                        prior: Optional[Lifecycle] = None):
         """Fold one device's result back into the registry."""
-        record = self.registry.get(outcome.device_id)
+        record = self.registry.get(device_id)
         if METRICS.enabled:
             METRICS.inc("fleet.updates")
             if not outcome.applied:
                 METRICS.inc("fleet.update_failures")
         events = self.registry.events
         if events is not None:
-            events.emit("offer", device=outcome.device_id,
+            events.emit("offer", device=device_id,
                         campaign=self._campaign_id,
                         status=outcome.status_label,
                         attempts=outcome.attempts,
@@ -560,10 +534,10 @@ class RolloutCampaign:
                 # link is compromised, hands off.
                 if (record.state is not Lifecycle.QUARANTINED
                         and events is not None):
-                    # Session- and merge-detected verdicts were already
+                    # Session- and worker-detected verdicts were already
                     # logged at detection; this covers the device-side
                     # BAD_MAC rejection, which only the engine sees.
-                    events.emit("quarantine", device=outcome.device_id,
+                    events.emit("quarantine", device=device_id,
                                 campaign=self._campaign_id,
                                 reason=outcome.status_label)
                 record.state = Lifecycle.QUARANTINED

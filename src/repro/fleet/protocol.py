@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.casu.update import UpdateKey, UpdatePackage, UpdateStatus
-from repro.cfg.trace import FNV_OFFSET, TraceSnapshot
+from repro.cfg.trace import TraceSnapshot
 from repro.eilid.trusted_sw import AttestationReport
 from repro.fleet.registry import DeviceRecord, Lifecycle
 from repro.fleet.transport import Link
@@ -226,18 +226,28 @@ class OfferResult:
     def applied(self) -> bool:
         return self.status is UpdateStatus.APPLIED
 
+    @property
+    def status_label(self) -> str:
+        """The status value, or why there is none: what the ``offer``
+        event and a wave's status tally record."""
+        if self.status is not None:
+            return self.status.value
+        return self.detail or "unreachable"
+
 
 class VerifierSession:
-    """One verifier<->device conversation: enroll, attest, update.
+    """One verifier<->device exchange: enroll, attest or update.
 
-    Stateless in itself: freshness lives on the DeviceRecord (the
-    persistent nonce high-water mark), so a session can be created and
-    thrown away per exchange -- or per campaign worker, because each
-    session owns its device's link.
+    A session is built for one exchange and thrown away after it.  It
+    holds nothing that must outlive the exchange: freshness lives on
+    the DeviceRecord (the persistent nonce high-water mark), and the
+    campaign tag is fixed when the session is built, so an exchange
+    outside a campaign can never inherit a finished campaign's id.
     """
 
     def __init__(self, record: DeviceRecord, agent: DeviceAgent, link: Link,
-                 max_attempts=4, policy=None, events=None):
+                 max_attempts=4, policy=None, events=None,
+                 campaign: Optional[str] = None):
         self.record = record
         self.agent = agent
         self.link = link
@@ -247,10 +257,10 @@ class VerifierSession:
         self.policy = policy
         # Optional repro.obs.events.EventLog: attest outcomes and
         # session-detected quarantines land in the fleet's longitudinal
-        # record.  `campaign` tags them when a campaign drives this
-        # session (the engine stamps it per batch).
+        # record, tagged with *campaign* when a campaign drives this
+        # exchange.
         self.events = events
-        self.campaign: Optional[str] = None
+        self.campaign = campaign
         # Replies from _exchange whose nonce predates the current
         # challenge; one that authenticates is a replayed capture.
         self._stale_replies: List[object] = []
@@ -367,7 +377,6 @@ class VerifierSession:
                 record.firmware_version = report.firmware_version
                 record.observe_cycle(report.cycle)
                 record.attest_count += 1
-                record.violation_count = report.violation_count
                 if record.state in (Lifecycle.ENROLLED, Lifecycle.UPDATING):
                     record.state = Lifecycle.ACTIVE
                 result = AttestResult(True, report=report, attempts=attempts)
@@ -376,7 +385,8 @@ class VerifierSession:
 
     def _fold_violations(self, report: AttestationReport
                          ) -> Tuple[Optional[Dict[str, int]], int, int]:
-        """Fold a verified report's cumulative counters into the record.
+        """Fold a verified report's cumulative counters into the record:
+        the one writer of its violation and reset counters.
 
         A device reports cumulative per-reason violation totals and a
         reset counter: the monitor resets the MCU on every violation,
@@ -428,12 +438,13 @@ class VerifierSession:
         """Trace attestation: authenticate the window, then replay it.
 
         Returns a quarantine reason or None.  The digest and counters
-        in the MAC'd report bind the unauthenticated edge window; a
-        window that does not fold to the digest, or whose length or
-        prefix disagrees with the counters, is forged.  An authentic
-        window that does not replay over the firmware's recovered CFG
-        is evidence of a control-flow hijack the device-side monitor
-        missed.
+        in the MAC'd report bind the unauthenticated edge window: a
+        window whose counters or digest differ from the report's, or
+        that is not a consistent window of its own counters
+        (:meth:`~repro.cfg.trace.TraceSnapshot.consistent`), is forged.
+        An authentic window that does not replay over the firmware's
+        recovered CFG is evidence of a control-flow hijack the
+        device-side monitor missed.
         """
         if self.policy is None:
             return None
@@ -444,18 +455,11 @@ class VerifierSession:
         # Every snapshot counter must match its MAC'd counterpart: a
         # stripped window (total/dropped zeroed to make an empty trace
         # fold cleanly) or an inflated `dropped` (downgrading replay to
-        # lenient windowed mode) is as forged as a tampered edge.  The
-        # window must hold exactly the edges the counters say survive,
-        # and a window that lost none must fold from the empty chain,
-        # so an emptied window cannot pose as the whole trace.
+        # lenient windowed mode) is as forged as a tampered edge.
         try:
             bound = (isinstance(snapshot, TraceSnapshot)
                      and snapshot.total == report.trace_edges
                      and snapshot.dropped == report.trace_dropped
-                     and len(snapshot.edges)
-                     == report.trace_edges - report.trace_dropped
-                     and (report.trace_dropped
-                          or snapshot.prefix_digest == FNV_OFFSET)
                      and snapshot.digest_hex == report.trace_digest
                      and snapshot.consistent())
         except (TypeError, ValueError):

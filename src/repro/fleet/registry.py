@@ -68,7 +68,6 @@ class DeviceRecord:
     # evidence and quarantines the device instead of rolling it back.
     last_seen: Optional[int] = None
     attest_count: int = 0
-    violation_count: int = 0
     reset_count: int = 0
     update_failures: int = 0
     # Challenge-nonce high-water mark.  Every verifier exchange draws
@@ -88,6 +87,12 @@ class DeviceRecord:
     # next report's violation and reset deltas against.  Being durable,
     # it keeps a restarted verifier from re-counting a device's history.
     violation_totals: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def violation_count(self) -> int:
+        """The device's violation count: the sum of its totals, never
+        stored apart from them."""
+        return sum(self.violation_totals.values())
 
     @property
     def enrolled_ok(self) -> bool:

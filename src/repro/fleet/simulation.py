@@ -31,8 +31,9 @@ skips devices whose durable record already shows the target version.
 With ``CampaignConfig.backend == "process"`` the campaign ships
 record snapshots to worker processes; :func:`_run_shard` below is the
 worker: it rebuilds its shard's devices from the same FirmwareSpec +
-fleet seed and returns mutated record documents for the parent to
-merge.
+fleet seed, offers each one the package :func:`package_factory`
+makes for it, as the serial backend does, and ships each record back
+through the record codec for the parent to adopt.
 
 Parked replicas: a replica is live only while something runs on it.
 Its agent parks it after every message, and ``enroll``, the restore,
@@ -65,6 +66,7 @@ from repro.fleet.store import (
     META_PACKAGES,
     open_store,
     record_from_dict,
+    record_to_dict,
 )
 from repro.fleet.transport import Transport
 from repro.obs.events import MemoryEventLog, open_event_log
@@ -103,6 +105,28 @@ def default_payload(version: int, words=8) -> bytes:
     )
 
 
+def package_factory(version: int, payload: bytes,
+                    tamper_ids: Sequence[str], rollback_ids: Sequence[str]):
+    """Per-device package maker with optional adversarial subsets:
+    the one package rule of both campaign backends."""
+    tampered = frozenset(tamper_ids)
+    rolled_back = frozenset(rollback_ids)
+
+    def make(record: DeviceRecord) -> UpdatePackage:
+        if record.device_id in rolled_back:
+            # Correctly signed, but a version the device already has:
+            # the monotonic counter must reject it.
+            return UpdatePackage.make(record.key, UPDATE_TARGET, payload,
+                                      record.firmware_version)
+        package = UpdatePackage.make(record.key, UPDATE_TARGET, payload,
+                                     version)
+        if record.device_id in tampered:
+            return package.tampered()
+        return package
+
+    return make
+
+
 class FleetSimulation:
     """A registry, a transport, and one real Device per enrolled id."""
 
@@ -136,7 +160,6 @@ class FleetSimulation:
         self.transport = Transport(loss=loss, reorder=reorder, seed=seed)
         self.devices: Dict[str, Device] = {}
         self.agents: Dict[str, DeviceAgent] = {}
-        self._sessions: Dict[str, VerifierSession] = {}
         # A store or event log opened here from a path is closed again
         # if loading the fleet raises (a malformed record, a firmware
         # spec mismatch); once loaded, the fleet owns it.
@@ -271,19 +294,18 @@ class FleetSimulation:
             self._policy = policy_for_program(program, name=self.firmware.name)
         return self._policy
 
-    def session(self, device_id: str) -> VerifierSession:
-        session = self._sessions.get(device_id)
-        if session is None:
-            if device_id not in self.agents:
-                raise FleetError(f"no simulated device for {device_id!r}")
-            session = VerifierSession(
-                self.registry.get(device_id), self.agents[device_id],
-                self.transport.link(device_id),
-                max_attempts=self.max_attempts,
-                policy=self.policy if self.verify_traces else None,
-                events=self.registry.events)
-            self._sessions[device_id] = session
-        return session
+    def session(self, device_id: str,
+                campaign: Optional[str] = None) -> VerifierSession:
+        """A verifier session for one exchange with *device_id*, its
+        events tagged with *campaign* (None outside a campaign)."""
+        agent = self.agents.get(device_id)
+        if agent is None:
+            raise FleetError(f"no simulated device for {device_id!r}")
+        return VerifierSession(
+            self.registry.get(device_id), agent, agent.link,
+            max_attempts=self.max_attempts,
+            policy=self.policy if self.verify_traces else None,
+            events=self.registry.events, campaign=campaign)
 
     # ---- fleet operations ------------------------------------------------
 
@@ -318,28 +340,6 @@ class FleetSimulation:
             device.run_steps(max_cycles, max_cycles=max_cycles,
                              stop_on_done=True)
             device.park()
-
-    def package_factory(self, version: int, payload: Optional[bytes] = None,
-                        tamper_ids: Sequence[str] = (),
-                        rollback_ids: Sequence[str] = ()):
-        """Per-device package maker with optional adversarial subsets."""
-        payload = payload if payload is not None else default_payload(version)
-        tampered = frozenset(tamper_ids)
-        rolled_back = frozenset(rollback_ids)
-
-        def make(record: DeviceRecord) -> UpdatePackage:
-            if record.device_id in rolled_back:
-                # Correctly signed, but a version the device already has:
-                # the monotonic counter must reject it.
-                return UpdatePackage.make(record.key, UPDATE_TARGET, payload,
-                                          record.firmware_version)
-            package = UpdatePackage.make(record.key, UPDATE_TARGET, payload,
-                                         version)
-            if record.device_id in tampered:
-                return package.tampered()
-            return package
-
-        return make
 
     def adversarial_ids(self, fraction: float, phase=0.5) -> List[str]:
         """An evenly spread *fraction* of the fleet (deterministic).
@@ -407,7 +407,6 @@ class FleetSimulation:
                 "seed": self.seed,
                 "max_attempts": self.max_attempts,
                 "version": version,
-                "target": UPDATE_TARGET,
                 "payload": payload.hex(),
                 "tamper_ids": sorted(tamper_ids),
                 "rollback_ids": sorted(rollback_ids),
@@ -419,7 +418,7 @@ class FleetSimulation:
         campaign = RolloutCampaign(
             self.registry,
             session_factory=self.session,
-            package_factory=self.package_factory(
+            package_factory=package_factory(
                 version, payload, tamper_ids, rollback_ids),
             target_version=version,
             config=config,
@@ -461,9 +460,11 @@ class FleetSimulation:
 
         The authoritative apply (MAC check, monotonic version, ROM
         copy on the simulated CPU) ran on the worker's rebuilt device;
-        mirror its effect onto the parent's replica -- version counter
-        plus the payload bytes in PMEM -- so later attests and
-        campaigns in this process see the updated image.
+        mirror only its version counter and the payload bytes in PMEM
+        onto the parent's replica, so later attests and campaigns in
+        this process see the updated image.  The replica keeps its own
+        cycle, registers, RAM, peripherals, trace and update history,
+        unlike a serial campaign's (README "Sharded campaigns").
         """
         for record in self.registry:
             device = self.devices.get(record.device_id)
@@ -566,26 +567,25 @@ def _run_shard(context: dict, record_docs: List[dict]) -> dict:
     once per worker process), fast-forwards its monotonic version
     counter from the record, recreates its deterministic link from the
     fleet seed + device id, and drives the full authenticated offer
-    conversation -- ROM copy on the simulated CPU included.
+    conversation -- ROM copy on the simulated CPU included -- with the
+    serial backend's :func:`package_factory`.
 
-    The return document has two halves: ``outcomes`` carries the
-    mutated freshness fields for the parent's registry merge, and
-    ``metrics`` carries this batch's worker-side
-    ``MetricsRegistry.snapshot()`` -- interpreter counters, per-offer
-    spans under a ``campaign.shard`` root -- which the parent folds in
-    re-rooted under the wave's span.  The worker registry resets at
-    batch start so reused pool processes report per-batch deltas, not
-    lifetime totals.
+    The return document has two halves: ``outcomes`` carries each
+    offered record (``record_to_dict``) and its offer's status,
+    attempts and detail for the parent to adopt, and ``metrics``
+    carries this batch's worker-side ``MetricsRegistry.snapshot()`` --
+    interpreter counters, per-offer spans under a ``campaign.shard``
+    root -- which the parent folds in re-rooted under the wave's span.
+    The worker registry resets at batch start so reused pool processes
+    report per-batch deltas, not lifetime totals.
     """
     spec = FirmwareSpec.from_dict(context["firmware"])
     program = build_firmware(spec).program
     transport = Transport(loss=context["loss"], reorder=context["reorder"],
                           seed=context["seed"])
-    payload = bytes.fromhex(context["payload"])
-    target = context["target"]
-    version = context["version"]
-    tampered = frozenset(context["tamper_ids"])
-    rolled_back = frozenset(context["rollback_ids"])
+    make_package = package_factory(
+        context["version"], bytes.fromhex(context["payload"]),
+        context["tamper_ids"], context["rollback_ids"])
     METRICS.enable(context.get("metrics", True))
     METRICS.reset()
     outcomes = []
@@ -606,26 +606,14 @@ def _run_shard(context: dict, record_docs: List[dict]) -> dict:
             agent = DeviceAgent(record.device_id, device, link)
             session = VerifierSession(record, agent, link,
                                       max_attempts=context["max_attempts"])
-            if record.device_id in rolled_back:
-                package = UpdatePackage.make(record.key, target, payload,
-                                             record.firmware_version)
-            else:
-                package = UpdatePackage.make(record.key, target, payload,
-                                             version)
-                if record.device_id in tampered:
-                    package = package.tampered()
             # Same span name as the serial backend's offers, so the
             # merged histogram totals are backend-independent.
             with METRICS.span("campaign.offer"):
-                offer = session.offer_update(package)
+                offer = session.offer_update(make_package(record))
             outcomes.append({
-                "device_id": record.device_id,
+                "record": record_to_dict(record),
                 "status": offer.status.value if offer.status else None,
-                "detail": offer.detail,
                 "attempts": offer.attempts,
-                "current_version": record.firmware_version,
-                "nonce_high_water": record.nonce_high_water,
-                "applied_versions": list(record.applied_versions),
-                "state": record.state.value,
+                "detail": offer.detail,
             })
     return {"outcomes": outcomes, "metrics": METRICS.snapshot()}

@@ -24,7 +24,9 @@ torn-line rule, and the path dispatch ``open_store(path)`` uses):
 
 Record documents are also the process-shard wire format: campaign
 workers receive ``record_to_dict`` snapshots, rebuild their shard's
-devices, and ship mutated documents back for the parent to merge --
+devices, and ship each offered record back through ``record_to_dict``;
+the parent decodes it with ``record_from_dict`` and adopts it whole,
+so every field an exchange writes crosses the process boundary --
 the store and the shard protocol deliberately share one codec.
 """
 
@@ -67,7 +69,6 @@ def record_to_dict(record: DeviceRecord) -> dict:
         "enrolled_at": record.enrolled_at,
         "last_seen": record.last_seen,
         "attest_count": record.attest_count,
-        "violation_count": record.violation_count,
         "reset_count": record.reset_count,
         "update_failures": record.update_failures,
         "nonce_high_water": record.nonce_high_water,
@@ -77,9 +78,11 @@ def record_to_dict(record: DeviceRecord) -> dict:
 
 
 # What a record document written before a field existed holds for it.
+# A document's ``violation_count``, written before the count became the
+# sum of ``violation_totals``, is ignored like any unknown field.
 _RECORD_DEFAULTS = {
     "firmware_hash": None, "enrolled_at": 0, "last_seen": None,
-    "attest_count": 0, "violation_count": 0, "reset_count": 0,
+    "attest_count": 0, "reset_count": 0,
     "update_failures": 0, "nonce_high_water": 0, "applied_versions": [],
     "violation_totals": {},
 }
@@ -113,7 +116,6 @@ def record_from_dict(doc: dict) -> DeviceRecord:
             enrolled_at=state_int(doc, "enrolled_at"),
             last_seen=state_int(doc, "last_seen", optional=True),
             attest_count=state_int(doc, "attest_count"),
-            violation_count=state_int(doc, "violation_count"),
             reset_count=state_int(doc, "reset_count"),
             update_failures=state_int(doc, "update_failures"),
             nonce_high_water=state_int(doc, "nonce_high_water"),

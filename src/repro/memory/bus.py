@@ -26,6 +26,10 @@ loader writes, violation rollbacks) invalidates any cached decode whose
 words overlap the mutated address.  See :mod:`repro.cpu.core` for the
 full contract.
 
+Secure ROM is mask ROM: a CPU write into it is recorded (the monitors
+see the store) but leaves the cells unchanged; only the back doors
+(:meth:`Bus.load_bytes`, :meth:`Bus.poke_word`) write there.
+
 Parking: a bus that nothing runs on can drop its 64 KB array and keep,
 as ``bytes``, only the 256-B pages that differ from its program's image
 (:meth:`Bus.park`); :meth:`Bus.unpark` rebuilds the array from the two.
@@ -38,7 +42,7 @@ import enum
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import MemoryAccessError
-from repro.memory.map import MemoryLayout
+from repro.memory.map import READ_ONLY, MemoryLayout
 from repro.snapshot import apply_memory_delta, changed_pages
 
 ADDRESS_SPACE = 0x10000
@@ -84,6 +88,8 @@ class Bus:
         # while parked: then ``_parked`` holds the differing pages.
         self.mem = bytearray(ADDRESS_SPACE if image is None else image)
         self._parked: Optional[list] = None
+        # 1 at each address CPU writes leave unchanged (shared per layout).
+        self._read_only = self.layout.translate_flags(READ_ONLY)
         self._read_handlers: Dict[int, Callable[[], int]] = {}
         self._write_handlers: Dict[int, Callable[[int], None]] = {}
         # Runs before any register handler, so lazily advanced
@@ -292,6 +298,8 @@ class Bus:
         self.trace.append(_new_access(Access, (
             _WRITE, addr, value, 2, self.current_pc,
             mem[addr] | (mem[addr + 1] << 8))))
+        if self._read_only[addr]:
+            return  # ROM: the store is on the bus, the cells keep their bits
         mem[addr] = value & 0xFF
         mem[addr + 1] = value >> 8
         if addr in self._dcache_index:
@@ -308,6 +316,8 @@ class Bus:
         mem = self.mem
         self.trace.append(_new_access(Access, (
             _WRITE, addr, value, 1, self.current_pc, mem[addr])))
+        if self._read_only[addr]:
+            return
         mem[addr] = value
         base = addr & 0xFFFE
         if base in self._dcache_index:

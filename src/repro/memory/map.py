@@ -70,6 +70,9 @@ _KIND_FLAGS = {
     RegionKind.IVT: F_PMEM,
 }
 
+# A translate_flags table: 1 where a CPU store leaves memory unchanged.
+READ_ONLY = bytes(1 if bits & F_SROM else 0 for bits in range(256))
+
 
 @dataclass
 class MemoryLayout:

@@ -461,6 +461,24 @@ def test_bend_to_valid_function_replays_clean_under_table_policy():
     assert verdict.ok
 
 
+def test_replay_checks_the_window_against_its_counters(app_cfgs, light_policy):
+    # The window binding lives in TraceSnapshot.consistent(), so every
+    # replay path applies it, not only the fleet protocol.
+    _variant, _build, _cfg, policy = app_cfgs["light_sensor"][1]
+    _doc, trace = light_policy
+    assert trace.total and not trace.dropped and replay_trace(policy, trace).ok
+    # Emptied to no edges, posing as a window that starts at the end.
+    emptied = replace(trace, edges=(), prefix_digest=trace.digest)
+    # A whole trace whose chain starts anywhere but the empty chain.
+    prefix = chain_edge(FNV_OFFSET, *trace.edges[0])
+    rebased = replace(trace, prefix_digest=prefix,
+                      digest=fold_edges(prefix, trace.edges))
+    for forged in (emptied, rebased):
+        assert fold_edges(forged.prefix_digest, forged.edges) == forged.digest
+        assert not forged.consistent()
+        assert not replay_trace(policy, forged).ok
+
+
 def test_replayer_rejects_fabricated_edges(app_cfgs):
     _variant, _build, cfg, policy = app_cfgs["light_sensor"][1]
     replayer = TraceReplayer(policy)
@@ -589,7 +607,9 @@ class TestFleetTraceAttestation:
         stripped = TraceSnapshot(edges=(), prefix_digest=real.digest,
                                  digest=real.digest, total=0, dropped=0,
                                  capacity=real.capacity)
-        assert stripped.consistent()  # the forgery folds cleanly...
+        # The forgery folds cleanly...
+        assert fold_edges(stripped.prefix_digest, stripped.edges) \
+            == stripped.digest
         device.trace_snapshot = lambda: stripped  # agent-side override
         results = fleet.attest_all()
         assert results["dev-00001"].detail == "trace-forged"  # ...but is caught
@@ -604,10 +624,14 @@ class TestFleetTraceAttestation:
         fleet.run_all(max_cycles=1_000)
         device = fleet.devices["dev-00000"]
         real = device.trace_snapshot()
-        trimmed = replace(real, edges=real.edges[2:],
+        assert real.edges
+        # Claim the window's first edge was dropped: the window is then
+        # a consistent window of its forged counters, so only the MAC'd
+        # trace_dropped can catch it.
+        trimmed = replace(real, edges=real.edges[1:],
                           prefix_digest=fold_edges(real.prefix_digest,
-                                                   real.edges[:2]),
-                          dropped=real.dropped + 2)
+                                                   real.edges[:1]),
+                          dropped=real.dropped + 1)
         assert trimmed.consistent()
         device.trace_snapshot = lambda: trimmed
         results = fleet.attest_all()
@@ -623,7 +647,9 @@ class TestFleetTraceAttestation:
         real = device.trace_snapshot()
         assert real.total > 0
         emptied = replace(real, edges=(), prefix_digest=real.digest)
-        assert emptied.consistent()  # the forgery folds cleanly...
+        # The forgery folds cleanly...
+        assert fold_edges(emptied.prefix_digest, emptied.edges) \
+            == emptied.digest
         device.trace_snapshot = lambda: emptied
         results = fleet.attest_all()
         assert results["dev-00001"].detail == "trace-forged"  # ...but is caught
@@ -647,7 +673,7 @@ class TestFleetTraceAttestation:
         edges = honest.edges[:-1] + (benign,)
         forged = replace(honest, edges=edges,
                          prefix_digest=_unfold(honest.digest, edges))
-        assert forged.consistent()
+        assert fold_edges(forged.prefix_digest, forged.edges) == forged.digest
         device.trace_snapshot = lambda: forged
         assert fleet.attest_all()["dev-00000"].detail == "trace-forged"
 

@@ -61,11 +61,22 @@ class TestStoreBackends:
             platform="TI MSP430", security="casu",
             state=Lifecycle.QUARANTINED, firmware_version=7,
             firmware_hash="ab" * 32, enrolled_at=3, last_seen=123456,
-            attest_count=9, violation_count=2, reset_count=1,
+            attest_count=9, reset_count=1,
             update_failures=4, nonce_high_water=41,
             violation_totals={"stack-tamper": 2, "cfi-return": 1})
         clone = record_from_dict(record_to_dict(record))
         assert clone == record
+
+    def test_a_document_with_a_stored_violation_count_still_loads(self):
+        # Documents written while the record stored its violation count
+        # apart from its totals carry the field; the totals rule.
+        record = DeviceRecord("dev-1", UpdateKey.derive("dev-1"),
+                              "TI MSP430", "casu",
+                              violation_totals={"w-xor-x": 2})
+        doc = dict(record_to_dict(record), violation_count=0)
+        assert "violation_count" not in record_to_dict(record)
+        assert record_from_dict(doc) == record
+        assert record_from_dict(doc).violation_count == 2
 
     @pytest.mark.parametrize("kind", ("memory", "jsonl", "sqlite"))
     def test_save_load_last_wins(self, kind, tmp_path):

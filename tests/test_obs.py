@@ -444,14 +444,18 @@ class TestTelemetryFolding:
 
     def test_a_restored_fleet_reads_ok_on_its_first_sweep(self, tmp_path):
         # A replica rebuilt from its record carries the record's RoT
-        # counters, so it never reports them going down.
+        # counters, so it never reports them going down.  The totals
+        # are the record's one violation counter: the quarantining
+        # attest folded them, and the summary reads their sum.
         store_path = str(tmp_path / "fleet.db")
         fleet = FleetSimulation(size=3, store=store_path)
         victim = fleet.registry.ids()[0]
         fleet.corrupt_firmware(victim)
-        fleet.attest_all([victim])
+        assert not fleet.attest_all([victim])[victim].ok
         record = fleet.registry.get(victim)
         assert record.violation_totals and record.reset_count
+        assert record.violation_count == sum(record.violation_totals.values())
+        assert fleet.registry.summary()["violations"] == record.violation_count
         fleet.registry.store.close()
 
         restored = FleetSimulation(store=store_path)
@@ -495,6 +499,27 @@ class TestFleetEventFlow:
         rollup = fleet.events.campaign_rollup()[0]
         assert rollup["quarantined"] == report.failed
         assert sum(rollup["quarantine_reasons"].values()) == report.failed
+
+    def test_a_sweep_after_a_campaign_is_not_booked_to_it(self):
+        # Sessions live for one exchange: a heartbeat sweep after a
+        # finished rollout logs its attests, deltas and quarantines
+        # outside any campaign, and the rollout's rollup counts none.
+        fleet = FleetSimulation(size=6, verify_traces=True)
+        report = fleet.rollout(version=1)
+        assert report.status is CampaignStatus.COMPLETE
+        (rollout,) = fleet.events.campaign_rollup()
+        forged, corrupted = fleet.registry.ids()[:2]
+        fleet.forge_trace(forged)
+        fleet.corrupt_firmware(corrupted)
+        since = fleet.events.last_seq
+        results = fleet.attest_all()
+        assert results[forged].detail == "trace-forged"
+        sweep = fleet.events.events(since=since)
+        assert {"attest", "violation-delta", "quarantine"} == {
+            doc["kind"] for doc in sweep}
+        assert [doc["campaign"] for doc in sweep] == [None] * len(sweep)
+        (after,) = fleet.events.campaign_rollup(rollout["campaign"])
+        assert after["quarantined"] == rollout["quarantined"] == 0
 
     def test_process_backend_emits_merge_quarantines_once(self):
         # Workers have no event log; the parent emits quarantine events
