@@ -15,18 +15,18 @@ machine does an order of magnitude more.
 
 import time
 
+from repro.api import FirmwareSpec, build_firmware
 from repro.apps.registry import APPS
-from repro.apps.runtime import build_app, run_app
 from repro.cfg import TraceReplayer, policy_for_program, recover_cfg
-from repro.eilid.iterbuild import IterativeBuild
+from repro.device import build_device
 
 RECOVERY_FLOOR_INSNS_PER_SEC = 5_000
 REPLAY_FLOOR_EDGES_PER_SEC = 50_000
+FIRE_SENSOR = FirmwareSpec(kind="app", app="fire_sensor", variant="eilid")
 
 
 def test_bench_cfg_recovery(benchmark):
-    builder = IterativeBuild()
-    build = build_app(APPS["fire_sensor"], "eilid", builder)
+    build = build_firmware(FIRE_SENSOR)
 
     def recover():
         cfg = recover_cfg(build.program)
@@ -44,11 +44,12 @@ def test_bench_cfg_recovery(benchmark):
 
 
 def test_bench_cfg_trace_replay(benchmark):
-    builder = IterativeBuild()
-    run = run_app(APPS["fire_sensor"], "eilid", builder)
-    assert run.done
-    policy = policy_for_program(run.device.program)
-    snapshot = run.device.trace_snapshot()
+    app = APPS["fire_sensor"]
+    device = build_device(build_firmware(FIRE_SENSOR).program,
+                          security="eilid", peripherals=app.make_peripherals())
+    assert device.run(max_cycles=app.max_cycles).done
+    policy = policy_for_program(device.program)
+    snapshot = device.trace_snapshot()
     replayer = TraceReplayer(policy)
 
     def replay():

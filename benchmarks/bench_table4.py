@@ -7,8 +7,9 @@ reports: compile time, binary size, running time, and the averages).
 
 import pytest
 
+from repro.api import FirmwareSpec, build_firmware
 from repro.apps.registry import APPS, TABLE_IV_ORDER
-from repro.apps.runtime import run_app
+from repro.device import build_device
 from repro.eval.table4 import averages, measure_table4, render_table4
 from repro.minicc import compile_c
 
@@ -32,16 +33,20 @@ def test_bench_eilid_build(benchmark, name, builder):
 
 
 @pytest.mark.parametrize("name", TABLE_IV_ORDER)
-def test_bench_eilid_run(benchmark, name, builder):
+def test_bench_eilid_run(benchmark, name):
     """Running-time column: simulated execution of the EILID variant.
 
     (The interesting number is the *device cycle count*, printed by the
     table; the wall-clock benchmark tracks simulator throughput.)
     """
     spec = APPS[name]
+    program = build_firmware(FirmwareSpec(kind="app", app=name,
+                                          variant="eilid")).program
 
     def run_once():
-        run = run_app(spec, "eilid", builder=builder)
+        device = build_device(program, security="eilid",
+                              peripherals=spec.make_peripherals())
+        run = device.run(max_cycles=spec.max_cycles)
         assert run.done and not run.violations
         return run.cycles
 

@@ -33,7 +33,6 @@ from repro.api.firmware import (
     FirmwareBuild,
     build_firmware,
     default_peripherals,
-    device_for,
 )
 from repro.api.results import (
     AttackDetails,
@@ -99,7 +98,6 @@ __all__ = [
     "build_firmware",
     "build_peripherals",
     "default_peripherals",
-    "device_for",
     "envelope",
     "report_to_dict",
     "run_scenario",

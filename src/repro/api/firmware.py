@@ -116,22 +116,6 @@ def build_firmware(spec: FirmwareSpec) -> FirmwareBuild:
     )
 
 
-def device_for(spec: FirmwareSpec, security: str, peripherals=None,
-               update_key=None, **limits):
-    """Build the firmware and assemble one Device around it.
-
-    The spec path every subsystem shares: scenarios
-    (:class:`repro.api.session.Session`), attack victims, and fleet
-    enrollment all instantiate devices through here.
-    """
-    from repro.device import build_device
-
-    build = build_firmware(spec)
-    return build_device(build.program, security=security,
-                        peripherals=peripherals, update_key=update_key,
-                        **limits)
-
-
 def default_peripherals(spec: FirmwareSpec) -> Optional[dict]:
     """A registered app's stimulus peripherals (None otherwise)."""
     if spec.kind != "app":

@@ -21,6 +21,7 @@ loudly instead of silently running the wrong scenario.
 """
 
 import json
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple, Union, get_args, get_origin
 
@@ -63,6 +64,13 @@ class SpecError(ReproError, ValueError):
 def require(condition, field_name, message):
     if not condition:
         raise SpecError(field_name, message)
+
+
+def effective_workers(workers: int) -> int:
+    """The process-pool size a ``workers`` field asks for, the one rule
+    of both campaign engines: the count itself, or for 0, one worker
+    per CPU up to eight."""
+    return workers or min(8, os.cpu_count() or 1)
 
 
 def _check_keys(data: dict, allowed, field_name: str):
@@ -374,9 +382,10 @@ class FaultSpec(_Spec):
     ``count=None`` sweeps every enumerated site; ``kinds``/``profiles``
     default to the full set.  The default ``backend="serial"`` grades
     the faults in this process; ``backend="process"`` runs the sweep on
-    a pool of ``workers`` processes by shipping device snapshots to
-    them.  ``warmup_steps`` advances the honest device before the
-    snapshot is taken, so faults land mid-workload instead of at reset.
+    a pool of ``workers`` processes (0 = up to eight, one per CPU) by
+    shipping device snapshots to them.  ``warmup_steps`` advances the
+    honest device before the snapshot is taken, so faults land
+    mid-workload instead of at reset.
     """
 
     PREFIX = "faults"
@@ -387,7 +396,7 @@ class FaultSpec(_Spec):
                               "periph-corrupt")
     profiles: Tuple[str, ...] = ("none", "casu", "eilid")
     backend: str = "serial"
-    workers: int = 4
+    workers: int = 0
     warmup_steps: int = 0
     max_cycles: int = 2_000_000
 
@@ -414,8 +423,8 @@ class FaultSpec(_Spec):
         require(self.backend in FAULT_BACKENDS, f"{prefix}.backend",
                 f"unknown backend {self.backend!r}; "
                 f"one of {', '.join(FAULT_BACKENDS)}")
-        require(self.workers >= 1, f"{prefix}.workers",
-                "must be an integer >= 1")
+        require(self.workers >= 0, f"{prefix}.workers",
+                "must be an integer >= 0 (0 = auto)")
         require(self.warmup_steps >= 0, f"{prefix}.warmup_steps",
                 "must be an integer >= 0")
         require(self.max_cycles >= 1, f"{prefix}.max_cycles",

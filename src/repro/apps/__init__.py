@@ -12,7 +12,6 @@ with the post-inlining function structure (few functions, meaningful
 call sites), which is what EILIDinst sees in both setups.
 """
 
-from repro.apps.registry import APPS, AppSpec, get_app, app_names
-from repro.apps.runtime import AppRun, run_app, build_app
+from repro.apps.registry import APPS, AppSpec, get_app
 
-__all__ = ["APPS", "AppSpec", "get_app", "app_names", "AppRun", "run_app", "build_app"]
+__all__ = ["APPS", "AppSpec", "get_app"]

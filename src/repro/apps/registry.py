@@ -162,7 +162,3 @@ TABLE_IV_ORDER = (
 
 def get_app(name: str) -> AppSpec:
     return APPS[name]
-
-
-def app_names():
-    return list(TABLE_IV_ORDER)

@@ -10,7 +10,7 @@
   ROM, bypassing the entry section (ROM atomicity).
 """
 
-from repro.api.firmware import device_for
+from repro.api.firmware import build_firmware
 from repro.api.spec import FirmwareSpec
 from repro.attacks.harness import AttackHarness, AttackOutcome, AttackResult
 from repro.attacks.victims import (
@@ -20,6 +20,7 @@ from repro.attacks.victims import (
     SECURE_RAM_READER_ASM,
     UNLOCK_MARKER,
 )
+from repro.device import build_device
 from repro.peripherals.ports import GPIO_OUT
 
 # Hand-assembled shellcode: `mov #0xAA, &GPIO_OUT ; jmp $`
@@ -69,7 +70,8 @@ RAW_ATTACK_FIRMWARE = {
 
 def _run_raw_asm(attack_name, security):
     """Build a hand-written firmware (attacker-controlled binary)."""
-    return device_for(RAW_ATTACK_FIRMWARE[attack_name], security)
+    build = build_firmware(RAW_ATTACK_FIRMWARE[attack_name])
+    return build_device(build.program, security=security)
 
 
 def _classify_raw(name, security, device, succeeded_detail):

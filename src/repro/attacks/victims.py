@@ -6,12 +6,9 @@ pattern (0xAA) that serves as the hijack evidence.  ``process`` is the
 function whose activation record the attacker corrupts.
 """
 
-from typing import Optional
-
-from repro.api.firmware import build_firmware, device_for
+from repro.api.firmware import build_firmware
 from repro.api.spec import FirmwareSpec
-from repro.eilid.iterbuild import IterativeBuild
-from repro.minicc import compile_c
+from repro.device import build_device
 from repro.peripherals import Adc, AdcSchedule
 
 UNLOCK_MARKER = 0xAA
@@ -121,13 +118,6 @@ def victim_adc():
     return {"adc": Adc(AdcSchedule({5: AdcSchedule.steps(5, [100, 300, 500, 700])}))}
 
 
-def _build_victim_with(builder: IterativeBuild, variant: str):
-    asm = compile_c(VICTIM_C, "victim")
-    if variant == "eilid":
-        return builder.build_eilid(asm, "victim.s").final
-    return builder.build_original(asm, "victim.s")
-
-
 def victim_firmware_spec(variant: str) -> FirmwareSpec:
     """The victim firmware as a declarative spec (repro.api's path).
 
@@ -140,20 +130,14 @@ def victim_firmware_spec(variant: str) -> FirmwareSpec:
                         name="victim")
 
 
-def build_victim(security: str, builder: Optional[IterativeBuild] = None):
+def build_victim(security: str):
     """Build the C victim for *security* level and return (device, build).
 
     The EILID device runs the instrumented binary; baseline and CASU
     run the original (they have no EILID runtime to call into).
     """
     variant = "eilid" if security == "eilid" else "original"
-    if builder is not None:
-        build = _build_victim_with(builder, variant)
-        from repro.device import build_device
-
-        device = build_device(build.program, security=security,
-                              peripherals=victim_adc())
-        return device, build
-    spec = victim_firmware_spec(variant)
-    device = device_for(spec, security, peripherals=victim_adc())
-    return device, build_firmware(spec)
+    build = build_firmware(victim_firmware_spec(variant))
+    device = build_device(build.program, security=security,
+                          peripherals=victim_adc())
+    return device, build

@@ -56,7 +56,6 @@ from repro.cfg.replay import ReplayResult, TraceReplayer, replay_trace
 from repro.cfg.trace import (
     BranchTraceRecorder,
     TraceSnapshot,
-    capture_trace,
     fold_edges,
 )
 from repro.isa.transfer import TransferKind, classify_insn
@@ -76,7 +75,6 @@ __all__ = [
     "TraceSnapshot",
     "Transfer",
     "TransferKind",
-    "capture_trace",
     "classify_insn",
     "compile_policy",
     "diff_against_listing",

@@ -206,7 +206,7 @@ def policy_for_program(program, name: Optional[str] = None) -> CfiPolicy:
 # ---------------------------------------------------------------------------
 
 
-def listing_view(listing_text: str, store_ind_symbol: str = "NS_EILID_store_ind"):
+def listing_view(listing_text: str):
     """The (return_sites, indirect_targets) pair the *listing* implies.
 
     This is the instrumenter's world view: return addresses are "the
@@ -224,7 +224,7 @@ def listing_view(listing_text: str, store_ind_symbol: str = "NS_EILID_store_ind"
         if text.startswith("call"):
             return_sites.add(listing.next_address(entry.addr))
             if (
-                entry.note == store_ind_symbol
+                entry.note == "NS_EILID_store_ind"
                 and pending_mov_addr is not None
                 and pending_mov_addr + _entry_size(listing, pending_mov_addr)
                 == entry.addr

@@ -120,21 +120,6 @@ class TraceSnapshot:
             return False
 
 
-def capture_trace(device, steps, max_cycles=None,
-                  stop_on_done=True) -> "TraceSnapshot":
-    """Run *device* for up to *steps* steps and snapshot its trace.
-
-    Uses the batched :meth:`repro.device.Device.run_steps` inner loop so
-    long captures amortize per-step Python overhead instead of paying
-    the observer-hook price of ``Device.run``.  The device must have
-    been built with trace recording enabled (``trace_capacity != 0``).
-    """
-    if device.trace is None:
-        raise ValueError("device was built with trace recording disabled")
-    device.run_steps(steps, max_cycles=max_cycles, stop_on_done=stop_on_done)
-    return device.trace.snapshot()
-
-
 class BranchTraceRecorder:
     """Bounded ring of taken control-flow edges with a rolling digest.
 

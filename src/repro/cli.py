@@ -1124,7 +1124,7 @@ def main(argv=None):
                                 help="serial grades in this process, "
                                      "process on a worker pool")
     p_faults_sweep.add_argument("--workers", type=int,
-                                help="process pool size")
+                                help="process pool size (0 = auto)")
     p_faults_sweep.add_argument("--warmup-steps", type=int,
                                 help="honest steps before the snapshot "
                                      "faults are injected into")

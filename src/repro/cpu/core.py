@@ -317,7 +317,6 @@ class Cpu:
         regs = self.regs
         pc_before = regs[PC]
         bus = self.bus
-        bus.current_pc = pc_before
 
         ic = self.ic
         if (regs[SR] & FLAG_GIE and ic is not None and ic.lines

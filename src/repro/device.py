@@ -421,7 +421,6 @@ class Device:
             # What walking a malformed doc raises: a missing key, a
             # short list, a bad value, or a section of the wrong type.
             raise SnapshotError(f"malformed device snapshot: {error!r}")
-        self.bus.current_pc = self.cpu.pc
         self.bus.trace = []
 
     # ---- stepping ----------------------------------------------------------------
@@ -430,7 +429,7 @@ class Device:
         """One monitored step: the body of :meth:`_run_loop`, run once.
         Returns ``(record, violation_or_None)``."""
         seen = []
-        self._run_loop(None, False, False, 1, None,
+        self._run_loop(None, False, 1, None,
                        lambda record, violation: seen.append((record, violation)))
         return seen[0]
 
@@ -462,28 +461,25 @@ class Device:
         for peripheral in self.peripherals.values():
             peripheral.reset()
 
-    def run(self, max_cycles=2_000_000, stop_on_done=True, stop_on_violation=True,
-            max_steps=None, break_at=None, observer=None):
-        """Run until DONE, a violation (if requested), a breakpoint in
-        *break_at* (a set of PC values), or the budget ends.
+    def run(self, max_cycles=2_000_000, stop_on_done=True, max_steps=None,
+            break_at=None, observer=None):
+        """Run until DONE, a violation, a breakpoint in *break_at* (a
+        set of PC values), or the budget ends.
 
         *observer*, if given, is called with every
         ``(StepRecord, violation_or_None)`` -- the hook the trace
         oracles in :mod:`repro.verification` attach to.
         """
-        return self._caught_up_run(max_cycles, stop_on_done,
-                                   stop_on_violation, max_steps, break_at,
-                                   observer)
+        return self._caught_up_run(max_cycles, stop_on_done, max_steps,
+                                   break_at, observer)
 
-    def run_steps(self, n, max_cycles=None, stop_on_done=True,
-                  stop_on_violation=True):
+    def run_steps(self, n, max_cycles=None, stop_on_done=True):
         """Batched inner loop: execute up to *n* steps in one call.
 
-        The fleet waves (:mod:`repro.fleet.simulation`) and trace
-        capture (:mod:`repro.cfg.trace`) drive millions of device steps;
-        this entry point skips the public :meth:`run` (no observer or
-        breakpoint hooks) while keeping the exact monitored-step
-        semantics of :meth:`step`.
+        The fleet waves (:mod:`repro.fleet.simulation`) drive millions
+        of device steps; this entry point skips the public :meth:`run`
+        (no observer or breakpoint hooks) while keeping the exact
+        monitored-step semantics of :meth:`step`.
 
         Instrumentation lives at this batch boundary -- one enabled
         check per call, never inside the step loop -- so the disabled
@@ -491,11 +487,11 @@ class Device:
         throughput floors hold either way.
         """
         if not METRICS.enabled:
-            return self._caught_up_run(max_cycles, stop_on_done,
-                                       stop_on_violation, n, None, None)
+            return self._caught_up_run(max_cycles, stop_on_done, n, None,
+                                       None)
         with METRICS.span("interpreter.batch"):
-            result = self._caught_up_run(max_cycles, stop_on_done,
-                                         stop_on_violation, n, None, None)
+            result = self._caught_up_run(max_cycles, stop_on_done, n, None,
+                                         None)
         METRICS.inc("interpreter.batches")
         METRICS.inc("interpreter.steps", result.steps)
         return result
@@ -510,16 +506,17 @@ class Device:
         self.clock.catch_up()
         return result
 
-    def _run_loop(self, max_cycles, stop_on_done, stop_on_violation,
-                  max_steps, break_at, observer) -> RunResult:
+    def _run_loop(self, max_cycles, stop_on_done, max_steps, break_at,
+                  observer) -> RunResult:
         """Every monitored step runs here, whichever API drives it.
 
         *max_cycles* and *max_steps* bound the run (``None`` for no
         bound).  Per step: one ``Cpu.step``, the clock advance (ticking
         peripherals only at their deadline), one monitor ``observe`` --
         or, without a monitor, the illegal-opcode PC spin -- and on a
-        violation :meth:`_void_step`.  Peripherals are not caught up
-        at the ends; :meth:`_caught_up_run` does that for runs.
+        violation :meth:`_void_step`, which ends the run.  Peripherals
+        are not caught up at the ends; :meth:`_caught_up_run` does that
+        for runs.
         """
         self.unpark()
         clock = self.clock
@@ -558,8 +555,7 @@ class Device:
                 observer(record, violation)
             if violation is not None:
                 violations.append(violation)
-                if stop_on_violation:
-                    break
+                break
             if stop_on_done and harness.done:
                 break
             if break_at is not None and cpu.regs[PC] in break_at:
@@ -593,7 +589,7 @@ class Device:
             self.cpu.set_reg(reg, value)
         self.cpu._push(sentinel)
         self.cpu.pc = self.symbol(symbol)
-        return self._run_loop(None, False, True, max_steps, {sentinel},
+        return self._run_loop(None, False, max_steps, {sentinel},
                               None).violations
 
     # ---- CASU secure update ------------------------------------------------------------

@@ -17,8 +17,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.api.firmware import build_firmware
+from repro.api.spec import FirmwareSpec
 from repro.apps.registry import APPS, TABLE_IV_ORDER
-from repro.apps.runtime import run_app
+from repro.device import build_device
 from repro.eilid.iterbuild import IterativeBuild
 from repro.eval.paper_data import (
     PAPER_AVG_COMPILE_OVERHEAD_PCT,
@@ -91,8 +93,14 @@ def measure_app(name, repeats=5) -> Table4Row:
     orig_build = builder.build_original(asm, f"{spec.name}.s")
     eilid_build = builder.build_eilid(asm, f"{spec.name}.s", verify_convergence=True).final
 
-    run_orig = run_app(spec, "original")
-    run_eilid = run_app(spec, "eilid")
+    runs = {}
+    for variant, security in (("original", "none"), ("eilid", "eilid")):
+        program = build_firmware(FirmwareSpec(
+            kind="app", app=name, variant=variant)).program
+        device = build_device(program, security=security,
+                              peripherals=spec.make_peripherals())
+        runs[variant] = device.run(max_cycles=spec.max_cycles)
+    run_orig, run_eilid = runs["original"], runs["eilid"]
     if not (run_orig.done and run_eilid.done):
         raise RuntimeError(f"{name}: application did not reach DONE")
     if run_eilid.violations:
@@ -110,9 +118,8 @@ def measure_app(name, repeats=5) -> Table4Row:
     )
 
 
-def measure_table4(repeats=5, apps=None) -> List[Table4Row]:
-    names = list(apps) if apps is not None else list(TABLE_IV_ORDER)
-    return [measure_app(name, repeats=repeats) for name in names]
+def measure_table4(repeats=5) -> List[Table4Row]:
+    return [measure_app(name, repeats=repeats) for name in TABLE_IV_ORDER]
 
 
 def averages(rows: List[Table4Row]) -> Dict[str, float]:

@@ -33,8 +33,9 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
+from repro.api.spec import effective_workers
 from repro.eval.report import render_table
 from repro.faults.inject import run_faulted
 from repro.faults.plan import FaultPlan
@@ -133,7 +134,7 @@ class FaultCampaign:
 
     def __init__(self, firmware, plan: FaultPlan,
                  profiles: Sequence[str] = FAULT_PROFILES,
-                 backend: str = "serial", workers: Optional[int] = None,
+                 backend: str = "serial", workers: int = 0,
                  max_cycles: int = 2_000_000, warmup_steps: int = 0,
                  events=None, policy=None):
         unknown = sorted(set(profiles) - set(FAULT_PROFILES))
@@ -146,7 +147,7 @@ class FaultCampaign:
         self.plan = plan
         self.profiles = tuple(profiles)
         self.backend = backend
-        self.workers = workers or 4
+        self.workers = effective_workers(workers)
         self.max_cycles = max_cycles
         self.warmup_steps = warmup_steps
         self.events = events

@@ -9,14 +9,26 @@ acceptance test pins.
 Wire form: each fault is a flat JSON-safe dict (it travels to pool
 workers inside the shard context), and the whole plan round-trips
 through ``to_dict``/``from_dict`` with the shared codec version.
+``from_dict`` checks every field a fault's kind reads, so a malformed
+document raises :class:`~repro.snapshot.SnapshotError` at the boundary
+rather than failing later inside a run.
 """
 
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.snapshot import WIRE_VERSION, check_wire_version
-from repro.faults.sites import CORRUPTIBLE_PERIPHERALS, FaultSite
+from repro.isa.registers import NUM_REGISTERS
+from repro.snapshot import (
+    WIRE_VERSION,
+    SnapshotError,
+    check_wire_version,
+    state_int,
+    state_list,
+    state_str,
+    state_value,
+)
+from repro.faults.sites import CORRUPTIBLE_PERIPHERALS, FAULT_KINDS, FaultSite
 
 
 @dataclass(frozen=True)
@@ -43,8 +55,32 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultPlan":
         check_wire_version(doc, "fault plan")
-        return cls(name=doc["name"], seed=doc["seed"],
-                   faults=tuple(dict(fault) for fault in doc["faults"]))
+        try:
+            return cls(name=state_str(doc, "name"),
+                       seed=state_int(doc, "seed"),
+                       faults=tuple(_checked_fault(fault) for fault
+                                    in state_list(doc, "faults", dict)))
+        except (KeyError, ValueError) as error:
+            raise SnapshotError(f"malformed fault plan: {error!r}") from None
+
+
+def _checked_fault(fault: dict) -> dict:
+    """A copy of one fault document, once every field its kind reads
+    (see :mod:`repro.faults.inject`) is there with a usable value."""
+    state_int(fault, "id")
+    state_int(fault, "pc")
+    kind = state_str(fault, "kind", FAULT_KINDS)
+    if kind == "imem-flip":
+        state_int(fault, "bit")
+    elif kind == "insn-skip":
+        state_int(fault, "next_pc")
+    elif kind == "reg-corrupt":
+        state_value(fault, "reg", range(NUM_REGISTERS))
+        state_int(fault, "mask")
+    else:
+        state_str(fault, "periph", CORRUPTIBLE_PERIPHERALS)
+        state_int(fault, "mask")
+    return dict(fault)
 
 
 def expand_plan(sites: Sequence[FaultSite], seed: int = 0,

@@ -38,13 +38,12 @@ from repro.fleet.store import (
     record_from_dict,
     record_to_dict,
 )
-from repro.fleet.transport import ChannelStats, Envelope, Link, SimChannel, Transport
+from repro.fleet.transport import Envelope, Link, SimChannel, Transport
 
 __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "CampaignStatus",
-    "ChannelStats",
     "DeviceAgent",
     "DeviceRecord",
     "Envelope",

@@ -38,7 +38,6 @@ operation, which is all a verifier can honestly do.
 """
 
 import enum
-import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +45,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.api.spec import check_field_types, require
+from repro.api.spec import check_field_types, effective_workers, require
 from repro.casu.update import UpdatePackage, UpdateStatus
 from repro.eval.report import render_table
 from repro.fleet.protocol import OfferResult, VerifierSession
@@ -125,7 +124,7 @@ class CampaignConfig:
 
     @property
     def effective_workers(self) -> int:
-        return self.workers or min(8, os.cpu_count() or 1)
+        return effective_workers(self.workers)
 
 
 class CampaignStatus(enum.Enum):
@@ -360,76 +359,73 @@ class RolloutCampaign:
     def _run_wave(self, index: int, wave: List[str], pool) -> WaveResult:
         # The wave span parents every offer/attest span below it:
         # serial offers through this thread's span stack, spans
-        # recorded inside worker processes by merging back re-rooted
-        # onto this id (see METRICS.merge in the process branch).
-        with METRICS.span("campaign.wave") as wave_span:
-            return self._run_wave_inner(index, wave, pool, wave_span.id)
+        # recorded inside worker processes by merging back while it is
+        # this thread's innermost open span (see METRICS.merge in the
+        # process branch).
+        with METRICS.span("campaign.wave"):
+            # Mark the wave in flight, remembering each device's prior
+            # state so a failed offer rolls back to what the device
+            # actually was (ENROLLED devices must not surface as ACTIVE
+            # just because the channel ate their offer).
+            prior = {}
+            for device_id in wave:
+                record = self.registry.get(device_id)
+                prior[device_id] = record.state
+                record.state = Lifecycle.UPDATING
+            if self.config.backend == "process":
+                from itertools import repeat
 
-    def _run_wave_inner(self, index: int, wave: List[str], pool,
-                        wave_span: Optional[str] = None) -> WaveResult:
-        # Mark the wave in flight, remembering each device's prior
-        # state so a failed offer rolls back to what the device
-        # actually was (ENROLLED devices must not surface as ACTIVE
-        # just because the channel ate their offer).
-        prior = {}
-        for device_id in wave:
-            record = self.registry.get(device_id)
-            prior[device_id] = record.state
-            record.state = Lifecycle.UPDATING
-        if self.config.backend == "process":
-            from itertools import repeat
-
-            # Shard-task submission costs real serialisation; ~2
-            # batches per worker balance the load and amortise it.
-            size = -(-len(wave) // (2 * self.config.effective_workers))
-            func, context = self.shard_task
-            payloads = [[self._shard_doc(device_id)
-                         for device_id in wave[i:i + size]]
-                        for i in range(0, len(wave), size)]
-            outcomes: List[Tuple[str, OfferResult]] = []
-            for shard_doc in pool.map(func, repeat(context), payloads):
-                # The wire format's other half: the worker's per-batch
-                # MetricsRegistry snapshot folds into the parent
-                # registry, its spans re-rooted under this wave so both
-                # backends report identical totals and one causal tree.
-                METRICS.merge(shard_doc["metrics"], reroot_to=wave_span)
-                outcomes.extend(self._adopt_shard_outcome(doc)
-                                for doc in shard_doc["outcomes"])
-        else:
-            outcomes = [(device_id, self._offer(device_id))
-                        for device_id in wave]
-        result = WaveResult(index=index, size=len(wave), applied=0, failed=0)
-        for device_id, outcome in outcomes:
-            self._apply_outcome(device_id, outcome, prior.get(device_id))
-            result.statuses[outcome.status_label] += 1
-            if outcome.applied:
-                result.applied += 1
+                # Shard-task submission costs real serialisation; ~2
+                # batches per worker balance the load and amortise it.
+                size = -(-len(wave) // (2 * self.config.effective_workers))
+                func, context = self.shard_task
+                payloads = [[self._shard_doc(device_id)
+                             for device_id in wave[i:i + size]]
+                            for i in range(0, len(wave), size)]
+                outcomes: List[Tuple[str, OfferResult]] = []
+                for shard_doc in pool.map(func, repeat(context), payloads):
+                    # The wire format's other half: the worker's per-batch
+                    # MetricsRegistry snapshot folds into the parent
+                    # registry, its spans re-rooted under this wave so both
+                    # backends report identical totals and one causal tree.
+                    METRICS.merge(shard_doc["metrics"])
+                    outcomes.extend(self._adopt_shard_outcome(doc)
+                                    for doc in shard_doc["outcomes"])
             else:
-                result.failed += 1
-        if self.post_wave_merge is not None:
-            self.post_wave_merge()
-        if self.config.verify_after_wave:
-            self._verify_wave(result, outcomes)
-        # The wave-commit event rides the same durability point as the
-        # records it describes: emitted before the flush, so either
-        # both survive a kill or neither does.
-        if self.registry.events is not None:
-            self.registry.events.emit(
-                "wave-commit", campaign=self._campaign_id, index=index,
-                size=result.size, applied=result.applied,
-                failed=result.failed, statuses=dict(result.statuses))
-        # Durability point: a kill after this flush resumes from here.
-        self.registry.flush()
-        if self.config.metrics_dump:
-            from repro.obs.export import write_snapshot
+                outcomes = [(device_id, self._offer(device_id))
+                            for device_id in wave]
+            result = WaveResult(index=index, size=len(wave), applied=0, failed=0)
+            for device_id, outcome in outcomes:
+                self._apply_outcome(device_id, outcome, prior.get(device_id))
+                result.statuses[outcome.status_label] += 1
+                if outcome.applied:
+                    result.applied += 1
+                else:
+                    result.failed += 1
+            if self.post_wave_merge is not None:
+                self.post_wave_merge()
+            if self.config.verify_after_wave:
+                self._verify_wave(result, outcomes)
+            # The wave-commit event rides the same durability point as the
+            # records it describes: emitted before the flush, so either
+            # both survive a kill or neither does.
+            if self.registry.events is not None:
+                self.registry.events.emit(
+                    "wave-commit", campaign=self._campaign_id, index=index,
+                    size=result.size, applied=result.applied,
+                    failed=result.failed, statuses=dict(result.statuses))
+            # Durability point: a kill after this flush resumes from here.
+            self.registry.flush()
+            if self.config.metrics_dump:
+                from repro.obs.export import write_snapshot
 
-            fmt = ("prom" if self.config.metrics_dump.endswith(".prom")
-                   else "json")
-            write_snapshot(self.config.metrics_dump, METRICS.snapshot(),
-                           fmt=fmt,
-                           source=f"{self._campaign_id or 'campaign'}"
-                                  f"/wave{index}")
-        return result
+                fmt = ("prom" if self.config.metrics_dump.endswith(".prom")
+                       else "json")
+                write_snapshot(self.config.metrics_dump, METRICS.snapshot(),
+                               fmt=fmt,
+                               source=f"{self._campaign_id or 'campaign'}"
+                                      f"/wave{index}")
+            return result
 
     def _shard_doc(self, device_id: str) -> dict:
         """One record's shard wire document, plus its device snapshot.

@@ -22,7 +22,9 @@ Lifecycle:
     ENROLLED --attest--> ACTIVE --offer--> UPDATING --ack--> ACTIVE
                            |                            (or back, on a
                            +--bad MAC / hash mismatch--> QUARANTINED
-                           +--operator---------------->  RETIRED
+
+No code path retires a device; ``Lifecycle.RETIRED`` stays so that
+stored records naming it still load.
 """
 
 import enum
@@ -126,6 +128,9 @@ class DeviceRecord:
 # ever need to increase.
 NONCE_RESTART_SLACK = 1000
 
+# The platform every enrolled device claims.
+PLATFORM = "TI MSP430"
+
 
 class FleetRegistry:
     """Registry keyed by device id; optionally backed by a store.
@@ -217,16 +222,15 @@ class FleetRegistry:
 
     # ---- enrollment ------------------------------------------------------
 
-    def enroll(self, device_id: str, platform="TI MSP430", security="casu",
-               key: Optional[UpdateKey] = None) -> DeviceRecord:
+    def enroll(self, device_id: str, security="casu") -> DeviceRecord:
         if device_id in self._records:
             raise FleetError(f"device {device_id!r} already enrolled")
         if security not in SECURITY_LEVELS:
             raise FleetError(f"security must be one of {SECURITY_LEVELS}")
         record = DeviceRecord(
             device_id=device_id,
-            key=key or UpdateKey.derive(device_id),
-            platform=platform,
+            key=UpdateKey.derive(device_id),
+            platform=PLATFORM,
             security=security,
             enrolled_at=self.tick(),
         )
@@ -234,7 +238,7 @@ class FleetRegistry:
         self.save(record)
         if self.events is not None:
             self.events.emit("enroll", device=device_id,
-                             platform=platform, security=security)
+                             platform=PLATFORM, security=security)
         return record
 
     # ---- lookup ----------------------------------------------------------
@@ -271,11 +275,6 @@ class FleetRegistry:
         self.save(record)
         if self.events is not None:
             self.events.emit("quarantine", device=device_id, reason=reason)
-
-    def retire(self, device_id: str):
-        record = self.get(device_id)
-        record.state = Lifecycle.RETIRED
-        self.save(record)
 
     # ---- aggregates ------------------------------------------------------
 

@@ -97,11 +97,11 @@ def fleet_firmware_spec() -> FirmwareSpec:
                         name="fleet-node", link_rom=True)
 
 
-def default_payload(version: int, words=8) -> bytes:
-    """A recognisable per-version payload (word-aligned)."""
+def default_payload(version: int) -> bytes:
+    """A recognisable per-version payload of eight words."""
     return b"".join(
         ((version * 0x0100 + index) & 0xFFFF).to_bytes(2, "little")
-        for index in range(words)
+        for index in range(8)
     )
 
 
@@ -130,14 +130,13 @@ def package_factory(version: int, payload: bytes,
 class FleetSimulation:
     """A registry, a transport, and one real Device per enrolled id."""
 
-    def __init__(self, size=0, security="casu", platform="TI MSP430",
-                 loss=0.0, reorder=0.0, seed=0, max_attempts=4,
-                 verify_traces=False, firmware: Optional[FirmwareSpec] = None,
-                 store=None, events=None, alerts=None):
+    def __init__(self, size=0, security="casu", loss=0.0, reorder=0.0,
+                 seed=0, max_attempts=4, verify_traces=False,
+                 firmware: Optional[FirmwareSpec] = None, store=None,
+                 events=None, alerts=None):
         if size < 0:
             raise ValueError("fleet size must be >= 0")
         self.security = security
-        self.platform = platform
         self.max_attempts = max_attempts
         self.loss = loss
         self.reorder = reorder
@@ -222,8 +221,7 @@ class FleetSimulation:
 
     def enroll(self, device_id: str) -> AttestResult:
         """Provision one device and run the enrollment handshake."""
-        record = self.registry.enroll(device_id, platform=self.platform,
-                                      security=self.security)
+        record = self.registry.enroll(device_id, security=self.security)
         device = build_device(build_firmware(self.firmware).program,
                               security=self.security, update_key=record.key)
         device.park()  # the enrollment report answers parked
@@ -234,9 +232,9 @@ class FleetSimulation:
         self.registry.save(record)
         return result
 
-    def enroll_many(self, count: int, prefix="dev") -> List[AttestResult]:
+    def enroll_many(self, count: int) -> List[AttestResult]:
         start = len(self.registry)
-        results = [self.enroll(f"{prefix}-{start + index:05d}")
+        results = [self.enroll(f"dev-{start + index:05d}")
                    for index in range(count)]
         self.registry.flush()
         return results
@@ -488,26 +486,28 @@ class FleetSimulation:
         instead of rebuilding an honest device from the record."""
         self._mutated.add(device_id)
 
-    def forge_trace(self, device_id: str, src=0xE000, dst=0xE000, kind="jump"):
-        """Fabricate a trace edge on one device without digest folding.
+    def forge_trace(self, device_id: str):
+        """Fabricate a ``0xE000 -> 0xE000`` jump edge on one device
+        without digest folding.
 
         Models a compromised device OS (or in-path attacker) inventing
         control-flow evidence.  The edge window no longer folds to the
         MAC'd digest, so the next trace-verifying attest quarantines
         the device with ``trace-forged``.
         """
-        self.devices[device_id].trace.inject_edge(src, dst, kind)
+        self.devices[device_id].trace.inject_edge(0xE000, 0xE000, "jump")
         self.mark_mutated(device_id)
 
-    def corrupt_firmware(self, device_id: str, max_cycles=2_000):
-        """Flip the first word of the resident app and run into the fault."""
+    def corrupt_firmware(self, device_id: str):
+        """Flip the first word of the resident app and run into the
+        fault (2000 cycles at most)."""
         device = self.devices[device_id]
         device.unpark()
         main = device.symbol("main")
         device.bus.load_bytes(main, b"\x00\x00")  # illegal opcode
         self.mark_mutated(device_id)
         device.hard_reset()
-        device.run(max_cycles=max_cycles, stop_on_done=False)
+        device.run(max_cycles=2_000, stop_on_done=False)
         device.park()
 
     # ---- reporting -------------------------------------------------------

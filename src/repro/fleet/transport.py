@@ -33,20 +33,6 @@ class Envelope:
         return f"#{self.seq} {self.src}->{self.dst} {self.kind}"
 
 
-@dataclass
-class ChannelStats:
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    reordered: int = 0
-
-    def merge(self, other: "ChannelStats"):
-        self.sent += other.sent
-        self.delivered += other.delivered
-        self.dropped += other.dropped
-        self.reordered += other.reordered
-
-
 def _check_probability(name, value):
     # The closed interval: loss=1.0 models a fully partitioned channel
     # (every message dropped), which fleet tests use to assert that an
@@ -70,20 +56,16 @@ class SimChannel:
         self._rng: Optional[random.Random] = None
         self._queue: List[Envelope] = []
         self._seq = 0
-        self.stats = ChannelStats()
 
     def send(self, src, dst, kind, body) -> Optional[Envelope]:
         """Queue a message; returns the envelope, or None if dropped."""
         self._seq += 1
         envelope = Envelope(self._seq, src, dst, kind, body)
-        self.stats.sent += 1
         if self.loss and self._random().random() < self.loss:
-            self.stats.dropped += 1
             return None
         if self._queue and self.reorder and self._random().random() < self.reorder:
             slot = self._rng.randrange(len(self._queue))
             self._queue.insert(slot, envelope)
-            self.stats.reordered += 1
         else:
             self._queue.append(envelope)
         return envelope
@@ -99,7 +81,6 @@ class SimChannel:
     def drain(self) -> List[Envelope]:
         """Deliver everything currently in flight."""
         out, self._queue = self._queue, []
-        self.stats.delivered += len(out)
         return out
 
     def __len__(self):
@@ -113,12 +94,6 @@ class Link:
     device_id: str
     down: SimChannel  # verifier -> device
     up: SimChannel  # device -> verifier
-
-    def stats(self) -> ChannelStats:
-        merged = ChannelStats()
-        merged.merge(self.down.stats)
-        merged.merge(self.up.stats)
-        return merged
 
 
 class Transport:
@@ -149,10 +124,3 @@ class Transport:
             )
             self._links[device_id] = link
         return link
-
-    def stats(self) -> ChannelStats:
-        """Aggregate channel counters across every link."""
-        merged = ChannelStats()
-        for link in self._links.values():
-            merged.merge(link.stats())
-        return merged

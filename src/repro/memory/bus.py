@@ -55,17 +55,17 @@ class AccessKind(enum.Enum):
 
 
 class Access(NamedTuple):
-    """One bus transaction, as seen by the hardware monitors."""
+    """One bus transaction, as seen by the hardware monitors.  The PC of
+    the instruction issuing it is its step record's ``pc``."""
 
     kind: AccessKind
     addr: int
     value: int
     size: int  # 1 or 2 bytes
-    pc: int  # PC of the instruction issuing the access
     prev: Optional[int] = None  # pre-write contents (writes only; for rollback)
 
     def __str__(self):
-        return f"{self.kind.value.upper():5s} 0x{self.addr:04x} = 0x{self.value:04x} (pc=0x{self.pc:04x})"
+        return f"{self.kind.value.upper():5s} 0x{self.addr:04x} = 0x{self.value:04x}"
 
 
 # The accessors build their records with ``tuple.__new__``: every
@@ -96,8 +96,6 @@ class Bus:
         # peripherals are exact for it (see PeripheralClock).
         self.before_io: Callable[[], None] = lambda: None
         self.trace: List[Access] = []
-        # PC context for access records; the CPU sets this each step.
-        self.current_pc = 0
         # Decoded-instruction cache coupling (see repro.cpu.core):
         # ``_dcache`` is the CPU-owned {pc: entry} dict; ``_dcache_index``
         # maps each word-aligned address covered by a cached instruction
@@ -244,7 +242,7 @@ class Bus:
         mem = self.mem
         value = mem[addr] | (mem[addr + 1] << 8)
         self.trace.append(_new_access(
-            Access, (_FETCH, addr, value, 2, self.current_pc, None)))
+            Access, (_FETCH, addr, value, 2, None)))
         return value
 
     def read_word(self, addr):
@@ -264,7 +262,7 @@ class Bus:
             mem = self.mem
             value = mem[addr] | (mem[addr + 1] << 8)
         self.trace.append(_new_access(
-            Access, (_READ, addr, value, 2, self.current_pc, None)))
+            Access, (_READ, addr, value, 2, None)))
         return value
 
     def read_byte(self, addr):
@@ -286,7 +284,7 @@ class Bus:
         else:
             value = self.mem[addr]
         self.trace.append(_new_access(
-            Access, (_READ, addr, value, 1, self.current_pc, None)))
+            Access, (_READ, addr, value, 1, None)))
         return value
 
     def write_word(self, addr, value):
@@ -296,8 +294,7 @@ class Bus:
         value &= 0xFFFF
         mem = self.mem
         self.trace.append(_new_access(Access, (
-            _WRITE, addr, value, 2, self.current_pc,
-            mem[addr] | (mem[addr + 1] << 8))))
+            _WRITE, addr, value, 2, mem[addr] | (mem[addr + 1] << 8))))
         if self._read_only[addr]:
             return  # ROM: the store is on the bus, the cells keep their bits
         mem[addr] = value & 0xFF
@@ -315,7 +312,7 @@ class Bus:
         value &= 0xFF
         mem = self.mem
         self.trace.append(_new_access(Access, (
-            _WRITE, addr, value, 1, self.current_pc, mem[addr])))
+            _WRITE, addr, value, 1, mem[addr])))
         if self._read_only[addr]:
             return
         mem[addr] = value

@@ -40,7 +40,7 @@ from repro.obs.export import (
     to_prometheus,
     write_snapshot,
 )
-from repro.obs.metrics import METRICS, Histogram, MetricsRegistry, get_metrics
+from repro.obs.metrics import METRICS, Histogram, MetricsRegistry
 
 __all__ = [
     "EVENT_KINDS",
@@ -58,7 +58,6 @@ __all__ = [
     "SqliteEventLog",
     "build_rules",
     "default_rules",
-    "get_metrics",
     "open_event_log",
     "open_event_tail",
     "parse_prometheus",

@@ -180,9 +180,6 @@ class EventLog(RecordLog):
         return start is not None and any(
             doc["campaign"] == campaign_id for doc in self._scan(start - 1))
 
-    def __len__(self):
-        return len(self.events())
-
     # ---- queries ---------------------------------------------------------
 
     def device_timeline(self, device_id: str) -> List[dict]:

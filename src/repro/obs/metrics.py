@@ -21,8 +21,8 @@ same thread is its child.  Finished spans land in a bounded ring --
 overflow increments the ``obs.spans_dropped`` counter instead of
 growing without bound -- and :meth:`MetricsRegistry.merge` stitches a
 worker process's snapshot into the parent registry, remapping span
-ids and re-rooting the worker's root spans under a parent-side span
-(the shard wire format's other half).
+ids and re-rooting the worker's root spans under the merging thread's
+innermost open span (the shard wire format's other half).
 
 Histograms are the lightweight kind a verifier needs for trend lines:
 count / total / min / max (mean derives), not bucketed quantiles --
@@ -34,8 +34,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
-__all__ = ["Histogram", "MetricsRegistry", "METRICS", "get_metrics",
-           "SPAN_RING_CAPACITY"]
+__all__ = ["Histogram", "MetricsRegistry", "METRICS", "SPAN_RING_CAPACITY"]
 
 # Finished spans kept per registry; enough for a full campaign's wave
 # and shard spans plus the per-device tail of the last few waves.
@@ -152,10 +151,6 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
         self._spans: deque = deque(maxlen=span_capacity)
         self._span_seq = 0
-        # Trace id per live/recent span id, so spans merged in under
-        # ``reroot_to`` join that span's trace.  Bounded: pruned to the
-        # newest half when it outgrows the span ring.
-        self._trace_index: Dict[str, str] = {}
         self._tls = threading.local()
 
     # ---- recording -------------------------------------------------------
@@ -210,7 +205,6 @@ class MetricsRegistry:
             span.id = f"s{self._span_seq}"
             if span.trace is None:
                 span.trace = span.id  # a root starts its own trace
-            self._index_trace(span.id, span.trace)
         stack.append(span)
 
     def _close_span(self, span: _Span, elapsed_ms: float):
@@ -232,29 +226,22 @@ class MetricsRegistry:
                     self._counters.get("obs.spans_dropped", 0) + 1
             self._spans.append(doc)
 
-    def _index_trace(self, span_id: str, trace: str):
-        # Caller holds self._lock.
-        index = self._trace_index
-        if len(index) >= 4 * (self._spans.maxlen or SPAN_RING_CAPACITY):
-            survivors = sorted(index, key=lambda sid: int(sid[1:]))
-            for stale in survivors[:len(survivors) // 2]:
-                del index[stale]
-        index[span_id] = trace
-
     # ---- merging (process-shard wire format) -----------------------------
 
-    def merge(self, snapshot: dict, reroot_to: Optional[str] = None):
+    def merge(self, snapshot: dict):
         """Fold a worker registry's ``snapshot()`` into this one.
 
         Counters add, gauges overwrite (latest wins), histograms fold
         their summaries, and spans are stitched in with fresh ids:
         worker-local parent links are remapped, and spans whose parent
-        did not travel (the worker's roots) are re-parented onto
-        *reroot_to* -- the parent-side span (e.g. the wave) that caused
-        the shard to run -- joining its trace.
+        did not travel (the worker's roots) are re-parented onto this
+        thread's innermost open span -- the parent-side span (e.g. the
+        wave) that caused the shard to run -- all joining its trace.
         """
         if not self.enabled or not snapshot:
             return
+        stack = self._span_stack()
+        cause = stack[-1] if stack else None
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + value
@@ -272,23 +259,19 @@ class MetricsRegistry:
             for doc in spans:
                 self._span_seq += 1
                 id_map[doc["id"]] = f"s{self._span_seq}"
-            reroot_trace = (self._trace_index.get(reroot_to)
-                            if reroot_to is not None else None)
             for doc in spans:
                 new_id = id_map[doc["id"]]
                 parent = doc.get("parent")
                 if parent in id_map:
                     parent = id_map[parent]
+                else:  # worker root -> parent-side cause
+                    parent = None if cause is None else cause.id
+                if cause is not None:
+                    trace = cause.trace
                 else:
-                    parent = reroot_to  # worker root -> parent-side cause
-                trace = id_map.get(doc.get("trace"))
-                if reroot_trace is not None:
-                    trace = reroot_trace
-                elif trace is None:
-                    trace = new_id
+                    trace = id_map.get(doc.get("trace"), new_id)
                 stitched = dict(doc)
                 stitched.update(id=new_id, parent=parent, trace=trace)
-                self._index_trace(new_id, trace)
                 if len(self._spans) == self._spans.maxlen:
                     self._counters["obs.spans_dropped"] = \
                         self._counters.get("obs.spans_dropped", 0) + 1
@@ -306,7 +289,6 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
             self._spans.clear()
-            self._trace_index.clear()
             self._span_seq = 0
             # Replace (not clear) the thread-local span stacks: a
             # forked pool worker inherits the forking thread's stack
@@ -369,7 +351,3 @@ class MetricsRegistry:
 # granularity, cheap enough to leave on (the floors in benchmarks/
 # gate exactly that).
 METRICS = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    return METRICS

@@ -609,7 +609,7 @@ class DaemonThread:
     ``stop()`` runs the full graceful-shutdown path and joins."""
 
     def __init__(self, fleet, host: str = "127.0.0.1", port: int = 0,
-                 max_workers: int = 0, ready_timeout: float = 120.0):
+                 max_workers: int = 0):
         self.daemon = VerifierDaemon(fleet, host=host, port=port,
                                      max_workers=max_workers)
         self.error: Optional[BaseException] = None
@@ -617,7 +617,7 @@ class DaemonThread:
         self._thread = threading.Thread(target=self._main,
                                         name="serve-daemon", daemon=True)
         self._thread.start()
-        if not self._ready.wait(ready_timeout):
+        if not self._ready.wait(120.0):
             raise RuntimeError("daemon did not become ready in time")
         if self.error is not None:
             raise RuntimeError(f"daemon failed to start: {self.error!r}")

@@ -48,16 +48,12 @@ def _ring_hash(key: str) -> int:
 class ShardRouter:
     """Consistent-hash ring mapping device ids to shard indexes."""
 
-    def __init__(self, shards: int, vnodes: int = VNODES):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError("need at least one shard")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.shards = shards
-        self.vnodes = vnodes
         points = []
         for shard in range(shards):
-            for vnode in range(vnodes):
+            for vnode in range(VNODES):
                 points.append((_ring_hash(f"shard-{shard}/{vnode}"), shard))
         points.sort()
         self._points = [point for point, _ in points]
@@ -89,10 +85,9 @@ class ShardedStore(RegistryStore):
 
     backend = "sharded"
 
-    def __init__(self, stores: Sequence[RegistryStore],
-                 vnodes: int = VNODES):
+    def __init__(self, stores: Sequence[RegistryStore]):
         self.stores = list(stores)
-        self.router = ShardRouter(len(self.stores), vnodes=vnodes)
+        self.router = ShardRouter(len(self.stores))
 
     def load_records(self) -> Dict[str, dict]:
         # Merge in shard order.  A record can only appear on two shards
@@ -121,13 +116,8 @@ class ShardedStore(RegistryStore):
         for store in self.stores:
             store.close()
 
-    def counts(self) -> List[int]:
-        """Live records per shard (observability: ``GET /status``)."""
-        return [len(store.load_records()) for store in self.stores]
 
-
-def open_sharded_store(paths: Optional[Sequence[str]],
-                       vnodes: int = VNODES) -> RegistryStore:
+def open_sharded_store(paths: Optional[Sequence[str]]) -> RegistryStore:
     """Open shard backends from paths (``open_store`` suffix rules).
 
     No paths opens a single in-memory store -- a daemon can run
@@ -141,4 +131,4 @@ def open_sharded_store(paths: Optional[Sequence[str]],
         return open_store(None)
     if len(paths) == 1:
         return open_store(paths[0])
-    return ShardedStore([open_store(path) for path in paths], vnodes=vnodes)
+    return ShardedStore([open_store(path) for path in paths])

@@ -69,7 +69,7 @@ class BuildPipeline:
         self._parse_cache[key] = unit
         return unit
 
-    def build(self, modules: List[SourceModule], name="program", want_listing=True):
+    def build(self, modules: List[SourceModule], name="program"):
         """Parse, link and list *modules*; returns a timed result."""
         timings = {}
         t_start = time.perf_counter()
@@ -82,10 +82,8 @@ class BuildPipeline:
         program = link(units, name=name, layout=self.layout)
         timings["link"] = (time.perf_counter() - t0) * 1000
 
-        listing = ""
         t0 = time.perf_counter()
-        if want_listing:
-            listing = render_listing(program)
+        listing = render_listing(program)
         timings["listing"] = (time.perf_counter() - t0) * 1000
 
         timings["total"] = (time.perf_counter() - t_start) * 1000

@@ -554,10 +554,26 @@ class TestBoundedEvidence:
 # ---- fleet integration ------------------------------------------------------
 
 
+def _run_idle(fleet, steps):
+    """Run every replica past DONE for *steps* steps, then park it.
+    Each step of the fleet image's ``jmp idle`` loop is one trace edge,
+    so 6000 steps overflow the 4096-edge ring and 3000 do not."""
+    for device in fleet.devices.values():
+        device.run(max_steps=steps, stop_on_done=False)
+        device.park()
+
+
+def _assert_windowed(snapshot):
+    """The precondition of a windowed test: a full ring that lost edges."""
+    assert snapshot.dropped > 0 and len(snapshot.edges) == 4096
+
+
 class TestFleetTraceAttestation:
     def test_healthy_fleet_attests_with_trace_verification(self):
         fleet = FleetSimulation(size=8, verify_traces=True)
-        fleet.run_all(max_cycles=2_000)
+        _run_idle(fleet, 6_000)
+        for device in fleet.devices.values():
+            _assert_windowed(device.trace_snapshot())
         results = fleet.attest_all()
         assert all(r.ok for r in results.values())
 
@@ -600,10 +616,10 @@ class TestFleetTraceAttestation:
         from repro.cfg.trace import TraceSnapshot
 
         fleet = FleetSimulation(size=3, verify_traces=True)
-        fleet.run_all(max_cycles=1_000)
+        _run_idle(fleet, 6_000)
         device = fleet.devices["dev-00001"]
         real = device.trace_snapshot()
-        assert real.total > 0
+        _assert_windowed(real)
         stripped = TraceSnapshot(edges=(), prefix_digest=real.digest,
                                  digest=real.digest, total=0, dropped=0,
                                  capacity=real.capacity)
@@ -621,10 +637,10 @@ class TestFleetTraceAttestation:
         from dataclasses import replace
 
         fleet = FleetSimulation(size=2, verify_traces=True)
-        fleet.run_all(max_cycles=1_000)
+        _run_idle(fleet, 6_000)
         device = fleet.devices["dev-00000"]
         real = device.trace_snapshot()
-        assert real.edges
+        _assert_windowed(real)
         # Claim the window's first edge was dropped: the window is then
         # a consistent window of its forged counters, so only the MAC'd
         # trace_dropped can catch it.
@@ -642,10 +658,10 @@ class TestFleetTraceAttestation:
         counters untouched -- folds cleanly and matches every MAC'd
         counter; its length must match them too."""
         fleet = FleetSimulation(size=3, verify_traces=True)
-        fleet.run_all(max_cycles=1_000)
+        _run_idle(fleet, 6_000)
         device = fleet.devices["dev-00001"]
         real = device.trace_snapshot()
-        assert real.total > 0
+        _assert_windowed(real)
         emptied = replace(real, edges=(), prefix_digest=real.digest)
         # The forgery folds cleanly...
         assert fold_edges(emptied.prefix_digest, emptied.edges) \
@@ -660,13 +676,13 @@ class TestFleetTraceAttestation:
         length can be given a prefix that folds it to the MAC'd digest.
         A window that lost no edges must start at the empty chain."""
         fleet = FleetSimulation(size=2, verify_traces=True)
-        fleet.run_all(max_cycles=1_000)
+        _run_idle(fleet, 3_000)
         device = fleet.devices["dev-00000"]
         benign = device.trace_snapshot().edges[-1]
         # A hijack into RAM that the device-side monitor missed.
         device.trace.record_edge(benign[0], 0x0200, benign[2])
         honest = device.trace_snapshot()
-        assert honest.dropped == 0
+        assert honest.dropped == 0 and len(honest.edges) > 2_000
         assert fleet.attest_all()["dev-00000"].detail.startswith(
             "trace-replay:")
         # Swap the hijack for a benign edge and invert the prefix.

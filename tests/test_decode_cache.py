@@ -165,4 +165,4 @@ def test_cache_hit_replays_fetch_access_stream():
     assert miss_record.accesses == hit_record.accesses
     fetches = [a for a in hit_record.accesses if a.kind.value == "fetch"]
     assert [a.addr for a in fetches] == [start, start + 2]
-    assert all(a.pc == start for a in fetches)
+    assert hit_record.pc == start

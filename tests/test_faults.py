@@ -13,10 +13,12 @@ the CLI.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import FaultSpec, FirmwareSpec, ScenarioSpec, Session, SpecError
 from repro.api.firmware import build_firmware
 from repro.cfg import recover_cfg
+from repro.device import build_device
 from repro.faults import (
     FAULT_KINDS,
     FAULT_PROFILES,
@@ -25,12 +27,14 @@ from repro.faults import (
     OUTCOMES,
     enumerate_sites,
     expand_plan,
+    run_faulted,
 )
+from repro.faults.sites import CORRUPTIBLE_PERIPHERALS
 from repro.fleet.registry import DeviceRecord, FleetError
 from repro.casu.update import UpdateKey
 from repro.fleet.store import record_from_dict, record_to_dict
 from repro.obs.events import EVENT_KINDS, open_event_log
-from repro.snapshot import WIRE_VERSION
+from repro.snapshot import WIRE_VERSION, SnapshotError
 from conftest import refined
 
 APP = "light_sensor"  # smallest Table IV app: fastest golden runs
@@ -104,6 +108,78 @@ def test_plan_wire_round_trip(light_sensor_sites):
     doc["codec"] = 999
     with pytest.raises(Exception, match="codec"):
         FaultPlan.from_dict(doc)
+
+
+# JSON values a corrupted plan field might carry instead of its own.
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 20),
+                 st.floats(allow_nan=False), st.text(max_size=6),
+                 st.lists(st.integers(0, 3), max_size=2),
+                 st.dictionaries(st.text(max_size=3), st.integers(),
+                                 max_size=2))
+# Every field any fault kind reads, each with a value it may hold.
+FAULT_FIELDS = st.fixed_dictionaries({
+    "id": st.integers(0, 3),
+    "kind": st.sampled_from(FAULT_KINDS),
+    # Even, so that a fault armed at the device's PC triggers.
+    "pc": st.integers(0, 0x7FFF).map(lambda a: 2 * a),
+    "function": st.text(max_size=4),
+    "bit": st.integers(0, 47),
+    "next_pc": st.integers(0, 0xFFFF),
+    "reg": st.integers(0, 15),
+    "mask": st.integers(1, 0xFFFF),
+    "periph": st.sampled_from(CORRUPTIBLE_PERIPHERALS),
+})
+
+
+@st.composite
+def plan_documents(draw):
+    """A well-formed plan document, then up to two of its fields -- a
+    top-level one, a whole fault or a fault's field -- replaced with
+    junk or deleted."""
+    doc = {"codec": WIRE_VERSION, "name": draw(st.text(max_size=6)),
+           "seed": draw(st.integers(0, 9)),
+           "faults": draw(st.lists(FAULT_FIELDS, max_size=3))}
+    for _ in range(draw(st.integers(0, 2))):
+        owners = [doc] + [fault for fault in doc["faults"]
+                          if isinstance(fault, dict)]
+        if isinstance(doc.get("faults"), list):
+            owners.append(doc["faults"])
+        owner = draw(st.sampled_from(owners))
+        keys = (list(range(len(owner))) if isinstance(owner, list)
+                else sorted(owner))
+        if not keys:
+            continue
+        key = draw(st.sampled_from(keys))
+        if isinstance(owner, dict) and draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = draw(JUNK)
+    return doc
+
+
+def test_any_plan_document_raises_only_snapshot_error_or_round_trips(
+        light_sensor_sites):
+    """Whatever JSON arrives at the fault-plan codec, it raises only
+    SnapshotError, or decodes to a plan that encodes back to the same
+    document and whose every fault plants or triggers without error."""
+    spec, _ = light_sensor_sites
+    device = build_device(build_firmware(spec).program)
+
+    # Nested, so a failing example is reported without hypothesis
+    # rewriting this module to pin it.
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(doc=st.one_of(plan_documents(), JUNK))
+    def check(doc):
+        try:
+            plan = FaultPlan.from_dict(doc)
+        except SnapshotError:
+            return
+        assert plan.to_dict() == doc
+        for fault in plan.faults:
+            device.cpu.pc = fault["pc"]
+            run_faulted(device, fault, 0, [], None)
+
+    check()
 
 
 # ---- the sweep (acceptance) --------------------------------------------------
@@ -234,7 +310,7 @@ class TestFaultSpec:
         ({"kinds": ("bogus",)}, "kinds"),
         ({"profiles": ("none", "super")}, "profiles"),
         ({"backend": "fork"}, "backend"),
-        ({"workers": 0}, "workers"),
+        ({"workers": -1}, "workers"),
         ({"count": -1}, "count"),
         ({"seed": "x"}, "seed"),
     ])

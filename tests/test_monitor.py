@@ -45,16 +45,16 @@ def step(pc, next_pc=None, accesses=(), kind=StepKind.INSTRUCTION, vector=None,
     )
 
 
-def fetch(addr, pc):
-    return Access(AccessKind.FETCH, addr, 0, 2, pc)
+def fetch(addr):
+    return Access(AccessKind.FETCH, addr, 0, 2)
 
 
-def write(addr, value, pc):
-    return Access(AccessKind.WRITE, addr, value, 2, pc, prev=0)
+def write(addr, value):
+    return Access(AccessKind.WRITE, addr, value, 2, prev=0)
 
 
-def read(addr, pc):
-    return Access(AccessKind.READ, addr, 0, 2, pc)
+def read(addr):
+    return Access(AccessKind.READ, addr, 0, 2)
 
 
 def eilid_monitor():
@@ -67,51 +67,51 @@ def casu_monitor():
 
 class TestWxorX:
     def test_fetch_from_pmem_ok(self):
-        assert eilid_monitor().observe(step(0xE000, accesses=[fetch(0xE000, 0xE000)])) is None
+        assert eilid_monitor().observe(step(0xE000, accesses=[fetch(0xE000)])) is None
 
     def test_fetch_from_rom_ok(self):
         monitor = eilid_monitor()
-        assert monitor.observe(step(ENTRY, accesses=[fetch(ENTRY, ENTRY)])) is None
+        assert monitor.observe(step(ENTRY, accesses=[fetch(ENTRY)])) is None
 
     @pytest.mark.parametrize("addr", [0x0200, 0x0300, 0x1000])
     def test_fetch_from_ram_violates(self, addr):
-        violation = eilid_monitor().observe(step(addr, accesses=[fetch(addr, addr)]))
+        violation = eilid_monitor().observe(step(addr, accesses=[fetch(addr)]))
         assert violation is not None
         assert violation.reason is ViolationReason.W_XOR_X
 
     def test_data_read_from_ram_ok(self):
         assert eilid_monitor().observe(
-            step(0xE000, accesses=[read(0x0200, 0xE000)])
+            step(0xE000, accesses=[read(0x0200)])
         ) is None
 
 
 class TestPmemGuard:
     def test_write_from_app_violates(self):
         violation = casu_monitor().observe(
-            step(0xE010, accesses=[write(0xE100, 1, 0xE010)])
+            step(0xE010, accesses=[write(0xE100, 1)])
         )
         assert violation.reason is ViolationReason.PMEM_WRITE
 
     def test_ivt_write_violates(self):
         violation = casu_monitor().observe(
-            step(0xE010, accesses=[write(0xFFFE, 1, 0xE010)])
+            step(0xE010, accesses=[write(0xFFFE, 1)])
         )
         assert violation.reason is ViolationReason.PMEM_WRITE
 
     def test_rom_write_without_session_violates(self):
         monitor = casu_monitor()
-        violation = monitor.observe(step(ENTRY, accesses=[write(0xE100, 1, ENTRY)]))
+        violation = monitor.observe(step(ENTRY, accesses=[write(0xE100, 1)]))
         assert violation.reason is ViolationReason.PMEM_WRITE
 
     def test_update_session_from_rom_allowed(self):
         monitor = casu_monitor()
         monitor.open_update_session()
-        assert monitor.observe(step(ENTRY, accesses=[write(0xE100, 1, ENTRY)])) is None
+        assert monitor.observe(step(ENTRY, accesses=[write(0xE100, 1)])) is None
 
     def test_update_session_from_app_still_violates(self):
         monitor = casu_monitor()
         monitor.open_update_session()
-        violation = monitor.observe(step(0xE010, accesses=[write(0xE100, 1, 0xE010)]))
+        violation = monitor.observe(step(0xE010, accesses=[write(0xE100, 1)]))
         assert violation.reason is ViolationReason.PMEM_WRITE
 
     def test_session_cleared_on_reset(self):
@@ -126,25 +126,25 @@ class TestSecureRamGuard:
 
     def test_app_read_violates(self):
         violation = eilid_monitor().observe(
-            step(0xE010, accesses=[read(self.SHADOW, 0xE010)])
+            step(0xE010, accesses=[read(self.SHADOW)])
         )
         assert violation.reason is ViolationReason.SECURE_RAM_ACCESS
 
     def test_app_write_violates(self):
         violation = eilid_monitor().observe(
-            step(0xE010, accesses=[write(self.SHADOW, 1, 0xE010)])
+            step(0xE010, accesses=[write(self.SHADOW, 1)])
         )
         assert violation.reason is ViolationReason.SECURE_RAM_ACCESS
 
     def test_rom_access_allowed(self):
         assert eilid_monitor().observe(
-            step(ENTRY, accesses=[write(self.SHADOW, 1, ENTRY)])
+            step(ENTRY, accesses=[write(self.SHADOW, 1)])
         ) is None
 
     def test_casu_policy_does_not_guard(self):
         # The shadow-stack guard is the EILID hardware extension.
         assert casu_monitor().observe(
-            step(0xE010, accesses=[write(self.SHADOW, 1, 0xE010)])
+            step(0xE010, accesses=[write(self.SHADOW, 1)])
         ) is None
 
 
@@ -190,13 +190,13 @@ class TestViolationPort:
     ])
     def test_rom_write_maps_reason_codes(self, code, reason):
         violation = eilid_monitor().observe(
-            step(ENTRY + 10, accesses=[write(VIOLATION_PORT, code, ENTRY + 10)])
+            step(ENTRY + 10, accesses=[write(VIOLATION_PORT, code)])
         )
         assert violation.reason is reason
 
     def test_app_write_is_an_attack(self):
         violation = eilid_monitor().observe(
-            step(0xE010, accesses=[write(VIOLATION_PORT, 1, 0xE010)])
+            step(0xE010, accesses=[write(VIOLATION_PORT, 1)])
         )
         assert violation.reason is ViolationReason.SECURE_PORT
 
@@ -213,26 +213,26 @@ class TestIllegalInstruction:
 # both rules, with the lower-priority offence first in the access
 # stream, so the verdict cannot come from access order.
 PRIORITY_CASES = [
-    pytest.param(step(0x0200, accesses=[write(0xE000, 1, 0x0200),
-                                         fetch(0x0200, 0x0200)]),
+    pytest.param(step(0x0200, accesses=[write(0xE000, 1),
+                                         fetch(0x0200)]),
                  ViolationReason.W_XOR_X, id="wxorx-over-pmem"),
-    pytest.param(step(0xE010, accesses=[read(LAYOUT.secure_dmem.start, 0xE010),
-                                         write(0xE100, 1, 0xE010)]),
+    pytest.param(step(0xE010, accesses=[read(LAYOUT.secure_dmem.start),
+                                         write(0xE100, 1)]),
                  ViolationReason.PMEM_WRITE, id="pmem-over-secure-ram"),
     pytest.param(step(0xE010, next_pc=ENTRY + 8,
-                      accesses=[read(LAYOUT.secure_dmem.start, 0xE010)]),
+                      accesses=[read(LAYOUT.secure_dmem.start)]),
                  ViolationReason.SECURE_RAM_ACCESS,
                  id="secure-ram-over-rom-atomicity"),
     pytest.param(step(ENTRY + 4, next_pc=0xE010,
-                      accesses=[write(VIOLATION_PORT, 1, ENTRY + 4)]),
+                      accesses=[write(VIOLATION_PORT, 1)]),
                  ViolationReason.ROM_EXIT, id="rom-atomicity-over-port"),
     pytest.param(step(0xE010, kind=StepKind.ILLEGAL, illegal=0x0000,
-                      accesses=[write(VIOLATION_PORT, 1, 0xE010)]),
+                      accesses=[write(VIOLATION_PORT, 1)]),
                  ViolationReason.SECURE_PORT, id="port-over-illegal"),
 ]
 # A fetch from RAM combined with a PMEM write, and a benign step.
-FIRST_WINS = step(0x0200, accesses=[fetch(0x0200, 0x0200), write(0xE000, 1, 0x0200)])
-BENIGN = step(0xE010, accesses=[fetch(0xE010, 0xE010), write(0x0300, 5, 0xE010)])
+FIRST_WINS = step(0x0200, accesses=[fetch(0x0200), write(0xE000, 1)])
+BENIGN = step(0xE010, accesses=[fetch(0xE010), write(0x0300, 5)])
 
 
 class TestComposition:
@@ -269,7 +269,7 @@ PCS = st.one_of(st.sampled_from(ROM_SPOTS),
 # Written values: the violation port's reason codes, or any word.
 VALUES = st.one_of(st.integers(0, 9), st.integers(0, 0xFFFF))
 ACCESSES = st.builds(
-    lambda kind, addr, value: Access(kind, addr, value, 2, 0, prev=0),
+    lambda kind, addr, value: Access(kind, addr, value, 2, prev=0),
     st.sampled_from(list(AccessKind)), ADDRESSES, VALUES)
 IN_ROM = st.one_of(st.sampled_from(ROM_SPOTS),
                    st.integers(ROM.start, ROM.end).map(lambda a: a & 0xFFFE))
@@ -279,9 +279,7 @@ IN_ROM = st.one_of(st.sampled_from(ROM_SPOTS),
 TRUSTED_PORT_WRITES = st.builds(
     lambda pc, next_pc, before, code, after: StepRecord(
         kind=StepKind.INSTRUCTION, pc=pc, next_pc=next_pc, cycles=1,
-        accesses=[access._replace(pc=pc) for access in before]
-        + [write(VIOLATION_PORT, code, pc)]
-        + [access._replace(pc=pc) for access in after]),
+        accesses=[*before, write(VIOLATION_PORT, code), *after]),
     IN_ROM, IN_ROM, st.lists(ACCESSES, max_size=3), VALUES,
     st.lists(ACCESSES, max_size=3))
 RECORDS = st.one_of(
@@ -333,20 +331,20 @@ SHADOW = LAYOUT.secure_dmem.start + 4
 # range, so the draws alone would kill some mutants only by luck;
 # these cases alone kill every mutant not in EQUIVALENT.
 BOUNDARY_CASES = [
-    (step(0x0200, accesses=[fetch(0x0200, 0x0200)]), False),
-    (step(0xE010, accesses=[write(0xE100, 1, 0xE010)]), True),
-    (step(ENTRY, accesses=[write(0xE100, 1, ENTRY)]), True),
-    (step(ENTRY, accesses=[write(0xE100, 1, ENTRY)]), False),
-    (step(0xE010, accesses=[read(SHADOW, 0xE010)]), False),
-    (step(ENTRY, accesses=[write(SHADOW, 1, ENTRY)]), False),
+    (step(0x0200, accesses=[fetch(0x0200)]), False),
+    (step(0xE010, accesses=[write(0xE100, 1)]), True),
+    (step(ENTRY, accesses=[write(0xE100, 1)]), True),
+    (step(ENTRY, accesses=[write(0xE100, 1)]), False),
+    (step(0xE010, accesses=[read(SHADOW)]), False),
+    (step(ENTRY, accesses=[write(SHADOW, 1)]), False),
     (step(0xE010, next_pc=ENTRY), False),
     (step(0xE010, next_pc=ENTRY + 8), False),
     (step(LEAVE + 2, next_pc=0xE010), False),
     (step(ENTRY + 4, next_pc=0xE010), False),
     (step(ENTRY + 4, next_pc=0xFFF2, kind=StepKind.INTERRUPT, vector=9), False),
     (step(0xE010, next_pc=0xFFF2, kind=StepKind.INTERRUPT, vector=9), False),
-    (step(ENTRY + 10, accesses=[write(VIOLATION_PORT, 3, ENTRY + 10)]), False),
-    (step(0xE010, accesses=[write(VIOLATION_PORT, 1, 0xE010)]), False),
+    (step(ENTRY + 10, accesses=[write(VIOLATION_PORT, 3)]), False),
+    (step(0xE010, accesses=[write(VIOLATION_PORT, 1)]), False),
     (step(0xE010, kind=StepKind.ILLEGAL, illegal=0x0000), False),
 ]
 

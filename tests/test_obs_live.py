@@ -482,8 +482,8 @@ class TestSpanTrees:
                 pass
         parent = MetricsRegistry()
         parent.inc("fleet.updates", 2)
-        with parent.span("campaign.wave") as wave:
-            parent.merge(worker.snapshot(), reroot_to=wave.id)
+        with parent.span("campaign.wave"):
+            parent.merge(worker.snapshot())
         assert parent.counter("fleet.updates") == 5
         shard = parent.spans(name="campaign.shard")[0]
         offer = parent.spans(name="campaign.offer")[0]

@@ -100,7 +100,7 @@ class TestShardedStore:
             store.save_record(doc)
         store.flush()
         assert len(store.load_records()) == 40
-        counts = store.counts()
+        counts = [len(shard.load_records()) for shard in store.stores]
         assert sum(counts) == 40 and all(count > 0 for count in counts)
         store.close()
 

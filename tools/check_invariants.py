@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces eight codebase contracts no general-purpose linter knows
+Enforces nine codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -50,6 +50,16 @@ about:
    instructions or judge them independently.  Anywhere else such a
    literal is a second classifier, and the CFG, the trace and the
    replayer could disagree about one instruction.
+9. **every definition has a caller** -- each function and class
+   defined under src/repro/ is named somewhere else in src/, tests/,
+   benchmarks/, examples/, tools/ or ledger/ (in code, a string or a
+   comment).  An import statement or an ``__all__`` entry does not
+   count: it only re-exports the name.  Dunder methods, which Python
+   calls itself, and the ``Cpu._ex_*`` executors, which the CPU
+   dispatches by mnemonic, are exempt.  Rules 1-8
+   judge each file alone, so :func:`run_checks` runs them on any tree;
+   this rule reads the whole repository, and :func:`main` runs it
+   beside them.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -57,7 +67,9 @@ Exits 0 when clean, 1 with one line per violation otherwise.
 
 import argparse
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # Deterministic-path modules (relative to the repo root): no wall-clock,
@@ -106,6 +118,12 @@ TRANSFER_EXEMPT = (
     "src/repro/cpu/compiler.py",  # executor bodies implement the instructions
     "src/repro/verification/oracles.py",  # the independent reference
 )
+
+# Where a definition's name may be used, and the definitions called by
+# a name built at run time.
+USE_ROOTS = ("src", "tests", "benchmarks", "examples", "tools", "ledger")
+DISPATCHED_BY_NAME = ("Cpu._ex_",)
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _EMIT_RECEIVERS = {"events", "log"}
 _APPROVED_PRODUCERS = {"envelope", "to_dict", "to_json_doc"}
@@ -434,6 +452,62 @@ def check_transfer_home(root: Path) -> list:
     return problems
 
 
+def _reexport_lines(tree) -> set:
+    """Line numbers of import statements and ``__all__`` assignments."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            if not any(isinstance(target, ast.Name) and target.id == "__all__"
+                       for target in node.targets):
+                continue
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def _definitions(node, scope=()):
+    """``(qualified name, name, line)`` for each function and class."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+            yield ".".join(inner), child.name, child.lineno
+        yield from _definitions(child, inner)
+
+
+def check_dead_definitions(root: Path) -> list:
+    """Rule 9: every function and class under src/repro/ is named
+    somewhere other than its own header, an import or ``__all__``."""
+    uses = Counter()
+    defined = []
+    for top in USE_ROOTS:
+        for path in sorted((root / top).rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            text = path.read_text()
+            tree = ast.parse(text, filename=str(path))
+            skipped = _reexport_lines(tree)
+            headers = {}
+            for qualname, name, lineno in _definitions(tree):
+                headers.setdefault(lineno, []).append(name)
+                if rel.startswith("src/repro/"):
+                    defined.append((rel, lineno, qualname, name))
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if lineno in skipped:
+                    continue
+                words = _WORD.findall(line)
+                for name in headers.get(lineno, ()):
+                    words.remove(name)
+                uses.update(words)
+    return [f"{rel}:{lineno}: {qualname} is named nowhere but its "
+            f"definition (no caller)"
+            for rel, lineno, qualname, name in defined
+            if not uses[name]
+            and not (name.startswith("__") and name.endswith("__"))
+            and not qualname.startswith(DISPATCHED_BY_NAME)]
+
+
 def run_checks(root: Path) -> list:
     kinds = load_event_kinds(root)
     problems = []
@@ -454,7 +528,7 @@ def main(argv=None) -> int:
                         help="repository root (default: cwd)")
     args = parser.parse_args(argv)
     root = Path(args.root).resolve()
-    problems = run_checks(root)
+    problems = run_checks(root) + check_dead_definitions(root)
     for problem in problems:
         print(problem)
     if problems:
