@@ -8,14 +8,6 @@ measure themselves against:
   handshake, per-device package MAC, device-side verify, simulated
   ROM copy on the device CPU, MAC'd ack);
 * attestation round-trips/sec -- heartbeat evidence collection;
-* process-backend rollout throughput vs the serial backend: serial
-  offers to the live devices one after another on one core, the
-  process backend shards the work across workers that rebuild their
-  devices from record snapshots.  On a >=4-core machine (the CI
-  runners) the process backend must clear 1.5x the serial backend's
-  devices/sec at 4 workers; everywhere it must clear an absolute
-  floor, since the sharding overhead (snapshot, pickle, rebuild,
-  merge) is real and a regression there shows up even single-core;
 * per-replica memory: tracemalloc bytes per device over a 500-device
   casu fleet, whose devices share one firmware image and one decode
   table per program and are parked between exchanges: a parked replica
@@ -40,26 +32,18 @@ original bar) to stay immune to runner-hardware variance while still
 catching any real regression of the batched device loop.
 """
 
-import os
 import statistics
 import time
 import tracemalloc
 
 from repro.api.firmware import build_firmware
 from repro.device import build_device
-from repro.fleet import CampaignConfig, CampaignStatus, FleetSimulation
+from repro.fleet import CampaignStatus, FleetSimulation
 
 FLEET_SIZE = 1000
 REPLICA_FLEET = 500
 REPLICA_KB_CEILING = 16  # enrolled
 SERVED_REPLICA_KB_CEILING = 20  # after one rollout and one attest sweep
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def enroll_and_rollout():
@@ -82,51 +66,6 @@ def test_bench_fleet_rollout_1k(benchmark):
     # CI floor with hardware-variance margin; the reference machine does
     # ~1040 dev/s (the >=1000 dev/s target of the hot-path PR).
     assert devices_per_sec >= 400
-
-
-def _rollout_devices_per_sec(backend: str, workers: int,
-                             size: int = FLEET_SIZE) -> float:
-    """Rollout-only throughput (enrollment excluded) for one backend."""
-    fleet = FleetSimulation(size=size)
-    report = fleet.rollout(version=1, config=CampaignConfig(
-        backend=backend, workers=workers))
-    assert report.status is CampaignStatus.COMPLETE
-    assert report.applied == size
-    return report.devices_per_sec
-
-
-def test_bench_fleet_process_backend_speedup(benchmark):
-    """The sharding gate: process >= 1.5x serial dev/s at 4 workers.
-
-    The ratio assertion arms only on machines with >= 4 usable cores
-    (the CI runners qualify): below that the GIL-free backend has
-    nothing to parallelise onto and the honest expectation is a
-    *slowdown* -- there the absolute floor still catches regressions
-    in the sharding path itself (snapshot, pickle, rebuild, merge).
-    """
-    workers = 4
-
-    def measure():
-        serial = _rollout_devices_per_sec("serial", workers)
-        process = _rollout_devices_per_sec("process", workers)
-        return serial, process
-
-    serial_dps, process_dps = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    cores = _usable_cores()
-    speedup = process_dps / serial_dps if serial_dps else 0.0
-    benchmark.extra_info["cores"] = cores
-    benchmark.extra_info["serial_devices_per_sec"] = round(serial_dps)
-    benchmark.extra_info["process_devices_per_sec"] = round(process_dps)
-    benchmark.extra_info["process_speedup"] = round(speedup, 2)
-    # Absolute floor: a 2-vCPU container does ~2300 dev/s through the
-    # full shard path (serial ~2700); 250 leaves hardware-variance room.
-    assert process_dps >= 250
-    if cores >= 4:
-        assert speedup >= 1.5, (
-            f"process backend {process_dps:.0f} dev/s is only "
-            f"{speedup:.2f}x the serial backend's {serial_dps:.0f} "
-            f"dev/s on {cores} cores (need >= 1.5x)")
 
 
 def test_bench_fleet_attestation_roundtrips(benchmark):

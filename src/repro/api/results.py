@@ -85,7 +85,6 @@ class RolloutDetails:
     halt_reason: str
     waves: Tuple[dict, ...]
     devices_per_sec: float
-    backend: str = "serial"
     resumed: int = 0  # devices skipped by resume (already at target)
     # Span timings observed during this campaign (histogram snapshots
     # keyed by span name, e.g. "campaign.wave.ms"); None when the

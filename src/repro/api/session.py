@@ -318,7 +318,6 @@ class Session:
                  "failure_fraction": round(wave.failure_fraction, 4)}
                 for wave in report.waves),
             devices_per_sec=report.devices_per_sec,
-            backend=report.backend,
             resumed=report.resumed,
             metrics=self._campaign_metrics(),
             alerts=(None if self.fleet.alerts is None

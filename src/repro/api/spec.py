@@ -21,7 +21,6 @@ loudly instead of silently running the wrong scenario.
 """
 
 import json
-import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple, Union, get_args, get_origin
 
@@ -64,13 +63,6 @@ class SpecError(ReproError, ValueError):
 def require(condition, field_name, message):
     if not condition:
         raise SpecError(field_name, message)
-
-
-def effective_workers(workers: int) -> int:
-    """The process-pool size a ``workers`` field asks for, the one rule
-    of both campaign engines: the count itself, or for 0, one worker
-    per CPU up to eight."""
-    return workers or min(8, os.cpu_count() or 1)
 
 
 def _check_keys(data: dict, allowed, field_name: str):
@@ -323,12 +315,10 @@ class LimitsSpec(_Spec):
 class RolloutSpec(_Spec):
     """One staged firmware campaign, including adversarial knobs.
 
-    ``backend`` picks the campaign executor: ``"serial"`` offers to the
-    live simulated devices in turn, ``"process"`` shards waves across
-    ``workers`` processes rebuilt from the firmware spec + fleet seed
-    (0 = up to eight, one per CPU).  ``resume`` skips devices whose
-    (durable) registry record already shows the target version -- the
-    continuation path after a killed campaign.  The knobs shared with
+    The campaign offers to the live simulated devices in turn.
+    ``resume`` skips devices whose (durable) registry record already
+    shows the target version -- the continuation path after a killed
+    campaign.  The knobs shared with
     :class:`~repro.fleet.campaign.CampaignConfig` obey its rules.
     """
 
@@ -339,9 +329,7 @@ class RolloutSpec(_Spec):
     failure_threshold: float = 0.10
     tamper_fraction: float = 0.0
     rollback_fraction: float = 0.0
-    workers: int = 0
     verify_after_wave: bool = False
-    backend: str = "serial"
     resume: bool = False
     # After every wave's durability flush, write the process metrics
     # snapshot to this path (``.prom`` suffix -> Prometheus text,

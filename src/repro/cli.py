@@ -32,9 +32,8 @@ Commands:
   ``--events PATH`` records the longitudinal telemetry log the same
   way, and ``fleet history`` replays it (per-device timelines,
   per-campaign rollups, cross-campaign trends) without building a
-  fleet; ``rollout --backend process`` shards the campaign across
-  worker processes, and ``rollout --resume`` continues a killed
-  campaign from the store without re-offering applied devices.
+  fleet; ``rollout --resume`` continues a killed campaign from the
+  store without re-offering applied devices.
   Live observability: ``--alerts`` / ``--alert NAME=THRESHOLD``
   attach the rule engine (:mod:`repro.obs.alerts`) so spikes fire
   ``alert`` events into the same log; ``fleet watch --follow`` tails
@@ -1013,7 +1012,6 @@ def main(argv=None):
     import repro
     from repro.api.spec import SECURITY_PROFILES, VARIANTS, SpecError
     from repro.faults.campaign import FAULT_BACKENDS
-    from repro.fleet.campaign import CAMPAIGN_BACKENDS
 
     parser = _Parser(prog="eilid", description=__doc__)
     parser.add_argument("--version", action="version",
@@ -1222,12 +1220,6 @@ def main(argv=None):
                            help="share of devices whose package a MITM flips")
     p_rollout.add_argument("--rollback-fraction", type=float,
                            help="share of devices offered a stale version")
-    p_rollout.add_argument("--workers", type=int,
-                           help="process pool size (0 = auto)")
-    p_rollout.add_argument("--backend", choices=CAMPAIGN_BACKENDS,
-                           help="campaign executor: serial offers to the "
-                                "live devices in turn, process shards waves "
-                                "across worker processes (GIL-free)")
     p_rollout.add_argument("--resume", action="store_true",
                            help="skip devices whose stored record already "
                                 "shows the target version (needs --store)")

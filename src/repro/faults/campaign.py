@@ -28,6 +28,7 @@ fleet's record codec.  Both backends grade from that same context,
 which is what keeps their tallies identical.
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Sequence
 
-from repro.api.spec import effective_workers
 from repro.eval.report import render_table
 from repro.faults.inject import run_faulted
 from repro.faults.plan import FaultPlan
@@ -147,7 +147,8 @@ class FaultCampaign:
         self.plan = plan
         self.profiles = tuple(profiles)
         self.backend = backend
-        self.workers = effective_workers(workers)
+        # 0 asks for one worker per CPU, up to eight.
+        self.workers = workers or min(8, os.cpu_count() or 1)
         self.max_cycles = max_cycles
         self.warmup_steps = warmup_steps
         self.events = events

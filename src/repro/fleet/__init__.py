@@ -14,7 +14,7 @@ simulated devices.
 * :mod:`repro.fleet.transport`  -- simulated lossy/reordering links.
 * :mod:`repro.fleet.protocol`   -- authenticated verifier<->device messages.
 * :mod:`repro.fleet.campaign`   -- staged-rollout engine (waves, halt,
-  serial/process backends, resume).
+  resume), offering to each device in turn on the caller's thread.
 * :mod:`repro.fleet.simulation` -- N devices + agents + links in one object;
   its ``status()`` folds the event log (:mod:`repro.obs.events`).
 """

@@ -157,11 +157,11 @@ class FleetRegistry:
         # re-saves it only when it changed.
         self._saved_meta: Optional[str] = None
         if store is not None:
-            from repro.fleet.store import record_from_dict
+            from repro.fleet.store import check_meta, record_from_dict
 
-            self.meta = store.load_meta()
+            self.meta = check_meta(store.load_meta())
             self._saved_meta = json.dumps(self.meta, sort_keys=True)
-            self.clock = int(self.meta.get("clock", 0))
+            self.clock = self.meta.get("clock", 0)
             for device_id, doc in sorted(store.load_records().items()):
                 record = record_from_dict(doc)
                 # Reserve past any nonce a killed run may have consumed

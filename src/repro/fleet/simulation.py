@@ -20,7 +20,7 @@ Adversarial knobs used by tests and the demo:
   next heartbeat shows the violation log and the hash mismatch
   quarantines the device.
 
-Durability and sharding: pass ``store=`` (a path or a
+Durability: pass ``store=`` (a path or a
 :class:`~repro.fleet.store.RegistryStore`) and the registry loads the
 previous run's records -- already-enrolled devices are *restored* (a
 fresh replica is rebuilt from the shared FirmwareSpec, fast-forwarded
@@ -28,17 +28,10 @@ to the record's firmware version, applied payloads and logical clock)
 instead of re-enrolled, so attest/rollout pick up exactly where the
 killed process stopped.  ``rollout(..., resume=True)`` additionally
 skips devices whose durable record already shows the target version.
-With ``CampaignConfig.backend == "process"`` the campaign ships
-record snapshots to worker processes; :func:`_run_shard` below is the
-worker: it rebuilds its shard's devices from the same FirmwareSpec +
-fleet seed, offers each one the package :func:`package_factory`
-makes for it, as the serial backend does, and ships each record back
-through the record codec for the parent to adopt.
 
 Parked replicas: a replica is live only while something runs on it.
 Its agent parks it after every message, and ``enroll``, the restore,
-``run_all``, the process backend's replica sync and
-``corrupt_firmware`` park it when they finish
+``run_all`` and ``corrupt_firmware`` park it when they finish
 (:meth:`repro.device.Device.park`), so an idle replica holds only the
 RAM pages that differ from the firmware image, and an attest answers
 without unparking.  There is no live set to size: a rollout offers to
@@ -61,16 +54,9 @@ from repro.fleet.campaign import (
 )
 from repro.fleet.protocol import AttestResult, DeviceAgent, VerifierSession
 from repro.fleet.registry import DeviceRecord, FleetError, FleetRegistry
-from repro.fleet.store import (
-    META_FIRMWARE,
-    META_PACKAGES,
-    open_store,
-    record_from_dict,
-    record_to_dict,
-)
+from repro.fleet.store import META_FIRMWARE, META_PACKAGES, open_store
 from repro.fleet.transport import Transport
 from repro.obs.events import MemoryEventLog, open_event_log
-from repro.obs.metrics import METRICS
 
 # A fleet node's firmware: report a reading, signal DONE, idle.
 FLEET_APP = """
@@ -107,8 +93,7 @@ def default_payload(version: int) -> bytes:
 
 def package_factory(version: int, payload: bytes,
                     tamper_ids: Sequence[str], rollback_ids: Sequence[str]):
-    """Per-device package maker with optional adversarial subsets:
-    the one package rule of both campaign backends."""
+    """Per-device package maker with optional adversarial subsets."""
     tampered = frozenset(tamper_ids)
     rolled_back = frozenset(rollback_ids)
 
@@ -138,9 +123,6 @@ class FleetSimulation:
             raise ValueError("fleet size must be >= 0")
         self.security = security
         self.max_attempts = max_attempts
-        self.loss = loss
-        self.reorder = reorder
-        self.seed = seed
         # The shared image every enrolled device boots: a declarative
         # FirmwareSpec resolved through the repro.api build path (cached
         # process-wide), defaulting to the resident FLEET_APP node.
@@ -150,12 +132,6 @@ class FleetSimulation:
         # CFI policy recovered from the shared firmware image.
         self.verify_traces = verify_traces
         self._policy = None
-        # Device ids whose replica state diverged from an honest
-        # rebuild (fault hooks, forged traces, corrupted firmware):
-        # process-backend campaigns ship these replicas' full
-        # snapshots so workers see the true state; everyone else
-        # keeps the cheap record-only rebuild path.
-        self._mutated: set = set()
         self.transport = Transport(loss=loss, reorder=reorder, seed=seed)
         self.devices: Dict[str, Device] = {}
         self.agents: Dict[str, DeviceAgent] = {}
@@ -265,7 +241,7 @@ class FleetSimulation:
         for version in record.applied_versions:
             applied = packages.get(str(version))
             if applied is not None:
-                device.bus.load_bytes(int(applied["target"]),
+                device.bus.load_bytes(applied["target"],
                                       bytes.fromhex(applied["payload"]))
         if record.last_seen is not None:
             device.cycle = max(device.cycle, record.last_seen)
@@ -363,15 +339,13 @@ class FleetSimulation:
 
         *resume* skips devices whose (durable) record already shows
         *version* -- the continuation path after a killed campaign.
-        With ``config.backend == "process"`` the waves execute on a
-        process pool (see :func:`_run_shard`).  *device_ids* targets a
-        subset instead of every manageable device.  *stop* is a
-        cooperative stop signal (``threading.Event``-like) the campaign
-        checks at wave boundaries -- the serve daemon's graceful
-        shutdown path; a stopped campaign resumes with ``resume=True``.
+        *device_ids* targets a subset instead of every manageable
+        device.  *stop* is a cooperative stop signal
+        (``threading.Event``-like) the campaign checks at wave
+        boundaries -- the serve daemon's graceful shutdown path; a
+        stopped campaign resumes with ``resume=True``.
         """
         check_target_version(version)
-        config = config or CampaignConfig()
         payload = payload if payload is not None else default_payload(version)
         tamper_ids = self.adversarial_ids(tamper_fraction, phase=0.25)
         rollback_ids = [device_id
@@ -395,24 +369,6 @@ class FleetSimulation:
                 f"different payload; resume with the original payload")
         packages[str(version)] = package_doc
         self.registry.flush()
-        shard_task = None
-        if config.backend == "process":
-            shard_task = (_run_shard, {
-                "firmware": self.firmware.to_dict(),
-                "security": self.security,
-                "loss": self.loss,
-                "reorder": self.reorder,
-                "seed": self.seed,
-                "max_attempts": self.max_attempts,
-                "version": version,
-                "payload": payload.hex(),
-                "tamper_ids": sorted(tamper_ids),
-                "rollback_ids": sorted(rollback_ids),
-                # Workers mirror the parent's metrics switch: a fleet
-                # run with METRICS disabled must not pay for worker-
-                # side span recording either.
-                "metrics": METRICS.enabled,
-            })
         campaign = RolloutCampaign(
             self.registry,
             session_factory=self.session,
@@ -420,71 +376,11 @@ class FleetSimulation:
                 version, payload, tamper_ids, rollback_ids),
             target_version=version,
             config=config,
-            shard_task=shard_task,
-            # Ship mutated replicas' full snapshots with their
-            # records: workers restore the actual device state --
-            # firmware corruption, forged trace rings and all --
-            # instead of rebuilding an honest device (which quietly
-            # *undid* fault hooks on the process backend).  Honest
-            # replicas keep the cheap record-only rebuild.
-            snapshot_factory=(self._replica_snapshot
-                              if config.backend == "process" else None),
-            # Per wave, not post-run: verify_after_wave must attest
-            # the synced replicas, and a halt must leave the applied
-            # waves' replicas consistent.
-            post_wave_merge=(
-                (lambda: self._sync_replicas(version, payload))
-                if config.backend == "process" else None),
             stop=stop,
         )
         return campaign.run(device_ids=device_ids, resume=resume)
 
-    def _replica_snapshot(self, device_id: str) -> Optional[dict]:
-        """The live replica's snapshot wire dict, or None for the
-        honest record-only rebuild.
-
-        A snapshot ships only when the replica is known-mutated (see
-        :meth:`mark_mutated`); unknown replicas (a record without a
-        live device) always fall back."""
-        device = self.devices.get(device_id)
-        if device is None or device_id not in self._mutated:
-            return None
-        snapshot = device.snapshot().to_dict()
-        device.park()
-        return snapshot
-
-    def _sync_replicas(self, version: int, payload: bytes):
-        """Fast-forward parent replicas after a process-backend wave.
-
-        The authoritative apply (MAC check, monotonic version, ROM
-        copy on the simulated CPU) ran on the worker's rebuilt device;
-        mirror only its version counter and the payload bytes in PMEM
-        onto the parent's replica, so later attests and campaigns in
-        this process see the updated image.  The replica keeps its own
-        cycle, registers, RAM, peripherals, trace and update history,
-        unlike a serial campaign's (README "Sharded campaigns").
-        """
-        for record in self.registry:
-            device = self.devices.get(record.device_id)
-            if device is None:
-                continue
-            if (record.firmware_version == version
-                    and device.update_engine.current_version < version):
-                device.update_engine.current_version = version
-                device.unpark()
-                device.bus.load_bytes(UPDATE_TARGET, payload)
-                device.park()
-
     # ---- fault injection -------------------------------------------------
-
-    def mark_mutated(self, device_id: str):
-        """Flag a replica whose state campaigns must ship verbatim.
-
-        The built-in fault hooks below call this themselves; external
-        code that mutates a device directly (fault campaigns, tests)
-        calls it so process-backend workers restore the true state
-        instead of rebuilding an honest device from the record."""
-        self._mutated.add(device_id)
 
     def forge_trace(self, device_id: str):
         """Fabricate a ``0xE000 -> 0xE000`` jump edge on one device
@@ -496,7 +392,6 @@ class FleetSimulation:
         the device with ``trace-forged``.
         """
         self.devices[device_id].trace.inject_edge(0xE000, 0xE000, "jump")
-        self.mark_mutated(device_id)
 
     def corrupt_firmware(self, device_id: str):
         """Flip the first word of the resident app and run into the
@@ -505,7 +400,6 @@ class FleetSimulation:
         device.unpark()
         main = device.symbol("main")
         device.bus.load_bytes(main, b"\x00\x00")  # illegal opcode
-        self.mark_mutated(device_id)
         device.hard_reset()
         device.run(max_cycles=2_000, stop_on_done=False)
         device.park()
@@ -553,67 +447,3 @@ class FleetSimulation:
                           f"dropped (defensive parse)")
         return "\n\n".join(blocks)
 
-
-# ---- process-backend shard worker ------------------------------------------
-
-
-def _run_shard(context: dict, record_docs: List[dict]) -> dict:
-    """Run one batch of update conversations in a worker process.
-
-    The campaign pickles this function plus a static *context* (fleet
-    shape + campaign package) and per-batch ``record_to_dict``
-    snapshots.  The worker rebuilds each device from the shared
-    FirmwareSpec (``build_firmware`` is lru-cached, so the image builds
-    once per worker process), fast-forwards its monotonic version
-    counter from the record, recreates its deterministic link from the
-    fleet seed + device id, and drives the full authenticated offer
-    conversation -- ROM copy on the simulated CPU included -- with the
-    serial backend's :func:`package_factory`.
-
-    The return document has two halves: ``outcomes`` carries each
-    offered record (``record_to_dict``) and its offer's status,
-    attempts and detail for the parent to adopt, and ``metrics``
-    carries this batch's worker-side ``MetricsRegistry.snapshot()`` --
-    interpreter counters, per-offer spans under a ``campaign.shard``
-    root -- which the parent folds in re-rooted under the wave's span.
-    The worker registry resets at batch start so reused pool processes
-    report per-batch deltas, not lifetime totals.
-    """
-    spec = FirmwareSpec.from_dict(context["firmware"])
-    program = build_firmware(spec).program
-    transport = Transport(loss=context["loss"], reorder=context["reorder"],
-                          seed=context["seed"])
-    make_package = package_factory(
-        context["version"], bytes.fromhex(context["payload"]),
-        context["tamper_ids"], context["rollback_ids"])
-    METRICS.enable(context.get("metrics", True))
-    METRICS.reset()
-    outcomes = []
-    with METRICS.span("campaign.shard"):
-        for doc in record_docs:
-            record = record_from_dict(doc)
-            device = build_device(program, security=context["security"],
-                                  update_key=record.key)
-            snapshot_doc = doc.get("device")
-            if snapshot_doc is not None:
-                # The parent shipped the replica's full state: restore
-                # it verbatim (adversarial mutations included).
-                device.restore(snapshot_doc)
-            else:
-                # Legacy/headless path: honest rebuild from the record.
-                device.update_engine.current_version = record.firmware_version
-            link = transport.link(record.device_id)
-            agent = DeviceAgent(record.device_id, device, link)
-            session = VerifierSession(record, agent, link,
-                                      max_attempts=context["max_attempts"])
-            # Same span name as the serial backend's offers, so the
-            # merged histogram totals are backend-independent.
-            with METRICS.span("campaign.offer"):
-                offer = session.offer_update(make_package(record))
-            outcomes.append({
-                "record": record_to_dict(record),
-                "status": offer.status.value if offer.status else None,
-                "attempts": offer.attempts,
-                "detail": offer.detail,
-            })
-    return {"outcomes": outcomes, "metrics": METRICS.snapshot()}

@@ -22,12 +22,10 @@ torn-line rule, and the path dispatch ``open_store(path)`` uses):
 * :class:`SqliteStore`  -- one table per document kind, upserts inside
   a transaction that ``flush()`` commits (campaigns flush per wave).
 
-Record documents are also the process-shard wire format: campaign
-workers receive ``record_to_dict`` snapshots, rebuild their shard's
-devices, and ship each offered record back through ``record_to_dict``;
-the parent decodes it with ``record_from_dict`` and adopts it whole,
-so every field an exchange writes crosses the process boundary --
-the store and the shard protocol deliberately share one codec.
+Both documents are checked field by field as they load
+(:func:`record_from_dict`, :func:`check_meta`): a malformed one raises
+:class:`~repro.fleet.registry.FleetError` naming the field, never a
+``KeyError`` or ``TypeError`` from deeper in a restore.
 """
 
 import json
@@ -37,9 +35,17 @@ from typing import Dict, Optional
 from repro.casu.update import UpdateKey
 from repro.device import SECURITY_LEVELS
 from repro.fleet.registry import DeviceRecord, FleetError, Lifecycle
+from repro.memory.bus import ADDRESS_SPACE
 from repro.recordlog import JsonlLog, RecordLog, SqliteLog, open_view
 from repro.snapshot import (
-    WIRE_VERSION, state_counts, state_int, state_list, state_str, state_value)
+    WIRE_VERSION,
+    state_counts,
+    state_dict,
+    state_int,
+    state_list,
+    state_str,
+    state_value,
+)
 
 META_CLOCK = "clock"
 META_PACKAGES = "packages"  # version(str) -> {"target": int, "payload": hex}
@@ -50,11 +56,11 @@ META_FIRMWARE = "firmware"  # the FirmwareSpec dict the fleet was built on
 
 
 def record_to_dict(record: DeviceRecord) -> dict:
-    """A JSON-safe snapshot of one record (also the shard wire format).
+    """A JSON-safe snapshot of one record: the store's document.
 
-    The ``codec`` field versions the wire format (shared with the
-    device-snapshot codec, :data:`repro.snapshot.WIRE_VERSION`):
-    a parent and a pool worker running different builds fail loudly in
+    The ``codec`` field versions the format (shared with the
+    device-snapshot codec, :data:`repro.snapshot.WIRE_VERSION`): a
+    store written by a build with a different codec fails loudly in
     :func:`record_from_dict` instead of misreading fields.
     """
     return {
@@ -94,15 +100,15 @@ def record_from_dict(doc: dict) -> DeviceRecord:
     adopted (the ``state_*`` helpers); a malformed one raises
     :class:`FleetError` naming the field."""
     # Docs that predate the codec field are grandfathered in (their
-    # layout is codec-1 compatible); an explicit mismatch -- a rolling
-    # upgrade where parent and worker builds disagree -- is an error,
-    # and a *clear* one rather than a KeyError three fields later.
+    # layout is codec-1 compatible); an explicit mismatch -- a store
+    # a build with a different codec wrote -- is an error, and a
+    # *clear* one rather than a KeyError three fields later.
     codec = doc.get("codec", WIRE_VERSION)
     if codec != WIRE_VERSION:
         raise FleetError(
             f"device record codec version {codec!r} is not supported by "
-            f"this build (expected {WIRE_VERSION}); parent and worker "
-            f"are running different versions")
+            f"this build (expected {WIRE_VERSION}); a different build "
+            f"wrote this store")
     doc = {**_RECORD_DEFAULTS, **doc}
     try:
         return DeviceRecord(
@@ -124,6 +130,50 @@ def record_from_dict(doc: dict) -> DeviceRecord:
         )
     except (KeyError, ValueError) as error:
         raise FleetError(f"malformed stored device record: {error}") from None
+
+
+def check_meta(meta) -> dict:
+    """*meta*, the stored fleet meta document, if each field it holds
+    has its shape: ``clock`` a non-negative integer, ``firmware`` an
+    object, and ``packages`` an object mapping decimal version strings
+    to ``{"target": int, "payload": hex}`` whose bytes fit the address
+    space.  Anything else raises :class:`FleetError` naming the field."""
+    try:
+        if type(meta) is not dict:
+            raise ValueError(f"must be an object, got {meta!r}")
+        if META_CLOCK in meta and state_int(meta, META_CLOCK) < 0:
+            raise ValueError(f"field {META_CLOCK!r} must be >= 0, "
+                             f"got {meta[META_CLOCK]}")
+        if META_FIRMWARE in meta:
+            state_dict(meta, META_FIRMWARE)
+        if META_PACKAGES in meta:
+            for version, package in state_dict(meta, META_PACKAGES).items():
+                _check_package(version, package)
+    except (KeyError, ValueError) as error:
+        raise FleetError(f"malformed stored fleet meta: {error}") from None
+    return meta
+
+
+def _check_package(version: str, package):
+    """One ``packages`` entry: a decimal version string keying an
+    object whose ``payload`` bytes fit the address space at
+    ``target`` (a restore loads them there)."""
+    if not (version.isascii() and version.isdigit()):
+        raise ValueError(f"field {META_PACKAGES!r} must be keyed by "
+                         f"decimal versions, got {version!r}")
+    if type(package) is not dict:
+        raise ValueError(f"field {META_PACKAGES!r} must map {version} to "
+                         f"an object, got {package!r}")
+    target = state_int(package, "target")
+    payload = state_str(package, "payload")
+    try:
+        size = len(bytes.fromhex(payload))
+    except ValueError:
+        raise ValueError(f"field 'payload' must be hex, "
+                         f"got {payload!r}") from None
+    if not 0 <= target <= ADDRESS_SPACE - size:
+        raise ValueError(f"field 'target' must place package {version}'s "
+                         f"{size} bytes in the address space, got {target}")
 
 
 # ---- the backend contract --------------------------------------------------

@@ -5,8 +5,8 @@ can drop and reorder messages under a deterministic per-channel RNG, so
 every fleet run is reproducible from its seed.  A :class:`Link` pairs a
 downlink (verifier -> device) with an uplink (device -> verifier), and
 :class:`Transport` hands out one link per device id, each seeded from
-the fleet seed + the id -- independent links can then be driven from
-independent campaign workers without sharing any mutable state.
+the fleet seed + the id -- so each link's schedule is independent of
+every other link and of the order they are driven in.
 
 Nothing here authenticates anything: integrity lives one layer up in
 :mod:`repro.fleet.protocol` (and ultimately in the device's own
@@ -101,8 +101,7 @@ class Transport:
 
     Each link's RNG seed mixes the fleet seed with the device id, so a
     single device's delivery schedule is stable regardless of how many
-    other devices exist or in what order they communicate -- the
-    property that lets campaign workers run links in parallel.
+    other devices exist or in what order they communicate.
     """
 
     def __init__(self, loss=0.0, reorder=0.0, seed=0):

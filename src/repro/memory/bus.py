@@ -170,7 +170,7 @@ class Bus:
         arguments never rely on it: CASU guards *CPU-issued* writes.
         """
         end = addr + len(data)
-        if end > ADDRESS_SPACE:
+        if addr < 0 or end > ADDRESS_SPACE:
             raise MemoryAccessError("image does not fit in the address space")
         self.mem[addr:end] = data
         if self._dcache_index:

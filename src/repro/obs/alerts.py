@@ -21,7 +21,7 @@ produce (see ``fleet/protocol.py``):
   crossed the threshold: a tampered package burst or a compromised
   path in the rollout.
 * ``wave-stall``       -- no wave committed within N x the median
-  inter-wave gap: the campaign wedged (worker pool death, store
+  inter-wave gap: the campaign wedged (a hung link or store, a
   livelock) without halting.
 * ``violation-surge``  -- the sum of folded violation deltas over the
   window crossed the threshold: fleet-wide memory-safety faults.

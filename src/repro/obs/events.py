@@ -46,7 +46,8 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
 from repro.obs.bus import EventBus
-from repro.recordlog import JsonlLog, RecordLog, SqliteLog, open_view, read_lines
+from repro.recordlog import (
+    JsonlLog, RecordLog, SqliteLog, is_event, open_view, read_lines)
 
 __all__ = [
     "EVENT_KINDS",
@@ -300,10 +301,11 @@ class EventLog(RecordLog):
                 continue
             entry = campaigns.get(campaign_id)
             if entry is None:
+                if campaign_start_seq(campaign_id) is None:
+                    continue  # not an id start_campaign minted
                 entry = campaigns[campaign_id] = {
                     "campaign": campaign_id,
                     "target_version": None,
-                    "backend": None,
                     "started_ts": None,
                     "ended_ts": None,
                     "status": None,
@@ -325,7 +327,6 @@ class EventLog(RecordLog):
             if kind == "campaign-start":
                 entry["started_ts"] = doc["ts"]
                 entry["target_version"] = data.get("target_version")
-                entry["backend"] = data.get("backend")
             elif kind == "campaign-end":
                 entry["ended_ts"] = doc["ts"]
                 entry["status"] = data.get("status")
@@ -351,7 +352,7 @@ class EventLog(RecordLog):
                 rules = entry["alert_rules"]
                 rules[rule] = rules.get(rule, 0) + 1
         return sorted(campaigns.values(),
-                      key=lambda entry: int(entry["campaign"][1:]))
+                      key=lambda entry: campaign_start_seq(entry["campaign"]))
 
     def trends(self) -> dict:
         """Cross-campaign series (one entry per campaign, start order).
@@ -404,8 +405,9 @@ class MemoryEventLog(EventLog):
 
 class JsonlEventLog(JsonlLog, EventLog):
     """A JSON-lines log, one line per event, read back from the file:
-    memory keeps each event's seq and the offset its line ends at (see
-    :func:`_is_event`), so a long-running verifier's footprint does not
+    memory keeps each event's seq and the offset its line ends at (a
+    line that is not a whole event, :func:`~repro.recordlog.is_event`,
+    is skipped), so a long-running verifier's footprint does not
     grow with its history.  The log is
     append-only by nature, so unlike the registry's JsonlStore there is
     nothing to compact -- growth is the point.
@@ -418,7 +420,7 @@ class JsonlEventLog(JsonlLog, EventLog):
         with open(path, "rb") as handle:
             for line in handle:
                 for doc in read_lines((line,)):
-                    if _is_event(doc):
+                    if is_event(doc):
                         self._seqs.append(doc["seq"])
                         self._ends.append(handle.tell())
         if self._seqs:
@@ -439,18 +441,11 @@ class JsonlEventLog(JsonlLog, EventLog):
         with open(self.path, "rb") as handle:
             handle.seek(start)
             lines = handle.read(end - start).split(b"\n")
-        return [doc for doc in read_lines(lines) if _is_event(doc)]
+        return [doc for doc in read_lines(lines) if is_event(doc)]
 
     def flush(self):
         with self._lock:
             self._sync()
-
-
-def _is_event(doc: dict) -> bool:
-    """Whether a stored line is an event: its seq is an integer that
-    fits the 64-bit seq column."""
-    seq = doc.get("seq")
-    return type(seq) is int and -(1 << 63) <= seq < 1 << 63
 
 
 class SqliteEventLog(SqliteLog, EventLog):

@@ -19,10 +19,7 @@ form a tree rather than a flat bag of histograms.  Parentage comes
 from a per-thread span stack: a span opened inside another on the
 same thread is its child.  Finished spans land in a bounded ring --
 overflow increments the ``obs.spans_dropped`` counter instead of
-growing without bound -- and :meth:`MetricsRegistry.merge` stitches a
-worker process's snapshot into the parent registry, remapping span
-ids and re-rooting the worker's root spans under the merging thread's
-innermost open span (the shard wire format's other half).
+growing without bound.
 
 Histograms are the lightweight kind a verifier needs for trend lines:
 count / total / min / max (mean derives), not bucketed quantiles --
@@ -36,8 +33,8 @@ from typing import Dict, List, Optional
 
 __all__ = ["Histogram", "MetricsRegistry", "METRICS", "SPAN_RING_CAPACITY"]
 
-# Finished spans kept per registry; enough for a full campaign's wave
-# and shard spans plus the per-device tail of the last few waves.
+# Finished spans kept per registry; enough for a full campaign's run
+# and wave spans plus the per-device tail of the last few waves.
 SPAN_RING_CAPACITY = 4096
 
 
@@ -59,18 +56,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def merge_snapshot(self, snap: dict):
-        """Fold another histogram's ``snapshot()`` dict into this one."""
-        count = snap.get("count", 0)
-        if not count:
-            return
-        self.count += count
-        self.total += snap.get("total", 0.0)
-        if snap["min"] < self.min:
-            self.min = snap["min"]
-        if snap["max"] > self.max:
-            self.max = snap["max"]
 
     @property
     def mean(self) -> float:
@@ -226,57 +211,6 @@ class MetricsRegistry:
                     self._counters.get("obs.spans_dropped", 0) + 1
             self._spans.append(doc)
 
-    # ---- merging (process-shard wire format) -----------------------------
-
-    def merge(self, snapshot: dict):
-        """Fold a worker registry's ``snapshot()`` into this one.
-
-        Counters add, gauges overwrite (latest wins), histograms fold
-        their summaries, and spans are stitched in with fresh ids:
-        worker-local parent links are remapped, and spans whose parent
-        did not travel (the worker's roots) are re-parented onto this
-        thread's innermost open span -- the parent-side span (e.g. the
-        wave) that caused the shard to run -- all joining its trace.
-        """
-        if not self.enabled or not snapshot:
-            return
-        stack = self._span_stack()
-        cause = stack[-1] if stack else None
-        with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                self._gauges[name] = value
-            for name, snap in snapshot.get("histograms", {}).items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = self._histograms[name] = Histogram()
-                histogram.merge_snapshot(snap)
-            spans = snapshot.get("spans", [])
-            if not spans:
-                return
-            id_map = {}
-            for doc in spans:
-                self._span_seq += 1
-                id_map[doc["id"]] = f"s{self._span_seq}"
-            for doc in spans:
-                new_id = id_map[doc["id"]]
-                parent = doc.get("parent")
-                if parent in id_map:
-                    parent = id_map[parent]
-                else:  # worker root -> parent-side cause
-                    parent = None if cause is None else cause.id
-                if cause is not None:
-                    trace = cause.trace
-                else:
-                    trace = id_map.get(doc.get("trace"), new_id)
-                stitched = dict(doc)
-                stitched.update(id=new_id, parent=parent, trace=trace)
-                if len(self._spans) == self._spans.maxlen:
-                    self._counters["obs.spans_dropped"] = \
-                        self._counters.get("obs.spans_dropped", 0) + 1
-                self._spans.append(stitched)
-
     # ---- control ---------------------------------------------------------
 
     def enable(self, flag: bool = True):
@@ -290,10 +224,9 @@ class MetricsRegistry:
             self._histograms.clear()
             self._spans.clear()
             self._span_seq = 0
-            # Replace (not clear) the thread-local span stacks: a
-            # forked pool worker inherits the forking thread's stack
-            # of still-open parent spans, and parenting new spans onto
-            # those stale ids would cross-link the merged tree.
+            # Replace (not clear) every thread's span stack: a span
+            # still open across the reset must not parent the spans
+            # recorded after it onto an id the reset forgot.
             self._tls = threading.local()
 
     # ---- reading ---------------------------------------------------------

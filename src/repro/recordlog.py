@@ -19,6 +19,9 @@ last line.  Every reader skips any line that is not a complete JSON
 object, and a writer reopening a torn file ends the fragment with a
 newline before its first append (never truncating: live tails hold
 offsets into the file), so the fragment cannot swallow the next line.
+A whole JSON object is not yet an event: every event reader (the event
+log's index and scans, and the tail :class:`Cursor`) also skips a
+document that fails :func:`is_event`.
 """
 
 import json
@@ -55,6 +58,23 @@ def read_lines(lines: Iterable) -> Iterator[dict]:
             continue
         if isinstance(doc, dict):
             yield doc
+
+
+def is_event(doc: dict) -> bool:
+    """Whether a stored document is a whole event, the one test every
+    event reader applies: an integer ``seq`` that fits the 64-bit seq
+    column, a number ``ts``, a string ``kind``, ``device`` and
+    ``campaign`` each a string or null, and an object ``data``."""
+    seq = doc.get("seq")
+    return (type(seq) is int and -(1 << 63) <= seq < 1 << 63
+            and type(doc.get("ts")) in (int, float)
+            and type(doc.get("kind")) is str
+            and "device" in doc and type(doc["device"]) in _TAGS
+            and "campaign" in doc and type(doc["campaign"]) in _TAGS
+            and type(doc.get("data")) is dict)
+
+
+_TAGS = (str, type(None))  # what an event's device and campaign may be
 
 
 def write_atomic(path: str, text: str):
@@ -203,7 +223,7 @@ class Cursor(RecordLog):
     def read(self) -> List[dict]:
         fresh = []
         for doc in self._read_sqlite() if self._sqlite else self._read_jsonl():
-            if "seq" in doc and doc["seq"] > self.last_seq:
+            if is_event(doc) and doc["seq"] > self.last_seq:
                 self.last_seq = doc["seq"]
                 fresh.append(doc)
         return fresh

@@ -119,8 +119,7 @@ class BadFraming(Exception):
 # /rollout body keys handed to CampaignConfig, which checks them (the
 # body calls its wave_fractions "waves").  metrics_dump is never one: a
 # request must not name files on the server.
-_ROLLOUT_KNOBS = ("failure_threshold", "workers", "backend",
-                  "verify_after_wave")
+_ROLLOUT_KNOBS = ("failure_threshold", "verify_after_wave")
 # Every key a /rollout body may hold; any other answers 400.
 _ROLLOUT_KEYS = frozenset(_ROLLOUT_KNOBS + (
     "version", "waves", "resume", "device_ids"))
@@ -524,7 +523,6 @@ class VerifierDaemon:
             "halt_reason": report.halt_reason,
             "elapsed_s": round(report.elapsed_s, 6),
             "devices_per_sec": round(report.devices_per_sec, 1),
-            "backend": report.backend,
             "waves": [{"index": wave.index, "size": wave.size,
                        "applied": wave.applied, "failed": wave.failed,
                        "statuses": dict(wave.statuses)}

@@ -21,23 +21,20 @@ Its memory section is :func:`memory_delta`, the one page compare
 :meth:`repro.device.Device.state_digest` hashes its JSON -- a
 fixed-size fingerprint to store; live comparisons compare documents.
 
-Three consumers:
+Two consumers:
 
-* the fleet layer ships snapshots through ``campaign.py``'s
-  process-shard wire format, so pool workers resurrect *arbitrary*
-  (including adversarially mutated) device state instead of rebuilding
-  honest devices from registry records;
 * the fault-injection campaigns (:mod:`repro.faults`) snapshot an
-  honest device once, then restore+mutate per fault site;
+  honest device once, then restore+mutate per fault site, in this
+  process or in pool workers the snapshot is shipped to;
 * the differential tests compare documents at every lockstep boundary
   (``tests/conftest.py``) and pin each whole run's digest
   (``tests/step_goldens.json``).
 
 Versioning: every wire document carries ``{"codec": WIRE_VERSION}``.
 The fleet record codec (:mod:`repro.fleet.store`) shares the same
-constant, so a rolling upgrade where parent and workers disagree fails
-loudly (:class:`SnapshotError` / ``FleetError``) instead of
-misinterpreting fields.
+constant, so a fault-sweep worker or a stored record from a build that
+disagrees fails loudly (:class:`SnapshotError` / ``FleetError``)
+instead of misinterpreting fields.
 
 Restore and the decode cache: restoring a memory image is an arbitrary
 memory mutation, so :meth:`repro.memory.bus.Bus.restore_memory` drops
@@ -52,9 +49,9 @@ from typing import Any, Dict, List
 
 from repro.errors import ReproError
 
-# Version of both the snapshot codec and the fleet process-shard record
+# Version of both the snapshot codec and the fleet store's record
 # codec (repro.fleet.store imports this).  Bump on any incompatible
-# change to either wire form.
+# change to either document.
 WIRE_VERSION = 1
 
 # Memory deltas are emitted per fixed-size page: cheap to diff with

@@ -192,13 +192,14 @@ class TestSpecRejection:
         self.assert_field("fleet.rollout.wave_fractions", lambda: fleet_spec(
             rollout=RolloutSpec(wave_fractions=(0.0, 1.0))).validate())
 
-    def test_thread_backend_is_rejected(self):
-        # The thread backend is gone, with no alias: a document that
-        # still names it is told what the accepted values are.
-        spec = RolloutSpec.from_dict({"backend": "thread"})
-        self.assert_field("fleet.rollout.backend", spec.validate)
-        with pytest.raises(SpecError, match="one of serial, process"):
-            spec.validate()
+    @pytest.mark.parametrize("key,value", [("backend", "serial"),
+                                           ("workers", 2)])
+    def test_an_executor_key_is_rejected(self, key, value):
+        # A rollout has one engine: a document that still picks one is
+        # rejected like any other unknown key.
+        with pytest.raises(SpecError, match=f"unknown key.*'{key}'") as excinfo:
+            RolloutSpec.from_dict({key: value})
+        assert excinfo.value.field == "fleet.rollout"
 
     def test_fleet_loss_out_of_range(self):
         self.assert_field("fleet.loss",

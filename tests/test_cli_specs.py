@@ -161,9 +161,10 @@ def test_serve_run_defaults_reach_the_fleet(run_until):
      "fleet.rollout.tamper_fraction", 0.2),
     (ROLLOUT + ["--rollback-fraction", "0.1"], "__init__",
      "fleet.rollout.rollback_fraction", 0.1),
-    (ROLLOUT + ["--workers", "2"], "__init__", "fleet.rollout.workers", 2),
-    (ROLLOUT + ["--backend", "process"], "__init__",
-     "fleet.rollout.backend", "process"),
+    (["fleet", "enroll", "--security", "eilid"], "__init__", "security",
+     "eilid"),
+    (["fleet", "status", "--store", "r.db"], "__init__", "fleet.store",
+     "r.db"),
     (ROLLOUT + ["--resume", "--store", "r.db"], "__init__",
      "fleet.rollout.resume", True),
     (ROLLOUT + ["--metrics-dump", "m.prom"], "__init__",
@@ -204,6 +205,13 @@ def test_every_flag_reaches_its_field(run_until, argv, stop, path, value):
 def test_bad_value_is_the_spec_error(argv, message, capsys):
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--backend", "serial"],
+                                  ["--workers", "2"]])
+def test_rollout_has_no_executor_flags(flag, capsys):
+    assert main(ROLLOUT + flag) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_alert_replay_names_an_unknown_rule(tmp_path, capsys):

@@ -370,6 +370,17 @@ class TestAlignmentAndFaults:
         with pytest.raises(MemoryAccessError):
             bus.write_word(0x10000, 1)
 
+    def test_load_outside_the_address_space_raises(self):
+        # A negative start must not slice in place of the bytes at 0,
+        # which would grow the memory past 64 KB.
+        from repro.errors import MemoryAccessError
+
+        _, bus = self._raw_cpu()
+        for addr in (-2, 0xFFFF):
+            with pytest.raises(MemoryAccessError):
+                bus.load_bytes(addr, b"\0\0")
+        assert len(bus.mem) == 0x10000
+
     def test_odd_stack_pointer_pushes_to_aligned_word(self):
         cpu, bus = self._raw_cpu()
         cpu.set_reg(SP, 0x0A01)

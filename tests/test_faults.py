@@ -287,8 +287,8 @@ class TestRecordCodecVersioning:
         doc["codec"] = 999
         with pytest.raises(FleetError, match="codec version 999"):
             record_from_dict(doc)
-        # The message names both sides, not a bare KeyError.
-        with pytest.raises(FleetError, match="parent and worker"):
+        # The message says what happened, not a bare KeyError.
+        with pytest.raises(FleetError, match="a different build wrote"):
             record_from_dict(doc)
 
     def test_legacy_records_without_codec_still_load(self):

@@ -453,11 +453,7 @@ class TestRollout:
         with pytest.raises(ValueError):
             CampaignConfig(wave_fractions=(0.5,))
         with pytest.raises(ValueError):
-            CampaignConfig(workers=-1)
-        with pytest.raises(ValueError):
             CampaignConfig(failure_threshold=-0.1)
-        with pytest.raises(ValueError):
-            CampaignConfig(backend="fiber")
 
     @pytest.mark.parametrize("version", [0, -5, 2 ** 32, True])
     def test_bad_target_version_changes_nothing(self, version):
@@ -581,105 +577,19 @@ class TestCliExitCodes:
         assert "error" in capsys.readouterr().err
 
 
-class TestShippedDeviceState:
-    """Process-backend workers must see mutated replicas' true state.
-
-    A device whose version counter ran ahead out of band answers the
-    campaign's offer with its real (higher) version, which the
-    verifier records.  The serial backend (live devices) is ground
-    truth; the process backend only matches it if the parent ships
-    the mutated replica's snapshot instead of the honest record
-    rebuild -- a rebuilt worker device sits at the record's version
-    and silently takes the downgrade.
-    """
-
-    def _run(self, **config_kwargs):
+class TestDeviceAheadOfItsRecord:
+    def test_the_offer_learns_the_true_version(self):
+        """A device whose version counter ran ahead out of band answers
+        the campaign's offer with its real (higher) version, which the
+        verifier records: the device does not take the downgrade, and
+        the record does not claim it did."""
         fleet = FleetSimulation(size=4)
         victim = fleet.registry.ids()[1]
         fleet.devices[victim].update_engine.current_version = 5
-        fleet.mark_mutated(victim)
         report = fleet.rollout(version=1, config=CampaignConfig(
-            failure_threshold=1.0, **config_kwargs))
-        return fleet, victim, report
-
-    def test_process_matches_thread_for_mutated_replicas(self):
-        results = {}
-        for backend in ("serial", "process"):
-            fleet, victim, report = self._run(backend=backend, workers=2)
-            results[backend] = (
-                report.applied, report.failed,
-                fleet.registry.get(victim).state,
-                fleet.registry.get(victim).firmware_version)
-        assert results["process"] == results["serial"]
-        # The verifier learned the device's true version -- the
-        # replica did not silently take the downgrade.
-        _, _, _, version = results["process"]
-        assert version == 5
-
-
-class TestBackendParity:
-    """Both backends run one offer, so they leave one registry and one
-    event stream: a worker ships each record back through the record
-    codec and the parent adopts it whole."""
-
-    # Fields that time the run, and the backend under comparison.
-    UNCOMPARED = {"elapsed_s", "devices_per_sec", "backend"}
-
-    def _run(self, backend, **config):
-        from repro.fleet.store import record_to_dict
-
-        fleet = FleetSimulation(size=24, seed=9)
-        fleet.rollout(version=1, tamper_fraction=0.125,
-                      rollback_fraction=0.125, config=CampaignConfig(
-                          backend=backend, workers=2, failure_threshold=1.0,
-                          **config))
-        records = [record_to_dict(record) for record in fleet.registry]
-        events = [(doc["kind"], doc["device"], doc["campaign"],
-                   {key: value for key, value in doc["data"].items()
-                    if key not in self.UNCOMPARED})
-                  for doc in fleet.events.events()]
-        return records, events
-
-    @pytest.mark.parametrize("verify_after_wave", (False, True))
-    def test_serial_and_process_leave_the_same_records_and_events(
-            self, verify_after_wave):
-        serial = self._run("serial", verify_after_wave=verify_after_wave)
-        process = self._run("process", verify_after_wave=verify_after_wave)
-        if verify_after_wave:
-            # The post-wave attest answers from the parent's replica,
-            # whose cycle count the replica sync does not mirror (it
-            # never ran the worker's ROM copy), so the report's cycle,
-            # and with it last_seen, differs between the backends.
-            for records in (serial[0], process[0]):
-                for record in records:
-                    del record["last_seen"]
-        assert process[0] == serial[0]
-        assert process[1] == serial[1]
-        kinds = Counter(kind for kind, *_ in serial[1])
-        assert kinds["quarantine"] == 3 and kinds["offer"] == 24
-        assert (kinds["attest"] > 0) == verify_after_wave
-
-    def test_a_worker_verdict_is_adopted_and_logged_once(self):
-        # A worker session has no event log: the parent adopts the
-        # shipped record whole and logs its quarantine on the transition.
-        from repro.fleet import RolloutCampaign
-        from repro.fleet.store import record_from_dict, record_to_dict
-
-        fleet = FleetSimulation(size=2)
-        campaign = RolloutCampaign(fleet.registry, fleet.session,
-                                   package_factory=None, target_version=1)
-        campaign._campaign_id = "c1"
-        victim = fleet.registry.ids()[0]
-        shipped = record_to_dict(fleet.registry.get(victim))
-        shipped.update(state="quarantined",
-                       nonce_high_water=shipped["nonce_high_water"] + 4)
-        doc = {"record": shipped, "status": None, "attempts": 4,
-               "detail": "bad-ack-mac"}
-        for _ in range(2):
-            device_id, offer = campaign._adopt_shard_outcome(doc)
-            assert device_id == victim
-            assert offer.status_label == "bad-ack-mac"
-        assert fleet.registry.get(victim) == record_from_dict(shipped)
-        (event,) = fleet.events.events(kind="quarantine")
-        assert (event["device"], event["campaign"], event["data"]) == (
-            victim, "c1", {"reason": "bad-ack-mac"})
+            failure_threshold=1.0))
+        assert (report.applied, report.failed) == (4, 0)
+        record = fleet.registry.get(victim)
+        assert (record.state, record.firmware_version) == (
+            Lifecycle.ACTIVE, 5)
+        assert fleet.devices[victim].update_engine.current_version == 5

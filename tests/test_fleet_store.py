@@ -1,4 +1,4 @@
-"""Durable verifier state + process-sharded campaigns.
+"""Durable verifier state and the campaigns that resume from it.
 
 The properties this file guards:
 
@@ -6,12 +6,12 @@ The properties this file guards:
   the freshness counters the replay defences depend on) and a
   simulation restarted on the store *restores* devices instead of
   re-enrolling them;
+* a malformed stored record or fleet meta document raises only
+  ``FleetError``;
 * a campaign killed mid-way resumes from the store without
   re-offering applied devices;
-* the process backend produces the same fleet end-state as the serial
-  backend -- applied versions, adversarial rejections, quarantines --
-  and a seeded loss x reorder grid shows updates stay idempotent and
-  no healthy device is ever quarantined on either backend.
+* a seeded loss x reorder grid shows updates stay idempotent and no
+  healthy device is ever quarantined.
 """
 
 import gc
@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,8 +40,6 @@ from repro.fleet import (
 )
 from repro.fleet.registry import NONCE_RESTART_SLACK, DeviceRecord, FleetError
 from repro.casu.update import UpdateKey
-
-BACKENDS = ("serial", "process")
 
 
 def make_store(kind, tmp_path, name="fleet"):
@@ -596,108 +595,170 @@ class TestStoredRecordTypes:
         mutant_raises_only_fleet_error()
 
 
+# ---- stored fleet meta documents ---------------------------------------------
+
+
+def _open_with_meta(tmp_path, lines, meta):
+    """Store *lines* with their meta line's document replaced by *meta*,
+    then open a fleet on the store."""
+    store_path = str(tmp_path / "meta.jsonl")
+    with open(store_path, "w") as handle:
+        for line in lines:
+            if line["kind"] == "meta":
+                line = {"kind": "meta", **meta}
+            handle.write(json.dumps(line) + "\n")
+    FleetSimulation(security="casu", store=store_path).registry.store.close()
+
+
+def _meta_of(lines) -> dict:
+    (meta,) = [dict(line) for line in lines if line["kind"] == "meta"]
+    del meta["kind"]
+    return meta
+
+
+DELETE = object()
+
+
+def _edited(doc: dict, key, value) -> dict:
+    """*doc* with *key* set to *value*, or without it for ``DELETE``."""
+    edited = {**doc, key: value}
+    if value is DELETE:
+        del edited[key]
+    return edited
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 20, 2 ** 20)
+               | st.floats(allow_nan=False) | st.text(max_size=8)
+               | st.sampled_from(("e800", "zz", "0" * 8, "-1")))
+JSON = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=4), inner,
+                                      max_size=3), max_leaves=8)
+
+
+class TestStoredMetaTypes:
+    # Each escaped a fleet's open as an AttributeError, ValueError,
+    # TypeError or MemoryAccessError, or (target -2) grew every
+    # restored replica's memory by two bytes.
+    @pytest.mark.parametrize("edit,field", [
+        ({"firmware": 5}, "firmware"),
+        ({"packages": []}, "packages"),
+        ({"packages": {"1": 7}}, "packages"),
+        ({"packages": {"one": {"target": 0, "payload": ""}}}, "packages"),
+        ({"packages": {"1": {"target": "x", "payload": "00"}}}, "target"),
+        ({"packages": {"1": {"target": 70000, "payload": "00"}}}, "target"),
+        ({"packages": {"1": {"target": -2, "payload": "0000"}}}, "target"),
+        ({"packages": {"1": {"target": 0}}}, "payload"),
+        ({"packages": {"1": {"target": 0, "payload": "zz"}}}, "payload"),
+        ({"clock": "abc"}, "clock"),
+        ({"clock": [1]}, "clock"),
+        ({"clock": -1}, "clock"),
+    ])
+    def test_wrongly_shaped_field_raises_fleet_error(self, stored_lines,
+                                                     tmp_path, edit, field):
+        lines, _ = stored_lines
+        with pytest.raises(FleetError, match=repr(field)):
+            _open_with_meta(tmp_path, lines, {**_meta_of(lines), **edit})
+
+    def test_any_meta_document_restores_or_raises_only_fleet_error(
+            self, stored_lines, tmp_path):
+        lines, _ = stored_lines
+        meta = _meta_of(lines)
+        (version,) = meta["packages"]
+        package = meta["packages"][version]
+        # Well-formed documents with one field replaced or deleted, at
+        # the top, inside the firmware spec or inside the package, or
+        # with the package under another key.
+        values = JSON | st.integers(-4, 0x10001) | st.just(DELETE)
+        edits = st.one_of(
+            st.builds(lambda key, value: _edited(meta, key, value),
+                      st.sampled_from(sorted(meta)), values),
+            st.builds(lambda key, value: _edited(meta, "firmware", _edited(
+                meta["firmware"], key, value)),
+                st.sampled_from(sorted(meta["firmware"])), values),
+            st.builds(lambda key, value: _edited(meta, "packages", {
+                version: _edited(package, key, value)}),
+                st.sampled_from(sorted(package)), values),
+            st.builds(lambda key, value: _edited(meta, "packages", {
+                key: value}), st.text(max_size=3), JSON),
+        )
+        junk = st.dictionaries(
+            st.sampled_from(sorted(meta) + ["other"]), JSON, max_size=4)
+
+        @settings(max_examples=200, derandomize=True, database=None,
+                  deadline=None)
+        @given(document=edits | junk)
+        def restores_or_raises_only_fleet_error(document):
+            try:
+                _open_with_meta(tmp_path, lines, document)
+            except FleetError:
+                pass
+
+        restores_or_raises_only_fleet_error()
+
+
 class TestResume:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_killed_campaign_resumes_without_reoffering(self, backend,
-                                                        tmp_path):
+    def test_killed_campaign_resumes_without_reoffering(self, tmp_path):
         store = make_store("sqlite", tmp_path)
         path = store.path
         fleet = FleetSimulation(size=20, seed=7, store=store)
-        config = CampaignConfig(backend=backend, workers=2)
         # "Kill" after 60% of the fleet: offer to a subset, then the
         # process dies (we close the store without finishing).
         partial_ids = fleet.registry.manageable_ids()[:12]
-        partial = fleet.rollout(version=1, config=config,
-                                device_ids=partial_ids)
+        partial = fleet.rollout(version=1, device_ids=partial_ids)
         assert partial.applied == 12
         fleet.registry.store.close()
 
         restarted = FleetSimulation(size=20, seed=7, store=path)
-        resumed = restarted.rollout(version=1, config=config, resume=True)
+        resumed = restarted.rollout(version=1, resume=True)
         assert resumed.resumed == 12  # applied devices never re-offered
         assert resumed.applied == 8
         assert resumed.status is CampaignStatus.COMPLETE
         assert restarted.registry.version_histogram() == {1: 20}
         # Re-running the finished campaign is a durable no-op.
-        done = restarted.rollout(version=1, config=config, resume=True)
+        done = restarted.rollout(version=1, resume=True)
         assert done.status is CampaignStatus.EMPTY
         assert done.resumed == 20 and done.applied == 0
         restarted.registry.store.close()
 
 
-# ---- process backend parity + the loss x reorder sweep ----------------------
+# ---- post-wave verification + the loss x reorder sweep ----------------------
 
 
-class TestProcessBackend:
-    def test_process_rollout_matches_thread_end_state(self):
-        outcomes = {}
-        for backend in BACKENDS:
-            fleet = FleetSimulation(size=24, seed=9)
-            report = fleet.rollout(
-                version=1, tamper_fraction=0.125, rollback_fraction=0.125,
-                config=CampaignConfig(backend=backend, workers=2,
-                                      failure_threshold=0.5))
-            outcomes[backend] = (
-                report.status, report.applied, report.failed,
-                dict(fleet.registry.state_histogram()),
-                dict(fleet.registry.version_histogram()),
-            )
-        assert outcomes["serial"] == outcomes["process"]
-
-    def test_process_quarantines_propagate_to_parent(self):
-        # A worker-side ROM rejection (tampered package -> BAD_MAC ack)
-        # must quarantine the device in the PARENT registry, and the
-        # parent replicas of applied devices must be synced so the next
-        # heartbeat in this process attests clean.
-        fleet = FleetSimulation(size=16, seed=1)
-        report = fleet.rollout(version=1, tamper_fraction=0.25,
-                               config=CampaignConfig(backend="process",
-                                                     workers=2,
-                                                     failure_threshold=1.0))
-        assert report.applied == 12 and report.failed == 4
-        assert len(fleet.registry.by_state(Lifecycle.QUARANTINED)) == 4
-        results = fleet.attest_all(fleet.registry.manageable_ids())
-        assert all(result.ok for result in results.values())
-        assert all(device.update_engine.current_version == 1
-                   for device_id, device in fleet.devices.items()
-                   if fleet.registry.get(device_id).state
-                   is Lifecycle.ACTIVE)
-
+class TestCampaignSafety:
     def test_verify_after_wave_attests_the_updated_image(self):
-        """Regression: post-wave verification on the process backend
-        must attest the synced replica, not a stale parent copy --
-        which would roll every merged record back to the old version."""
+        """Post-wave verification attests each replica the wave just
+        updated: every device verifies at the new version, and its
+        record keeps it."""
         fleet = FleetSimulation(size=12, seed=4)
         report = fleet.rollout(version=1, config=CampaignConfig(
-            backend="process", workers=2, verify_after_wave=True))
+            verify_after_wave=True))
         assert report.status is CampaignStatus.COMPLETE
         assert report.applied == 12 and report.failed == 0
         assert fleet.registry.version_histogram() == {1: 12}
+        assert Counter(doc["data"]["ok"] for doc in
+                       fleet.events.events(kind="attest")
+                       if doc["campaign"] is not None) == {True: 12}
         # Resume sees everything applied -- nothing to re-offer.
-        again = fleet.rollout(version=1, config=CampaignConfig(
-            backend="process", workers=2), resume=True)
+        again = fleet.rollout(version=1, resume=True)
         assert again.status is CampaignStatus.EMPTY and again.resumed == 12
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("loss,reorder", [(0.0, 0.0), (0.15, 0.0),
                                               (0.0, 0.3), (0.15, 0.3)])
     def test_seeded_loss_reorder_grid_keeps_updates_safe(
-            self, backend, loss, reorder, tmp_path):
-        """The property sweep: under loss and reordering, on both
-        backends, updates stay idempotent, no healthy device is ever
-        quarantined, and the store round-trip preserves everything."""
-        store = make_store("jsonl", tmp_path,
-                           name=f"{backend}-{loss}-{reorder}")
+            self, loss, reorder, tmp_path):
+        """The property sweep: under loss and reordering, updates stay
+        idempotent, no healthy device is ever quarantined, and the
+        store round-trip preserves everything."""
+        store = make_store("jsonl", tmp_path, name=f"{loss}-{reorder}")
         path = store.path
         fleet = FleetSimulation(size=10, seed=int(loss * 100 + reorder * 10),
                                 max_attempts=10, store=store)
-        config = CampaignConfig(backend=backend, workers=2)
-        report = fleet.rollout(version=1, config=config)
+        report = fleet.rollout(version=1)
         assert report.status is CampaignStatus.COMPLETE
         assert report.applied == 10
         assert not fleet.registry.by_state(Lifecycle.QUARANTINED)
         # Idempotence: resuming the finished campaign offers nothing.
-        again = fleet.rollout(version=1, config=config, resume=True)
+        again = fleet.rollout(version=1, resume=True)
         assert again.status is CampaignStatus.EMPTY and again.resumed == 10
         def comparable(registry, slack=0):
             docs = {}

@@ -5,8 +5,8 @@ closed event kinds, enveloped CLI JSON, deterministic fault/analysis
 paths, dynamic code confined to the instruction compiler, threads
 confined to the serve package, broad excepts confined to sanctioned
 sites, the monitor's region bits confined to their two homes,
-control-transfer literals confined to repro.isa, and a caller for
-every definition.  These tests pin both directions -- the real repo is
+control-transfer literals confined to repro.isa, a caller for every
+definition, and process pools confined to the fault campaign.  These tests pin both directions -- the real repo is
 clean, and seeded violations in a synthetic tree are caught.
 """
 
@@ -241,6 +241,39 @@ def test_locks_and_process_pools_pass_anywhere(tmp_path):
             "from concurrent.futures import ProcessPoolExecutor\n\n"
             "LOCK = threading.Lock()\n",
     })
+    assert checker.run_checks(root) == []
+
+
+# ---- rule 10: process pools and forks only in the fault campaign ------------
+
+
+PROCESS_SNIPPETS = [
+    "from concurrent.futures import ProcessPoolExecutor\n",
+    "import concurrent.futures\n\n"
+    "POOL = concurrent.futures.ProcessPoolExecutor\n",
+    "import multiprocessing\n",
+    "from multiprocessing.pool import Pool\n",
+    "import os\n\n"
+    "def f():\n    return os.fork()\n",
+    "from os import fork\n",
+]
+
+
+@pytest.mark.parametrize("snippet", PROCESS_SNIPPETS)
+def test_process_pool_outside_the_fault_campaign_is_caught(tmp_path,
+                                                           snippet):
+    root = _tree(tmp_path, **{"src/repro/fleet/campaign.py": snippet})
+    problems = checker.run_checks(root)
+    assert len(problems) == 1
+    assert "src/repro/fleet/campaign.py" in problems[0]
+    assert "process pools have one home" in problems[0]
+
+
+@pytest.mark.parametrize("snippet", PROCESS_SNIPPETS)
+def test_process_pool_in_the_fault_campaign_passes(tmp_path, snippet):
+    root = _tree(tmp_path, **{"src/repro/faults/campaign.py": snippet,
+                              "src/repro/fleet/store.py":
+                                  "import os\n\nSEP = os.sep\n"})
     assert checker.run_checks(root) == []
 
 

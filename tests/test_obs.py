@@ -21,6 +21,7 @@ The properties this file guards:
 import dataclasses
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -53,7 +54,7 @@ def emit_fixture(log):
     """A tiny two-campaign history every query test folds."""
     log.emit("enroll", device="d1", platform="TI MSP430")
     log.emit("enroll", device="d2", platform="TI MSP430")
-    first = log.start_campaign(target_version=1, backend="serial")
+    first = log.start_campaign(target_version=1)
     log.emit("offer", device="d1", campaign=first, status="applied")
     log.emit("offer", device="d2", campaign=first, status="rejected-bad-mac")
     log.emit("quarantine", device="d2", campaign=first,
@@ -61,7 +62,7 @@ def emit_fixture(log):
     log.emit("wave-commit", campaign=first, index=0, size=2)
     log.emit("campaign-end", campaign=first, status="complete", applied=1,
              failed=1, devices_per_sec=100.0, elapsed_s=0.02)
-    second = log.start_campaign(target_version=2, backend="serial")
+    second = log.start_campaign(target_version=2)
     log.emit("offer", device="d1", campaign=second, status="applied")
     log.emit("attest", device="d1", campaign=second, ok=True, detail="")
     log.emit("attest", device="d2", ok=False, detail="quarantined")
@@ -522,20 +523,28 @@ class TestFleetEventFlow:
         (after,) = fleet.events.campaign_rollup(rollout["campaign"])
         assert after["quarantined"] == rollout["quarantined"] == 0
 
-    def test_process_backend_emits_merge_quarantines_once(self):
-        # Workers have no event log; the parent emits quarantine events
-        # while merging shard outcomes -- exactly one per quarantined
-        # device, tagged with the campaign.
-        fleet = FleetSimulation(size=12, seed=5)
+    def test_each_quarantine_is_logged_once_with_its_campaign(self):
+        # The engine logs a device-side BAD_MAC rejection, the session
+        # a verdict it reaches itself (here the post-wave attest of a
+        # forged trace): one event per quarantined device either way,
+        # tagged with the campaign.
+        fleet = FleetSimulation(size=12, seed=5, verify_traces=True)
+        forged = fleet.registry.ids()[0]  # not one of the tampered
+        fleet.forge_trace(forged)
         report = fleet.rollout(version=1, tamper_fraction=0.25,
                                config=CampaignConfig(
-                                   backend="process", workers=2,
-                                   failure_threshold=0.9))
-        assert report.failed > 0
+                                   wave_fractions=(0.5, 1.0),
+                                   verify_after_wave=True,
+                                   failure_threshold=1.0))
+        quarantined = sorted(record.device_id for record in
+                             fleet.registry.by_state(Lifecycle.QUARANTINED))
         quarantines = fleet.events.events(kind="quarantine")
-        assert len(quarantines) == report.failed
-        assert len({doc["device"] for doc in quarantines}) == report.failed
-        assert all(doc["campaign"] is not None for doc in quarantines)
+        assert len(quarantined) == report.failed == 4
+        assert sorted(doc["device"] for doc in quarantines) == quarantined
+        (campaign,) = {doc["campaign"] for doc in quarantines}
+        assert campaign == fleet.events.campaign_rollup()[0]["campaign"]
+        assert Counter(doc["data"]["reason"] for doc in quarantines) == {
+            "rejected-bad-mac": 3, "trace-forged": 1}
 
     def test_events_are_json_safe(self, tmp_path):
         fleet = FleetSimulation(size=4,

@@ -12,9 +12,8 @@ The properties this file guards:
 * each built-in alert rule trips on the failure shape it names, fires
   once per (rule, campaign), windows on event timestamps (offline
   replay == live), and a disabled engine costs the emitter nothing;
-* spans form parent/trace trees; a process-shard worker's snapshot
-  merges into the parent with re-rooted lineage, and thread vs process
-  campaign backends produce the same offer totals;
+* spans form parent/trace trees: every offer of a campaign is a child
+  of its wave, in the campaign's one trace;
 * the Prometheus/JSON exporters emit parseable text, and the spec
   layer validates alert configs before a fleet is ever built.
 """
@@ -474,35 +473,6 @@ class TestSpanTrees:
         assert [node["name"] for node in forest] == ["a", "c"]
         assert [child["name"] for child in forest[0]["children"]] == ["b"]
 
-    def test_merge_reroots_worker_spans_and_folds_series(self):
-        worker = MetricsRegistry()
-        worker.inc("fleet.updates", 3)
-        with worker.span("campaign.shard"):
-            with worker.span("campaign.offer"):
-                pass
-        parent = MetricsRegistry()
-        parent.inc("fleet.updates", 2)
-        with parent.span("campaign.wave"):
-            parent.merge(worker.snapshot())
-        assert parent.counter("fleet.updates") == 5
-        shard = parent.spans(name="campaign.shard")[0]
-        offer = parent.spans(name="campaign.offer")[0]
-        wave_doc = parent.spans(name="campaign.wave")[0]
-        # the worker's root now hangs off the wave that caused it
-        assert shard["parent"] == wave_doc["id"]
-        assert offer["parent"] == shard["id"]
-        assert {shard["trace"], offer["trace"]} == {wave_doc["trace"]}
-        # worker ids were re-allocated, not trusted
-        assert shard["id"] != "s1"
-
-    def test_merge_into_disabled_registry_is_a_noop(self):
-        worker = MetricsRegistry()
-        worker.inc("x", 1)
-        parent = MetricsRegistry(enabled=False)
-        parent.merge(worker.snapshot())
-        assert parent.snapshot() == {"counters": {}, "gauges": {},
-                                     "histograms": {}, "spans": []}
-
     def test_span_ring_bounded_with_drop_counter(self):
         registry = MetricsRegistry(span_capacity=4)
         for n in range(7):
@@ -513,60 +483,32 @@ class TestSpanTrees:
         # an evicted parent's children surface as roots, never vanish
         assert len(registry.span_tree()) == 4
 
-    def test_histogram_merge_folds_extrema(self):
-        a = MetricsRegistry()
-        a.observe("lat", 1.0)
-        a.observe("lat", 9.0)
-        b = MetricsRegistry()
-        b.observe("lat", 5.0)
-        b.merge(a.snapshot())
-        snap = b.histogram("lat")
-        assert snap["count"] == 3
-        assert snap["min"] == 1.0 and snap["max"] == 9.0
+
+# ---- a campaign's span tree -------------------------------------------------
 
 
-# ---- serial vs process backend parity ---------------------------------------
-
-
-class TestBackendMetricsParity:
-    def run_campaign(self, backend):
+class TestCampaignSpans:
+    def test_every_offer_is_a_child_of_a_wave_in_one_trace(self):
         from repro.fleet import CampaignConfig, FleetSimulation
 
         METRICS.reset()
-        fleet = FleetSimulation(size=24, seed=7)
-        config = CampaignConfig(failure_threshold=0.9, backend=backend,
-                                workers=2)
-        report = fleet.rollout(version=1, payload=bytes(16), config=config,
-                               tamper_fraction=0.25)
-        return report, METRICS.snapshot()
-
-    def test_process_shard_metrics_merge_matches_thread_totals(self):
-        serial_report, serial_snap = self.run_campaign("serial")
-        process_report, process_snap = self.run_campaign("process")
-        # same campaign outcome...
-        assert (serial_report.applied, serial_report.failed) == \
-            (process_report.applied, process_report.failed)
-        # ...and the same number of offer spans landed in the parent
-        # registry: the worker snapshots merged rather than vanishing
-        # inside the pool processes.
-        serial_offers = serial_snap["histograms"]["campaign.offer.ms"]
-        process_offers = process_snap["histograms"]["campaign.offer.ms"]
-        assert serial_offers["count"] == process_offers["count"] == 24
-        METRICS.reset()
-
-    def test_process_span_lineage_reroots_onto_waves(self):
-        _, snap = self.run_campaign("process")
-        spans = {s["id"]: s for s in snap["spans"]}
-        shards = [s for s in snap["spans"] if s["name"] == "campaign.shard"]
-        assert shards, "process backend must record shard spans"
-        for shard in shards:
-            parent = spans[shard["parent"]]
-            assert parent["name"] == "campaign.wave"
-            assert shard["trace"] == parent["trace"]
-        offers = [s for s in snap["spans"] if s["name"] == "campaign.offer"]
-        assert all(spans[o["parent"]]["name"] == "campaign.shard"
-                   for o in offers)
-        METRICS.reset()
+        try:
+            fleet = FleetSimulation(size=24, seed=7)
+            report = fleet.rollout(
+                version=1, payload=bytes(16), tamper_fraction=0.25,
+                config=CampaignConfig(failure_threshold=0.9))
+            spans = {span["id"]: span for span in METRICS.spans()}
+        finally:
+            METRICS.reset()
+        assert report.offered == 24
+        offers = [span for span in spans.values()
+                  if span["name"] == "campaign.offer"]
+        assert len(offers) == 24
+        assert {spans[offer["parent"]]["name"] for offer in offers} == {
+            "campaign.wave"}
+        (run,) = [span for span in spans.values()
+                  if span["name"] == "campaign.run"]
+        assert {span["trace"] for span in offers} == {run["id"]}
 
 
 # ---- exporters --------------------------------------------------------------
@@ -815,13 +757,13 @@ class TestCliVerbs:
                 parse_prometheus(handle.read())
 
 
-# ---- acceptance: live watch of a concurrent process-backend rollout ---------
+# ---- acceptance: live watch of a concurrent rollout --------------------------
 
 
 class TestLiveWatchAcceptance:
     def test_follow_streams_a_concurrent_rollout_with_alerts(self, tmp_path):
         """The ISSUE's acceptance shape, scaled to CI: a separate
-        interpreter runs a tampered process-backend rollout while this
+        interpreter runs a tampered rollout while this
         process follows the event DB; the stream must arrive in seq
         order, include wave commits and the quarantine-rate alert, and
         terminate at campaign-end."""
@@ -830,8 +772,7 @@ class TestLiveWatchAcceptance:
         env = dict(os.environ, PYTHONPATH="src")
         writer = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "fleet", "rollout",
-             "--devices", "150", "--backend", "process", "--workers", "2",
-             "--tamper-fraction", "0.1",
+             "--devices", "150", "--tamper-fraction", "0.1",
              "--failure-threshold", "0.95", "--alerts",
              "--store", store, "--events", events, "--json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -135,10 +135,8 @@ def test_the_fleet_parks_every_replica_it_drives(tmp_path):
     fleet.corrupt_firmware(victim)
     assert all_parked()
     fleet.forge_trace(forged)
-    # The process backend ships the two mutated replicas' snapshots
-    # and syncs every applied replica afterwards.
     report = fleet.rollout(version=2, config=CampaignConfig(
-        backend="process", workers=2, failure_threshold=1.0))
+        failure_threshold=1.0))
     assert report.applied == 12
     assert all_parked()
     fleet.registry.store.close()

@@ -7,7 +7,8 @@ The properties this file guards:
   it writes after the restart survives the next kill -- in the
   registry store, the event log and a live tail alike -- and the file
   never shrinks under a tail;
-* every reader skips any line that is not a complete JSON object;
+* every reader skips any line that is not a complete JSON object, and
+  every event reader any object that is not a whole event;
 * the in-process tail is a cursor read that returns exactly what the
   full ``since`` query does, on every backend, across a reopen, and
   under concurrent emitters; the memory store loads while threads save;
@@ -22,9 +23,11 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import JsonlStore, MemoryStore, SqliteStore
 from repro.obs import (
+    EVENT_KINDS,
     JsonlEventLog,
     MemoryEventLog,
     SqliteEventLog,
@@ -154,12 +157,16 @@ def _tail_reader(path):
         return [doc["seq"] for doc in tail.read()]
 
 
+def event(seq, **fields):
+    """A whole event document (see :func:`repro.recordlog.is_event`)."""
+    return {"seq": seq, "ts": 0.0, "kind": "enroll", "device": None,
+            "campaign": None, "data": {}, **fields}
+
+
 READERS = {
     "store": (_store_reader, [record("a"), record("b")], ["a", "b"]),
-    "event-log": (_event_log_reader, [{"seq": 1, "kind": "enroll"},
-                                      {"seq": 2, "kind": "enroll"}], [1, 2]),
-    "tail": (_tail_reader, [{"seq": 1, "kind": "enroll"},
-                            {"seq": 2, "kind": "enroll"}], [1, 2]),
+    "event-log": (_event_log_reader, [event(1), event(2)], [1, 2]),
+    "tail": (_tail_reader, [event(1), event(2)], [1, 2]),
 }
 
 
@@ -178,6 +185,58 @@ def test_every_reader_skips_lines_that_are_not_json_objects(
 def test_read_lines_skips_blank_torn_and_garbage_lines():
     lines = [b'{"a": 1}\n', b"", b"  \r\n", b'{"b": 2}', b"\xff{", b'{"c"']
     assert list(read_lines(lines)) == [{"a": 1}, {"b": 2}]
+
+
+# Right-typed and wrongly typed values for each event field; ``data``
+# is only ever an empty object, since how the rollups read the fields
+# inside it is another boundary.
+JUNK = (st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=4) | st.lists(st.integers(), max_size=2))
+EVENT_FIELDS = {
+    "seq": st.integers(-2 ** 64, 2 ** 64) | JUNK,
+    "ts": st.floats() | st.integers() | JUNK,
+    "kind": st.sampled_from(EVENT_KINDS) | JUNK,
+    "device": st.sampled_from((None, "d1")) | JUNK,
+    "campaign": st.sampled_from((None, "c1", "c9", "x")) | JUNK,
+    "data": st.just({}) | JUNK,
+}
+STORED_LINES = st.one_of(
+    st.builds(lambda doc, drop: {key: value for key, value in doc.items()
+                                 if key != drop},
+              st.fixed_dictionaries(EVENT_FIELDS, optional={"other": JUNK}),
+              st.sampled_from((None, *EVENT_FIELDS))),
+    st.dictionaries(st.sampled_from(sorted(EVENT_FIELDS)), JUNK, max_size=3),
+)
+
+
+def test_readers_skip_stored_lines_that_are_not_whole_events(tmp_path):
+    """Whatever JSON objects land in an event log's file, its rollups
+    and a tail of it raise nothing, and the events the log wrote come
+    back first, unchanged."""
+    path = str(tmp_path / "events.jsonl")
+
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(lines=st.lists(STORED_LINES, min_size=1, max_size=4))
+    def readers_skip(lines):
+        if os.path.exists(path):
+            os.remove(path)
+        with JsonlEventLog(path) as log:
+            campaign = log.start_campaign(target_version=1)
+            log.emit("offer", device="d1", campaign=campaign,
+                     status="applied")
+            log.emit("violation-delta", device="d1", deltas={"x": 1})
+            written = log.events()
+        append_raw(path, "".join(json.dumps(line) + "\n" for line in lines))
+        with JsonlEventLog(path) as log:
+            log.device_rollup()
+            log.fleet_rollup()
+            log.campaign_rollup()
+            assert log.events()[:3] == written
+        with open_event_tail(path) as tail:
+            assert tail.read()[:3] == written
+
+    readers_skip()
 
 
 # ---- the in-process tail -------------------------------------------------------
@@ -317,8 +376,8 @@ def test_single_campaign_rollup_is_its_full_rollup_entry(tmp_path, kind):
     # the log, and a third still in flight; untagged events between.
     log = make_log(kind, tmp_path)
     log.emit("enroll", device="d1")
-    first = log.start_campaign(target_version=1, backend="serial")
-    second = log.start_campaign(target_version=2, backend="process")
+    first = log.start_campaign(target_version=1)
+    second = log.start_campaign(target_version=2)
     for wave in range(3):
         device = f"d{wave}"
         log.emit("offer", device=device, campaign=first, status="applied")

@@ -527,10 +527,10 @@ class TestDaemonApi:
             client.rollout(1, waves=[0.5])  # must end at 1.0
         assert excinfo.value.status == 400
 
-    def test_thread_backend_is_400(self, daemon_fleet):
+    def test_backend_key_is_400(self, daemon_fleet):
         _fleet, client = daemon_fleet
-        with pytest.raises(ServeError, match="serial, process") as excinfo:
-            client.rollout(1, backend="thread")
+        with pytest.raises(ServeError, match="backend") as excinfo:
+            client.rollout(1, backend="serial")
         assert excinfo.value.status == 400
 
 

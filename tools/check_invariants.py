@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST-based repo invariant checker (CI-required lint).
 
-Enforces nine codebase contracts no general-purpose linter knows
+Enforces ten codebase contracts no general-purpose linter knows
 about:
 
 1. **event kinds are closed** -- every literal event kind passed to an
@@ -24,10 +24,11 @@ about:
    run text from outside the program.
 5. **threads have one home** -- ``ThreadPoolExecutor`` and
    ``threading.Thread`` appear only under src/repro/serve/, where the
-   verifier daemon runs its event loop and pump executor.  Fault
-   sweeps and rollouts run serially in-process or on a process pool:
-   a thread pool on their CPU-bound paths ran slower under the GIL
-   than a plain loop and hid the work from profilers.
+   verifier daemon runs its event loop and pump executor.  Rollouts
+   run serially on their caller's thread, and fault sweeps serially or
+   on a process pool (rule 10): a thread pool on their CPU-bound paths
+   ran slower under the GIL than a plain loop and hid the work from
+   profilers.
 6. **broad excepts stay where they are sanctioned** -- ``except
    Exception``, ``except BaseException``, a bare ``except:`` and any
    tuple holding one of them appear only at the (file, function) sites
@@ -56,10 +57,19 @@ about:
    comment).  An import statement or an ``__all__`` entry does not
    count: it only re-exports the name.  Dunder methods, which Python
    calls itself, and the ``Cpu._ex_*`` executors, which the CPU
-   dispatches by mnemonic, are exempt.  Rules 1-8
+   dispatches by mnemonic, are exempt.  The other rules
    judge each file alone, so :func:`run_checks` runs them on any tree;
    this rule reads the whole repository, and :func:`main` runs it
    beside them.
+10. **process pools have one home** -- ``ProcessPoolExecutor``,
+    ``multiprocessing`` and ``os.fork`` appear only in
+    src/repro/faults/campaign.py, whose fault sweep maps one batch
+    function over one JSON context serially or on a pool, so the two
+    tally identically by construction.  Anywhere else a pool would be
+    a second engine whose results need reconciling with the serial
+    one (a rollout's replicas did not match), and a fork from the
+    verifier daemon, whose event loop runs on another thread, may
+    deadlock the child.
 
 Usage: ``python tools/check_invariants.py [--root PATH]``.
 Exits 0 when clean, 1 with one line per violation otherwise.
@@ -87,6 +97,9 @@ _DYNAMIC_CODE = {"exec", "eval", "compile"}
 
 # The one package that may create threads and thread pools.
 THREAD_HOME = "src/repro/serve/"
+
+# The one module that may create processes.
+PROCESS_HOME = "src/repro/faults/campaign.py"
 
 # The sanctioned broad-except sites: (file, enclosing function) -> why.
 BROAD_EXCEPT_SITES = {
@@ -341,20 +354,60 @@ def _thread_maker(node):
     return None
 
 
-def check_thread_home(root: Path) -> list:
-    """Rule 5: threads and thread pools only in the serve package."""
+def _outside_home(root: Path, home: str, maker, contract: str) -> list:
+    """Each node under src/ outside *home* (a directory prefix or one
+    file) for which *maker* names what it creates, as a violation of
+    *contract*."""
     problems = []
     for path in sorted((root / "src").rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        if rel.startswith(THREAD_HOME):
+        if rel.startswith(home):
             continue
         for node in ast.walk(_parse(path)):
-            name = _thread_maker(node)
+            name = maker(node)
             if name is not None:
-                problems.append(
-                    f"{rel}:{node.lineno}: {name} outside {THREAD_HOME} "
-                    f"(threads have one home)")
+                problems.append(f"{rel}:{node.lineno}: {name} outside "
+                                f"{home} ({contract})")
     return problems
+
+
+def check_thread_home(root: Path) -> list:
+    """Rule 5: threads and thread pools only in the serve package."""
+    return _outside_home(root, THREAD_HOME, _thread_maker,
+                         "threads have one home")
+
+
+def _process_maker(node):
+    """The process-pool or fork API *node* imports or reaches, or None.
+
+    Catches ``ProcessPoolExecutor`` imported from, or reached through,
+    any module, ``multiprocessing`` imported or reached, and
+    ``os.fork`` or ``fork`` imported from ``os``."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.name.split(".")[0] == "multiprocessing":
+                return "multiprocessing"
+    elif isinstance(node, ast.ImportFrom):
+        names = {alias.name for alias in node.names}
+        if "ProcessPoolExecutor" in names:
+            return "ProcessPoolExecutor"
+        if (node.module or "").split(".")[0] == "multiprocessing":
+            return "multiprocessing"
+        if node.module == "os" and "fork" in names:
+            return "os.fork"
+    elif isinstance(node, ast.Attribute):
+        if node.attr == "ProcessPoolExecutor":
+            return "ProcessPoolExecutor"
+        if (node.attr == "fork" and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            return "os.fork"
+    return None
+
+
+def check_process_home(root: Path) -> list:
+    """Rule 10: process pools and forks only in the fault campaign."""
+    return _outside_home(root, PROCESS_HOME, _process_maker,
+                         "process pools have one home")
 
 
 def _is_broad(handler: ast.ExceptHandler) -> bool:
@@ -519,6 +572,7 @@ def run_checks(root: Path) -> list:
     problems += check_broad_excepts(root)
     problems += check_region_bits(root)
     problems += check_transfer_home(root)
+    problems += check_process_home(root)
     return problems
 
 
