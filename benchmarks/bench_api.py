@@ -1,18 +1,21 @@
-"""Facade overhead gate: repro.api vs direct Device construction.
+"""Facade overhead gates: repro.api vs direct Device construction.
 
 The public scenario API must stay a zero-cost abstraction on the hot
 path: a ``Session`` run is spec validation + a cached firmware lookup +
 the very same ``Device`` inner loop.  This bench drives the
 monitored-run microbench (security="casu") both ways and asserts the
-facade adds < 5% wall-clock overhead.
+facade adds < 5% wall-clock overhead, and, exactly, that it adds a
+constant number of bytecodes per run and none per step.
 """
 
 import gc
 import time
 
+from bench_micro import _bytecodes
 from repro.api import FirmwareSpec, LimitsSpec, ScenarioSpec, Session
 from repro.api.firmware import build_firmware
 from repro.device import build_device
+from repro.obs.metrics import METRICS
 
 FACADE_OVERHEAD_CEILING = 1.05  # the satellite gate: < 5%
 
@@ -43,25 +46,25 @@ _FIRMWARE = FirmwareSpec(kind="asm", source=_HOT_LOOP, variant="original",
                          name="bench-api", link_rom=False)
 
 
-def _spec():
+def _spec(steps=STEPS):
     return ScenarioSpec(
         name="bench-api",
         firmware=_FIRMWARE,
         security="casu",
-        limits=LimitsSpec(max_cycles=100_000_000, max_steps=STEPS),
+        limits=LimitsSpec(max_cycles=100_000_000, max_steps=steps),
     )
 
 
-def _direct_run(program):
+def _direct_run(program, steps=STEPS):
     device = build_device(program, security="casu")
-    result = device.run_steps(STEPS, stop_on_done=True)
-    assert result.steps == STEPS
+    result = device.run_steps(steps, stop_on_done=True)
+    assert result.steps == steps
     return result
 
 
-def _facade_run():
-    outcome = Session(_spec()).run()
-    assert outcome.steps == STEPS
+def _facade_run(steps=STEPS):
+    outcome = Session(_spec(steps)).run()
+    assert outcome.steps == steps
     return outcome
 
 
@@ -98,3 +101,43 @@ def test_bench_facade_overhead(benchmark):
     assert ratio < FACADE_OVERHEAD_CEILING, (
         f"facade run is {100 * (ratio - 1):.1f}% slower than direct "
         f"Device construction (gate: <5%)")
+
+
+def test_bench_facade_adds_no_bytecodes_per_step(benchmark):
+    """The exact form of the overhead gate above: from 10,000 to 20,000
+    steps, ``Session(spec).run()`` and ``build_device`` + ``run_steps``
+    grow by the same bytecode count, so the facade adds a constant per
+    run and nothing per step.  Each count is taken right after a run of
+    the same side and length, so both sides count warm paths: a first
+    run fills process-wide caches (the firmware cache, the program's
+    decode table, the compiled steps) that later runs only read.  The
+    one data-dependent path left is the metrics registry's: each run
+    closes a span (``interpreter.batch`` for ``run_steps``,
+    ``session.run`` for the facade), whose duration histogram stores a
+    new minimum or maximum in 3 more bytecodes, so a count moved by 3
+    with the host's speed.  The registry is reset before each count, so
+    every count starts it from the same empty state."""
+    program = build_firmware(_FIRMWARE).program
+    sides = {"direct": lambda steps: _direct_run(program, steps),
+             "facade": _facade_run}
+
+    def measure():
+        counts = {}
+        for name, run in sides.items():
+            for steps in (10_000, 20_000):
+                run(steps)
+                METRICS.reset()
+                counts[name, steps] = _bytecodes(lambda: run(steps))
+        return counts
+
+    counts = benchmark.pedantic(measure, rounds=1, iterations=1)
+    growth = {name: counts[name, 20_000] - counts[name, 10_000]
+              for name in sides}
+    benchmark.extra_info["bytecodes_per_10k_steps"] = growth["direct"]
+    benchmark.extra_info["facade_bytecodes_per_run"] = (
+        counts["facade", 10_000] - counts["direct", 10_000])
+    assert growth["direct"] > 0
+    assert growth["facade"] == growth["direct"], (
+        f"from 10,000 to 20,000 steps the facade run grows by "
+        f"{growth['facade']} bytecodes and the direct run by "
+        f"{growth['direct']}: the facade adds work per step")

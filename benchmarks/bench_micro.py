@@ -13,11 +13,12 @@ Four families of benchmarks:
   batch, and ``memory_delta`` on a fleet replica runs >= 5x the
   per-page memoryview loop it replaced (~12x on the container below,
   where ``snapshot()`` then takes ~38 us and ``state_digest()`` ~80 us);
-* exact "no extra work" gates beside the wall-clock overhead gates:
-  they count the bytecodes a path runs (``sys.settrace`` with
-  ``f_trace_opcodes``), which host noise cannot move, so a disabled
-  alert engine adds none to an emission and enabled metrics add none
-  per step.  Work done inside C functions is not counted.
+* exact gates beside the wall-clock gates: they count the bytecodes a
+  path runs (``sys.settrace`` with ``f_trace_opcodes``), which host
+  noise cannot move, so a disabled alert engine adds none to an
+  emission, enabled metrics add none per step, and the ``casu``
+  monitor adds at most 40 to a hot-loop step.  Work done inside C
+  functions is not counted.
 
 Reference numbers for ``_HOT_LOOP`` (2-vCPU container, CPython 3.11.7,
 medians of five gate runs while the ledger's host probe read ~0.9-1.15x
@@ -59,6 +60,10 @@ CACHE_SPEEDUP_FLOOR = 2.0
 # The per-step tax of the monitored step: eilid instr/s over none
 # instr/s on the same machine (~0.77 on the reference container).
 MONITOR_TAX_RATIO_FLOOR = 0.75
+# Its exact twin: the bytecodes the casu monitor adds to a warm
+# hot-loop step (60.0 when every step took the clean-step filter's
+# walk over fetches and data, 28.7 with the monitor-first tables).
+MONITOR_TAX_BYTECODES_CEILING = 40
 # The observability gate: metrics instrumentation sits at the
 # run_steps *batch* boundary (one span + two counter bumps per call,
 # never inside the step loop), so enabling it may cost at most 2%
@@ -239,6 +244,41 @@ def test_bench_monitor_tax(benchmark):
     assert ratio >= MONITOR_TAX_RATIO_FLOOR, (
         f"eilid runs the hot loop at {ratio:.3f}x the unmonitored rate "
         f"(floor {MONITOR_TAX_RATIO_FLOOR})")
+
+
+def test_bench_monitor_tax_bytecodes(benchmark):
+    """The exact form of the monitor-tax gate: on warm devices, a
+    ``casu`` hot-loop step runs at most 40 bytecodes more than an
+    unmonitored one.  Each side's count is the growth of ``run_steps``
+    from 1,000 to 2,000 steps, so the per-run constant cancels; the
+    decode table is filled first and each device warmed by 500 steps,
+    so no count includes a decode; and the metrics registry is reset
+    before each count, so the batch-duration histogram, which stores a
+    new minimum or maximum in 3 more bytecodes, starts empty."""
+    program = _hot_program()
+    build_device(program, security="none").run_steps(
+        2_000, stop_on_done=False)
+
+    def per_step(security):
+        counts = []
+        for steps in (1_000, 2_000):
+            device = build_device(program, security=security)
+            device.run_steps(500, stop_on_done=False)
+            METRICS.reset()
+            counts.append(_bytecodes(
+                lambda: device.run_steps(steps, stop_on_done=False)))
+        return (counts[1] - counts[0]) / 1_000
+
+    def measure():
+        return per_step("none"), per_step("casu")
+
+    none, casu = benchmark.pedantic(measure, rounds=1, iterations=1)
+    tax = casu - none
+    benchmark.extra_info["none_bytecodes_per_step"] = none
+    benchmark.extra_info["casu_bytecodes_per_step"] = casu
+    assert tax <= MONITOR_TAX_BYTECODES_CEILING, (
+        f"the casu monitor adds {tax:.1f} bytecodes to a hot-loop step "
+        f"(ceiling {MONITOR_TAX_BYTECODES_CEILING})")
 
 
 def test_bench_instrumentation_overhead(benchmark):

@@ -24,13 +24,45 @@ the first row wins.
 6. **illegal opcode** -- undefined opcodes reset.
 
 Within one rule, the first offending access names the address.  The
-clean-step filter's trip tables, the verified FSMs
+monitor-first tables, the verified FSMs
 (:mod:`repro.verification.properties`) and the Figure 10 rule blocks
 (:mod:`repro.casu.hwmodel`) are generated from the table.
-:meth:`HardwareMonitor.observe` stays hand-written for speed -- one
-pass over a step's accesses, each answered from the layout's 64 KB
-attribute table -- and a refinement check holds it to
-:func:`evaluate` over :func:`abstract`'s signals.
+:meth:`HardwareMonitor.observe` stays hand-written for speed, and a
+refinement check holds it to :func:`evaluate` over :func:`abstract`'s
+signals.
+
+Monitor first
+-------------
+
+Most of what the rules read about a step is fixed before the step
+runs.  A step record carries its instruction's FETCH records apart
+from its data accesses (``fetches``, at ``pc``, ``pc + 2``, ...; see
+:mod:`repro.cpu.core`), so whether its fetches can trip a rule is a
+function of its PC alone.  Once per distinct layout and arming, and
+shared by every monitor in the process, :func:`_static_tables` derives
+six 64 KB tables from :data:`RULES` -- fixing the step's non-access
+signals of each context and keeping the access signals of every armed
+guard term that can still hold -- and keeps one copy of equal tables:
+
+* **untrusted-clean PCs**: outside ROM, with words at ``pc``,
+  ``pc + 2`` and ``pc + 4`` that raise no fetch signal an armed row
+  reads from untrusted code (a word past 0xFFFF counts as raising
+  one);
+* **ROM-clean PCs**: ``pc``, ``pc + 2`` and ``pc + 4`` all in ROM;
+* **untrusted data trips**, one for reads and one for writes (the
+  violation port included when its rows are armed);
+* **ROM write trips**, one per update-session state: with the PC and
+  the next PC in ROM, only ``pmem-guard`` (with no session open) and
+  ``trusted-port`` can still fire, so secure-DMEM accesses from ROM --
+  EILID's shadow-stack routines -- never trip.
+
+:meth:`HardwareMonitor.observe` then has two fast paths.  A non-illegal
+step at an untrusted-clean PC whose next PC is outside ROM checks its
+data accesses only; an instruction at a ROM-clean PC whose next PC is
+in ROM checks its writes only.  Each returns ``None`` when nothing
+trips, and every other step takes the priority walk: one pass over the
+fetches, then one over the data accesses, each answered from the
+layout's 64 KB attribute table.
 """
 
 import enum
@@ -40,12 +72,13 @@ from typing import Optional, Tuple
 
 from repro.cpu.core import StepKind
 from repro.memory.bus import AccessKind
-from repro.memory.map import F_EXEC, F_PMEM, F_SDMEM, F_SROM
+from repro.memory.map import F_EXEC, F_PMEM, F_SDMEM, F_SROM, MemoryLayout
 from repro.peripherals.ports import VIOLATION_PORT
 
 _FETCH = AccessKind.FETCH
 _READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
+_INSTRUCTION = StepKind.INSTRUCTION
 _INTERRUPT = StepKind.INTERRUPT
 _ILLEGAL = StepKind.ILLEGAL
 
@@ -253,6 +286,7 @@ _FETCH_BITS, _READ_BITS, _WRITE_BITS = (
     for kind in (_FETCH, _READ, _WRITE))
 _WITNESSED = [(_BIT[signal.name], signal.name) for signal in SIGNALS
               if signal.kinds or signal.name == "port_write"]
+_ACCESS_SIGNALS = sum(bit for bit, _ in _WITNESSED)
 
 
 def abstract(step, flags, rom_config: RomConfig, session_open: bool):
@@ -261,7 +295,7 @@ def abstract(step, flags, rom_config: RomConfig, session_open: bool):
     ``port_write``.  *flags* is the layout's attribute table."""
     signals = 0
     witnesses = {}
-    for access in step.accesses:
+    for access in (*step.fetches, *step.accesses):
         kind, addr = access.kind, access.addr
         if kind is _FETCH:
             raised = _FETCH_BITS[flags[addr]]
@@ -303,16 +337,103 @@ def evaluate(step, signals, witnesses, policy: MonitorPolicy,
     return None
 
 
+# The contexts the fast paths decide, as the non-access signals each
+# fixes: an untrusted step that stays out of ROM and is not illegal
+# (an interrupt may be), and a trusted instruction that stays in ROM,
+# with the update session either way or as given.
+_UNTRUSTED = (("pc_in_rom", False), ("next_in_rom", False),
+              ("illegal", False))
+_TRUSTED = (("pc_in_rom", True), ("next_in_rom", True), ("irq", False),
+            ("illegal", False))
+
+
+# 256-byte translations of F_* bytes, and 64 KB table arithmetic.
+_ALL = bytes([1]) * 256
+_NONE = bytes(256)
+_NOT = bytes([1]) + bytes(255)  # 0 -> 1, else 0
+_IN_ROM = bytes(bool(flags & F_SROM) for flags in range(256))
+_SIZE = 0x10000
+_EVEN = int.from_bytes(b"\x01\x00" * (_SIZE // 2), "little")
+# Tables by content, so monitors whose tables agree share one copy.
+_INTERNED = {}
+
+
 @functools.lru_cache(maxsize=None)
-def _trip_translations(arming):
+def _trip_translations(arming, context):
     """Per access kind (fetch, read, write), a 256-byte translation of
-    ``F_*`` attribute bytes: 1 where the access raises a signal some
-    rule armed by *arming* (the policy's field values) reads."""
+    ``F_*`` attribute bytes, and whether a violation-port write trips.
+    A translation holds 1 where the access raises a signal read by a
+    guard term of a rule *arming* arms (the policy's field values) that
+    can still hold once the step's non-access signals are fixed to
+    *context*'s ``(signal, value)`` pairs.  A term that could hold with
+    no access signal raised makes every access trip."""
     policy = MonitorPolicy(*arming)
-    read = sum({_BIT[name] for rule in RULES if getattr(policy, rule.arm)
-                for name in rule.reads})
+    fixed = dict(context)
+    read = 0
+    for rule in RULES:
+        if not getattr(policy, rule.arm):
+            continue
+        for term in rule.guard:
+            if all(fixed.get(name, polarity) is polarity
+                   for name, polarity in term):
+                raised = sum(_BIT[name] for name, polarity in term
+                             if polarity and _BIT[name] & _ACCESS_SIGNALS)
+                read |= raised or -1
+    if read < 0:
+        return (_ALL,) * 3 + (True,)
     return tuple(bytes(bool(raised & read) for raised in table)
-                 for table in (_FETCH_BITS, _READ_BITS, _WRITE_BITS))
+                 for table in (_FETCH_BITS, _READ_BITS, _WRITE_BITS)) + (
+        bool(read & _BIT["port_write"]),)
+
+
+def _intern(table: bytes) -> bytes:
+    return _INTERNED.setdefault(table, table)
+
+
+def _trip_table(flags, translation, port) -> bytes:
+    """*flags* through *translation*, with 1 at the violation port when
+    *port* says a write there trips."""
+    table = flags.translate(translation)
+    if port:
+        table[VIOLATION_PORT] = 1
+    return _intern(bytes(table))
+
+
+def _three_words(flags, translation) -> int:
+    """As an int, byte *pc* of which is 1 at each even *pc* whose words
+    at ``pc``, ``pc + 2`` and ``pc + 4`` all map to 1 through
+    *translation*; a word past 0xFFFF maps to 0."""
+    ok = int.from_bytes(flags.translate(translation), "little")
+    return ok & ok >> 16 & ok >> 32 & _EVEN
+
+
+@functools.lru_cache(maxsize=None)
+def _static_tables(regions, arming):
+    """The monitor-first tables of a layout of *regions* under *arming*
+    (see the module docstring): ``(untrusted-clean PCs, ROM-clean PCs,
+    untrusted read trips, untrusted write trips, (ROM write trips with
+    the session closed, with it open))``, each a 64 KB ``bytes`` of
+    0/1.  Derived once per distinct set of regions and arming in the
+    process."""
+    flags = MemoryLayout(list(regions)).flags
+    fetch, read, write, port = _trip_translations(arming, _UNTRUSTED)
+    outside = int.from_bytes(flags.translate(_IN_ROM.translate(_NOT)),
+                             "little")
+    untrusted_clean = _three_words(flags, fetch.translate(_NOT)) & outside
+    rom_fetch, rom_read, _, _ = _trip_translations(arming, _TRUSTED)
+    rom_clean = 0
+    if rom_read == _NONE:  # a trusted read trips nothing
+        rom_clean = _three_words(flags, bytes(
+            rom and not trip for rom, trip in zip(_IN_ROM, rom_fetch)))
+    rom_writes = tuple(
+        _trip_table(flags, *_trip_translations(
+            arming, _TRUSTED + (("update_open", session),))[2:])
+        for session in (False, True))
+    return (_intern(untrusted_clean.to_bytes(_SIZE, "little")),
+            _intern(rom_clean.to_bytes(_SIZE, "little")),
+            _trip_table(flags, read, False),
+            _trip_table(flags, write, port),
+            rom_writes)
 
 
 class HardwareMonitor:
@@ -335,36 +456,43 @@ class HardwareMonitor:
         self._atomic = policy.rom_atomicity
         self._illegal = policy.illegal_insn
         self._flags = layout.flags
-        # The clean-step filter's tables: per access kind, 1 at every
-        # address where an untrusted access could trip an armed rule
-        # (the violation port aside), derived once per layout.
-        self._trips = tuple(
-            layout.translate_flags(table) for table in _trip_translations(
-                tuple(getattr(policy, name) for name in ARMS)))
+        (self._untrusted_clean, self._rom_clean, self._read_trips,
+         self._write_trips, self._rom_write_trips) = _static_tables(
+            tuple(layout.regions), tuple(getattr(policy, name) for name in ARMS))
 
     def observe(self, step) -> Optional[Violation]:
         """Check one CPU step; the highest-priority violation wins."""
-        flags = self._flags
+        if self._untrusted_clean[step.pc]:
+            # The PC's fetches raise nothing an armed rule reads, so an
+            # untrusted step that stays out of ROM can only trip a rule
+            # through a data access; most touch none a rule guards.
+            if (not self._flags[step.next_pc] & F_SROM
+                    and step.kind is not _ILLEGAL):
+                for access in step.accesses:
+                    if access.kind is _WRITE:
+                        if self._write_trips[access.addr]:
+                            break
+                    elif self._read_trips[access.addr]:
+                        break
+                else:
+                    return None
+        elif self._rom_clean[step.pc]:
+            # A trusted instruction that stays in ROM can only trip a
+            # rule by a write: to PMEM outside an update session, or to
+            # the violation port.
+            if self._flags[step.next_pc] & F_SROM and step.kind is _INSTRUCTION:
+                write_trips = self._rom_write_trips[self.update_session_open]
+                for access in step.accesses:
+                    if access.kind is _WRITE and write_trips[access.addr]:
+                        break
+                else:
+                    return None
         pc = step.pc
-        if (not (flags[pc] | flags[step.next_pc]) & F_SROM
-                and step.kind is not _ILLEGAL):
-            # Clean-step filter: an untrusted step that stays out of ROM
-            # can only trip a rule through a flagged address; most
-            # steps touch none and skip the priority walk below.
-            fetch_trips, read_trips, write_trips = self._trips
-            for access in step.accesses:
-                kind = access.kind
-                if kind is _FETCH:
-                    if fetch_trips[access.addr]:
-                        break
-                elif kind is _WRITE:
-                    addr = access.addr
-                    if write_trips[addr] or addr == self._port:
-                        break
-                elif read_trips[access.addr]:
-                    break
-            else:
-                return None
+        flags = self._flags
+        if self._w_xor_x:
+            for access in step.fetches:
+                if not flags[access.addr] & F_EXEC:
+                    return Violation(ViolationReason.W_XOR_X, pc, access.addr)
         trusted = flags[pc] & F_SROM
         if trusted:
             read_guard = 0
@@ -373,16 +501,10 @@ class HardwareMonitor:
             read_guard = self._sram_bits
             write_guard = read_guard | self._pmem_bits
         port = self._port
-        w_xor_x = self._w_xor_x
         pmem_hit = sram_hit = port_hit = None
         for access in step.accesses:
-            kind = access.kind
             addr = access.addr
-            if kind is _FETCH:
-                if w_xor_x and not flags[addr] & F_EXEC:
-                    return Violation(ViolationReason.W_XOR_X, pc, addr)
-                continue
-            if kind is _WRITE:
+            if access.kind is _WRITE:
                 bits = flags[addr] & write_guard
                 if addr == port and port_hit is None:
                     port_hit = access

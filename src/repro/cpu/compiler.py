@@ -1,32 +1,51 @@
-"""Instruction compiler: one specialized executor per decoded instruction.
+"""Step compiler: one function per decode-cache entry runs its whole step.
 
-The generic executors of :class:`repro.cpu.core.Cpu` (the ``_ex_*``
-methods) re-read an instruction's opcode, byte mode and operand modes
-every time it runs.  A decoded :class:`repro.isa.Instruction` is frozen,
-so all of that is fixed once it is decoded: :func:`compile_instruction`
-turns it into one straight-line Python function in which register
-numbers, constants, index and absolute addresses, masks and jump
-offsets are literals.  The function is called as ``executor(regs,
-bus)`` after the CPU has set PC to the fall-through address.
+Nearly everything a cached step does is fixed once its instruction is
+decoded at its PC: the fall-through address, the cycles, the FETCH
+records of its words, the instruction's operands and whether -- and
+when -- it is a trace edge.  :func:`compile_step` turns a decode-cache
+entry into one straight-line Python function, called as
+``step(cpu, regs, bus)``, which
 
-The semantics are the generic executors', access for access: every
-memory access still goes through ``Bus.read_*``/``Bus.write_*``, in the
-same order and with the same arguments, so access records, peripheral
-handlers, ``before_io`` and decode-cache invalidation are unchanged.
-``tests/test_compiled_executors.py`` holds the two implementations to
-identical registers, memory, access streams and exceptions.
+* starts the step's access list on the bus, unless its body makes no
+  bus access (a jump, a register operation), and writes the
+  fall-through PC;
+* runs the instruction body, in which register numbers, constants,
+  index and absolute addresses, masks and jump offsets are literals;
+* bumps ``total_cycles`` and ``instruction_count``;
+* fills the step's :class:`~repro.cpu.core.StepRecord`: ``pc``,
+  ``cycles``, ``fetches`` and ``insn`` are constants, and so is
+  ``next_pc`` for an instruction that never leaves the fall-through
+  path;
+* calls the trace sink only on a taken edge.  The edge rule -- a kind in
+  :data:`~repro.isa.transfer.ALWAYS_EDGES`, or a step that leaves the
+  fall-through PC -- is decided when the code is generated, so a step
+  that is never an edge carries no test for one.
 
-Executors hold no CPU or bus reference and are memoized per process by
-instruction in a bounded LRU, so every device's decode cache shares
-them and a snapshot restore, which empties a decode cache, re-decodes
-without recompiling.
+The semantics are the generic executors' (the ``Cpu._ex_*`` methods,
+the uncached reference), access for access: every memory access goes
+through ``Bus.read_*``/``Bus.write_*``, in the same order and with the
+same arguments, so access records, peripheral handlers, ``before_io``
+and decode-cache invalidation are unchanged.
+``tests/test_compiled_executors.py`` holds whole compiled steps to the
+uncached ones: registers, memory, records, trace edges and exceptions.
+
+A step's code depends only on its instruction, so it is compiled once
+per instruction, in a bounded LRU shared by the process.  Each entry
+binds its own PC, fall-through, fetch records and instruction as the
+function's defaults, ``(pc, fall, fetches, insn)``, without
+recompiling.  Entries live in the program's decode table, so a fleet
+compiles each one once and a snapshot restore recompiles nothing.
 """
 
 import functools
+from types import FunctionType
 
 from repro.errors import DecodingError
+from repro.isa import instruction_cycles
 from repro.isa.operands import AddrMode
 from repro.isa.registers import PC, SP
+from repro.isa.transfer import ALWAYS_EDGES, EDGE_KINDS, classify_insn
 
 # Distinct instructions kept compiled.  The seven Table IV apps, both
 # images, execute ~350; the bound only matters for fault campaigns and
@@ -36,6 +55,9 @@ COMPILED_CACHE_SIZE = 4096
 # SR with C, Z, N and V cleared (every flag-setting instruction sets
 # all four).
 _SR_KEEP = 0xFEF8
+
+# Where a compiled step keeps its fetch records among its defaults.
+_FETCHES = 2
 
 
 def _bcd_add(src, dst, carry, digits):
@@ -51,32 +73,88 @@ def _bcd_add(src, dst, carry, digits):
     return result, carry
 
 
-_NAMESPACE = {"__builtins__": {}, "_bcd_add": _bcd_add}
+def compile_step(insn, pc, fall, fetches):
+    """The compiled step of *insn*, decoded at *pc* from the FETCH
+    records *fetches* and falling through to *fall*; called as
+    ``step(cpu, regs, bus)``, it returns the step's record."""
+    return FunctionType(_step_code(insn), _namespace(), "step",
+                        (pc, fall, fetches, insn))
+
+
+def step_fetches(step):
+    """The FETCH records a compiled step replays: its instruction's
+    words, so their count is the span the entry covers."""
+    return step.__defaults__[_FETCHES]
+
+
+@functools.lru_cache(maxsize=None)
+def _namespace():
+    """The globals every compiled step shares.  Built on first use:
+    :mod:`repro.cpu.core`, which defines the record, imports this
+    module."""
+    from repro.cpu.core import StepKind, StepRecord
+    return {"__builtins__": {}, "_bcd_add": _bcd_add, "_new": object.__new__,
+            "StepRecord": StepRecord, "INSTRUCTION": StepKind.INSTRUCTION}
 
 
 @functools.lru_cache(maxsize=COMPILED_CACHE_SIZE)
-def compile_instruction(insn):
-    """The specialized executor of *insn*, called as ``executor(regs, bus)``."""
-    lines = _body(insn)
-    source = "def execute(regs, bus):\n" + "".join(
+def _step_code(insn):
+    """The code object of *insn*'s compiled step (see the module
+    docstring); the function it compiles into is dropped, so an entry
+    the LRU evicts is freed by reference counting."""
+    cycles = instruction_cycles(insn)
+    edge = EDGE_KINDS[classify_insn(insn, 0)[0]]
+    if insn.offset is not None:
+        lines = _jump(insn.opcode.mnemonic, 2 * insn.offset)
+    else:
+        lines = ["regs[0] = fall", *_body(insn)]
+    # A step whose body makes no bus access (a jump, a register
+    # operation) leaves the bus's access list alone: its record gets an
+    # empty list of its own.
+    uses_bus = any("bus." in line for line in lines)
+    if uses_bus:
+        lines.insert(0, "bus.trace = trace = []")
+    # Whether the step can leave the fall-through path (a zero-offset
+    # jump cannot), and whether it is an edge even when it does not.
+    moves = edge is not None and insn.offset != 0
+    always = edge in ALWAYS_EDGES
+    if moves and insn.offset is None:
+        lines.append("next_pc = regs[0]")
+    lines += [f"cpu.total_cycles += {cycles}", "cpu.instruction_count += 1"]
+    if uses_bus:
+        lines.append("bus.trace = []")
+    lines += ["record = _new(StepRecord)",
+              "record.kind = INSTRUCTION",
+              "record.pc = pc",
+              f"record.next_pc = {'next_pc' if moves else 'fall'}",
+              f"record.cycles = {cycles}",
+              "record.fetches = fetches",
+              f"record.accesses = {'trace' if uses_bus else '[]'}",
+              "record.insn = insn",
+              "record.vector = None",
+              "record.illegal_word = None"]
+    if moves:
+        observe = ["sink = cpu.trace_sink", "if sink is not None:",
+                   f"    sink.observe(record, {edge!r})"]
+        lines += (observe if always
+                  else ["if next_pc != fall:"] + [f"    {line}" for line in observe])
+    lines.append("return record")
+    source = "def step(cpu, regs, bus, pc, fall, fetches, insn):\n" + "".join(
         f"    {line}\n" for line in lines)
-    namespace = dict(_NAMESPACE)
+    namespace = {}
     exec(compile(source, f"<msp430 {insn.render()}>", "exec"), namespace)
-    # Popped, so the function's globals do not hold it: an executor the
-    # LRU evicts is freed by reference counting.
-    return namespace.pop("execute")
+    return namespace["step"].__code__
 
 
-# ---- code generation ---------------------------------------------------------
+# ---- instruction bodies --------------------------------------------------------
 
 
 def _body(insn):
-    name = insn.opcode.mnemonic
-    if insn.offset is not None:
-        return _jump(name, 2 * insn.offset)
+    """The body of a non-jump *insn*: its register, flag and bus work,
+    run with PC already at the fall-through address ``fall``."""
     if insn.src is not None:
-        return _double(name, insn)
-    return _single(name, insn)
+        return _double(insn.opcode.mnemonic, insn)
+    return _single(insn.opcode.mnemonic, insn)
 
 
 def _set_reg(reg, expr, masked=True):
@@ -218,7 +296,6 @@ def _single(name, insn):
         return lines + _push("regs[0]") + [_set_reg(PC, target)]
     # Read-modify-write: rra/rrc honour .b; swpb/sxt are word-only.
     byte = insn.byte_mode and name in ("rra", "rrc")
-    mask = 0xFF if byte else 0xFFFF
     msb = 0x80 if byte else 0x8000
     if dst.mode is AddrMode.REGISTER:
         lines.append(f"v = regs[{dst.reg}] & 0xFF" if byte
@@ -255,7 +332,10 @@ _JUMP_CONDITIONS = {
 
 
 def _jump(name, displacement):
-    take = f"regs[0] = (regs[0] + {displacement}) & 0xFFFE"
+    """A jump's PC update, binding ``next_pc``: the target when taken,
+    else the fall-through."""
+    take = f"next_pc = ({displacement} + fall) & 0xFFFE"
     if name == "jmp":
-        return [take]
-    return [f"if {_JUMP_CONDITIONS[name]}:", f"    {take}"]
+        return [take, "regs[0] = next_pc"]
+    return [f"if {_JUMP_CONDITIONS[name]}:", f"    {take}", "else:",
+            "    next_pc = fall", "regs[0] = next_pc"]

@@ -3,8 +3,9 @@
 One :meth:`Cpu.step` executes a single architectural event -- interrupt
 acceptance or one instruction -- updates the register file and bus, and
 returns a :class:`StepRecord` carrying everything the hardware monitors
-observe: the issuing PC, the resulting PC, the bus accesses, and whether
-the step was an interrupt entry.
+observe: the issuing PC, the resulting PC, the instruction's fetches and
+the step's data accesses on the bus, and whether the step was an
+interrupt entry.
 
 Instruction semantics and cycle counts follow SLAU049 (MSP430x1xx
 Family User's Guide).  Deviations, all harmless to the EILID argument,
@@ -30,26 +31,40 @@ run loop binds them when a run starts, never when a device is built.
 
 A :class:`StepRecord` is immutable by contract: nothing may assign to
 its fields, or add to or reorder its ``accesses``, once
-:meth:`Cpu.step` has returned it.  The monitor, the trace recorder, the
-device's violation rollback and any run observer all read the same
-record, and lockstep tests compare records from two devices by value.
-The bus starts a new access list for every step, so no later bus access
+:meth:`Cpu.step` has returned it; its ``fetches`` tuple may be shared
+with other records of the same cached instruction.  The monitor, the
+trace recorder, the device's violation rollback and any run observer
+all read the same record, and lockstep tests compare records from two
+devices by value.  Every record gets an access list of its own, and a
+step that uses the bus leaves it a new one, so no later bus access
 lands in a record already returned.
 
 Decoded-instruction cache
 -------------------------
 
-The hot path keeps a cache ``{pc: (insn, next_pc, cycles, fetch
-accesses, executor, edge)}`` so straight-line re-execution never
-re-decodes.  ``next_pc`` is the fall-through address; ``executor`` is
-the instruction compiled once by
-:func:`repro.cpu.compiler.compile_instruction` into a specialized
-function called as ``executor(regs, bus)`` (shared by every CPU in the
-process, and holding no reference to any); ``edge`` is the trace edge
-kind :mod:`repro.isa.transfer` assigns the instruction (``None`` for
-one that never transfers control).  A step records its edge when it
-leaves the fall-through address, and a ``call`` or ``reti`` records it
-even when it does not.  The uncached path classifies on every step.
+The hot path keeps a cache ``{pc: step}`` so straight-line
+re-execution never re-decodes.  Each entry is the instruction at that
+PC compiled by :func:`repro.cpu.compiler.compile_step` into one
+function, called as ``step(cpu, regs, bus)``, that runs the whole
+cached step and returns its record, so a hit is one lookup and one
+call.  The entry binds the issuing PC, the fall-through address, the
+FETCH records of the instruction's words and the instruction itself;
+its code, shared by every entry of the same instruction in the
+process, holds the cycles, the instruction body and the trace-edge
+rule :mod:`repro.isa.transfer` assigns the instruction.  A step
+records its edge when it leaves the fall-through address, and a
+``call`` or ``reti`` records it even when it does not.  The uncached
+path classifies on every step.
+
+A step record's bus stream is ``fetches`` followed by ``accesses``:
+``fetches`` holds the FETCH records of the instruction's words, at
+``pc``, ``pc + 2``, and so on, and ``accesses`` only the step's READ
+and WRITE records, in order.  On a cache hit ``fetches`` is the
+entry's own tuple, never copied; the uncached path builds it after
+decoding.  An interrupt step fetches nothing, and an illegal step
+keeps the words it fetched.  The monitor decides the fetches of a PC
+once, from static tables, and checks only the data accesses of most
+steps (see :mod:`repro.casu.monitor`).
 
 An entry is a function of its PC and the 1-3 words it was decoded
 from, so devices of one program share them: each
@@ -76,14 +91,13 @@ contract, shared with :class:`repro.memory.bus.Bus`:
   kills every entry whose registered words overlap the written word, so
   self-modifying and attacker-injected code always re-decodes (and a
   changed encoding is a different instruction, so it never meets a
-  stale executor);
-* a cache hit replays the entry's recorded FETCH accesses, the records
-  the filling step's own fetches made, into the step's access list, so
-  the monitor-visible access stream is bit-identical to an uncached run
-  (the invalidation rule guarantees the underlying words have not
-  changed);
-* compiled executors make the generic executors' bus accesses in the
-  same order with the same arguments, so access records, peripheral
+  stale compiled step);
+* a cache hit's record carries the entry's FETCH records, the records
+  the filling step's own fetches made, so the monitor-visible access
+  stream is bit-identical to an uncached run (the invalidation rule
+  guarantees the underlying words have not changed);
+* compiled steps make the generic executors' bus accesses in the same
+  order with the same arguments, so access records, peripheral
   handlers and invalidation see no difference.
 
 Interrupt acceptance, ILLEGAL/fault steps and an odd PC are never
@@ -95,14 +109,15 @@ StepRecords, cycle totals and monitor verdicts over whole programs,
 ``tests/test_decode_table.py`` holds devices sharing a table to
 uncached twins through self-modifying code, updates, fault pokes and a
 sibling that rewrites code another device keeps running, and
-``tests/test_compiled_executors.py`` compares the two executors one
-instruction at a time over every opcode and addressing mode.
+``tests/test_compiled_executors.py`` compares whole compiled steps
+with uncached ones one instruction at a time over every opcode and
+addressing mode.
 """
 
 import enum
 from typing import Optional
 
-from repro.cpu.compiler import compile_instruction
+from repro.cpu.compiler import compile_step, step_fetches
 from repro.errors import DecodingError, MemoryAccessError
 from repro.isa import decode, instruction_cycles, INTERRUPT_CYCLES
 from repro.isa.operands import AddrMode
@@ -132,31 +147,31 @@ class StepKind(enum.Enum):
     ILLEGAL = "illegal"
 
 
-_INSTRUCTION = StepKind.INSTRUCTION
-_new_record = object.__new__
-
-
 class StepRecord:
     """Everything one step exposes to the monitors and to traces.
 
     Immutable by contract (see the module docstring).  Slots, not a
     named tuple: under CPython 3.11 a slot is read by specialized
     bytecode and a named-tuple field through a descriptor call, and the
-    monitor reads four fields of every record.  :meth:`Cpu.step` fills
+    monitor reads four fields of every record.  A compiled step fills
     the slots of its instruction records directly.
     """
 
-    __slots__ = ("kind", "pc", "next_pc", "cycles", "accesses", "insn",
-                 "vector", "illegal_word")
+    __slots__ = ("kind", "pc", "next_pc", "cycles", "fetches", "accesses",
+                 "insn", "vector", "illegal_word")
 
     def __init__(self, kind: StepKind, pc: int, next_pc: int, cycles: int,
-                 accesses=(), insn=None, vector: Optional[int] = None,
+                 fetches=(), accesses=(), insn=None,
+                 vector: Optional[int] = None,
                  illegal_word: Optional[int] = None):
         self.kind = kind
         self.pc = pc  # PC before the step (issuing PC)
         self.next_pc = next_pc  # PC after the step
         self.cycles = cycles
-        self.accesses = accesses  # the step's bus Access records, in order
+        # The FETCH records of the instruction's words, in order, then
+        # the step's READ/WRITE records, in order: its bus stream.
+        self.fetches = fetches
+        self.accesses = accesses
         self.insn = insn  # Instruction for INSTRUCTION steps
         self.vector = vector  # vector index for INTERRUPT steps
         self.illegal_word = illegal_word
@@ -187,7 +202,7 @@ class StepRecord:
 class Cpu:
     """Register file + execution engine."""
 
-    def __init__(self, bus: Bus, interrupt_controller=None, decode_cache=None):
+    def __init__(self, bus: Bus, interrupt_controller, decode_cache=None):
         self.bus = bus
         self.regs = [0] * NUM_REGISTERS
         self.ic = interrupt_controller
@@ -315,59 +330,44 @@ class Cpu:
     def step(self) -> StepRecord:
         """Execute one architectural event and return its record."""
         regs = self.regs
-        pc_before = regs[PC]
-        bus = self.bus
-
-        ic = self.ic
-        if (regs[SR] & FLAG_GIE and ic is not None and ic.lines
-                and not self.irq_deferred_at(pc_before)):
-            return self._service_interrupt(pc_before)
-
+        pc = regs[PC]
+        if (regs[SR] & FLAG_GIE and self.ic.lines
+                and not self.irq_deferred_at(pc)):
+            return self._service_interrupt(pc)
         cache = self._dcache
-        entry = cache.get(pc_before) if cache is not None else None
-        if entry is None and cache is not None:
-            entry = self._fill(pc_before)
-        if entry is not None:
-            insn, next_pc, cycles, fetches, executor, edge = entry
-            # Replay the monitor-visible FETCH stream; invalidation
-            # guarantees the cached words still match memory.
-            bus.trace = trace = list(fetches)
-            regs[PC] = next_pc
-            executor(regs, bus)
-        else:
-            # The uncached path; on the cached one, an illegal word or
-            # an odd PC.
-            bus.trace = trace = []
-            try:
-                insn = self._decode(pc_before)
-            except (DecodingError, MemoryAccessError):
-                # An illegal opcode halts a real MSP430 into reset via
-                # the watchdog, and a fetch off the top of the address
-                # space (the extension word of a two-word instruction
-                # at 0xFFFE) is a fault too: an ILLEGAL step the device
-                # resets on, not a simulator crash.
-                return self._illegal_step(pc_before)
-            next_pc = self._fetch_addr & 0xFFFE
-            edge = EDGE_KINDS[classify_insn(insn, pc_before)[0]]
-            cycles = instruction_cycles(insn)
-            regs[PC] = next_pc
-            _EXECUTORS[insn.opcode.mnemonic](self, insn)
-        bus.trace = []
+        if cache is None:
+            return self._interpret(regs, self.bus)
+        # A hit, or a miss's fill: the entry's compiled step, or the
+        # interpreter for a PC that is never cached.
+        return (cache.get(pc) or self._fill(pc))(self, regs, self.bus)
 
+    def _interpret(self, regs, bus) -> StepRecord:
+        """The reference step: decode, classify and run the generic
+        executor.  Called as a compiled step is, ``(cpu, regs, bus)``."""
+        pc_before = regs[PC]
+        bus.trace = trace = []
+        try:
+            insn = self._decode(pc_before)
+        except (DecodingError, MemoryAccessError):
+            # An illegal opcode halts a real MSP430 into reset via the
+            # watchdog, and a fetch off the top of the address space
+            # (the extension word of a two-word instruction at 0xFFFE)
+            # is a fault too: an ILLEGAL step the device resets on, not
+            # a simulator crash.
+            return self._illegal_step(pc_before)
+        fetches = tuple(trace)
+        bus.trace = trace = []
+        next_pc = self._fetch_addr & 0xFFFE
+        edge = EDGE_KINDS[classify_insn(insn, pc_before)[0]]
+        cycles = instruction_cycles(insn)
+        regs[PC] = next_pc
+        _EXECUTORS[insn.opcode.mnemonic](self, insn)
+        bus.trace = []
         self.total_cycles += cycles
         self.instruction_count += 1
         pc_after = regs[PC]
-        # Built in place: every slot set, without the __init__ frame
-        # that measured ~5% of a monitored step.
-        record = _new_record(StepRecord)
-        record.kind = _INSTRUCTION
-        record.pc = pc_before
-        record.next_pc = pc_after
-        record.cycles = cycles
-        record.accesses = trace
-        record.insn = insn
-        record.vector = None
-        record.illegal_word = None
+        record = StepRecord(StepKind.INSTRUCTION, pc_before, pc_after, cycles,
+                            fetches, trace, insn)
         if (edge is not None and (pc_after != next_pc or edge in ALWAYS_EDGES)
                 and self.trace_sink is not None):
             self.trace_sink.observe(record, edge)
@@ -382,8 +382,9 @@ class Cpu:
         return decode(first_word, self._fetch_ext)
 
     def _fill(self, pc):
-        """The decode-cache entry for a miss at *pc*, now in the cache
-        and registered with the bus; None for an illegal word.
+        """The compiled step for a miss at *pc*, now in the cache and
+        registered with the bus; for an illegal word or an odd PC, never
+        cached, the interpreter (:meth:`_interpret`).
 
         The program's entry is adopted when this device's words over
         its whole span equal the image's; otherwise the instruction is
@@ -393,14 +394,14 @@ class Cpu:
         can hold, is never cached, so every key is a word address.
         """
         if pc & 1:
-            return None
+            return Cpu._interpret
         bus = self.bus
         mem = bus.mem
         table = self._program_decodes
         if table is not None:
             entry = table.get(pc)
             if entry is not None:
-                n_words = len(entry[3])
+                n_words = len(step_fetches(entry))
                 end = pc + 2 * n_words
                 if mem[pc:end] == self._program_image[pc:end]:
                     self._dcache[pc] = entry
@@ -410,11 +411,9 @@ class Cpu:
         try:
             insn = self._decode(pc)
         except (DecodingError, MemoryAccessError):
-            return None
+            return Cpu._interpret
         n_words = len(trace)
-        entry = (insn, self._fetch_addr & 0xFFFE, instruction_cycles(insn),
-                 tuple(trace), compile_instruction(insn),
-                 EDGE_KINDS[classify_insn(insn, pc)[0]])
+        entry = compile_step(insn, pc, self._fetch_addr & 0xFFFE, tuple(trace))
         self._dcache[pc] = entry
         bus.note_code_cached(pc, n_words)
         end = pc + 2 * n_words
@@ -424,11 +423,11 @@ class Cpu:
 
     def _illegal_step(self, pc_before):
         bus = self.bus
-        trace, bus.trace = bus.trace, []
+        fetches, bus.trace = tuple(bus.trace), []
         self.total_cycles += 1
         # The first word, when its fetch made it onto the trace.
-        return StepRecord(StepKind.ILLEGAL, pc_before, pc_before, 1, trace,
-                          illegal_word=trace[0].value if trace else 0)
+        return StepRecord(StepKind.ILLEGAL, pc_before, pc_before, 1, fetches,
+                          [], illegal_word=fetches[0].value if fetches else 0)
 
     def _service_interrupt(self, pc_before):
         bus = self.bus
@@ -444,7 +443,7 @@ class Cpu:
         bus.trace = []
         self.total_cycles += INTERRUPT_CYCLES
         record = StepRecord(StepKind.INTERRUPT, pc_before, self.pc,
-                            INTERRUPT_CYCLES, trace, vector=vector)
+                            INTERRUPT_CYCLES, (), trace, vector=vector)
         if self.trace_sink is not None:
             self.trace_sink.observe(record, EDGE_IRQ)
         return record
@@ -765,7 +764,7 @@ class Cpu:
 
 
 # Opcode -> generic executor, called as ``executor(cpu, insn)``: the
-# uncached path, and the reference the compiled executors are tested
+# uncached path, and the reference the compiled steps are tested
 # against.
 _EXECUTORS = {name[len("_ex_"):]: fn for name, fn in vars(Cpu).items()
               if name.startswith("_ex_")}

@@ -376,9 +376,12 @@ class EventLog(RecordLog):
 
 
 def campaign_start_seq(campaign_id: str) -> Optional[int]:
-    """The seq of a ``c<seq>`` campaign id's start event, else None."""
+    """The seq of a ``c<seq>`` campaign id's start event, else None.
+    No stored seq exceeds 2**63 - 1 (:func:`~repro.recordlog.is_event`),
+    so a run of more than 19 digits names no campaign."""
     digits = campaign_id[1:]
-    if campaign_id[:1] != "c" or not (digits.isascii() and digits.isdigit()):
+    if (campaign_id[:1] != "c" or len(digits) > 19
+            or not (digits.isascii() and digits.isdigit())):
         return None
     return int(digits)
 
@@ -405,12 +408,15 @@ class MemoryEventLog(EventLog):
 
 class JsonlEventLog(JsonlLog, EventLog):
     """A JSON-lines log, one line per event, read back from the file:
-    memory keeps each event's seq and the offset its line ends at (a
-    line that is not a whole event, :func:`~repro.recordlog.is_event`,
-    is skipped), so a long-running verifier's footprint does not
-    grow with its history.  The log is
-    append-only by nature, so unlike the registry's JsonlStore there is
-    nothing to compact -- growth is the point.
+    memory keeps each event's seq and the offset its line ends at, so a
+    long-running verifier's footprint does not grow with its history.
+    A stored line counts only when it is a whole event
+    (:func:`~repro.recordlog.is_event`) whose seq exceeds the last one
+    counted -- the rule :meth:`repro.recordlog.Cursor.read` applies --
+    so the seqs read back always ascend and the next one emitted is one
+    past the highest.  The log is append-only by nature, so unlike the
+    registry's JsonlStore there is nothing to compact -- growth is the
+    point.
     """
 
     def __init__(self, path: str):
@@ -420,11 +426,10 @@ class JsonlEventLog(JsonlLog, EventLog):
         with open(path, "rb") as handle:
             for line in handle:
                 for doc in read_lines((line,)):
-                    if is_event(doc):
-                        self._seqs.append(doc["seq"])
+                    if is_event(doc) and doc["seq"] > self._seq:
+                        self._seq = doc["seq"]
+                        self._seqs.append(self._seq)
                         self._ends.append(handle.tell())
-        if self._seqs:
-            self._seq = self._seqs[-1]
 
     def _append(self, doc: dict):
         self._write(doc)
@@ -436,12 +441,18 @@ class JsonlEventLog(JsonlLog, EventLog):
             first = 0 if since is None else bisect_right(self._seqs, since)
             if first == len(self._seqs):
                 return []
-            start = self._ends[first - 1] if first else 0
+            start, last = ((self._ends[first - 1], self._seqs[first - 1])
+                           if first else (0, 0))
             end = self._ends[-1]  # every line before it is whole
         with open(self.path, "rb") as handle:
             handle.seek(start)
             lines = handle.read(end - start).split(b"\n")
-        return [doc for doc in read_lines(lines) if is_event(doc)]
+        docs = []
+        for doc in read_lines(lines):  # the index's rule, from *start* on
+            if is_event(doc) and doc["seq"] > last:
+                last = doc["seq"]
+                docs.append(doc)
+        return docs
 
     def flush(self):
         with self._lock:

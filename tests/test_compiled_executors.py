@@ -1,15 +1,17 @@
-"""Differential property: compiled executors vs the generic interpreter.
+"""Differential property: compiled steps vs the generic interpreter.
 
-A decode-cached CPU runs each instruction through the specialized
-executor :func:`repro.cpu.compiler.compile_instruction` built for it; an
-uncached CPU runs the generic ``Cpu._ex_*`` executors, the reference.
+A decode-cached CPU runs each instruction as the whole compiled step
+:func:`repro.cpu.compiler.compile_step` built for it; an uncached CPU
+decodes and runs the generic ``Cpu._ex_*`` executors, the reference.
 Each example builds one instruction from raw encoding fields (every
 opcode, As/Ad mode, byte mode and register, PC/SP/SR/CG2 included),
 gives it random extension words, registers, flags and memory -- with
 addresses aimed at peripheral registers, RAM and the code itself --
-and steps it once on each interpreter from the same state.  Registers,
-memory, the StepRecord with its access stream, peripheral state, the
-trace edges and any exception must be identical.  The Table IV apps
+and steps it once on each interpreter from the same state, and once
+more through the cache entry the compiled step left, as a cache hit
+calls it.  Registers, memory, the StepRecord with its fetch and access
+streams, peripheral state, the trace edges and any exception must be
+identical.  The Table IV apps
 never execute ``dadd``, ``rrc.b`` or ``subc``, so whole-program
 differentials alone would not see a bug in them.
 
@@ -23,7 +25,6 @@ destination, so one fixed case per Format I and Format II opcode does.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cpu.compiler import compile_instruction
 from repro.cpu.core import StepKind, StepRecord
 from repro.device import build_device
 from repro.isa.opcodes import FORMAT1_OPCODES, FORMAT2_OPCODES, JUMP_OPCODES
@@ -82,8 +83,10 @@ def first_words(draw, mnemonic):
     return 0x2000 | JUMP_OPCODES[mnemonic].code << 10 | draw(st.integers(0, 0x3FF))
 
 
-def _step(device, state):
-    """Restore the baseline, apply *state*, step once."""
+def _step(device, state, run=None):
+    """Restore the baseline, apply *state*, step once: through
+    ``Cpu.step``, or through the compiled step *run*, called as a cache
+    hit calls it."""
     snapshot, regs, pokes, site, words = state
     device.restore(snapshot)
     bus = device.bus
@@ -96,7 +99,7 @@ def _step(device, state):
     cpu.regs = list(regs)
     cpu.regs[0] = site
     try:
-        outcome = cpu.step()
+        outcome = cpu.step() if run is None else run(cpu, cpu.regs, bus)
     except Exception as error:  # compared, not swallowed: both must match
         outcome = (type(error), str(error))
     device.clock.catch_up()
@@ -151,12 +154,12 @@ def test_compiled_executor_matches_generic(devices, mnemonic, data):
     site = data.draw(CODE_SITES, label="pc")
     state = (snapshot, regs, pokes, site, [word] + ext)
 
-    _check_step(devices, state)
-    # The entry (unless the step overwrote its own code) holds the
-    # executor that ran, so cache hits run it too.
+    got = _check_step(devices, state)
+    # The entry (unless the step overwrote its own code) is the
+    # compiled step that ran; a cache hit runs it alone.
     entry = compiled.cpu._dcache.get(site)
     if entry is not None:
-        assert entry[4] is compile_instruction(entry[0])
+        assert _step(compiled, state, entry) == got
 
 
 # Register-mode ``pc`` destinations: those that write it are transfers,

@@ -3,7 +3,7 @@
 The cache (see :mod:`repro.cpu.core`) must be architecturally invisible:
 for every Table IV application and every attack trace, a cached device
 and an uncached device must produce bit-identical StepRecords (including
-the monitor-visible access stream), monitor verdicts and device state
+the monitor-visible fetch and access streams), monitor verdicts and device state
 (the snapshot document: cycle totals, memory, peripherals, trace and
 attestation evidence).  These tests run both interpreters in lockstep
 and compare every record, then check the invalidation contract against
@@ -13,6 +13,7 @@ self-modifying and attacker-injected code.
 import pytest
 
 import repro.cpu.core as cpu_core
+from repro.cpu.compiler import step_fetches
 from repro.apps.registry import APPS, TABLE_IV_ORDER
 from repro.attacks import (
     code_injection,
@@ -50,7 +51,8 @@ def uncached_default():
 def cache_lockstep(program, security, make_peripherals,
                    max_steps=LOCKSTEP_STEPS):
     """Step a cached and an uncached device in lockstep: every
-    StepRecord (kind, PCs, cycles, instruction, access stream) and
+    StepRecord (kind, PCs, cycles, instruction, fetch and access
+    streams) and
     monitor verdict, then the whole device state, must agree."""
     cached = build_device(program, security=security,
                           peripherals=make_peripherals(), decode_cache=True)
@@ -155,14 +157,19 @@ def test_load_bytes_into_cached_code_forces_redecode():
 
 
 def test_cache_hit_replays_fetch_access_stream():
-    """Monitors must see the same FETCH records on hits as on misses."""
+    """Monitors must see the same FETCH records on hits as on misses:
+    the instruction's words in ``fetches``, none in ``accesses``, and
+    on a hit the entry's own tuple, never a copy."""
     cpu, _ = _make_cpu("    mov #0x1234, r10\n    jmp end\n")
     start = cpu.pc
     miss_record = cpu.step()
     cpu.set_reg(0, start)
     hit_record = cpu.step()
     assert start in cpu._dcache
+    assert miss_record.fetches == hit_record.fetches
     assert miss_record.accesses == hit_record.accesses
-    fetches = [a for a in hit_record.accesses if a.kind.value == "fetch"]
-    assert [a.addr for a in fetches] == [start, start + 2]
+    assert hit_record.fetches is step_fetches(cpu._dcache[start])
+    assert [a.addr for a in hit_record.fetches] == [start, start + 2]
+    assert all(a.kind.value == "fetch" for a in hit_record.fetches)
+    assert not any(a.kind.value == "fetch" for a in hit_record.accesses)
     assert hit_record.pc == start

@@ -4,6 +4,11 @@ The hand-picked cases pin each rule and each adjacent pair of the
 priority order; the hypothesis property holds ``observe`` to the rule
 table's evaluator on random steps; the mutation gate shows that those
 steps and cases would notice any single-guard change to the table.
+Every record is CPU-shaped: its FETCH records are the instruction's
+words at ``pc``, ``pc + 2``, ... under ``fetches`` (none for an
+interrupt), and ``accesses`` holds only reads and writes.  The
+monitor's fast paths rest on that shape, which
+``tests/test_monitor_tables.py`` checks against the CPU.
 """
 
 import pytest
@@ -33,12 +38,17 @@ ROM_CONFIG = RomConfig(entry_points=(ENTRY,), exit_ranges=((LEAVE, LEAVE + 2),))
 
 
 def step(pc, next_pc=None, accesses=(), kind=StepKind.INSTRUCTION, vector=None,
-         illegal=None):
+         illegal=None, fetches=None):
+    """A CPU-shaped record: by default a one-word instruction, fetched
+    at *pc* (an interrupt fetches nothing)."""
+    if fetches is None:
+        fetches = cpu_fetches(kind, pc, 1)
     return StepRecord(
         kind=kind,
         pc=pc,
         next_pc=next_pc if next_pc is not None else pc + 2,
         cycles=1,
+        fetches=tuple(fetches),
         accesses=list(accesses),
         vector=vector,
         illegal_word=illegal,
@@ -47,6 +57,16 @@ def step(pc, next_pc=None, accesses=(), kind=StepKind.INSTRUCTION, vector=None,
 
 def fetch(addr):
     return Access(AccessKind.FETCH, addr, 0, 2)
+
+
+def cpu_fetches(kind, pc, words):
+    """The FETCH records the CPU makes for a step of *kind* at *pc*:
+    up to *words* words at ``pc``, ``pc + 2``, ... below the top of the
+    address space, and none for an interrupt."""
+    if kind is StepKind.INTERRUPT:
+        return ()
+    return tuple(fetch(addr) for addr in range(pc, min(pc + 2 * words,
+                                                        0x10000), 2))
 
 
 def write(addr, value):
@@ -67,15 +87,15 @@ def casu_monitor():
 
 class TestWxorX:
     def test_fetch_from_pmem_ok(self):
-        assert eilid_monitor().observe(step(0xE000, accesses=[fetch(0xE000)])) is None
+        assert eilid_monitor().observe(step(0xE000, fetches=[fetch(0xE000)])) is None
 
     def test_fetch_from_rom_ok(self):
         monitor = eilid_monitor()
-        assert monitor.observe(step(ENTRY, accesses=[fetch(ENTRY)])) is None
+        assert monitor.observe(step(ENTRY, fetches=[fetch(ENTRY)])) is None
 
     @pytest.mark.parametrize("addr", [0x0200, 0x0300, 0x1000])
     def test_fetch_from_ram_violates(self, addr):
-        violation = eilid_monitor().observe(step(addr, accesses=[fetch(addr)]))
+        violation = eilid_monitor().observe(step(addr, fetches=[fetch(addr)]))
         assert violation is not None
         assert violation.reason is ViolationReason.W_XOR_X
 
@@ -211,10 +231,11 @@ class TestIllegalInstruction:
 
 # One case per adjacent pair in the priority order.  The step trips
 # both rules, with the lower-priority offence first in the access
-# stream, so the verdict cannot come from access order.
+# stream wherever a record allows (a step's fetches precede its data
+# accesses), so the verdict cannot come from access order.
 PRIORITY_CASES = [
-    pytest.param(step(0x0200, accesses=[write(0xE000, 1),
-                                         fetch(0x0200)]),
+    pytest.param(step(0x0200, fetches=[fetch(0x0200)],
+                      accesses=[write(0xE000, 1)]),
                  ViolationReason.W_XOR_X, id="wxorx-over-pmem"),
     pytest.param(step(0xE010, accesses=[read(LAYOUT.secure_dmem.start),
                                          write(0xE100, 1)]),
@@ -231,8 +252,8 @@ PRIORITY_CASES = [
                  ViolationReason.SECURE_PORT, id="port-over-illegal"),
 ]
 # A fetch from RAM combined with a PMEM write, and a benign step.
-FIRST_WINS = step(0x0200, accesses=[fetch(0x0200), write(0xE000, 1)])
-BENIGN = step(0xE010, accesses=[fetch(0xE010), write(0x0300, 5)])
+FIRST_WINS = step(0x0200, fetches=[fetch(0x0200)], accesses=[write(0xE000, 1)])
+BENIGN = step(0xE010, fetches=[fetch(0xE010)], accesses=[write(0x0300, 5)])
 
 
 class TestComposition:
@@ -268,26 +289,32 @@ PCS = st.one_of(st.sampled_from(ROM_SPOTS),
                 st.integers(0, 0xFFFF).map(lambda a: a & 0xFFFE))
 # Written values: the violation port's reason codes, or any word.
 VALUES = st.one_of(st.integers(0, 9), st.integers(0, 0xFFFF))
+# A step's data accesses: reads and writes only.
 ACCESSES = st.builds(
     lambda kind, addr, value: Access(kind, addr, value, 2, prev=0),
-    st.sampled_from(list(AccessKind)), ADDRESSES, VALUES)
+    st.sampled_from([AccessKind.READ, AccessKind.WRITE]), ADDRESSES, VALUES)
+WORDS = st.integers(1, 3)  # an instruction's length in words
+
+
 IN_ROM = st.one_of(st.sampled_from(ROM_SPOTS),
                    st.integers(ROM.start, ROM.end).map(lambda a: a & 0xFFFE))
 # The one shape the trusted-port row decides: an instruction in ROM
 # that stays in ROM and writes the violation port, among random
 # accesses it issues.
 TRUSTED_PORT_WRITES = st.builds(
-    lambda pc, next_pc, before, code, after: StepRecord(
+    lambda pc, next_pc, words, before, code, after: StepRecord(
         kind=StepKind.INSTRUCTION, pc=pc, next_pc=next_pc, cycles=1,
+        fetches=cpu_fetches(StepKind.INSTRUCTION, pc, words),
         accesses=[*before, write(VIOLATION_PORT, code), *after]),
-    IN_ROM, IN_ROM, st.lists(ACCESSES, max_size=3), VALUES,
+    IN_ROM, IN_ROM, WORDS, st.lists(ACCESSES, max_size=3), VALUES,
     st.lists(ACCESSES, max_size=3))
 RECORDS = st.one_of(
     st.builds(
-        lambda kind, pc, next_pc, accesses, word: StepRecord(
-            kind=kind, pc=pc, next_pc=next_pc, cycles=1, accesses=accesses,
+        lambda kind, pc, next_pc, words, accesses, word: StepRecord(
+            kind=kind, pc=pc, next_pc=next_pc, cycles=1,
+            fetches=cpu_fetches(kind, pc, words), accesses=accesses,
             illegal_word=word),
-        st.sampled_from(list(StepKind)), PCS, PCS,
+        st.sampled_from(list(StepKind)), PCS, PCS, WORDS,
         st.lists(ACCESSES, max_size=6), st.integers(0, 0xFFFF)),
     TRUSTED_PORT_WRITES)
 POLICIES = st.one_of(
@@ -331,7 +358,7 @@ SHADOW = LAYOUT.secure_dmem.start + 4
 # range, so the draws alone would kill some mutants only by luck;
 # these cases alone kill every mutant not in EQUIVALENT.
 BOUNDARY_CASES = [
-    (step(0x0200, accesses=[fetch(0x0200)]), False),
+    (step(0x0200, fetches=[fetch(0x0200)]), False),
     (step(0xE010, accesses=[write(0xE100, 1)]), True),
     (step(ENTRY, accesses=[write(0xE100, 1)]), True),
     (step(ENTRY, accesses=[write(0xE100, 1)]), False),

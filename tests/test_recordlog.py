@@ -34,7 +34,7 @@ from repro.obs import (
     open_event_log,
     open_event_tail,
 )
-from repro.recordlog import backend_for, read_lines, write_atomic
+from repro.recordlog import Cursor, backend_for, read_lines, write_atomic
 
 TORN_RECORD = '{"kind": "record", "device_id": "t'
 TORN_EVENT = '{"seq": 2, "kind": "att'
@@ -368,6 +368,28 @@ def test_has_campaign_scans_from_the_start_seq(tmp_path, kind):
     assert not log.has_campaign("bogus") and not log.has_campaign("c")
     assert scanned == [start - 1, start + 4]
     log.close()
+
+
+def test_a_stored_seq_that_does_not_ascend_counts_for_nothing(tmp_path):
+    """A whole event whose seq does not exceed the last one read back
+    is skipped, as a Cursor skips it: the next emit continues past the
+    highest seq, and ``tail`` and ``since`` read seqs in order."""
+    path = tmp_path / "events.jsonl"
+    log = JsonlEventLog(str(path))
+    first = log.emit("enroll", device="d1")
+    log.emit("enroll", device="d2")
+    log.emit("enroll", device="d3")
+    log.close()
+    append_raw(path, json.dumps(first) + "\n")
+    log = JsonlEventLog(str(path))
+    assert log.emit("attest", device="d1", ok=True)["seq"] == 4
+    assert [doc["seq"] for doc in log.tail(3)] == [4]
+    assert [doc["seq"] for doc in log.events(since=2)] == [3, 4]
+    assert [doc["seq"] for doc in log.events()] == [1, 2, 3, 4]
+    log.close()
+    cursor = Cursor(str(path))
+    assert [doc["seq"] for doc in cursor.read()] == [1, 2, 3, 4]
+    cursor.close()
 
 
 @pytest.mark.parametrize("kind", ("memory", "jsonl", "sqlite"))

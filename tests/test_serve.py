@@ -625,6 +625,27 @@ def _http(path: str, body: bytes = b"", method: str = "POST",
             f"\r\n").encode() + body
 
 
+class TestCampaignIds:
+    """A campaign id is ``c<start seq>``; one whose digits no stored seq
+    can have (more than 19) names no campaign, so it answers 404 like
+    any unknown id, not 400 with the interpreter's digit-limit error."""
+
+    @pytest.fixture()
+    def daemon(self):
+        daemon = daemon_module.VerifierDaemon(FleetSimulation(size=4))
+        yield daemon
+        daemon.pump.close()
+
+    @pytest.mark.parametrize("digits", [4, 20, 25, 5000])
+    def test_a_long_digit_run_is_an_unknown_campaign(self, daemon, digits):
+        campaign_id = "c" + "9" * digits
+        for path in (f"/campaigns/{campaign_id}",
+                     f"/campaigns/{campaign_id}/events"):
+            response = asyncio.run(daemon.dispatch("GET", path))
+            assert response.status == 404, path[:40]
+            assert "unknown campaign" in response.doc["error"]
+
+
 class TestMalformedRequests:
     """Each of these once closed the socket with no status line (or,
     for the string ids, enrolled ``a``, ``b``, ``c``).  Every one is a
